@@ -9,6 +9,16 @@ prediction is a convex mixture of the source's own predictions, so the
 augmented encoder can never predict sharper than the source it wraps.
 Label-consistency penalties (node and edge, on both maps) pull the alignment
 toward label-preserving ones.
+
+Training is a stacked fit. The R restarts of one (target, source) pair share
+their shapes, so they train as one problem: forward logits (R, |V_S|, |V_T|),
+reverse logits (R, |V_T|, |V_S|), one loss/gradient call and one Adam step
+per epoch, with a per-restart learning rate. Everything that does not change
+during a fit (target adjacency, the frozen source probabilities, the label
+penalty matrices) lives in one AlignmentProblem built once per pair. Each
+restart slice runs the same elementwise operations in the same order, with
+its reductions taken over that slice alone, so a restart trains to the same
+bits as it would alone.
 """
 
 import numpy as np
@@ -127,26 +137,25 @@ def augmented_forward(ae, u):
     return augmented_logits_all(ae)[u]
 
 
-def _bce_probs(pred, target):
-    """Full BCE on probabilities with a clip floor; gradient is masked where
-    the clip is active so it stays the exact derivative of the clipped loss."""
+def _bce_probs(pred, target, non_target):
+    """Full BCE on probabilities with a clip floor, one loss per trailing
+    matrix; the gradient is masked where the clip is active so it stays the
+    exact derivative of the clipped loss. non_target is 1 - target."""
     p = np.clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    loss = float(-np.sum(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+    loss = -(target * np.log(p) + non_target * np.log1p(-p)).sum(axis=(-2, -1))
     inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
     grad = np.where(inside, (p - target) / (p * (1.0 - p)), 0.0)
     return loss, grad
 
 
-def _check_shared_node_vocab(ae):
-    s, t = ae.source.graph, ae.target_graph
+def _check_shared_node_vocab(s, t):
     if s.node_labels is None or t.node_labels is None:
         raise GraphError("both graphs must have node labels")
     if s.num_node_labels != t.num_node_labels:
         raise GraphError("node label vocabularies differ between the pair")
 
 
-def _check_shared_edge_vocab(ae):
-    s, t = ae.source.graph, ae.target_graph
+def _check_shared_edge_vocab(s, t):
     if s.edge_labels is None or t.edge_labels is None:
         raise GraphError("both graphs must have edge labels")
     if s.num_edge_labels != t.num_edge_labels:
@@ -155,7 +164,7 @@ def _check_shared_edge_vocab(ae):
 
 def node_attr_inferred(ae, u):
     """Label distribution of target node u as routed through the alignment."""
-    _check_shared_node_vocab(ae)
+    _check_shared_node_vocab(ae.source.graph, ae.target_graph)
     return node_label_onehot(ae.source.graph).T @ attention_dist(ae.attention, u)
 
 
@@ -171,9 +180,9 @@ def attr_reg_loss(ae, kind, side):
         raise ValueError(f"bad regularizer selector ({kind!r}, {side!r})")
     s, t = ae.source.graph, ae.target_graph
     if kind == "node":
-        _check_shared_node_vocab(ae)
+        _check_shared_node_vocab(s, t)
     else:
-        _check_shared_edge_vocab(ae)
+        _check_shared_edge_vocab(s, t)
     if side == "forward":
         p = attention_matrix(ae.attention)
         source_feats = node_label_onehot(s) if kind == "node" else edge_attr_matrix(s)
@@ -185,104 +194,103 @@ def attr_reg_loss(ae, kind, side):
     return _avg_cross_entropy(observed, p.T @ target_feats)
 
 
-def _reg_terms(ae, cfg):
-    """Active (side, coef, source-side features, observed) tuples for training."""
-    s, t = ae.source.graph, ae.target_graph
-    terms = []
-    if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
-        _check_shared_node_vocab(ae)
-        terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s), node_label_onehot(t)))
-        terms.append(("reverse", cfg.node_reg_coef,
-                      neighborhood_attr_matrix(t, "node"), neighborhood_attr_matrix(s, "node")))
-    if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
-        _check_shared_edge_vocab(ae)
-        terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s), edge_attr_matrix(t)))
-        terms.append(("reverse", cfg.edge_reg_coef,
-                      neighborhood_attr_matrix(t, "edge"), neighborhood_attr_matrix(s, "edge")))
-    return terms
+class AlignmentProblem:
+    """The constants of one (target, source) alignment, built once per pair.
+
+    Holds the target adjacency A and 1 - A, the frozen source's neighbor
+    probabilities S, and the active label penalties as (side, coef, rows,
+    features, observed, -(coef / rows) * observed) tuples in the order their
+    losses are summed. Raises GraphError when the pair's label vocabularies
+    differ.
+    """
+
+    def __init__(self, source, target_graph, cfg):
+        s, t = source.graph, target_graph
+        self.adjacency = t.adjacency_matrix()
+        self.non_adjacency = 1.0 - self.adjacency
+        self.source_probs = source_prob_matrix(source)
+        terms = []
+        if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
+            _check_shared_node_vocab(s, t)
+            terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s), node_label_onehot(t)))
+            terms.append(("reverse", cfg.node_reg_coef,
+                          neighborhood_attr_matrix(t, "node"), neighborhood_attr_matrix(s, "node")))
+        if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
+            _check_shared_edge_vocab(s, t)
+            terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s), edge_attr_matrix(t)))
+            terms.append(("reverse", cfg.edge_reg_coef,
+                          neighborhood_attr_matrix(t, "edge"), neighborhood_attr_matrix(s, "edge")))
+        self.penalties = []
+        for side, coef, feats, observed in terms:
+            # forward penalties average over target nodes, reverse over source nodes
+            rows = t.node_count if side == "forward" else s.node_count
+            self.penalties.append((side, coef, rows, feats, observed, -(coef / rows) * observed))
+        self.has_reverse_penalty = any(term[0] == "reverse" for term in self.penalties)
 
 
-def _ce_loss_and_gq(observed, q, coef, rows):
+def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed):
+    """Per-slice penalty -coef * sum(observed * log q) / rows and its gradient
+    wrt q, for a stack of inferred label matrices q."""
     qc = np.maximum(q, _LOG_FLOOR)
-    loss = -coef * np.sum(observed * np.log(qc)) / rows
-    gq = np.where(q > _LOG_FLOOR, -(coef / rows) * observed / qc, 0.0)
+    loss = -coef * (observed * np.log(qc)).sum(axis=(-2, -1)) / rows
+    gq = np.where(q > _LOG_FLOOR, scaled_observed / qc, 0.0)
     return loss, gq
 
 
-def attention_loss_and_grads(ae, cfg, reg_terms=None):
-    """Total training loss and analytic gradients wrt the two attention matrices.
+def attention_loss_and_grads(problem, params):
+    """Training losses and analytic gradients for a stack of attention pairs.
 
-    Total = structural BCE on the target adjacency + weighted label penalties.
-    The source encoder is a constant here; nothing propagates into it.
+    params["forward"] is (R, |V_S|, |V_T|) and params["reverse"] is
+    (R, |V_T|, |V_S|); a single pair is a stack of one. Returns the R
+    per-slice losses and {"forward", "reverse"} gradients of the same shapes.
+    Each loss is structural BCE on the target adjacency plus the weighted
+    label penalties; slices never mix, so slice r's loss and gradients are
+    those of pair r alone. The source encoder is a constant here; nothing
+    propagates into it.
     """
-    source, pair, target = ae.source, ae.attention, ae.target_graph
-    if reg_terms is None:
-        reg_terms = _reg_terms(ae, cfg)
-    n_t = target.node_count
+    forward, reverse = params["forward"], params["reverse"]
+    s = problem.source_probs
 
     # structural path; s is constant because the source is frozen
-    p = nn.softmax(pair.forward, axis=0)
-    s = getattr(ae, "_source_probs", None)
-    if s is None:
-        s = ae._source_probs = source_prob_matrix(source)
-    w = nn.softmax(pair.reverse, axis=1)
-    mixrows = p.T @ s
-    pred = mixrows @ w.T
-    loss, g_pred = _bce_probs(pred, target.adjacency_matrix())
-    g_w = g_pred.T @ mixrows
-    g_reverse = w * (g_w - np.sum(w * g_w, axis=1, keepdims=True))
-    g_p = s @ (g_pred @ w).T
+    p = nn.softmax(forward, axis=-2)
+    w = nn.softmax(reverse, axis=-1)
+    p_t = p.swapaxes(-1, -2)
+    mixrows = p_t @ s
+    pred = mixrows @ w.swapaxes(-1, -2)
+    loss, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency)
+    g_w = g_pred.swapaxes(-1, -2) @ mixrows
+    g_reverse = w * (g_w - (w * g_w).sum(axis=-1, keepdims=True))
+    g_p = s @ (g_pred @ w).swapaxes(-1, -2)
 
-    # forward-side penalties act on the softmax alignment p
-    p_rev = None
-    g_p_rev = np.zeros_like(pair.reverse)
-    for side, coef, feats, observed in reg_terms:
+    # forward-side penalties act on the softmax alignment p, reverse-side
+    # ones on the column softmax of the reverse logits
+    if problem.has_reverse_penalty:
+        p_rev = nn.softmax(reverse, axis=-2)
+        p_rev_t = p_rev.swapaxes(-1, -2)
+        g_p_rev = np.zeros_like(reverse)
+    for side, coef, rows, feats, observed, scaled in problem.penalties:
         if side == "forward":
-            term, gq = _ce_loss_and_gq(observed, p.T @ feats, coef, n_t)
+            term, gq = _ce_loss_and_gq(p_t @ feats, coef, rows, observed, scaled)
             loss += term
-            g_p += feats @ gq.T
+            g_p += feats @ gq.swapaxes(-1, -2)
         else:
-            if p_rev is None:
-                p_rev = nn.softmax(pair.reverse, axis=0)
-            term, gq = _ce_loss_and_gq(observed, p_rev.T @ feats, coef, source.node_count)
+            term, gq = _ce_loss_and_gq(p_rev_t @ feats, coef, rows, observed, scaled)
             loss += term
-            g_p_rev += feats @ gq.T
+            g_p_rev += feats @ gq.swapaxes(-1, -2)
 
     # softmax (per column) backward for both maps
-    g_forward = p * (g_p - np.sum(p * g_p, axis=0, keepdims=True))
-    if p_rev is not None:
-        g_reverse = g_reverse + p_rev * (g_p_rev - np.sum(p_rev * g_p_rev, axis=0, keepdims=True))
+    g_forward = p * (g_p - (p * g_p).sum(axis=-2, keepdims=True))
+    if problem.has_reverse_penalty:
+        g_reverse = g_reverse + p_rev * (g_p_rev - (p_rev * g_p_rev).sum(axis=-2, keepdims=True))
 
-    return float(loss), {"forward": g_forward, "reverse": g_reverse}
+    return loss, {"forward": g_forward, "reverse": g_reverse}
 
 
 def structural_loss(ae):
     """Target BCE under the augmented encoder, without penalties."""
-    pred = augmented_neighbor_probs(ae)
-    loss, _ = _bce_probs(pred, ae.target_graph.adjacency_matrix())
-    return loss
-
-
-def _fit_attention_once(source, target_graph, cfg, target_graph_id, restart):
-    scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
-    rng = np.random.default_rng(
-        derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-    pair = init_attention(source, target_graph, rng, scale=scale)
-    ae = AugmentedEncoder(source, pair, target_graph, target_graph_id=target_graph_id)
-    reg_terms = _reg_terms(ae, cfg)
-
-    params = pair.params()
-    state = nn.AdamState()
-    lr = cfg.learning_rate * lr_mult
-    trace = []
-    for epoch in range(cfg.scoring_epochs):
-        loss, grads = attention_loss_and_grads(ae, cfg, reg_terms=reg_terms)
-        if not np.isfinite(loss):
-            raise TrainingFault(f"attention loss diverged (non-finite) at epoch {epoch}")
-        trace.append(loss)
-        nn.adam_step(params, grads, state, lr)
-    ae.loss_trace = trace
-    return ae
+    adjacency = ae.target_graph.adjacency_matrix()
+    loss, _ = _bce_probs(augmented_neighbor_probs(ae), adjacency, 1.0 - adjacency)
+    return float(loss)
 
 
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
@@ -290,20 +298,41 @@ def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1)
 
     Runs scoring_epochs of full-batch Adam on the attention matrices only.
     The alignment objective is non-convex; with restarts > 1 several seeded
-    inits are trained and the one with the lowest final training loss wins.
+    inits, each with its own init scale and learning rate from
+    _RESTART_SCHEDULE, train side by side as one stacked problem, and the one
+    with the lowest final training loss wins (the first on ties).
     Deterministic given (source.graph_id, target_graph_id, cfg.rng_seed).
     """
     if not source.trained:
         raise ContractViolation("source encoder must be trained and frozen before alignment")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = None
+    problem = AlignmentProblem(source, target_graph, cfg)
+    inits, lrs = [], []
     for restart in range(restarts):
-        ae = _fit_attention_once(source, target_graph, cfg, target_graph_id, restart)
-        final = ae.loss_trace[-1] if ae.loss_trace else float("inf")
-        if best is None or final < best[0]:
-            best = (final, ae)
-    return best[1]
+        scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
+        rng = np.random.default_rng(
+            derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
+        inits.append(init_attention(source, target_graph, rng, scale=scale))
+        lrs.append(cfg.learning_rate * lr_mult)
+    params = {"forward": np.stack([pair.forward for pair in inits]),
+              "reverse": np.stack([pair.reverse for pair in inits])}
+    lr = np.array(lrs).reshape(restarts, 1, 1)
+
+    state = nn.AdamState()
+    trace = np.empty((cfg.scoring_epochs, restarts))
+    for epoch in range(cfg.scoring_epochs):
+        losses, grads = attention_loss_and_grads(problem, params)
+        if not np.isfinite(losses).all():
+            raise TrainingFault(f"attention loss diverged (non-finite) at epoch {epoch}")
+        trace[epoch] = losses
+        nn.adam_step(params, grads, state, lr)
+
+    best = int(np.argmin(trace[-1])) if cfg.scoring_epochs else 0
+    pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
+    ae = AugmentedEncoder(source, pair, target_graph, target_graph_id=target_graph_id)
+    ae.loss_trace = trace[:, best].tolist()
+    return ae
 
 
 def argmax_alignment(ae):

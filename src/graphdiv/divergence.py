@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .attention import augmented_neighbor_probs, train_attention
-from .encoder import train_encoder, positive_log_loss
+from .encoder import TrainingFault, train_encoder, positive_log_loss
 
 
 @dataclass
@@ -94,17 +94,19 @@ def rbf_kernel_matrix(embeddings, gamma=1.0):
 
 
 def _score_cell(source_enc, target, cfg, source_id, target_id, restarts):
-    """One (target, source) cell with a single reseeded retry on failure."""
+    """One (target, source) cell with a single reseeded retry when the fit
+    diverges. Only numeric failures are retried and recorded; any other error
+    (a shape or label-vocabulary mismatch) is a caller's mistake and raises."""
     try:
         ae = train_attention(source_enc, target, cfg, target_graph_id=target_id,
                              restarts=restarts)
         return raw_divergence(ae), None
-    except Exception as first:
+    except (TrainingFault, nn.NumericsFault) as first:
         try:
             ae = train_attention(source_enc, target, cfg,
                                  target_graph_id=f"{target_id}#retry", restarts=restarts)
             return raw_divergence(ae), None
-        except Exception as second:
+        except (TrainingFault, nn.NumericsFault) as second:
             return float("nan"), f"{first}; retry: {second}"
 
 
@@ -129,8 +131,8 @@ def _atomic_write_json(path, payload):
         raise
 
 
-def _cell_path(cell_dir, cfg, source_id, target_id):
-    return os.path.join(cell_dir, f"cell_{cfg.hash()}_t{target_id}_s{source_id}.json")
+def _cell_path(cell_dir, key, source_id, target_id):
+    return os.path.join(cell_dir, f"{key}_t{target_id}_s{source_id}.json")
 
 
 def train_source_encoders(sources, cfg, source_ids=None, workers=1):
@@ -175,9 +177,11 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     done = set()
     if cell_dir is not None:
         os.makedirs(cell_dir, exist_ok=True)
+        # file-name prefix shared by every cell of this config and restart count
+        key = f"cell_{cfg.hash()}_r{restarts}"
         for ti, tid in enumerate(target_ids):
             for si, sid in enumerate(source_ids):
-                path = _cell_path(cell_dir, cfg, sid, tid)
+                path = _cell_path(cell_dir, key, sid, tid)
                 if os.path.isfile(path):
                     with open(path) as f:
                         cell = json.load(f)
@@ -205,7 +209,7 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
             if err is not None:
                 errors[(ti, si)] = err
             if cell_dir is not None:
-                _atomic_write_json(_cell_path(cell_dir, cfg, source_ids[si], target_ids[ti]),
+                _atomic_write_json(_cell_path(cell_dir, key, source_ids[si], target_ids[ti]),
                                    {"source_id": source_ids[si], "target_id": target_ids[ti],
                                     "raw": raw, "error": err})
 

@@ -27,7 +27,6 @@ class ContractViolation(RuntimeError):
 class TrainConfig:
     embed_dim: int = 8
     encoder_layers: int = 2
-    attention_layers: int = 0  # 0 = plain linear attention matrices
     learning_rate: float = 1e-2
     encoding_epochs: int = 300
     scoring_epochs: int = 300
@@ -120,9 +119,9 @@ def encode_node(enc, v):
     return out[0]
 
 
-def encoder_loss_and_grads(enc):
-    """Full-batch BCE against the adjacency matrix, with analytic gradients."""
-    adjacency = enc.graph.adjacency_matrix()
+def encoder_loss_and_grads(enc, adjacency):
+    """Full-batch BCE against the graph's adjacency matrix, with analytic
+    gradients; the caller passes enc.graph.adjacency_matrix(), built once."""
     logits, tape = _forward_all(enc)
     loss, g_logits = nn.multilabel_bce_loss(logits, adjacency)
     layer_grads, g_input = nn.backward(enc.layers, tape, g_logits)
@@ -164,10 +163,11 @@ def fit_encoder(enc, cfg):
     if enc.trained:
         raise ContractViolation("encoder is already trained and frozen")
     params = enc.params()
+    adjacency = enc.graph.adjacency_matrix()
     state = nn.AdamState()
     trace = []
     for epoch in range(cfg.encoding_epochs):
-        loss, grads = encoder_loss_and_grads(enc)
+        loss, grads = encoder_loss_and_grads(enc, adjacency)
         if not np.isfinite(loss):
             raise TrainingFault(f"encoder loss diverged (non-finite) at epoch {epoch}")
         trace.append(loss)

@@ -41,9 +41,9 @@ def softplus(z):
 
 
 def softmax(z, axis=-1):
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax")
@@ -164,22 +164,44 @@ class AdamState:
 def adam_step(params, grads, state, lr):
     """One Adam update (with bias correction) over a dict of named arrays.
 
-    Mutates params and state in place; returns params.
+    The one Adam of the package: the encoder passes its layer arrays and a
+    scalar lr; a stacked attention fit passes (R, ...) arrays and an lr of
+    shape (R, 1, 1), one rate per restart slice. Every operation is
+    elementwise, so each slice moves exactly as it would alone. Moments are
+    allocated on the first step and updated in place after that; params are
+    updated in place. Raises NumericsFault on a non-finite gradient.
+    Returns params.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    m_correction = 1 - b1 ** t
+    v_correction = 1 - b2 ** t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericsFault(f"non-finite gradient for parameter {name!r}")
-        m = state.first_moment.setdefault(name, np.zeros_like(p))
-        v = state.second_moment.setdefault(name, np.zeros_like(p))
-        m += (1 - b1) * (g - m)
-        v += (1 - b2) * (g * g - v)
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m = state.first_moment.get(name)
+        if m is None:
+            m = state.first_moment[name] = np.zeros_like(p)
+            state.second_moment[name] = np.zeros_like(p)
+        v = state.second_moment[name]
+        # m += (1 - b1) * (g - m); v += (1 - b2) * (g * g - v)
+        buf = g - m
+        buf *= 1 - b1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf -= v
+        buf *= 1 - b2
+        v += buf
+        # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
+        np.divide(v, v_correction, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.epsilon
+        step = m / m_correction
+        step *= lr
+        step /= buf
+        p -= step
     return params
 
 

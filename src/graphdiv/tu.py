@@ -125,13 +125,18 @@ def load_tu_dataset(directory):
         for g in range(1, num_graphs + 1):
             edges_per_graph[g] = {e: next(it) for e, _ in sorted(edges_per_graph[g].items())}
 
+    # node labels per graph in file order, gathered in one pass over the nodes
+    labels_per_graph = None
+    if dense_node_labels is not None:
+        labels_per_graph = [[] for _ in range(num_graphs + 1)]
+        for gid, label in zip(graph_of_node, dense_node_labels):
+            labels_per_graph[gid].append(label)
+
     graphs = []
     for gid in range(1, num_graphs + 1):
         n = counts[gid]
         edges = sorted(edges_per_graph[gid])
-        node_labels = None
-        if dense_node_labels is not None:
-            node_labels = [dense_node_labels[i] for i, g in enumerate(graph_of_node) if g == gid]
+        node_labels = labels_per_graph[gid] if labels_per_graph is not None else None
         edge_labels = [edges_per_graph[gid][e] for e in edges] if edge_vocab else None
         graphs.append(Graph(n, edges, node_labels=node_labels, edge_labels=edge_labels,
                             num_node_labels=node_vocab.size if node_vocab else None,

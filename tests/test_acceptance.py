@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from graphdiv import nn
-from graphdiv.attention import (AttentionPair, AugmentedEncoder, argmax_alignment,
+from graphdiv.attention import (AlignmentProblem, AttentionPair, argmax_alignment,
                                 attention_loss_and_grads, init_attention,
                                 structural_loss, train_attention)
 from graphdiv.divergence import (embed_all, distance_matrix, normalized_divergence,
@@ -40,7 +40,8 @@ def test_criterion_1_gradient_integrity():
     # central differences legitimately disagree with the subgradient
     cfg = TrainConfig(embed_dim=4, rng_seed=2)
     enc = build_encoder(random_graph(6, 0.5, 3), cfg)
-    err_enc = nn.gradient_check(enc.params(), lambda _: encoder_loss_and_grads(enc))
+    adjacency = enc.graph.adjacency_matrix()
+    err_enc = nn.gradient_check(enc.params(), lambda _: encoder_loss_and_grads(enc, adjacency))
 
     # (b) full augmented pipeline (structural + all label penalties), 6-node pair
     g1 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)],
@@ -51,9 +52,14 @@ def test_criterion_1_gradient_integrity():
                edge_labels=[2, 1, 0, 2, 1, 0], num_node_labels=2, num_edge_labels=3)
     src = train_encoder(g1, TrainConfig(embed_dim=4, encoding_epochs=40, rng_seed=0))
     pair = init_attention(src, g2, np.random.default_rng(3), scale=0.5)
-    ae = AugmentedEncoder(src, pair, g2)
-    acfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.0)
-    err_att = nn.gradient_check(pair.params(), lambda _: attention_loss_and_grads(ae, acfg))
+    problem = AlignmentProblem(src, g2, TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.0))
+    stack = {"forward": pair.forward[None], "reverse": pair.reverse[None]}
+
+    def att_loss_and_grads(params):
+        losses, grads = attention_loss_and_grads(problem, params)
+        return float(losses[0]), grads
+
+    err_att = nn.gradient_check(stack, att_loss_and_grads)
 
     elapsed = time.time() - start
     ok = err_enc < 1e-4 and err_att < 1e-4 and elapsed < 10

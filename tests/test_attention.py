@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphdiv import nn
-from graphdiv.attention import (AttentionPair, AugmentedEncoder, argmax_alignment,
+from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
+                                AugmentedEncoder, argmax_alignment,
                                 attention_dist, attention_loss_and_grads,
                                 attention_matrix, attr_reg_loss,
                                 augmented_forward, augmented_neighbor_probs,
                                 init_attention, node_attr_inferred,
                                 source_prob_matrix, structural_loss,
                                 train_attention)
-from graphdiv.encoder import (ContractViolation, TrainConfig, build_encoder,
-                              encoder_loss, train_encoder)
+from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
+                              build_encoder, derive_seed, encoder_loss,
+                              train_encoder)
 from graphdiv.generators import make_barbell, random_graph
-from graphdiv.graphs import Graph, GraphError
+from graphdiv.graphs import (Graph, GraphError, edge_attr_matrix,
+                             neighborhood_attr_matrix, node_label_onehot)
 
 
 def hard_pair(n, perm=None):
@@ -93,31 +96,50 @@ def test_augmented_forward_bounds(small_source):
         augmented_forward(ae, g.node_count)
 
 
+def gradient_error(problem, pair):
+    """Gradient-check error of attention_loss_and_grads on a stack of one."""
+    params = {"forward": pair.forward[None].copy(), "reverse": pair.reverse[None].copy()}
+
+    def loss_and_grads(p):
+        losses, grads = attention_loss_and_grads(problem, p)
+        return float(losses[0]), grads
+
+    return nn.gradient_check(params, loss_and_grads)
+
+
 def test_attention_gradient_check_structural(tiny_cfg, small_source):
     target = random_graph(6, 0.5, 4)
     rng = np.random.default_rng(7)
     pair = init_attention(small_source, target, rng, scale=0.5)
-    ae = AugmentedEncoder(small_source, pair, target)
     cfg = TrainConfig(node_reg_coef=0.0, edge_reg_coef=0.0)
-
-    def loss_and_grads(_):
-        return attention_loss_and_grads(ae, cfg)
-
-    assert nn.gradient_check(pair.params(), loss_and_grads) < 1e-4
+    assert gradient_error(AlignmentProblem(small_source, target, cfg), pair) < 1e-4
 
 
 def test_attention_gradient_check_with_regularizers(tiny_cfg, labeled_pair):
     g1, g2 = labeled_pair
     src = train_encoder(g1, tiny_cfg, graph_id=1)
     rng = np.random.default_rng(3)
-    pair = init_attention(src, g2, rng, scale=0.5)
-    ae = AugmentedEncoder(src, pair, g2)
     cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
+    pair = init_attention(src, g2, rng, scale=0.5)
+    assert gradient_error(AlignmentProblem(src, g2, cfg), pair) < 1e-4
 
-    def loss_and_grads(_):
-        return attention_loss_and_grads(ae, cfg)
 
-    assert nn.gradient_check(pair.params(), loss_and_grads) < 1e-4
+def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
+    # slice r of a stack gets the bits a stack of one gives pair r alone
+    g1, g2 = labeled_pair
+    src = train_encoder(g1, tiny_cfg, graph_id=1)
+    problem = AlignmentProblem(src, g2, TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5))
+    rng = np.random.default_rng(5)
+    pairs = [init_attention(src, g2, rng, scale=s) for s in (1e-2, 0.3, 2.0)]
+    losses, grads = attention_loss_and_grads(
+        problem, {"forward": np.stack([p.forward for p in pairs]),
+                  "reverse": np.stack([p.reverse for p in pairs])})
+    for r, pair in enumerate(pairs):
+        one, one_grads = attention_loss_and_grads(
+            problem, {"forward": pair.forward[None], "reverse": pair.reverse[None]})
+        assert losses[r:r + 1].tobytes() == one.tobytes()
+        for name in ("forward", "reverse"):
+            assert grads[name][r:r + 1].tobytes() == one_grads[name].tobytes()
 
 
 def test_node_attr_inferred_one_hot_and_uniform(tiny_cfg):
@@ -256,3 +278,130 @@ def test_augmented_probs_are_convex_mixtures(seed):
     pred = augmented_neighbor_probs(ae)
     assert np.all(pred >= s.min() - 1e-12)
     assert np.all(pred <= s.max() + 1e-12)
+
+
+# --- reference oracle: one restart at a time, as the fit ran before stacking --
+#
+# A plain per-restart loop over 2-D matrices with a dict-loop Adam. The
+# stacked fit must reproduce its bits exactly: every restart slice runs the
+# same elementwise operations in the same order, with per-slice reductions.
+
+def _reference_loss_and_grads(source, target, cfg, forward, reverse):
+    s_graph, n_t, n_s = source.graph, target.node_count, source.node_count
+    terms = []
+    if cfg.node_reg_coef > 0 and s_graph.node_labels is not None and target.node_labels is not None:
+        terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s_graph),
+                      node_label_onehot(target)))
+        terms.append(("reverse", cfg.node_reg_coef, neighborhood_attr_matrix(target, "node"),
+                      neighborhood_attr_matrix(s_graph, "node")))
+    if cfg.edge_reg_coef > 0 and s_graph.edge_labels is not None and target.edge_labels is not None:
+        terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s_graph),
+                      edge_attr_matrix(target)))
+        terms.append(("reverse", cfg.edge_reg_coef, neighborhood_attr_matrix(target, "edge"),
+                      neighborhood_attr_matrix(s_graph, "edge")))
+
+    def ce(observed, q, coef, rows):
+        qc = np.maximum(q, 1e-12)
+        loss = -coef * np.sum(observed * np.log(qc)) / rows
+        return loss, np.where(q > 1e-12, -(coef / rows) * observed / qc, 0.0)
+
+    a = target.adjacency_matrix()
+    p = nn.softmax(forward, axis=0)
+    s = source_prob_matrix(source)
+    w = nn.softmax(reverse, axis=1)
+    mixrows = p.T @ s
+    pred = mixrows @ w.T
+    pc = np.clip(pred, 1e-9, 1.0 - 1e-9)
+    loss = float(-np.sum(a * np.log(pc) + (1.0 - a) * np.log1p(-pc)))
+    inside = (pred > 1e-9) & (pred < 1.0 - 1e-9)
+    g_pred = np.where(inside, (pc - a) / (pc * (1.0 - pc)), 0.0)
+    g_w = g_pred.T @ mixrows
+    g_reverse = w * (g_w - np.sum(w * g_w, axis=1, keepdims=True))
+    g_p = s @ (g_pred @ w).T
+    p_rev = None
+    g_p_rev = np.zeros_like(reverse)
+    for side, coef, feats, observed in terms:
+        if side == "forward":
+            term, gq = ce(observed, p.T @ feats, coef, n_t)
+            loss += term
+            g_p += feats @ gq.T
+        else:
+            if p_rev is None:
+                p_rev = nn.softmax(reverse, axis=0)
+            term, gq = ce(observed, p_rev.T @ feats, coef, n_s)
+            loss += term
+            g_p_rev += feats @ gq.T
+    g_forward = p * (g_p - np.sum(p * g_p, axis=0, keepdims=True))
+    if p_rev is not None:
+        g_reverse = g_reverse + p_rev * (g_p_rev - np.sum(p_rev * g_p_rev, axis=0, keepdims=True))
+    return float(loss), {"forward": g_forward, "reverse": g_reverse}
+
+
+def _reference_adam(params, grads, state, lr):
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m += (1 - 0.9) * (g - m)
+        v += (1 - 0.999) * (g * g - v)
+        m_hat = m / (1 - 0.9 ** t)
+        v_hat = v / (1 - 0.999 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def reference_train_attention(source, target, cfg, target_graph_id, restarts):
+    """(forward, reverse, loss trace) of the winning restart, fitted one by one."""
+    best = None
+    for restart in range(restarts):
+        scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
+        rng = np.random.default_rng(
+            derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
+        pair = init_attention(source, target, rng, scale=scale)
+        params = pair.params()
+        state = {"t": 0, "m": {}, "v": {}}
+        trace = []
+        for _ in range(cfg.scoring_epochs):
+            loss, grads = _reference_loss_and_grads(source, target, cfg,
+                                                    params["forward"], params["reverse"])
+            trace.append(loss)
+            _reference_adam(params, grads, state, cfg.learning_rate * lr_mult)
+        final = trace[-1] if trace else float("inf")
+        if best is None or final < best[0]:
+            best = (final, pair.forward, pair.reverse, trace)
+    return best[1:]
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 25])
+@pytest.mark.parametrize("restarts", [1, 3, 6])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_stacked_fit_matches_reference(labeled_pair, labeled, restarts, epochs):
+    # restarts=6 wraps past the five-entry restart schedule
+    g1, g2 = labeled_pair
+    if not labeled:
+        g1, g2 = random_graph(7, 0.5, 21), random_graph(5, 0.6, 22)
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=epochs,
+                      learning_rate=5e-2, node_reg_coef=1.0, edge_reg_coef=1.5, rng_seed=3)
+    src = train_encoder(g1, cfg, graph_id=2)
+    ae = train_attention(src, g2, cfg, target_graph_id=9, restarts=restarts)
+    forward, reverse, trace = reference_train_attention(src, g2, cfg, 9, restarts)
+    assert ae.attention.forward.tobytes() == forward.tobytes()
+    assert ae.attention.reverse.tobytes() == reverse.tobytes()
+    assert np.array(ae.loss_trace).tobytes() == np.array(trace).tobytes()
+
+
+def test_diverging_restart_raises_training_fault(small_source, monkeypatch):
+    import graphdiv.attention as att
+
+    real = att.attention_loss_and_grads
+
+    def poisoned(problem, params):
+        losses, grads = real(problem, params)
+        losses[-1] = np.nan
+        return losses, grads
+
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    with pytest.raises(TrainingFault):
+        train_attention(small_source, random_graph(4, 0.5, 2), TrainConfig(embed_dim=4),
+                        target_graph_id=1, restarts=2)

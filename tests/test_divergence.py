@@ -119,6 +119,28 @@ def test_embed_all_cell_resume(tmp_path):
     assert np.isclose(t2.values, 123.5 - t2.self_losses[None, :]).any()
 
 
+def test_cell_cache_keyed_by_restarts(tmp_path):
+    # a rerun with more restarts must not reuse cells fitted with fewer
+    graphs = [random_graph(5, 0.5, s) for s in (5, 6)]
+    cfg = quick_cfg()
+    cell_dir = tmp_path / "cells"
+    embed_all(graphs, graphs, cfg, cell_dir=str(cell_dir), restarts=1)
+    assert len(list(cell_dir.iterdir())) == 4
+    three = embed_all(graphs, graphs, cfg, cell_dir=str(cell_dir), restarts=3)
+    assert len(list(cell_dir.iterdir())) == 8
+    assert np.array_equal(three.values, embed_all(graphs, graphs, cfg, restarts=3).values)
+
+
+def test_embed_all_raises_on_label_vocab_mismatch():
+    # a programmer error is not a numeric failure: it must not become a NaN cell
+    from graphdiv.graphs import Graph, GraphError
+
+    a = Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[0, 1, 0, 1], num_node_labels=2)
+    b = Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[0, 1, 2, 0], num_node_labels=3)
+    with pytest.raises(GraphError, match="vocabularies differ"):
+        embed_all([a], [a, b], quick_cfg(), restarts=1)
+
+
 def test_embed_all_failure_isolated(monkeypatch):
     # a cell whose attention training raises twice is recorded as NaN + error
     # without aborting the remaining cells

@@ -51,7 +51,7 @@ def test_encoder_gradient_check():
     enc = build_encoder(g, cfg)
 
     def loss_and_grads(_):
-        return encoder_loss_and_grads(enc)
+        return encoder_loss_and_grads(enc, g.adjacency_matrix())
 
     assert nn.gradient_check(enc.params(), loss_and_grads) < 1e-4
 

@@ -40,6 +40,22 @@ def test_load_basic(tmp_path):
     assert ds.edge_vocab.size == 2
 
 
+def test_interleaved_nodes_keep_label_order(tmp_path):
+    # nodes of the two graphs alternate in the files; each graph takes its
+    # labels in file order
+    write_fixture(tmp_path, **{
+        "TOY_A.txt": "1, 3\n3, 1\n3, 5\n5, 3\n2, 4\n4, 2\n",
+        "TOY_graph_indicator.txt": "1\n2\n1\n2\n1\n",
+        "TOY_node_labels.txt": "7\n8\n9\n7\n8\n",
+        "TOY_edge_labels.txt": None,
+    })
+    ds = load_tu_dataset(tmp_path)
+    assert ds.graphs[0].node_labels == (0, 2, 1)
+    assert ds.graphs[1].node_labels == (1, 0)
+    assert ds.graphs[0].edges == ((0, 1), (1, 2))
+    assert ds.graphs[1].edges == ((0, 1),)
+
+
 def test_load_without_optional_labels(tmp_path):
     write_fixture(tmp_path, **{"TOY_node_labels.txt": None, "TOY_edge_labels.txt": None})
     ds = load_tu_dataset(tmp_path)
