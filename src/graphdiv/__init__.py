@@ -7,20 +7,17 @@ the target graph's embedding.
 """
 
 from .graphs import (Graph, GraphDataset, GraphError, GraphFormatError,
-                     LabelVocabulary, edge_attr_observed, load_dataset_json,
-                     load_graph_json, neighborhood_attr_observed,
-                     node_attr_observed, save_dataset_json, save_graph_json)
+                     LabelVocabulary, edge_attr_matrix, load_dataset_json,
+                     load_graph_json, neighborhood_attr_matrix,
+                     node_label_onehot, save_dataset_json, save_graph_json)
 from .tu import DatasetIngestionError, load_tu_dataset, save_tu_dataset
 from .generators import (karate_club, make_barbell, make_grid, make_ring,
                          make_star, mutate_family, random_graph)
-from .encoder import (SourceEncoder, TrainConfig, TrainingFault, encode_node,
-                      encoder_loss, positive_log_loss, train_encoder)
+from .encoder import (SourceEncoder, TrainConfig, TrainingFault,
+                      positive_log_loss, train_encoder)
 from .attention import (AttentionPair, AugmentedEncoder, argmax_alignment,
-                        attention_dist, attr_reg_loss, augmented_forward,
-                        node_attr_inferred, train_attention)
-from .divergence import (DivergenceTable, embed_all, kernel_value,
-                         normalized_divergence, raw_divergence,
-                         symmetric_divergence)
+                        train_attention)
+from .divergence import DivergenceTable, embed_all, raw_divergence
 from .evaluation import (FoldPlan, classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sampling_study)
 

@@ -8,7 +8,7 @@ probabilities back to target-neighbor probabilities. Every augmented
 prediction is a convex mixture of the source's own predictions, so the
 augmented encoder can never predict sharper than the source it wraps.
 Label-consistency penalties (node and edge, on both maps) pull the alignment
-toward label-preserving ones.
+toward label-preserving ones; they exist only inside the training loss.
 
 Training is a stacked fit. The R restarts of one (target, source) pair share
 their shapes, so they train as one problem: forward logits (R, |V_S|, |V_T|),
@@ -18,7 +18,9 @@ during a fit (target adjacency, the frozen source probabilities, the label
 penalty matrices) lives in one AlignmentProblem built once per pair. Each
 restart slice runs the same elementwise operations in the same order, with
 its reductions taken over that slice alone, so a restart trains to the same
-bits as it would alone.
+bits as it would alone. The fitted AugmentedEncoder keeps the problem's
+frozen source probabilities, so scoring it reads them instead of running the
+source encoder again.
 """
 
 import numpy as np
@@ -58,12 +60,15 @@ class AttentionPair:
 class AugmentedEncoder:
     """A frozen source encoder wrapped by an attention pair for one target graph."""
 
-    def __init__(self, source, attention, target_graph, target_graph_id=None):
+    def __init__(self, source, attention, target_graph, target_graph_id=None,
+                 source_probs=None):
         if attention.source_nodes != source.node_count:
             raise nn.ShapeError("attention rows do not match source node count")
         if attention.target_nodes != target_graph.node_count:
             raise nn.ShapeError("attention cols do not match target node count")
         self.source = source
+        # the frozen source's neighbor probabilities; a fit passes its own
+        self.source_probs = source_prob_matrix(source) if source_probs is None else source_probs
         self.attention = attention
         self.target_graph = target_graph
         self.target_graph_id = target_graph_id
@@ -88,17 +93,6 @@ def attention_matrix(pair):
     return nn.softmax(pair.forward, axis=0)
 
 
-def attention_dist(pair, u):
-    if not (0 <= u < pair.target_nodes):
-        raise ValueError(f"target node {u} out of range")
-    return nn.softmax(pair.forward[:, u], axis=-1)
-
-
-def reverse_attention_matrix(pair):
-    """Column-stochastic reverse alignment: entry (u, v) = Pr(target u | source v)."""
-    return nn.softmax(pair.reverse, axis=0)
-
-
 def reverse_mixture_matrix(pair):
     """Row-stochastic mixture weights: row j mixes source predictions into the
     prediction for target node j. Keeps augmented outputs inside [0, 1]."""
@@ -120,21 +114,8 @@ def augmented_neighbor_probs(ae):
     any edge more confidently than the source itself does.
     """
     p = attention_matrix(ae.attention)
-    s = source_prob_matrix(ae.source)
     w = reverse_mixture_matrix(ae.attention)
-    return (p.T @ s) @ w.T
-
-
-def augmented_logits_all(ae):
-    """Same predictions in logit form: sigmoid of these recovers the probs."""
-    p = np.clip(augmented_neighbor_probs(ae), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return np.log(p) - np.log1p(-p)
-
-
-def augmented_forward(ae, u):
-    if not (0 <= u < ae.target_graph.node_count):
-        raise ValueError(f"target node {u} out of range")
-    return augmented_logits_all(ae)[u]
+    return (p.T @ ae.source_probs) @ w.T
 
 
 def _bce_probs(pred, target, non_target):
@@ -146,52 +127,6 @@ def _bce_probs(pred, target, non_target):
     inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
     grad = np.where(inside, (p - target) / (p * (1.0 - p)), 0.0)
     return loss, grad
-
-
-def _check_shared_node_vocab(s, t):
-    if s.node_labels is None or t.node_labels is None:
-        raise GraphError("both graphs must have node labels")
-    if s.num_node_labels != t.num_node_labels:
-        raise GraphError("node label vocabularies differ between the pair")
-
-
-def _check_shared_edge_vocab(s, t):
-    if s.edge_labels is None or t.edge_labels is None:
-        raise GraphError("both graphs must have edge labels")
-    if s.num_edge_labels != t.num_edge_labels:
-        raise GraphError("edge label vocabularies differ between the pair")
-
-
-def node_attr_inferred(ae, u):
-    """Label distribution of target node u as routed through the alignment."""
-    _check_shared_node_vocab(ae.source.graph, ae.target_graph)
-    return node_label_onehot(ae.source.graph).T @ attention_dist(ae.attention, u)
-
-
-def _avg_cross_entropy(observed, inferred):
-    """Mean over rows of CE(observed row || inferred row), with a log floor."""
-    q = np.maximum(inferred, _LOG_FLOOR)
-    return float(-np.sum(observed * np.log(q)) / observed.shape[0])
-
-
-def attr_reg_loss(ae, kind, side):
-    """One of the four label-consistency penalties, from the current attention."""
-    if kind not in ("node", "edge") or side not in ("forward", "reverse"):
-        raise ValueError(f"bad regularizer selector ({kind!r}, {side!r})")
-    s, t = ae.source.graph, ae.target_graph
-    if kind == "node":
-        _check_shared_node_vocab(s, t)
-    else:
-        _check_shared_edge_vocab(s, t)
-    if side == "forward":
-        p = attention_matrix(ae.attention)
-        source_feats = node_label_onehot(s) if kind == "node" else edge_attr_matrix(s)
-        observed = node_label_onehot(t) if kind == "node" else edge_attr_matrix(t)
-        return _avg_cross_entropy(observed, p.T @ source_feats)
-    p = reverse_attention_matrix(ae.attention)
-    target_feats = neighborhood_attr_matrix(t, kind)
-    observed = neighborhood_attr_matrix(s, kind)
-    return _avg_cross_entropy(observed, p.T @ target_feats)
 
 
 class AlignmentProblem:
@@ -211,12 +146,14 @@ class AlignmentProblem:
         self.source_probs = source_prob_matrix(source)
         terms = []
         if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
-            _check_shared_node_vocab(s, t)
+            if s.num_node_labels != t.num_node_labels:
+                raise GraphError("node label vocabularies differ between the pair")
             terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s), node_label_onehot(t)))
             terms.append(("reverse", cfg.node_reg_coef,
                           neighborhood_attr_matrix(t, "node"), neighborhood_attr_matrix(s, "node")))
         if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
-            _check_shared_edge_vocab(s, t)
+            if s.num_edge_labels != t.num_edge_labels:
+                raise GraphError("edge label vocabularies differ between the pair")
             terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s), edge_attr_matrix(t)))
             terms.append(("reverse", cfg.edge_reg_coef,
                           neighborhood_attr_matrix(t, "edge"), neighborhood_attr_matrix(s, "edge")))
@@ -330,7 +267,8 @@ def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1)
 
     best = int(np.argmin(trace[-1])) if cfg.scoring_epochs else 0
     pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
-    ae = AugmentedEncoder(source, pair, target_graph, target_graph_id=target_graph_id)
+    ae = AugmentedEncoder(source, pair, target_graph, target_graph_id=target_graph_id,
+                          source_probs=problem.source_probs)
     ae.loss_trace = trace[:, best].tolist()
     return ae
 

@@ -9,19 +9,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
-import numpy as np
-
-from .attention import attention_matrix, train_attention
+from .attention import argmax_alignment, attention_matrix, train_attention
 from .divergence import (distance_csv, distance_matrix, embed_all, symmetrize,
                          table_from_csv, table_to_csv, unit_rows)
 from .encoder import (TrainConfig, TrainingFault, load_encoder, save_encoder,
                       train_encoder)
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
-from .graphs import GraphError, GraphFormatError, load_dataset_json
+from .graphs import GraphError, GraphFormatError, atomic_write, load_dataset_json
 from .nn import CheckpointError, NumericsFault
 from .tu import DatasetIngestionError, load_tu_dataset
 
@@ -37,21 +34,8 @@ class CliInputError(ValueError):
     pass
 
 
-def _atomic_write(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path, cfg, body):
-    _atomic_write(path, f"# config_hash={cfg.hash()} seed={cfg.rng_seed}\n{body}")
+    atomic_write(path, f"# config_hash={cfg.hash()} seed={cfg.rng_seed}\n{body}")
 
 
 def _read_csv_table(path):
@@ -65,7 +49,7 @@ def _write_summary(path, command, cfg, extra=None):
                "seed": cfg.rng_seed}
     if extra:
         payload.update(extra)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(path, fmt):
@@ -89,18 +73,20 @@ def _encoder_path(out, cfg, idx):
 
 
 def _ensure_encoder(graph, cfg, idx, out, force=False):
-    """Load a cached encoder checkpoint, retraining on corruption or --force."""
+    """Load a cached encoder checkpoint, retraining on corruption, on --force,
+    or when the checkpoint was trained on a different graph."""
     path = _encoder_path(out, cfg, idx)
     if not force and os.path.isfile(path):
         try:
-            return load_encoder(path), False
+            enc = load_encoder(path)
         except (CheckpointError, json.JSONDecodeError, KeyError):
-            pass  # corrupted on disk, retrain below
+            enc = None  # corrupted on disk, retrain below
+        if enc is not None and enc.graph == graph:
+            # the stored graph carries no vocabulary sizes; the dataset's does
+            enc.graph = graph
+            return enc, False
     enc = train_encoder(graph, cfg, graph_id=idx)
-    os.makedirs(out, exist_ok=True)
-    tmp = path + ".tmp"
-    save_encoder(enc, cfg, tmp)
-    os.replace(tmp, path)
+    save_encoder(enc, cfg, path)
     return enc, True
 
 
@@ -202,7 +188,7 @@ def cmd_attention(args):
     for i in range(m.shape[0]):
         body_lines.append(f"s{i}," + ",".join(repr(float(v)) for v in m[i]))
     _write_csv(os.path.join(args.out, "attention.csv"), cfg, "\n".join(body_lines) + "\n")
-    alignment = [int(v) for v in np.argmax(m, axis=0)]
+    alignment = [int(v) for v in argmax_alignment(ae)]
     _write_summary(os.path.join(args.out, "attention_summary.json"), "attention", cfg,
                    {"source_index": args.source_index, "target_index": args.target_index,
                     "argmax_alignment": alignment})

@@ -1,4 +1,4 @@
-"""Divergence scores, the pairwise embedding table, and kernel/distance matrices.
+"""Divergence scores, the pairwise embedding table, and distance matrices.
 
 Row j of the table is the embedding of target graph j: its normalized
 divergence against every source graph. Cells are independent jobs, each
@@ -8,7 +8,6 @@ regardless of worker count and the table is resumable cell by cell.
 
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 from . import nn
 from .attention import augmented_neighbor_probs, train_attention
 from .encoder import TrainingFault, train_encoder, positive_log_loss
+from .graphs import atomic_write
 
 
 @dataclass
@@ -31,38 +31,17 @@ class DivergenceTable:
         return self.values[target_idx]
 
 
-def raw_divergence(ae, target=None):
+def raw_divergence(ae):
     """Positive-edge log-loss of the target graph under the augmented encoder.
 
     -sum log p(u, v) over both orientations of every target edge; nonnegative
     because the predictions are probabilities.
     """
-    g = ae.target_graph if target is None else target
     p = np.maximum(augmented_neighbor_probs(ae), 1e-300)
     total = 0.0
-    for u, v in g.edges:
+    for u, v in ae.target_graph.edges:
         total -= np.log(p[u, v]) + np.log(p[v, u])
     return float(total)
-
-
-def normalized_divergence(raw, self_loss):
-    """Subtract the source's own log-loss; zero for the source on itself, and
-    deliberately allowed to go negative."""
-    return raw - self_loss
-
-
-def symmetric_divergence(d_ts, d_st):
-    return d_ts + d_st
-
-
-def kernel_value(psi_a, psi_b):
-    """Squared Euclidean distance between two embeddings."""
-    a = np.asarray(psi_a, dtype=float)
-    b = np.asarray(psi_b, dtype=float)
-    if a.shape != b.shape:
-        raise nn.ShapeError(f"embedding lengths differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(diff @ diff)
 
 
 def distance_matrix(embeddings):
@@ -89,10 +68,6 @@ def unit_rows(embeddings):
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def rbf_kernel_matrix(embeddings, gamma=1.0):
-    return np.exp(-gamma * distance_matrix(embeddings))
-
-
 def _score_cell(source_enc, target, cfg, source_id, target_id, restarts):
     """One (target, source) cell with a single reseeded retry when the fit
     diverges. Only numeric failures are retried and recorded; any other error
@@ -117,18 +92,6 @@ def _score_chunk(args):
         raw, err = _score_cell(source_enc, target, cfg, source_id, target_id, restarts)
         out.append((ti, si, raw, err))
     return out
-
-
-def _atomic_write_json(path, payload):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(payload, f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _cell_path(cell_dir, key, source_id, target_id):
@@ -205,13 +168,14 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     for chunk_result in results:
         for ti, si, raw, err in chunk_result:
-            values[ti, si] = normalized_divergence(raw, self_losses[si])
+            # normalized: zero for a source on itself, and allowed to go negative
+            values[ti, si] = raw - self_losses[si]
             if err is not None:
                 errors[(ti, si)] = err
             if cell_dir is not None:
-                _atomic_write_json(_cell_path(cell_dir, key, source_ids[si], target_ids[ti]),
-                                   {"source_id": source_ids[si], "target_id": target_ids[ti],
-                                    "raw": raw, "error": err})
+                atomic_write(_cell_path(cell_dir, key, source_ids[si], target_ids[ti]),
+                             json.dumps({"source_id": source_ids[si], "target_id": target_ids[ti],
+                                         "raw": raw, "error": err}))
 
     return DivergenceTable(list(source_ids), list(target_ids), values, self_losses, errors)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn
+from .graphs import Graph, atomic_write
 from .nn import DenseLayer
 
 
@@ -88,9 +89,6 @@ class SourceEncoder:
         p["output.bias"] = self.output.bias
         return p
 
-    def copy_params(self):
-        return {k: v.copy() for k, v in self.params().items()}
-
 
 def build_encoder(graph, cfg, graph_id=0):
     """Seeded random init; deterministic for a given (graph_id, cfg)."""
@@ -111,14 +109,6 @@ def _forward_all(enc):
     return nn.forward(enc.layers, enc.embedding)
 
 
-def encode_node(enc, v):
-    """Neighbor logits for node v; sigmoid of these are neighbor probabilities."""
-    if not (0 <= v < enc.node_count):
-        raise ValueError(f"node id {v} out of range 0..{enc.node_count - 1}")
-    out, _ = nn.forward(enc.layers, enc.embedding[v])
-    return out[0]
-
-
 def encoder_loss_and_grads(enc, adjacency):
     """Full-batch BCE against the graph's adjacency matrix, with analytic
     gradients; the caller passes enc.graph.adjacency_matrix(), built once."""
@@ -132,28 +122,13 @@ def encoder_loss_and_grads(enc, adjacency):
     return loss, grads
 
 
-def encoder_loss(enc, graph=None):
-    """Multilabel BCE of the encoder on a graph (defaults to its own)."""
-    target = enc.graph if graph is None else graph
-    if target.node_count != enc.node_count:
-        raise nn.ShapeError("graph node count does not match encoder output width")
-    logits, _ = _forward_all(enc)
-    loss, _ = nn.multilabel_bce_loss(logits, target.adjacency_matrix())
-    return loss
-
-
-def positive_log_loss(enc, graph=None):
-    """-sum log sigma(logit) over directed edge occurrences (both orientations).
-
-    On the encoder's own graph this is the self-divergence baseline, which is
-    strictly positive for any finite parameters.
-    """
-    g = enc.graph if graph is None else graph
-    if g.node_count != enc.node_count:
-        raise nn.ShapeError("graph node count does not match encoder output width")
+def positive_log_loss(enc):
+    """-sum log sigma(logit) over both orientations of every edge of the
+    encoder's own graph: the self-divergence baseline, strictly positive for
+    any finite parameters."""
     logits, _ = _forward_all(enc)
     total = 0.0
-    for u, v in g.edges:
+    for u, v in enc.graph.edges:
         total += nn.softplus(-logits[u, v]) + nn.softplus(-logits[v, u])
     return float(total)
 
@@ -194,7 +169,6 @@ def encoder_to_checkpoint(enc, cfg):
 
 
 def encoder_from_checkpoint(ckpt):
-    from .graphs import Graph
     params = nn.params_from_checkpoint(ckpt)
     meta = ckpt["meta"]
     graph = Graph.from_json_dict(meta["graph"])
@@ -207,8 +181,7 @@ def encoder_from_checkpoint(ckpt):
 
 
 def save_encoder(enc, cfg, path):
-    with open(path, "w") as f:
-        json.dump(encoder_to_checkpoint(enc, cfg), f)
+    atomic_write(path, json.dumps(encoder_to_checkpoint(enc, cfg)))
 
 
 def load_encoder(path):

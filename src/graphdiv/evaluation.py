@@ -13,6 +13,10 @@ class EvalError(ValueError):
     pass
 
 
+def _nonfinite_error(what, rows):
+    return EvalError(f"{what} rows {rows.tolist()} are not finite (failed divergence cells)")
+
+
 # --- fold plans --------------------------------------------------------------
 
 @dataclass
@@ -148,6 +152,9 @@ def classify_cv(table, classes, plan=None, classifier_cfg=None):
     classes = np.asarray(classes)
     if len(features) != len(classes):
         raise EvalError("feature rows and class list must align")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise _nonfinite_error("feature", bad)
     if plan is None:
         plan = make_fold_plan(classes)
     cfg = classifier_cfg or ClassifierConfig()
@@ -199,6 +206,10 @@ def hier_cluster(distances):
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise EvalError("distance matrix must be square")
+    nonfinite = (~np.isfinite(d)).sum(axis=1)
+    if nonfinite.any():
+        # a failed item is non-finite across its row, the others only in its column
+        raise _nonfinite_error("distance", np.flatnonzero(nonfinite == nonfinite.max()))
     if not np.allclose(d, d.T, atol=1e-9):
         raise EvalError("distance matrix must be symmetric")
     if not np.allclose(np.diag(d), 0.0, atol=1e-12):

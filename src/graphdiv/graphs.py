@@ -1,8 +1,10 @@
-"""Graph data model, JSON serialization, and label-distribution utilities."""
+"""Graph data model, JSON serialization, and label-distribution matrices."""
 
 from dataclasses import dataclass, field
 
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -46,7 +48,6 @@ class Graph:
             canon.append(e)
         order = sorted(range(len(canon)), key=lambda i: canon[i])
         self.edges = tuple(canon[i] for i in order)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
         if edge_labels is not None:
             raw = list(edge_labels)
             if len(raw) != len(self.edges):
@@ -91,18 +92,6 @@ class Graph:
 
     def degree(self, u):
         return len(self._adjacency[u])
-
-    def has_edge(self, u, v):
-        return canonical_edge(u, v) in self._edge_index
-
-    def edge_label(self, u, v):
-        if self.edge_labels is None:
-            raise GraphError("graph has no edge labels")
-        return self.edge_labels[self._edge_index[canonical_edge(u, v)]]
-
-    def incident_edges(self, u):
-        """Edge indices touching node u."""
-        return [self._edge_index[canonical_edge(u, v)] for v in self._adjacency[u]]
 
     def adjacency_matrix(self):
         """Dense 0/1 adjacency, float64, zero diagonal."""
@@ -162,6 +151,23 @@ def load_graph_json(path):
         return Graph.from_json_dict(json.load(f))
 
 
+def atomic_write(path, text):
+    """Write text to path through a uniquely named temp file in the same
+    directory and a rename, so readers never see a partial file and
+    concurrent writers never share a temp file."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class LabelVocabulary:
     """Ordered names for node or edge label ids."""
@@ -202,75 +208,6 @@ class GraphDataset:
     @property
     def num_classes(self):
         return len(set(self.graph_classes))
-
-
-# --- label distribution utilities -------------------------------------------
-#
-# These back the attribute-consistency regularizers. Every function returns a
-# probability vector over the relevant vocabulary; degenerate cases (no
-# incident edges, empty neighborhood) fall back to uniform so downstream
-# cross-entropies stay finite.
-
-def _require_node_labels(g):
-    if g.node_labels is None:
-        raise GraphError("graph has no node labels")
-
-
-def _require_edge_labels(g):
-    if g.edge_labels is None:
-        raise GraphError("graph has no edge labels")
-
-
-def _uniform(k):
-    return np.full(k, 1.0 / k)
-
-
-def node_attr_observed(g, u):
-    """One-hot distribution on node u's label."""
-    _require_node_labels(g)
-    dist = np.zeros(g.num_node_labels)
-    dist[g.node_labels[u]] = 1.0
-    return dist
-
-
-def edge_attr_observed(g, u):
-    """Label frequencies among edges incident to u, normalized by degree."""
-    _require_edge_labels(g)
-    if g.degree(u) == 0:
-        return _uniform(g.num_edge_labels)
-    dist = np.zeros(g.num_edge_labels)
-    for idx in g.incident_edges(u):
-        dist[g.edge_labels[idx]] += 1.0
-    return dist / dist.sum()
-
-
-def neighborhood_attr_observed(g, u, kind):
-    """Label frequencies over u's neighborhood.
-
-    kind="node": labels of the neighbors of u.
-    kind="edge": labels of edges with at least one endpoint in N(u), i.e. the
-    edges reachable within two hops of u.
-    """
-    if kind == "node":
-        _require_node_labels(g)
-        nbrs = g.neighbors(u)
-        if not nbrs:
-            return _uniform(g.num_node_labels)
-        dist = np.zeros(g.num_node_labels)
-        for v in nbrs:
-            dist[g.node_labels[v]] += 1.0
-        return dist / dist.sum()
-    if kind == "edge":
-        _require_edge_labels(g)
-        nbrs = set(g.neighbors(u))
-        idxs = {i for (i, (a, b)) in enumerate(g.edges) if a in nbrs or b in nbrs}
-        if not idxs:
-            return _uniform(g.num_edge_labels)
-        dist = np.zeros(g.num_edge_labels)
-        for i in idxs:
-            dist[g.edge_labels[i]] += 1.0
-        return dist / dist.sum()
-    raise GraphError(f"kind must be 'node' or 'edge', got {kind!r}")
 
 
 def save_dataset_json(dataset, path):
@@ -315,6 +252,42 @@ def load_dataset_json(path):
     return GraphDataset(graphs, classes, node_vocab=node_vocab, edge_vocab=edge_vocab)
 
 
+# --- label distribution matrices -------------------------------------------
+#
+# These back the label-consistency penalties of the alignment. Each returns a
+# |V| x K matrix whose row u is a probability vector over the vocabulary;
+# a node with nothing to count (no incident edges, empty neighborhood) gets
+# the uniform row so downstream cross-entropies stay finite. Counts are
+# integers held in floats, so each row is exactly its counts over their total,
+# as a per-node loop computes it.
+
+def _require_node_labels(g):
+    if g.node_labels is None:
+        raise GraphError("graph has no node labels")
+
+
+def _require_edge_labels(g):
+    if g.edge_labels is None:
+        raise GraphError("graph has no edge labels")
+
+
+def _edge_arrays(g):
+    """Endpoint arrays (a, b) of the sorted edge list."""
+    ends = np.array(g.edges, dtype=int).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _label_rows(rows, labels, node_count, k):
+    """Count each (row, label) occurrence into |V| x k, then scale every row
+    to sum to one; rows with no occurrence are uniform."""
+    counts = np.bincount(rows * k + labels, minlength=node_count * k)
+    counts = counts.reshape(node_count, k).astype(float)
+    totals = counts.sum(axis=1, keepdims=True)
+    out = np.full(counts.shape, 1.0 / k)
+    np.divide(counts, totals, out=out, where=totals > 0)
+    return out
+
+
 def node_label_onehot(g):
     """|V| x K one-hot matrix of node labels."""
     _require_node_labels(g)
@@ -324,10 +297,34 @@ def node_label_onehot(g):
 
 
 def edge_attr_matrix(g):
-    """|V| x K matrix; row u is edge_attr_observed(g, u)."""
-    return np.stack([edge_attr_observed(g, u) for u in range(g.node_count)])
+    """|V| x K matrix; row u holds the label frequencies of the edges incident
+    to u."""
+    _require_edge_labels(g)
+    a, b = _edge_arrays(g)
+    labels = np.array(g.edge_labels, dtype=int)
+    return _label_rows(np.concatenate([a, b]), np.concatenate([labels, labels]),
+                       g.node_count, g.num_edge_labels)
 
 
 def neighborhood_attr_matrix(g, kind):
-    """|V| x K matrix; row u is neighborhood_attr_observed(g, u, kind)."""
-    return np.stack([neighborhood_attr_observed(g, u, kind) for u in range(g.node_count)])
+    """|V| x K matrix of label frequencies over each node's neighborhood.
+
+    kind="node": row u counts the labels of the neighbors of u.
+    kind="edge": row u counts the labels of the edges with at least one
+    endpoint in N(u), i.e. the edges reachable within two hops of u.
+    """
+    a, b = _edge_arrays(g)
+    if kind == "node":
+        _require_node_labels(g)
+        labels = np.array(g.node_labels, dtype=int)
+        return _label_rows(np.concatenate([a, b]), np.concatenate([labels[b], labels[a]]),
+                           g.node_count, g.num_node_labels)
+    if kind == "edge":
+        _require_edge_labels(g)
+        adjacent = np.zeros((g.node_count, g.node_count), dtype=bool)
+        adjacent[a, b] = adjacent[b, a] = True
+        # entry (u, i): edge i has an endpoint in N(u)
+        rows, edge_idx = np.nonzero(adjacent[:, a] | adjacent[:, b])
+        return _label_rows(rows, np.array(g.edge_labels, dtype=int)[edge_idx],
+                           g.node_count, g.num_edge_labels)
+    raise GraphError(f"kind must be 'node' or 'edge', got {kind!r}")

@@ -20,11 +20,6 @@ class ShapeError(ValueError):
     pass
 
 
-def check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
-        raise NumericsFault(f"non-finite values in {name}")
-
-
 def sigmoid(z):
     # piecewise form avoids overflow in exp for large |z|
     out = np.empty_like(z, dtype=float)
@@ -46,7 +41,7 @@ def softmax(z, axis=-1):
     return e
 
 
-ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax")
+ACTIVATIONS = ("identity", "relu")
 
 
 @dataclass
@@ -79,25 +74,11 @@ def init_dense(out_dim, in_dim, activation, rng):
 
 
 def _apply_activation(act, z):
-    if act == "identity":
-        return z
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "sigmoid":
-        return sigmoid(z)
-    return softmax(z, axis=-1)
+    return np.maximum(z, 0.0) if act == "relu" else z
 
 
-def _activation_backward(act, z, out, grad_out):
-    if act == "identity":
-        return grad_out
-    if act == "relu":
-        return grad_out * (z > 0)
-    if act == "sigmoid":
-        return grad_out * out * (1.0 - out)
-    # softmax, per row
-    inner = np.sum(grad_out * out, axis=-1, keepdims=True)
-    return out * (grad_out - inner)
+def _activation_backward(act, z, grad_out):
+    return grad_out * (z > 0) if act == "relu" else grad_out
 
 
 def forward(layers, x):
@@ -108,9 +89,8 @@ def forward(layers, x):
         if h.shape[1] != layer.in_dim:
             raise ShapeError(f"layer {k}: input width {h.shape[1]} != expected {layer.in_dim}")
         z = h @ layer.weight.T + layer.bias
-        out = _apply_activation(layer.activation, z)
-        tape.append((h, z, out))
-        h = out
+        tape.append((h, z))
+        h = _apply_activation(layer.activation, z)
     return h, tape
 
 
@@ -122,8 +102,8 @@ def backward(layers, tape, grad_out):
     grads = [None] * len(layers)
     g = grad_out
     for k in range(len(layers) - 1, -1, -1):
-        h, z, out = tape[k]
-        gz = _activation_backward(layers[k].activation, z, out, g)
+        h, z = tape[k]
+        gz = _activation_backward(layers[k].activation, z, g)
         grads[k] = (gz.T @ h, gz.sum(axis=0))
         g = gz @ layers[k].weight
     return grads, g
@@ -137,18 +117,6 @@ def multilabel_bce_loss(logits, targets):
         raise ShapeError(f"logits {z.shape} vs targets {t.shape}")
     loss = float(np.sum(softplus(z) - t * z))
     return loss, sigmoid(z) - t
-
-
-def multiclass_ce_loss(logits, target_dist):
-    """Cross-entropy of softmax(logits) against a probability vector."""
-    z = np.asarray(logits, dtype=float)
-    p = np.asarray(target_dist, dtype=float)
-    if z.shape != p.shape:
-        raise ShapeError(f"logits {z.shape} vs target_dist {p.shape}")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    log_q = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    loss = float(-np.sum(p * log_q))
-    return loss, softmax(z, axis=-1) - p
 
 
 @dataclass
@@ -266,14 +234,3 @@ def params_from_checkpoint(ckpt):
         flat = np.array([float.fromhex(h) for h in ckpt["values"][name]])
         params[name] = flat.reshape(shape)
     return params
-
-
-def save_checkpoint(params, path, meta=None):
-    with open(path, "w") as f:
-        json.dump(params_to_checkpoint(params, meta=meta), f)
-
-
-def load_checkpoint(path):
-    with open(path) as f:
-        ckpt = json.load(f)
-    return params_from_checkpoint(ckpt), ckpt.get("meta")

@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 from graphdiv import nn
 from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
                                 AugmentedEncoder, argmax_alignment,
-                                attention_dist, attention_loss_and_grads,
-                                attention_matrix, attr_reg_loss,
-                                augmented_forward, augmented_neighbor_probs,
-                                init_attention, node_attr_inferred,
+                                attention_loss_and_grads, attention_matrix,
+                                augmented_neighbor_probs, init_attention,
                                 source_prob_matrix, structural_loss,
                                 train_attention)
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
-                              build_encoder, derive_seed, encoder_loss,
+                              build_encoder, derive_seed, encoder_loss_and_grads,
                               train_encoder)
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import (Graph, GraphError, edge_attr_matrix,
@@ -46,9 +44,7 @@ def test_pair_shape_validation():
 
 def test_zero_logits_give_uniform_dist():
     pair = AttentionPair(np.zeros((4, 2)), np.zeros((2, 4)))
-    assert np.allclose(attention_dist(pair, 0), [0.25, 0.25, 0.25, 0.25])
-    with pytest.raises(ValueError):
-        attention_dist(pair, 2)
+    assert np.allclose(attention_matrix(pair), 0.25)
 
 
 def test_attention_columns_sum_to_one():
@@ -64,7 +60,14 @@ def test_identity_attention_is_exact_pass_through(small_source):
     ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g)
     assert np.allclose(augmented_neighbor_probs(ae), source_prob_matrix(small_source),
                        atol=1e-12)
-    assert structural_loss(ae) == pytest.approx(encoder_loss(small_source), rel=1e-9)
+    loss, _ = encoder_loss_and_grads(small_source, g.adjacency_matrix())
+    assert structural_loss(ae) == pytest.approx(loss, rel=1e-9)
+
+
+def test_fit_scores_with_its_own_source_probs(small_source):
+    # the fitted encoder carries the fit's S, equal to a fresh forward pass
+    ae = train_attention(small_source, random_graph(4, 0.5, 2), TrainConfig(embed_dim=4))
+    assert ae.source_probs.tobytes() == source_prob_matrix(small_source).tobytes()
 
 
 def test_zero_attention_predicts_global_mean(small_source):
@@ -86,14 +89,6 @@ def test_zero_encoder_zero_attention_oracle(tiny_cfg):
     target = random_graph(4, 0.6, 4)
     ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 4)), np.zeros((4, 5))), target)
     assert structural_loss(ae) == pytest.approx(16 * np.log(2))
-
-
-def test_augmented_forward_bounds(small_source):
-    g = small_source.graph
-    ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g)
-    assert augmented_forward(ae, 0).shape == (g.node_count,)
-    with pytest.raises(ValueError):
-        augmented_forward(ae, g.node_count)
 
 
 def gradient_error(problem, pair):
@@ -142,71 +137,86 @@ def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
             assert grads[name][r:r + 1].tobytes() == one_grads[name].tobytes()
 
 
+def label_penalty(source, target, pair, node_reg_coef=1.0, edge_reg_coef=0.0):
+    """The label-penalty part of the training loss of one pair: the loss with
+    the given coefficients minus the loss with both at 0, on a stack of one."""
+    params = {"forward": pair.forward[None], "reverse": pair.reverse[None]}
+
+    def loss(node, edge):
+        cfg = TrainConfig(node_reg_coef=node, edge_reg_coef=edge)
+        return float(attention_loss_and_grads(AlignmentProblem(source, target, cfg), params)[0][0])
+
+    return loss(node_reg_coef, edge_reg_coef) - loss(0.0, 0.0)
+
+
 def test_node_attr_inferred_one_hot_and_uniform(tiny_cfg):
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[0, 0, 1, 1])
+    # the forward penalty is the cross-entropy of each target node's label
+    # against the label distribution its attention column infers. On a
+    # 4-cycle labeled [0, 1, 0, 1] every neighborhood is one-hot, so an
+    # identity reverse map costs 0 and the forward side is all that remains.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], node_labels=[0, 1, 0, 1])
     src = train_encoder(g, tiny_cfg)
-    target = Graph(2, [(0, 1)], node_labels=[0, 1], num_node_labels=2)
-    # one-hot attention on source node 2 (label 1)
-    fwd = np.full((4, 2), -50.0)
-    fwd[2, :] = 50.0
-    ae = AugmentedEncoder(src, AttentionPair(fwd, np.zeros((2, 4))), target)
-    assert np.allclose(node_attr_inferred(ae, 0), [0.0, 1.0], atol=1e-12)
-    # uniform attention over labels {0,0,1,1}
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((4, 2)), np.zeros((2, 4))), target)
-    assert np.allclose(node_attr_inferred(ae, 0), [0.5, 0.5])
-
-
-def test_node_attr_inferred_requires_shared_vocab(tiny_cfg):
-    g = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0])
-    src = train_encoder(g, tiny_cfg)
-    bare = Graph(3, [(0, 1), (1, 2)])
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((3, 3)), np.zeros((3, 3))), bare)
-    with pytest.raises(GraphError):
-        node_attr_inferred(ae, 0)
+    reverse = hard_pair(4).reverse
+    # one-hot attention of target node u on source node u + 2, which carries
+    # the same label, infers that label exactly
+    shifted = AttentionPair(hard_pair(4, perm=[2, 3, 0, 1]).forward, reverse)
+    assert label_penalty(src, g, shifted) == pytest.approx(0.0, abs=1e-6)
+    # uniform attention over labels {0, 1, 0, 1} infers (1/2, 1/2): ln 2
+    uniform = AttentionPair(np.zeros((4, 4)), reverse)
+    assert label_penalty(src, g, uniform) == pytest.approx(np.log(2))
 
 
 def test_reg_loss_uniform_attention_is_ln2(tiny_cfg):
-    # 2 balanced node classes under uniform attention: inferred is [1/2, 1/2]
-    # for every target node, so the average CE is exactly ln 2
+    # a 4-cycle labeled [0, 1, 0, 1]: every neighborhood holds the other label
+    # only. Uniform forward attention infers [1/2, 1/2] for every target node,
+    # and so does a uniform reverse map, so each side costs exactly ln 2.
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], node_labels=[0, 1, 0, 1])
     src = train_encoder(g, tiny_cfg)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((4, 4)), np.zeros((4, 4))), g)
-    assert attr_reg_loss(ae, "node", "forward") == pytest.approx(np.log(2))
+    uniform = AttentionPair(np.zeros((4, 4)), np.zeros((4, 4)))
+    assert label_penalty(src, g, uniform) == pytest.approx(2 * np.log(2))
 
 
 def test_reg_loss_perfect_alignment_is_zero(tiny_cfg):
+    # identity on the 4-cycle: both sides reproduce one-hot rows, cost 0
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], node_labels=[0, 1, 0, 1])
+    src = train_encoder(g, tiny_cfg)
+    assert label_penalty(src, g, hard_pair(4)) == pytest.approx(0.0, abs=1e-6)
+    # on a path labeled [0, 1, 2, 3] the forward side is still 0, while the
+    # reverse side compares neighborhood label distributions and reaches its
+    # floor, their mean entropy: the endpoints see one label (0), the middle
+    # nodes two (ln 2 each), so ln 2 / 2 over four source nodes
     g = Graph(4, [(0, 1), (1, 2), (2, 3)], node_labels=[0, 1, 2, 3])
     src = train_encoder(g, tiny_cfg)
-    ae = AugmentedEncoder(src, hard_pair(4), g)
-    assert attr_reg_loss(ae, "node", "forward") == pytest.approx(0.0, abs=1e-6)
-    # reverse side compares neighborhood label distributions; under perfect
-    # alignment it reaches its floor, the mean entropy of those distributions:
-    # endpoints are one-hot (0), the middle nodes see {two labels} (ln 2 each)
-    assert attr_reg_loss(ae, "node", "reverse") == pytest.approx(np.log(2) / 2, abs=1e-6)
+    assert label_penalty(src, g, hard_pair(4)) == pytest.approx(np.log(2) / 2, abs=1e-6)
 
 
 def test_reg_loss_hand_computed_three_nodes(tiny_cfg):
-    # source nodes labeled [0, 1, 1]; attention column for each target node is
-    # hand-set; CE computed longhand against the module's value
+    # source path 0-1-2 labeled [0, 1, 1]; each target node's attention
+    # column is hand-set, the reverse logits are zero
     g = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 1])
     src = train_encoder(g, tiny_cfg)
     target = Graph(2, [(0, 1)], node_labels=[0, 1], num_node_labels=2)
     a = np.array([[0.7, 0.1], [0.2, 0.3], [0.1, 0.6]])  # columns sum to 1
-    fwd = np.log(a)
-    ae = AugmentedEncoder(src, AttentionPair(fwd, np.zeros((2, 3))), target)
-    # inferred label dists: node 0 -> (0.7, 0.3), node 1 -> (0.1, 0.9)
-    expected = -(np.log(0.7) + np.log(0.9)) / 2.0
-    assert attr_reg_loss(ae, "node", "forward") == pytest.approx(expected, rel=1e-9)
+    pair = AttentionPair(np.log(a), np.zeros((2, 3)))
+    # forward: inferred label dists are node 0 -> (0.7, 0.3), node 1 -> (0.1, 0.9)
+    forward = -(np.log(0.7) + np.log(0.9)) / 2.0
+    # reverse: the uniform map infers (1/2, 1/2) for every source node; their
+    # neighborhoods (0, 1), (1/2, 1/2), (0, 1) each cost ln 2
+    reverse = np.log(2)
+    assert label_penalty(src, target, pair) == pytest.approx(forward + reverse, rel=1e-9)
 
 
-def test_reg_loss_bad_selectors(tiny_cfg, labeled_pair):
-    g1, g2 = labeled_pair
-    src = train_encoder(g1, tiny_cfg)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((6, 6)), np.zeros((6, 6))), g2)
-    with pytest.raises(ValueError):
-        attr_reg_loss(ae, "color", "forward")
-    with pytest.raises(ValueError):
-        attr_reg_loss(ae, "node", "sideways")
+def test_node_attr_inferred_requires_shared_vocab(tiny_cfg):
+    g = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], edge_labels=[0, 1])
+    src = train_encoder(g, tiny_cfg)
+    wider_nodes = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], num_node_labels=3)
+    with pytest.raises(GraphError, match="node label vocabularies differ"):
+        AlignmentProblem(src, wider_nodes, TrainConfig())
+    wider_edges = Graph(3, [(0, 1), (1, 2)], edge_labels=[0, 1], num_edge_labels=3)
+    with pytest.raises(GraphError, match="edge label vocabularies differ"):
+        AlignmentProblem(src, wider_edges, TrainConfig())
+    # an unlabeled side turns the penalty off rather than failing
+    assert AlignmentProblem(src, Graph(3, [(0, 1)]), TrainConfig()).penalties == []
 
 
 def test_train_requires_trained_source(tiny_cfg, triangle):

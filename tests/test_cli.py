@@ -5,7 +5,7 @@ import pytest
 
 from graphdiv.cli import EXIT_OK, EXIT_USAGE, main
 from graphdiv.generators import make_barbell, random_graph
-from graphdiv.graphs import GraphDataset, save_dataset_json
+from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 
 
 @pytest.fixture
@@ -165,3 +165,53 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _labeled_dataset(path, first_labels):
+    """Three labeled 4-node paths; graph 0 takes first_labels, the others use
+    node labels 0-2, so the dataset's vocabulary has three labels."""
+    edges = [(0, 1), (1, 2), (2, 3)]
+    graphs = [Graph(4, edges, node_labels=first_labels),
+              Graph(4, edges, node_labels=[0, 1, 2, 1]),
+              Graph(4, edges, node_labels=[2, 2, 0, 1])]
+    save_dataset_json(GraphDataset(graphs, [0, 1, 1]), path)
+
+
+def test_encode_then_embed_keeps_dataset_vocabulary(tmp_path):
+    # graph 0 lacks the top label; its checkpoint must not narrow the
+    # vocabulary the pair penalties compare
+    path = tmp_path / "labeled.json"
+    _labeled_dataset(path, [0, 1, 0, 1])
+    out = str(tmp_path / "out")
+    base = ["--dataset", str(path), "--out", out] + fast()
+    assert main(["encode"] + base) == EXIT_OK
+    assert main(["embed"] + base) == EXIT_OK
+    assert main(["attention", "--source-index", "0", "--target-index", "1"] + base) == EXIT_OK
+    with open(os.path.join(out, "embed_summary.json")) as f:
+        assert json.load(f)["cell_errors"] == {}
+
+
+def test_encode_retrains_checkpoint_of_changed_graph(tmp_path):
+    path = tmp_path / "labeled.json"
+    out = str(tmp_path / "out")
+    args = ["encode", "--dataset", str(path), "--out", out] + fast()
+    _labeled_dataset(path, [0, 1, 0, 1])
+    assert main(args) == EXIT_OK
+    _labeled_dataset(path, [1, 1, 0, 0])  # graph 0 changes, graphs 1-2 do not
+    assert main(args) == EXIT_OK
+    with open(os.path.join(out, "encode_summary.json")) as f:
+        summary = json.load(f)
+    assert summary["trained"] == 1 and summary["skipped"] == 2
+
+
+def test_encode_ignores_stale_temp_path(tmp_path, dataset_file):
+    # a leftover at the checkpoint's old fixed temp name must not block a write
+    out = tmp_path / "out"
+    args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+    assert main(args) == EXIT_OK
+    ckpt = next(p for p in sorted(os.listdir(out)) if p.startswith("encoder_"))
+    os.remove(out / ckpt)
+    os.mkdir(out / (ckpt + ".tmp"))
+    assert main(args) == EXIT_OK
+    assert os.path.isfile(out / ckpt)
+    assert not [p for p in os.listdir(out) if p.endswith(".tmp") and p != ckpt + ".tmp"]

@@ -4,10 +4,8 @@ import pytest
 from graphdiv import nn
 from graphdiv.attention import AttentionPair, AugmentedEncoder, train_attention
 from graphdiv.divergence import (DivergenceTable, distance_csv, distance_matrix,
-                                 embed_all, kernel_value, normalized_divergence,
-                                 raw_divergence, rbf_kernel_matrix, symmetric_divergence,
-                                 symmetrize, table_from_csv, table_to_csv,
-                                 train_source_encoders)
+                                 embed_all, raw_divergence, symmetrize,
+                                 table_from_csv, table_to_csv, train_source_encoders)
 from graphdiv.encoder import TrainConfig, positive_log_loss, train_encoder
 from graphdiv.generators import make_ring, random_graph
 
@@ -30,16 +28,22 @@ def test_raw_divergence_nonnegative(tiny_cfg):
 
 
 def test_normalized_and_symmetric_are_trivial_arithmetic():
-    assert normalized_divergence(5.0, 2.0) == 3.0
-    assert normalized_divergence(1.0, 2.0) == -1.0  # may go negative
-    assert symmetric_divergence(3.0, 4.0) == 7.0
+    # a cell is the target's raw divergence minus the source's own log-loss,
+    # to the bit, and is allowed to go negative; symmetrize adds the transpose
+    graphs = [random_graph(5, 0.5, s) for s in (5, 6)]
+    cfg = quick_cfg()
+    table = embed_all(graphs, graphs, cfg, restarts=1)
+    src = train_encoder(graphs[1], cfg, graph_id=1)
+    ae = train_attention(src, graphs[0], cfg, target_graph_id=0)
+    assert table.values[0, 1] == raw_divergence(ae) - positive_log_loss(src)
+    assert table.self_losses[1] == positive_log_loss(src)
+    assert symmetrize(table).values[0, 1] == table.values[0, 1] + table.values[1, 0]
 
 
 def test_kernel_value_is_squared_distance():
-    assert kernel_value([1.0, 2.0], [4.0, 6.0]) == pytest.approx(25.0)
-    assert kernel_value([1.0], [1.0]) == 0.0
-    with pytest.raises(nn.ShapeError):
-        kernel_value([1.0, 2.0], [1.0])
+    d = distance_matrix(np.array([[1.0, 2.0], [4.0, 6.0], [1.0, 2.0]]))
+    assert d[0, 1] == pytest.approx(25.0)
+    assert d[0, 2] == 0.0
 
 
 def test_distance_matrix_properties():
@@ -49,7 +53,7 @@ def test_distance_matrix_properties():
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
-    assert d[1, 3] == pytest.approx(kernel_value(x[1], x[3]), rel=1e-9)
+    assert d[1, 3] == pytest.approx(np.sum((x[1] - x[3]) ** 2), rel=1e-9)
 
 
 def test_unit_rows():
@@ -60,13 +64,6 @@ def test_unit_rows():
     assert np.allclose(u[0], [0.6, 0.8])
     assert np.array_equal(u[1], [0.0, 0.0])
     assert np.allclose(np.linalg.norm(u[[0, 2]], axis=1), 1.0)
-
-
-def test_rbf_kernel_matrix_bounds():
-    rng = np.random.default_rng(1)
-    k = rbf_kernel_matrix(rng.normal(size=(5, 3)), gamma=0.5)
-    assert np.all(np.diag(k) == 1.0)
-    assert np.all((k > 0.0) & (k <= 1.0))
 
 
 def quick_cfg():
@@ -204,12 +201,9 @@ def test_train_source_encoders_parallel_matches_serial():
 def test_self_divergence_zero_without_attention(tiny_cfg):
     # the no-attention path: scoring a source against itself with an exact
     # identity pass-through gives normalized divergence exactly 0
-    from graphdiv.attention import source_prob_matrix
-
     g = random_graph(6, 0.5, 12)
     src = train_encoder(g, tiny_cfg)
     n = g.node_count
     fwd = np.where(np.eye(n, dtype=bool), 50.0, -50.0)
     ae = AugmentedEncoder(src, AttentionPair(fwd.copy(), fwd.copy()), g)
-    raw = raw_divergence(ae)
-    assert normalized_divergence(raw, positive_log_loss(src)) == pytest.approx(0.0, abs=1e-9)
+    assert raw_divergence(ae) - positive_log_loss(src) == pytest.approx(0.0, abs=1e-9)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from graphdiv import nn
+from graphdiv.attention import source_prob_matrix
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
-                              build_encoder, derive_seed, encode_node,
-                              encoder_loss, encoder_loss_and_grads, fit_encoder,
-                              load_encoder, positive_log_loss, save_encoder,
-                              train_encoder)
+                              build_encoder, derive_seed, encoder_loss_and_grads,
+                              fit_encoder, load_encoder, positive_log_loss,
+                              save_encoder, train_encoder)
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph
 
@@ -38,7 +38,8 @@ def test_zero_weight_encoder_loss(tiny_cfg, triangle):
     enc = build_encoder(triangle, tiny_cfg)
     for p in enc.params().values():
         p[...] = 0.0
-    assert encoder_loss(enc) == pytest.approx(9 * np.log(2))
+    loss, _ = encoder_loss_and_grads(enc, triangle.adjacency_matrix())
+    assert loss == pytest.approx(9 * np.log(2))
     # positive-edge loss: 2E directed edges at sigma(0)=0.5
     assert positive_log_loss(enc) == pytest.approx(6 * np.log(2))
 
@@ -70,11 +71,11 @@ def test_training_separates_neighbors(tiny_cfg):
     cfg = TrainConfig(encoding_epochs=300, rng_seed=0)
     enc = train_encoder(g, cfg)
     # for each node, its true neighbors should outscore non-neighbors
+    probs = source_prob_matrix(enc)
     for u in range(g.node_count):
-        logits = encode_node(enc, u)
         nbrs = set(g.neighbors(u))
         others = [v for v in range(g.node_count) if v != u and v not in nbrs]
-        assert min(logits[sorted(nbrs)]) > max(logits[others])
+        assert min(probs[u, sorted(nbrs)]) > max(probs[u, others])
 
 
 def test_training_deterministic(tiny_cfg):
@@ -120,10 +121,11 @@ def test_refit_raises(tiny_cfg, triangle):
 
 
 def test_encode_node_bounds(tiny_cfg, triangle):
+    # every node gets one neighbor probability per node of its graph
     enc = train_encoder(triangle, tiny_cfg)
-    with pytest.raises(ValueError):
-        encode_node(enc, 3)
-    assert encode_node(enc, 0).shape == (3,)
+    probs = source_prob_matrix(enc)
+    assert probs.shape == (3, 3)
+    assert np.all((probs > 0.0) & (probs < 1.0))
 
 
 def test_empty_graph_rejected(tiny_cfg):
@@ -140,7 +142,8 @@ def test_encoder_checkpoint_roundtrip(tmp_path, tiny_cfg, triangle):
     assert back.graph == triangle
     for a, b in zip(back.params().values(), enc.params().values()):
         assert np.array_equal(a, b)
-    assert encoder_loss(back) == encoder_loss(enc)
+    adjacency = triangle.adjacency_matrix()
+    assert encoder_loss_and_grads(back, adjacency)[0] == encoder_loss_and_grads(enc, adjacency)[0]
 
 
 def test_positive_log_loss_strictly_positive(tiny_cfg):

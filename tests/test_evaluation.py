@@ -78,6 +78,15 @@ def test_classify_cv_validates_alignment():
         classify_cv(np.zeros((4, 2)), [0, 1, 0])
 
 
+def test_classify_cv_rejects_failed_cells():
+    # one NaN feature (a failed divergence cell) must not quietly lower the
+    # accuracy; the error names the row
+    x, y = blobs(25, seed=2)
+    x[7, 1] = np.nan
+    with pytest.raises(EvalError, match=r"rows \[7\] are not finite"):
+        classify_cv(x, y, plan=make_fold_plan(y, fold_count=5))
+
+
 def test_dendrogram_validation():
     with pytest.raises(EvalError):
         Dendrogram(3, [(0, 1, 1.0)])  # needs exactly 2 merges
@@ -105,6 +114,14 @@ def test_hier_cluster_input_validation():
         hier_cluster(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(EvalError):
         hier_cluster(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_hier_cluster_rejects_failed_cells():
+    # a NaN embedding row spreads NaN through its distance row and column;
+    # it is reported as such, not as an asymmetric matrix
+    x = np.array([[0.0], [1.0], [np.nan], [11.0]])
+    with pytest.raises(EvalError, match=r"rows \[2\] are not finite"):
+        hier_cluster(distance_matrix(x))
 
 
 def test_cut_clusters_bounds():

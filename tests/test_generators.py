@@ -10,7 +10,7 @@ def test_barbell_counts():
     g = make_barbell(5)
     assert g.node_count == 10
     assert g.edge_count == 11  # 2 rings of 5 plus the bridge
-    assert g.has_edge(0, 5)
+    assert (0, 5) in g.edges
     degrees = sorted(g.degree(u) for u in range(10))
     assert degrees == [2] * 8 + [3, 3]  # the two bridge endpoints
 

@@ -2,13 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphdiv.graphs import (Graph, GraphDataset, GraphError, GraphFormatError,
-                             LabelVocabulary, edge_attr_matrix, edge_attr_observed,
+                             LabelVocabulary, atomic_write, edge_attr_matrix,
                              load_dataset_json, load_graph_json,
-                             neighborhood_attr_matrix, neighborhood_attr_observed,
-                             node_attr_observed, node_label_onehot,
+                             neighborhood_attr_matrix, node_label_onehot,
                              save_dataset_json, save_graph_json)
 
 
@@ -21,9 +20,10 @@ def test_edges_canonical_and_sorted():
 def test_edge_labels_follow_edge_reordering():
     # labels given in input order must stay attached to their edge after sorting
     g = Graph(4, [(3, 1), (2, 0), (1, 0)], edge_labels=[7, 8, 9])
-    assert g.edge_label(3, 1) == 7
-    assert g.edge_label(2, 0) == 8
-    assert g.edge_label(1, 0) == 9
+    label = dict(zip(g.edges, g.edge_labels))
+    assert label[(1, 3)] == 7
+    assert label[(0, 2)] == 8
+    assert label[(0, 1)] == 9
 
 
 def test_rejects_self_loop_duplicate_and_out_of_range():
@@ -104,34 +104,40 @@ def test_vocabulary():
 
 def test_node_attr_observed_one_hot():
     g = Graph(3, [(0, 1)], node_labels=[2, 0, 1])
-    assert np.array_equal(node_attr_observed(g, 0), [0, 0, 1])
+    assert np.array_equal(node_label_onehot(g)[0], [0, 0, 1])
 
 
 def test_edge_attr_observed_counts_and_uniform_fallback():
     g = Graph(4, [(0, 1), (0, 2)], edge_labels=[0, 1])
-    assert np.allclose(edge_attr_observed(g, 0), [0.5, 0.5])
-    assert np.allclose(edge_attr_observed(g, 1), [1.0, 0.0])
+    m = edge_attr_matrix(g)
+    assert np.allclose(m[0], [0.5, 0.5])
+    assert np.allclose(m[1], [1.0, 0.0])
     # isolated node falls back to uniform
-    assert np.allclose(edge_attr_observed(g, 3), [0.5, 0.5])
+    assert np.allclose(m[3], [0.5, 0.5])
 
 
 def test_neighborhood_attr_observed_node_kind():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)], node_labels=[0, 1, 1, 0])
-    assert np.allclose(neighborhood_attr_observed(g, 0, "node"), [1 / 3, 2 / 3])
+    assert np.allclose(neighborhood_attr_matrix(g, "node")[0], [1 / 3, 2 / 3])
 
 
 def test_neighborhood_attr_observed_edge_kind():
     # edges with at least one endpoint in N(u)
     g = Graph(4, [(0, 1), (1, 2), (2, 3)], edge_labels=[0, 1, 1])
     # N(0) = {1}; edges touching node 1: (0,1) and (1,2)
-    assert np.allclose(neighborhood_attr_observed(g, 0, "edge"), [0.5, 0.5])
+    assert np.allclose(neighborhood_attr_matrix(g, "edge")[0], [0.5, 0.5])
 
 
 def test_neighborhood_requires_labels(triangle):
     with pytest.raises(GraphError):
-        neighborhood_attr_observed(triangle, 0, "node")
+        neighborhood_attr_matrix(triangle, "node")
     with pytest.raises(GraphError):
-        neighborhood_attr_observed(triangle, 0, "bogus")
+        neighborhood_attr_matrix(triangle, "edge")
+    with pytest.raises(GraphError):
+        edge_attr_matrix(triangle)
+    labeled = Graph(3, [(0, 1)], node_labels=[0, 1, 0])
+    with pytest.raises(GraphError):
+        neighborhood_attr_matrix(labeled, "bogus")
 
 
 def test_matrix_builders_rows_sum_to_one():
@@ -143,16 +149,86 @@ def test_matrix_builders_rows_sum_to_one():
     assert np.allclose(onehot.sum(axis=1), 1.0)
 
 
-@given(st.integers(2, 12), st.integers(0, 1000))
-def test_distributions_are_probability_vectors(n, seed):
-    rng = np.random.default_rng(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    g = Graph(n, edges, node_labels=rng.integers(0, 3, size=n).tolist(),
-              edge_labels=rng.integers(0, 2, size=len(edges)).tolist(),
-              num_node_labels=3, num_edge_labels=2)
-    for u in range(n):
-        for dist in (node_attr_observed(g, u), edge_attr_observed(g, u),
-                     neighborhood_attr_observed(g, u, "node"),
-                     neighborhood_attr_observed(g, u, "edge")):
-            assert np.all(dist >= 0)
-            assert abs(dist.sum() - 1.0) < 1e-9
+# --- per-node oracle ----------------------------------------------------------
+#
+# The label matrices are built with whole-array operations; these per-node
+# definitions state what row u means, one count at a time. A node with
+# nothing to count gets the uniform distribution.
+
+def _uniform(k):
+    return np.full(k, 1.0 / k)
+
+
+def _edge_attr_observed(g, u):
+    """Label frequencies among edges incident to u, normalized by degree."""
+    if g.degree(u) == 0:
+        return _uniform(g.num_edge_labels)
+    dist = np.zeros(g.num_edge_labels)
+    for i, (a, b) in enumerate(g.edges):
+        if u in (a, b):
+            dist[g.edge_labels[i]] += 1.0
+    return dist / dist.sum()
+
+
+def _neighborhood_attr_observed(g, u, kind):
+    """Label frequencies over u's neighbors (kind="node") or over the edges
+    with at least one endpoint in N(u) (kind="edge")."""
+    nbrs = set(g.neighbors(u))
+    if kind == "node":
+        labels = [g.node_labels[v] for v in nbrs]
+        k = g.num_node_labels
+    else:
+        labels = [g.edge_labels[i] for i, (a, b) in enumerate(g.edges) if a in nbrs or b in nbrs]
+        k = g.num_edge_labels
+    if not labels:
+        return _uniform(k)
+    dist = np.zeros(k)
+    for label in labels:
+        dist[label] += 1.0
+    return dist / dist.sum()
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Labeled graphs of 1-15 nodes, sparse enough to leave isolated nodes,
+    with vocabularies that may be wider than the labels in use."""
+    n = draw(st.integers(1, 15))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    k_node, k_edge = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    node_labels = draw(st.lists(st.integers(0, k_node - 1), min_size=n, max_size=n))
+    edge_labels = draw(st.lists(st.integers(0, k_edge - 1), min_size=len(edges),
+                                max_size=len(edges)))
+    return Graph(n, edges, node_labels=node_labels, edge_labels=edge_labels,
+                 num_node_labels=k_node, num_edge_labels=k_edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_graphs())
+def test_distributions_are_probability_vectors(g):
+    # each matrix equals the per-node oracle byte for byte, and every row is
+    # a probability vector
+    n = g.node_count
+    onehot = np.zeros((n, g.num_node_labels))
+    for u, label in enumerate(g.node_labels):
+        onehot[u, label] = 1.0
+    expected = {
+        "onehot": (node_label_onehot(g), onehot),
+        "edge": (edge_attr_matrix(g), np.stack([_edge_attr_observed(g, u) for u in range(n)])),
+        "nbr node": (neighborhood_attr_matrix(g, "node"),
+                     np.stack([_neighborhood_attr_observed(g, u, "node") for u in range(n)])),
+        "nbr edge": (neighborhood_attr_matrix(g, "edge"),
+                     np.stack([_neighborhood_attr_observed(g, u, "edge") for u in range(n)])),
+    }
+    for name, (got, want) in expected.items():
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert np.all(got >= 0) and np.allclose(got.sum(axis=1), 1.0), name
+
+
+def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "sub" / "out.txt"
+    atomic_write(str(path), "one")
+    atomic_write(str(path), "two")
+    assert path.read_text() == "two"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
