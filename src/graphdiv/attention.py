@@ -10,17 +10,22 @@ augmented encoder can never predict sharper than the source it wraps.
 Label-consistency penalties (node and edge, on both maps) pull the alignment
 toward label-preserving ones; they exist only inside the training loss.
 
-Training is a stacked fit. The R restarts of one (target, source) pair share
-their shapes, so they train as one problem: forward logits (R, |V_S|, |V_T|),
-reverse logits (R, |V_T|, |V_S|), one loss/gradient call and one Adam step
-per epoch, with a per-restart learning rate. Everything that does not change
-during a fit (target adjacency, the frozen source probabilities, the label
-penalty matrices) lives in one AlignmentProblem built once per pair. Each
-restart slice runs the same elementwise operations in the same order, with
-its reductions taken over that slice alone, so a restart trains to the same
-bits as it would alone. The fitted AugmentedEncoder keeps the problem's
-frozen source probabilities, so scoring it reads them instead of running the
-source encoder again.
+Training is a stacked fit. The targets of one source that have the same node
+count, times the R restarts of each, share their shapes, so they train as
+one problem: forward logits (G*R, |V_S|, |V_T|), reverse logits
+(G*R, |V_T|, |V_S|), one loss/gradient call and one Adam step per epoch,
+with a per-slice learning rate. Slices are target-major: slices g*R to
+g*R + R - 1 are the restarts of target g. Everything that does not change
+during a fit lives in one AlignmentProblem built once per stack: the
+target-side matrices (adjacency, 1 - A, target label penalties) are stacked
+and repeated R times, while the source-side ones and the frozen source
+probabilities stay 2-D and broadcast. Nothing is padded or masked. Each
+slice runs the same elementwise operations in the same order, with its
+reductions taken over that slice alone, so a cell trains to the same bits
+whichever targets share its stack, and each target keeps its own seeds,
+learning rates and best restart. The fitted AugmentedEncoder keeps the
+problem's frozen source probabilities, so scoring it reads them instead of
+running the source encoder again.
 """
 
 import numpy as np
@@ -130,33 +135,50 @@ def _bce_probs(pred, target, non_target):
 
 
 class AlignmentProblem:
-    """The constants of one (target, source) alignment, built once per pair.
+    """The constants of one stacked alignment: a frozen source against a list
+    of targets with the same node count, each repeated for `restarts`.
 
-    Holds the target adjacency A and 1 - A, the frozen source's neighbor
-    probabilities S, and the active label penalties as (side, coef, rows,
-    features, observed, -(coef / rows) * observed) tuples in the order their
-    losses are summed. Raises GraphError when the pair's label vocabularies
-    differ.
+    Holds the target adjacencies A and 1 - A as (G*R, |V_T|, |V_T|) stacks,
+    the frozen source's neighbor probabilities S (2-D), and the active label
+    penalties as (side, coef, rows, features, observed, -(coef / rows) *
+    observed) tuples in the order their losses are summed; the target-side
+    matrices of a penalty are stacked like A, the source-side ones stay 2-D.
+    Raises ShapeError when the targets differ in node count, and GraphError
+    when they differ in which labels they carry or when a target's label
+    vocabulary differs from the source's.
     """
 
-    def __init__(self, source, target_graph, cfg):
-        s, t = source.graph, target_graph
-        self.adjacency = t.adjacency_matrix()
+    def __init__(self, source, targets, cfg, restarts=1):
+        s, t = source.graph, targets[0]
+        if any(g.node_count != t.node_count for g in targets):
+            raise nn.ShapeError("stacked targets must have the same node count")
+        if any((g.node_labels is None, g.edge_labels is None)
+               != (t.node_labels is None, t.edge_labels is None) for g in targets):
+            raise GraphError("stacked targets differ in which labels they carry")
+
+        def stack(build):
+            return np.repeat(np.stack([build(g) for g in targets]), restarts, axis=0)
+
+        self.adjacency = stack(lambda g: g.adjacency_matrix())
         self.non_adjacency = 1.0 - self.adjacency
         self.source_probs = source_prob_matrix(source)
         terms = []
         if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
-            if s.num_node_labels != t.num_node_labels:
+            if any(g.num_node_labels != s.num_node_labels for g in targets):
                 raise GraphError("node label vocabularies differ between the pair")
-            terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s), node_label_onehot(t)))
+            terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s),
+                          stack(node_label_onehot)))
             terms.append(("reverse", cfg.node_reg_coef,
-                          neighborhood_attr_matrix(t, "node"), neighborhood_attr_matrix(s, "node")))
+                          stack(lambda g: neighborhood_attr_matrix(g, "node")),
+                          neighborhood_attr_matrix(s, "node")))
         if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
-            if s.num_edge_labels != t.num_edge_labels:
+            if any(g.num_edge_labels != s.num_edge_labels for g in targets):
                 raise GraphError("edge label vocabularies differ between the pair")
-            terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s), edge_attr_matrix(t)))
+            terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s),
+                          stack(edge_attr_matrix)))
             terms.append(("reverse", cfg.edge_reg_coef,
-                          neighborhood_attr_matrix(t, "edge"), neighborhood_attr_matrix(s, "edge")))
+                          stack(lambda g: neighborhood_attr_matrix(g, "edge")),
+                          neighborhood_attr_matrix(s, "edge")))
         self.penalties = []
         for side, coef, feats, observed in terms:
             # forward penalties average over target nodes, reverse over source nodes
@@ -177,9 +199,10 @@ def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed):
 def attention_loss_and_grads(problem, params):
     """Training losses and analytic gradients for a stack of attention pairs.
 
-    params["forward"] is (R, |V_S|, |V_T|) and params["reverse"] is
-    (R, |V_T|, |V_S|); a single pair is a stack of one. Returns the R
-    per-slice losses and {"forward", "reverse"} gradients of the same shapes.
+    params["forward"] is (B, |V_S|, |V_T|) and params["reverse"] is
+    (B, |V_T|, |V_S|), where B is the problem's targets times restarts; a
+    single pair is a stack of one. Returns the B per-slice losses and
+    {"forward", "reverse"} gradients of the same shapes.
     Each loss is structural BCE on the target adjacency plus the weighted
     label penalties; slices never mix, so slice r's loss and gradients are
     those of pair r alone. The source encoder is a constant here; nothing
@@ -231,33 +254,44 @@ def structural_loss(ae):
 
 
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
-    """Fit the attention pair against a frozen source encoder.
+    """Fit the attention pair of one target against a frozen source encoder:
+    a stack of one in train_attentions, with the same bits."""
+    return train_attentions(source, [target_graph], cfg, [target_graph_id], restarts)[0]
 
-    Runs scoring_epochs of full-batch Adam on the attention matrices only.
-    The alignment objective is non-convex; with restarts > 1 several seeded
-    inits, each with its own init scale and learning rate from
-    _RESTART_SCHEDULE, train side by side as one stacked problem, and the one
-    with the lowest final training loss wins (the first on ties).
-    Deterministic given (source.graph_id, target_graph_id, cfg.rng_seed).
+
+def train_attentions(source, targets, cfg, target_graph_ids, restarts=1):
+    """Fit one attention pair per target against a frozen source encoder.
+
+    The targets must share a node count; they train side by side as one
+    stacked problem of len(targets) * restarts slices. Runs scoring_epochs of
+    full-batch Adam on the attention matrices only. The alignment objective
+    is non-convex; with restarts > 1 several seeded inits per target, each
+    with its own init scale and learning rate from _RESTART_SCHEDULE, train
+    at once, and the one with the lowest final training loss wins (the first
+    on ties). Each target's fit is deterministic given (source.graph_id, its
+    target graph id, cfg.rng_seed), and bit-identical to fitting it alone.
+    Returns one AugmentedEncoder per target, in order. Raises TrainingFault
+    (or nn.NumericsFault) when any slice diverges.
     """
     if not source.trained:
         raise ContractViolation("source encoder must be trained and frozen before alignment")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    problem = AlignmentProblem(source, target_graph, cfg)
+    problem = AlignmentProblem(source, targets, cfg, restarts)
     inits, lrs = [], []
-    for restart in range(restarts):
-        scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
-        rng = np.random.default_rng(
-            derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-        inits.append(init_attention(source, target_graph, rng, scale=scale))
-        lrs.append(cfg.learning_rate * lr_mult)
+    for target, target_graph_id in zip(targets, target_graph_ids):
+        for restart in range(restarts):
+            scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
+            rng = np.random.default_rng(
+                derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
+            inits.append(init_attention(source, target, rng, scale=scale))
+            lrs.append(cfg.learning_rate * lr_mult)
     params = {"forward": np.stack([pair.forward for pair in inits]),
               "reverse": np.stack([pair.reverse for pair in inits])}
-    lr = np.array(lrs).reshape(restarts, 1, 1)
+    lr = np.array(lrs).reshape(len(lrs), 1, 1)
 
     state = nn.AdamState()
-    trace = np.empty((cfg.scoring_epochs, restarts))
+    trace = np.empty((cfg.scoring_epochs, len(lrs)))
     for epoch in range(cfg.scoring_epochs):
         losses, grads = attention_loss_and_grads(problem, params)
         if not np.isfinite(losses).all():
@@ -265,12 +299,17 @@ def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1)
         trace[epoch] = losses
         nn.adam_step(params, grads, state, lr)
 
-    best = int(np.argmin(trace[-1])) if cfg.scoring_epochs else 0
-    pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
-    ae = AugmentedEncoder(source, pair, target_graph, target_graph_id=target_graph_id,
-                          source_probs=problem.source_probs)
-    ae.loss_trace = trace[:, best].tolist()
-    return ae
+    fitted = []
+    for g, (target, target_graph_id) in enumerate(zip(targets, target_graph_ids)):
+        first = g * restarts
+        best = first + (int(np.argmin(trace[-1, first:first + restarts]))
+                        if cfg.scoring_epochs else 0)
+        pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
+        ae = AugmentedEncoder(source, pair, target, target_graph_id=target_graph_id,
+                              source_probs=problem.source_probs)
+        ae.loss_trace = trace[:, best].tolist()
+        fitted.append(ae)
+    return fitted
 
 
 def argmax_alignment(ae):

@@ -13,9 +13,8 @@ from dataclasses import asdict
 
 from .attention import argmax_alignment, attention_matrix, train_attention
 from .divergence import (distance_csv, distance_matrix, embed_all, symmetrize,
-                         table_from_csv, table_to_csv, unit_rows)
-from .encoder import (TrainConfig, TrainingFault, load_encoder, save_encoder,
-                      train_encoder)
+                         table_from_csv, table_to_csv, train_source_encoders, unit_rows)
+from .encoder import TrainConfig, TrainingFault, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
 from .graphs import GraphError, GraphFormatError, atomic_write, load_dataset_json
@@ -72,22 +71,32 @@ def _encoder_path(out, cfg, idx):
     return os.path.join(out, f"encoder_{cfg.hash()}_g{idx}.json")
 
 
-def _ensure_encoder(graph, cfg, idx, out, force=False):
-    """Load a cached encoder checkpoint, retraining on corruption, on --force,
-    or when the checkpoint was trained on a different graph."""
-    path = _encoder_path(out, cfg, idx)
-    if not force and os.path.isfile(path):
+def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
+    """Encoders for the dataset graphs at idxs. A cached checkpoint is loaded
+    unless it is corrupted, --force is set, or it was trained on a different
+    graph; the rest are trained in parallel and saved. Returns (encoders in
+    idxs order, number trained)."""
+    encoders = {}
+    for idx in idxs:
+        path = _encoder_path(out, cfg, idx)
+        if force or not os.path.isfile(path):
+            continue
         try:
             enc = load_encoder(path)
         except (CheckpointError, json.JSONDecodeError, KeyError):
-            enc = None  # corrupted on disk, retrain below
-        if enc is not None and enc.graph == graph:
-            # the stored graph carries no vocabulary sizes; the dataset's does
-            enc.graph = graph
-            return enc, False
-    enc = train_encoder(graph, cfg, graph_id=idx)
-    save_encoder(enc, cfg, path)
-    return enc, True
+            continue  # corrupted on disk, retrain below
+        if enc.graph == graphs[idx]:
+            # equality ignores vocabulary sizes, which older checkpoints did
+            # not store; the dataset's graph carries this dataset's sizes
+            enc.graph = graphs[idx]
+            encoders[idx] = enc
+    missing = [idx for idx in idxs if idx not in encoders]
+    trained = train_source_encoders([graphs[idx] for idx in missing], cfg,
+                                    source_ids=missing, workers=workers)
+    for idx, enc in zip(missing, trained):
+        save_encoder(enc, cfg, _encoder_path(out, cfg, idx))
+        encoders[idx] = enc
+    return [encoders[idx] for idx in idxs], len(missing)
 
 
 def _parse_sources(spec, num_graphs):
@@ -104,10 +113,8 @@ def _parse_sources(spec, num_graphs):
 def cmd_encode(args):
     dataset = load_dataset(args.dataset, args.format)
     cfg = build_config(args)
-    trained = 0
-    for idx, graph in enumerate(dataset.graphs):
-        _, fresh = _ensure_encoder(graph, cfg, idx, args.out, force=args.force)
-        trained += fresh
+    _, trained = _ensure_encoders(dataset.graphs, range(len(dataset.graphs)), cfg, args.out,
+                                  force=args.force, workers=args.workers)
     _write_summary(os.path.join(args.out, "encode_summary.json"), "encode", cfg,
                    {"graphs": len(dataset.graphs), "trained": trained,
                     "skipped": len(dataset.graphs) - trained})
@@ -118,8 +125,8 @@ def cmd_embed(args):
     dataset = load_dataset(args.dataset, args.format)
     cfg = build_config(args)
     src_idx = _parse_sources(args.sources, len(dataset.graphs))
-    encoders = [_ensure_encoder(dataset.graphs[i], cfg, i, args.out, force=args.force)[0]
-                for i in src_idx]
+    encoders, _ = _ensure_encoders(dataset.graphs, src_idx, cfg, args.out,
+                                   force=args.force, workers=args.workers)
     table = embed_all([dataset.graphs[i] for i in src_idx], dataset.graphs, cfg,
                       source_ids=src_idx, target_ids=list(range(len(dataset.graphs))),
                       workers=args.workers, encoders=encoders, restarts=args.restarts,
@@ -179,8 +186,8 @@ def cmd_attention(args):
     n = len(dataset.graphs)
     if not (0 <= args.source_index < n and 0 <= args.target_index < n):
         raise CliInputError(f"graph indices must be in 0..{n - 1}")
-    source = _ensure_encoder(dataset.graphs[args.source_index], cfg, args.source_index,
-                             args.out, force=args.force)[0]
+    (source,), _ = _ensure_encoders(dataset.graphs, [args.source_index], cfg, args.out,
+                                    force=args.force)
     ae = train_attention(source, dataset.graphs[args.target_index], cfg,
                          target_graph_id=args.target_index, restarts=args.restarts)
     m = attention_matrix(ae.attention)  # rows = source nodes, cols = target nodes

@@ -2,19 +2,22 @@
 
 Row j of the table is the embedding of target graph j: its normalized
 divergence against every source graph. Cells are independent jobs, each
-seeded from (source id, target id, base seed), so results are identical
-regardless of worker count and the table is resumable cell by cell.
+seeded from (source id, target id, base seed). The pending targets of a
+source that have the same node count are fitted as one stacked problem, one
+pool task per (source, node count) group; a cell's bits do not depend on its
+group, so results are identical regardless of worker count or resume point,
+and the table is resumable cell by cell.
 """
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
-from .attention import augmented_neighbor_probs, train_attention
+from .attention import augmented_neighbor_probs, train_attention, train_attentions
 from .encoder import TrainingFault, train_encoder, positive_log_loss
 from .graphs import atomic_write
 
@@ -68,7 +71,7 @@ def unit_rows(embeddings):
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def _score_cell(source_enc, target, cfg, source_id, target_id, restarts):
+def _score_cell(source_enc, target, cfg, target_id, restarts):
     """One (target, source) cell with a single reseeded retry when the fit
     diverges. Only numeric failures are retried and recorded; any other error
     (a shape or label-vocabulary mismatch) is a caller's mistake and raises."""
@@ -86,12 +89,35 @@ def _score_cell(source_enc, target, cfg, source_id, target_id, restarts):
 
 
 def _score_chunk(args):
-    source_enc, jobs, cfg, restarts = args
-    out = []
-    for target, source_id, target_id, ti, si in jobs:
-        raw, err = _score_cell(source_enc, target, cfg, source_id, target_id, restarts)
-        out.append((ti, si, raw, err))
-    return out
+    """Score one source against a group of same-size targets as one stacked
+    fit. Slices never mix, so the group faults only when one of its cells
+    would fault alone; then each cell is scored on its own, with its retry,
+    and only the faulty cells fail."""
+    source_enc, si, jobs, cfg, restarts = args
+    tis, targets, target_ids = zip(*jobs)
+    try:
+        fitted = train_attentions(source_enc, targets, cfg, target_ids, restarts)
+        scored = [(raw_divergence(ae), None) for ae in fitted]
+    except (TrainingFault, nn.NumericsFault):
+        scored = [_score_cell(source_enc, target, cfg, target_id, restarts)
+                  for target, target_id in zip(targets, target_ids)]
+    return [(ti, si, raw, err) for ti, (raw, err) in zip(tis, scored)]
+
+
+def _completed(chunks, workers):
+    """Yield each chunk's scored cells as soon as its task finishes; on an
+    error, tasks that have not started are cancelled."""
+    if workers <= 1 or len(chunks) <= 1:
+        yield from map(_score_chunk, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        futures = [ex.submit(_score_chunk, chunk) for chunk in chunks]
+        try:
+            for future in as_completed(futures):
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _cell_path(cell_dir, key, source_id, target_id):
@@ -120,8 +146,9 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     Deterministic given ids and cfg.rng_seed; a failing cell is retried once
     and otherwise recorded in table.errors (value NaN) without aborting the
-    rest. With cell_dir set, completed cells are persisted and reused.
-    Each cell keeps the best of `restarts` attention fits (non-convex).
+    rest. With cell_dir set, cells are persisted as each (source, node count)
+    task finishes and reused on the next call. Each cell keeps the best of
+    `restarts` attention fits (non-convex).
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
@@ -153,20 +180,17 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
                         errors[(ti, si)] = cell["error"]
                     done.add((ti, si))
 
-    jobs_by_source = {si: [] for si in range(len(sources))}
+    # one task per (source, node count) group of pending targets; targets that
+    # carry different kinds of labels never share a stack
+    groups = {}
     for ti, target in enumerate(targets):
+        shape = (target.node_count, target.node_labels is None, target.edge_labels is None)
         for si in range(len(sources)):
             if (ti, si) not in done:
-                jobs_by_source[si].append((target, source_ids[si], target_ids[ti], ti, si))
-    chunks = [(encoders[si], jobs, cfg, restarts) for si, jobs in jobs_by_source.items() if jobs]
+                groups.setdefault((si, shape), []).append((ti, target, target_ids[ti]))
+    chunks = [(encoders[si], si, jobs, cfg, restarts) for (si, _), jobs in groups.items()]
 
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = ex.map(_score_chunk, chunks)
-    else:
-        results = map(_score_chunk, chunks)
-
-    for chunk_result in results:
+    for chunk_result in _completed(chunks, workers):
         for ti, si, raw, err in chunk_result:
             # normalized: zero for a source on itself, and allowed to go negative
             values[ti, si] = raw - self_losses[si]

@@ -74,7 +74,9 @@ def karate_club():
 
 def _mutate_once(edge_set, rng, pa_weights, n):
     """One mutation step: p=0.5 delete a random edge, else add one by
-    preferential attachment weighted by the original graph's degrees."""
+    preferential attachment weighted by the original graph's degrees. The
+    last edge is never deleted: an edgeless graph has no structure to score,
+    so that step adds an edge instead."""
 
     def delete():
         edges = sorted(edge_set)
@@ -92,13 +94,12 @@ def _mutate_once(edge_set, rng, pa_weights, n):
         return True
 
     if rng.random() < 0.5:
-        if edge_set:
+        if len(edge_set) > 1:
             delete()
         else:
             add()
-    else:
-        if not add():
-            delete()
+    elif not add() and len(edge_set) > 1:
+        delete()
 
 
 def mutate_family(seed_graph, steps, mutation_count, rng_seed):

@@ -74,6 +74,10 @@ class Graph:
             num_node_labels = max(node_labels) + 1 if node_labels else 0
         if num_edge_labels is None and edge_labels is not None:
             num_edge_labels = max(edge_labels) + 1 if edge_labels else 0
+        if node_labels and num_node_labels is not None and num_node_labels <= max(node_labels):
+            raise GraphError("num_node_labels must exceed every node label id")
+        if edge_labels and num_edge_labels is not None and num_edge_labels <= max(edge_labels):
+            raise GraphError("num_edge_labels must exceed every edge label id")
         self.num_node_labels = num_node_labels
         self.num_edge_labels = num_edge_labels
 
@@ -118,8 +122,10 @@ class Graph:
         d = {"nodes": self.node_count, "edges": [list(e) for e in self.edges]}
         if self.node_labels is not None:
             d["node_labels"] = list(self.node_labels)
+            d["num_node_labels"] = self.num_node_labels
         if self.edge_labels is not None:
             d["edge_labels"] = [[u, v, l] for (u, v), l in zip(self.edges, self.edge_labels)]
+            d["num_edge_labels"] = self.num_edge_labels
         return d
 
     @classmethod
@@ -138,7 +144,11 @@ class Graph:
             if missing:
                 raise GraphFormatError(f"edge_labels missing entry for edge {missing[0]}")
             edge_labels = [by_edge[e] for e in ordered]
-        return cls(node_count, edges, node_labels=node_labels, edge_labels=edge_labels)
+        # vocabulary sizes are absent from files written before they were
+        # stored; the labels then imply them
+        return cls(node_count, edges, node_labels=node_labels, edge_labels=edge_labels,
+                   num_node_labels=d.get("num_node_labels"),
+                   num_edge_labels=d.get("num_edge_labels"))
 
 
 def save_graph_json(g, path):

@@ -107,7 +107,7 @@ def test_attention_gradient_check_structural(tiny_cfg, small_source):
     rng = np.random.default_rng(7)
     pair = init_attention(small_source, target, rng, scale=0.5)
     cfg = TrainConfig(node_reg_coef=0.0, edge_reg_coef=0.0)
-    assert gradient_error(AlignmentProblem(small_source, target, cfg), pair) < 1e-4
+    assert gradient_error(AlignmentProblem(small_source, [target], cfg), pair) < 1e-4
 
 
 def test_attention_gradient_check_with_regularizers(tiny_cfg, labeled_pair):
@@ -116,25 +116,41 @@ def test_attention_gradient_check_with_regularizers(tiny_cfg, labeled_pair):
     rng = np.random.default_rng(3)
     cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
     pair = init_attention(src, g2, rng, scale=0.5)
-    assert gradient_error(AlignmentProblem(src, g2, cfg), pair) < 1e-4
+    assert gradient_error(AlignmentProblem(src, [g2], cfg), pair) < 1e-4
 
 
 def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
-    # slice r of a stack gets the bits a stack of one gives pair r alone
+    # slice g * R + r of a (targets x restarts) stack gets the bits a stack of
+    # one gives target g with init r alone
     g1, g2 = labeled_pair
+    g3 = Graph(6, [(0, 2), (1, 3), (2, 4), (3, 5)], node_labels=[0, 0, 1, 1, 0, 1],
+               edge_labels=[1, 2, 0, 1], num_node_labels=2, num_edge_labels=3)
+    targets = [g2, g1, g3]
     src = train_encoder(g1, tiny_cfg, graph_id=1)
-    problem = AlignmentProblem(src, g2, TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5))
+    cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
+    problem = AlignmentProblem(src, targets, cfg, restarts=2)
+    assert problem.adjacency.shape == (6, 6, 6) and problem.source_probs.ndim == 2
     rng = np.random.default_rng(5)
-    pairs = [init_attention(src, g2, rng, scale=s) for s in (1e-2, 0.3, 2.0)]
+    pairs = [init_attention(src, g2, rng, scale=s) for s in (1e-2, 0.3, 2.0, 1e-2, 0.5, 1.0)]
     losses, grads = attention_loss_and_grads(
         problem, {"forward": np.stack([p.forward for p in pairs]),
                   "reverse": np.stack([p.reverse for p in pairs])})
-    for r, pair in enumerate(pairs):
+    for b, pair in enumerate(pairs):
         one, one_grads = attention_loss_and_grads(
-            problem, {"forward": pair.forward[None], "reverse": pair.reverse[None]})
-        assert losses[r:r + 1].tobytes() == one.tobytes()
+            AlignmentProblem(src, [targets[b // 2]], cfg),
+            {"forward": pair.forward[None], "reverse": pair.reverse[None]})
+        assert losses[b:b + 1].tobytes() == one.tobytes()
         for name in ("forward", "reverse"):
-            assert grads[name][r:r + 1].tobytes() == one_grads[name].tobytes()
+            assert grads[name][b:b + 1].tobytes() == one_grads[name].tobytes()
+
+
+def test_stack_rejects_mixed_targets(tiny_cfg, labeled_pair):
+    g1, g2 = labeled_pair
+    src = train_encoder(g1, tiny_cfg)
+    with pytest.raises(nn.ShapeError):
+        AlignmentProblem(src, [g2, random_graph(5, 0.5, 1)], TrainConfig())
+    with pytest.raises(GraphError, match="which labels"):
+        AlignmentProblem(src, [g2, random_graph(6, 0.5, 1)], TrainConfig())
 
 
 def label_penalty(source, target, pair, node_reg_coef=1.0, edge_reg_coef=0.0):
@@ -144,7 +160,7 @@ def label_penalty(source, target, pair, node_reg_coef=1.0, edge_reg_coef=0.0):
 
     def loss(node, edge):
         cfg = TrainConfig(node_reg_coef=node, edge_reg_coef=edge)
-        return float(attention_loss_and_grads(AlignmentProblem(source, target, cfg), params)[0][0])
+        return float(attention_loss_and_grads(AlignmentProblem(source, [target], cfg), params)[0][0])
 
     return loss(node_reg_coef, edge_reg_coef) - loss(0.0, 0.0)
 
@@ -211,12 +227,12 @@ def test_node_attr_inferred_requires_shared_vocab(tiny_cfg):
     src = train_encoder(g, tiny_cfg)
     wider_nodes = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], num_node_labels=3)
     with pytest.raises(GraphError, match="node label vocabularies differ"):
-        AlignmentProblem(src, wider_nodes, TrainConfig())
+        AlignmentProblem(src, [wider_nodes], TrainConfig())
     wider_edges = Graph(3, [(0, 1), (1, 2)], edge_labels=[0, 1], num_edge_labels=3)
     with pytest.raises(GraphError, match="edge label vocabularies differ"):
-        AlignmentProblem(src, wider_edges, TrainConfig())
+        AlignmentProblem(src, [wider_edges], TrainConfig())
     # an unlabeled side turns the penalty off rather than failing
-    assert AlignmentProblem(src, Graph(3, [(0, 1)]), TrainConfig()).penalties == []
+    assert AlignmentProblem(src, [Graph(3, [(0, 1)])], TrainConfig()).penalties == []
 
 
 def test_train_requires_trained_source(tiny_cfg, triangle):

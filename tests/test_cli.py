@@ -51,6 +51,27 @@ def test_encode_retrains_corrupted_checkpoint(tmp_path, dataset_file):
         assert json.load(f)["trained"] == 1
 
 
+def test_encode_workers_write_identical_checkpoints(tmp_path, dataset_file):
+    # missing encoders train in parallel; checkpoints and counts do not move
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+        args[args.index("--workers") + 1] = workers
+        assert main(args) == EXIT_OK
+        # keep one checkpoint, so the rerun counts a mix of reused and trained
+        ckpt = sorted(p for p in os.listdir(out) if p.startswith("encoder_"))
+        for name in ckpt[1:]:
+            os.remove(out / name)
+        assert main(args) == EXIT_OK
+        with open(out / "encode_summary.json") as f:
+            summary = json.load(f)
+        runs[workers] = ({name: (out / name).read_bytes() for name in ckpt},
+                         summary["trained"], summary["skipped"])
+    assert runs["1"] == runs["2"]
+    assert runs["1"][1:] == (5, 1)
+
+
 def test_embed_output_and_idempotence(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     args = ["embed", "--dataset", dataset_file, "--out", out] + fast()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from graphdiv import nn
-from graphdiv.attention import AttentionPair, AugmentedEncoder, train_attention
+from graphdiv.attention import (AttentionPair, AugmentedEncoder, train_attention,
+                                train_attentions)
 from graphdiv.divergence import (DivergenceTable, distance_csv, distance_matrix,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
@@ -138,27 +139,103 @@ def test_embed_all_raises_on_label_vocab_mismatch():
         embed_all([a], [a, b], quick_cfg(), restarts=1)
 
 
+def test_embed_all_mixes_labeled_and_unlabeled_targets():
+    # a labeled and an unlabeled target of one size never share a stack, so
+    # each keeps its own penalties and the bits it gets alone
+    from graphdiv.graphs import Graph
+
+    plain = random_graph(5, 0.6, 1)
+    labeled = Graph(5, random_graph(5, 0.6, 2).edges, node_labels=[0, 1, 0, 1, 0])
+    source = Graph(5, random_graph(5, 0.6, 3).edges, node_labels=[1, 0, 1, 0, 0])
+    cfg = quick_cfg()
+    table = embed_all([source], [plain, labeled], cfg, restarts=1)
+    src = train_encoder(source, cfg, graph_id=0)
+    for ti, target in enumerate([plain, labeled]):
+        ae = train_attention(src, target, cfg, target_graph_id=ti)
+        assert table.values[ti, 0] == raw_divergence(ae) - positive_log_loss(src)
+
+
 def test_embed_all_failure_isolated(monkeypatch):
-    # a cell whose attention training raises twice is recorded as NaN + error
-    # without aborting the remaining cells
-    import graphdiv.divergence as dv
+    # a numeric fault in one target of a same-size group: the group falls back
+    # to cell-by-cell fits, so only that target's cells fail (NaN + error, after
+    # the retry) and its group-mates keep the bits they get without the fault
+    import graphdiv.attention as att
 
-    calls = {"n": 0}
-    real = dv.train_attention
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
+    bad = graphs[1].adjacency_matrix()
+    real = att.attention_loss_and_grads
+    stacks = []
 
-    def flaky(source, target, cfg, target_graph_id=None, restarts=1):
-        calls["n"] += 1
-        if str(target_graph_id).startswith("1"):
-            raise nn.NumericsFault("boom")
-        return real(source, target, cfg, target_graph_id=target_graph_id, restarts=restarts)
+    def poisoned(problem, params):
+        losses, grads = real(problem, params)
+        stacks.append(len(losses))
+        losses[(problem.adjacency == bad).all(axis=(1, 2))] = np.nan
+        return losses, grads
 
-    monkeypatch.setattr(dv, "train_attention", flaky)
-    graphs = [random_graph(5, 0.5, s) for s in (7, 8)]
-    table = dv.embed_all(graphs, graphs, quick_cfg(), restarts=1)
+    cfg = quick_cfg()
+    clean = embed_all(graphs, graphs, cfg, restarts=2)
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    table = embed_all(graphs, graphs, cfg, restarts=2)
+    assert max(stacks) == 6  # 3 same-size targets x 2 restarts
     assert np.all(np.isnan(table.values[1]))
-    assert np.all(np.isfinite(table.values[0]))
-    assert all(ti == 1 for ti, _ in table.errors)
-    assert "boom" in next(iter(table.errors.values()))
+    assert sorted(table.errors) == [(1, 0), (1, 1), (1, 2)]
+    assert "retry" in table.errors[(1, 0)]
+    assert table.values[[0, 2]].tobytes() == clean.values[[0, 2]].tobytes()
+
+
+def _mixed_sizes():
+    return [random_graph(n, 0.5, s) for n, s in ((5, 1), (6, 2), (5, 3), (6, 4), (5, 5))]
+
+
+def test_cell_bytes_do_not_depend_on_batch(tmp_path):
+    # one cell fitted alone, inside a same-size group of 3, and through a
+    # partially resumed embed_all at 1 and 2 workers gives the same bytes
+    graphs = _mixed_sizes()
+    cfg = quick_cfg()
+    src = train_encoder(graphs[1], cfg, graph_id=1)
+    fives = [graphs[0], graphs[2], graphs[4]]
+    alone = train_attention(src, graphs[2], cfg, target_graph_id=2, restarts=3)
+    grouped = train_attentions(src, fives, cfg, [0, 2, 4], restarts=3)[1]
+    assert grouped.attention.forward.tobytes() == alone.attention.forward.tobytes()
+    assert grouped.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
+    assert np.array(grouped.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
+
+    expected = raw_divergence(alone) - positive_log_loss(src)
+    for workers in (1, 2):
+        cell_dir = tmp_path / f"cells{workers}"
+        # a first pass over 2 targets leaves the rest of each group pending
+        embed_all(graphs, graphs[:2], cfg, cell_dir=str(cell_dir), restarts=3)
+        table = embed_all(graphs, graphs, cfg, cell_dir=str(cell_dir), restarts=3,
+                          workers=workers)
+        assert table.values[2, 1] == expected
+
+
+def test_embed_all_keeps_finished_groups_on_error(tmp_path):
+    # a group that raises stops embed_all, but the groups that finished before
+    # it are on disk, and a rerun resumes to the bytes of a clean run
+    from graphdiv.graphs import Graph, GraphError
+
+    def labeled(n, seed, vocab):
+        g = random_graph(n, 0.6, seed)
+        return Graph(n, g.edges, node_labels=[i % 2 for i in range(n)], num_node_labels=vocab)
+
+    good = [labeled(5, 1, 2), labeled(5, 2, 2), labeled(6, 3, 2), labeled(6, 4, 2)]
+    # the last target, so its group runs last; its vocabulary does not match
+    broken = labeled(4, 5, 3)
+    cfg = quick_cfg()
+    cell_dir = tmp_path / "cells"
+    with pytest.raises(GraphError):
+        embed_all(good[:1], good + [broken], cfg, cell_dir=str(cell_dir), restarts=1)
+    assert len(list(cell_dir.iterdir())) == 4
+
+    fixed = good + [labeled(4, 5, 2)]
+    resumed = embed_all(good[:1], fixed, cfg, cell_dir=str(cell_dir), restarts=1, workers=2)
+    clean_dir = tmp_path / "clean"
+    clean = embed_all(good[:1], fixed, cfg, cell_dir=str(clean_dir), restarts=1)
+    assert table_to_csv(resumed) == table_to_csv(clean)
+    assert sorted(p.name for p in cell_dir.iterdir()) == sorted(p.name for p in clean_dir.iterdir())
+    for p in clean_dir.iterdir():
+        assert (cell_dir / p.name).read_bytes() == p.read_bytes()
 
 
 def test_symmetrize_requires_square_universe():

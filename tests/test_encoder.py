@@ -146,6 +146,17 @@ def test_encoder_checkpoint_roundtrip(tmp_path, tiny_cfg, triangle):
     assert encoder_loss_and_grads(back, adjacency)[0] == encoder_loss_and_grads(enc, adjacency)[0]
 
 
+def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
+    # labels {0, 1} under a vocabulary of 3 node and 2 edge labels: a reload
+    # must not narrow the vocabulary to the labels in use
+    g = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], edge_labels=[0, 0],
+              num_node_labels=3, num_edge_labels=2)
+    path = tmp_path / "enc.json"
+    save_encoder(train_encoder(g, tiny_cfg), tiny_cfg, path)
+    back = load_encoder(path)
+    assert (back.graph.num_node_labels, back.graph.num_edge_labels) == (3, 2)
+
+
 def test_positive_log_loss_strictly_positive(tiny_cfg):
     g = random_graph(6, 0.5, 4)
     enc = train_encoder(g, tiny_cfg)

@@ -86,6 +86,15 @@ def test_mutate_empty_graph_adds():
     assert g.edge_count == 1
 
 
+def test_mutate_never_deletes_last_edge():
+    # at rng seed 3001 the third ring mutant used to lose every edge
+    fam = mutate_family(make_ring(20), steps=50, mutation_count=3, rng_seed=3001)
+    assert all(g.edge_count >= 1 for g in fam)
+    # a single edge can only be kept or joined by more, never deleted
+    (g,) = mutate_family(Graph(3, [(0, 1)]), steps=1, mutation_count=1, rng_seed=0)
+    assert g.edge_count >= 1
+
+
 def test_mutate_rejects_negative_steps():
     with pytest.raises(GraphError):
         mutate_family(make_ring(4), steps=-1, mutation_count=1, rng_seed=0)

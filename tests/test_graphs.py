@@ -72,6 +72,21 @@ def test_graph_json_missing_field():
                               "edge_labels": []})  # label entry missing
 
 
+def test_graph_json_keeps_vocabulary_and_reads_older_files():
+    g = Graph(3, [(0, 1)], node_labels=[0, 1, 0], edge_labels=[1],
+              num_node_labels=4, num_edge_labels=3)
+    back = Graph.from_json_dict(g.to_json_dict())
+    assert (back.num_node_labels, back.num_edge_labels) == (4, 3)
+    # a file without the sizes, as written before they were stored
+    old = {"nodes": 3, "edges": [[0, 1]], "node_labels": [0, 1, 0], "edge_labels": [[0, 1, 1]]}
+    implied = Graph.from_json_dict(old)
+    assert (implied.num_node_labels, implied.num_edge_labels) == (2, 2)
+    with pytest.raises(GraphError):
+        Graph.from_json_dict(dict(old, num_node_labels=1))
+    with pytest.raises(GraphError):
+        Graph(2, [(0, 1)], edge_labels=[2], num_edge_labels=2)
+
+
 def test_dataset_roundtrip_aligns_vocab(tmp_path):
     g1 = Graph(3, [(0, 1)], node_labels=[0, 0, 0])
     g2 = Graph(3, [(0, 2)], node_labels=[2, 1, 0])
