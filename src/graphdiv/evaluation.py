@@ -33,26 +33,20 @@ class FoldPlan:
         return np.where(self.assignments != fold)[0]
 
 
-def make_fold_plan(classes, fold_count=10, stratified=True, rng_seed=0):
-    """Seeded fold assignment; stratified keeps per-class counts within 1."""
+def make_fold_plan(classes, fold_count=10, rng_seed=0):
+    """Seeded stratified fold assignment: per-class counts per fold differ by
+    at most 1."""
     classes = np.asarray(classes)
     n = len(classes)
     if fold_count < 2 or fold_count > n:
         raise EvalError(f"fold_count {fold_count} invalid for {n} items")
     rng = np.random.default_rng(rng_seed)
     assignments = np.empty(n, dtype=int)
-    if stratified:
-        for c in np.unique(classes):
-            idx = np.where(classes == c)[0]
-            rng.shuffle(idx)
-            for pos, i in enumerate(idx):
-                assignments[i] = pos % fold_count
-    else:
-        idx = np.arange(n)
+    for c in np.unique(classes):
+        idx = np.flatnonzero(classes == c)
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignments[i] = pos % fold_count
-    return FoldPlan(fold_count, assignments, stratified, rng_seed)
+        assignments[idx] = np.arange(len(idx)) % fold_count
+    return FoldPlan(fold_count, assignments, True, rng_seed)
 
 
 # --- classifiers -------------------------------------------------------------
@@ -78,27 +72,12 @@ class Standardizer:
         return (x - self.mean) / self.std
 
 
-def _fit_hinge_binary(x, y, cfg):
-    """L2-regularized hinge loss by deterministic full-batch subgradient descent.
-
-    y must be in {-1, +1}; returns (w, b).
-    """
-    n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    for t in range(cfg.epochs):
-        lr = cfg.learning_rate / (1.0 + 0.01 * t)
-        margin = y * (x @ w + b)
-        active = margin < 1.0
-        gw = -(x[active] * y[active, None]).sum(axis=0) / n + 2.0 * cfg.l2 * w
-        gb = -y[active].sum() / n
-        w -= lr * gw
-        b -= lr * gb
-    return w, b
-
-
 class HingeClassifier:
-    """Linear max-margin classifier, one-vs-rest above two classes."""
+    """Linear max-margin classifier, one-vs-rest per class.
+
+    L2-regularized hinge loss by deterministic full-batch subgradient descent;
+    the per-class problems train together as the columns of one weight matrix.
+    """
 
     def __init__(self, cfg=None):
         self.cfg = cfg or ClassifierConfig()
@@ -107,28 +86,36 @@ class HingeClassifier:
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise EvalError("training split contains a single class")
-        self.models_ = []
-        for c in self.classes_:
-            yy = np.where(y == c, 1.0, -1.0)
-            self.models_.append(_fit_hinge_binary(x, yy, self.cfg))
+        cfg = self.cfg
+        n, d = x.shape
+        targets = np.where(np.asarray(y)[:, None] == self.classes_, 1.0, -1.0)
+        w = np.zeros((d, len(self.classes_)))
+        b = np.zeros(len(self.classes_))
+        for t in range(cfg.epochs):
+            lr = cfg.learning_rate / (1.0 + 0.01 * t)
+            active = np.where(targets * (x @ w + b) < 1.0, targets, 0.0)
+            gw = -(x.T @ active) / n + 2.0 * cfg.l2 * w
+            gb = -active.sum(axis=0) / n
+            w -= lr * gw
+            b -= lr * gb
+        self.weights_, self.bias_ = w, b
         return self
 
     def decision(self, x):
-        return np.stack([x @ w + b for w, b in self.models_], axis=1)
+        return x @ self.weights_ + self.bias_
 
     def predict(self, x):
         return self.classes_[np.argmax(self.decision(x), axis=1)]
 
 
 def _knn_predict(train_x, train_y, test_x, k):
+    """Majority vote of the k nearest training rows; equal distances rank the
+    lower training index first and equal votes go to the smallest label."""
     d = distance_matrix(np.vstack([train_x, test_x]))[len(train_x):, :len(train_x)]
-    preds = []
-    for row in d:
-        order = np.argsort(row, kind="stable")[:k]
-        votes = train_y[order]
-        vals, counts = np.unique(votes, return_counts=True)
-        preds.append(vals[np.argmax(counts)])
-    return np.array(preds)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    labels, codes = np.unique(train_y, return_inverse=True)
+    votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
+    return labels[np.argmax(votes, axis=1)]
 
 
 @dataclass
@@ -202,6 +189,17 @@ def hier_cluster(distances):
 
     Ties break deterministically toward the pair containing the smallest leaf
     index (then the smallest leaf index on the other side).
+
+    Generic algorithm with a nearest-neighbour cache (Muellner, "Modern
+    hierarchical, agglomerative clustering algorithms", arXiv:1109.2378):
+    each active cluster lives in the row of its smallest leaf and only
+    columns to the right of a row count, so the tie-break is the first
+    minimum in row-major order. Each row caches its first minimum; a merge
+    takes the first minimum of the cached ones and keeps the merged cluster
+    in the lower row. Only the rows whose cached neighbour was merged are
+    re-scanned; the other rows above compare their cached minimum with their
+    new distance to the merged cluster. O(n^2) in the typical case, O(n^3)
+    at worst.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -216,63 +214,64 @@ def hier_cluster(distances):
         raise EvalError("distance matrix must have a zero diagonal")
 
     n = d.shape[0]
-    dist = {}
-    active = list(range(n))
-    size = {i: 1 for i in range(n)}
-    min_leaf = {i: i for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = d[i, j]
+    if n < 2:
+        return Dendrogram(n, [])
+    # symmetric copy of the upper triangle; merged-away rows and columns and
+    # the diagonal hold inf
+    dist = np.triu(d, 1)
+    lower = np.tril_indices(n, -1)
+    dist[lower] = d.T[lower]
+    np.fill_diagonal(dist, np.inf)
+    right = np.where(np.tri(n, dtype=bool), np.inf, dist)
+    nearest = np.argmin(right, axis=1)        # first minimum right of each row
+    nearest_d = right[np.arange(n), nearest]
+    size = np.ones(n)
+    cluster_id = list(range(n))
 
     merges = []
-    next_id = n
-    while len(active) > 1:
-        best = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                key = (i, j) if i < j else (j, i)
-                lo, hi = sorted((min_leaf[i], min_leaf[j]))
-                cand = (dist[key], lo, hi, key)
-                if best is None or cand < best:
-                    best = cand
-        h, _, _, (i, j) = best
-        merges.append((i, j, h))
-        # average-linkage update (Lance-Williams)
-        for k in active:
-            if k in (i, j):
-                continue
-            dik = dist[(min(i, k), max(i, k))]
-            djk = dist[(min(j, k), max(j, k))]
-            dnew = (size[i] * dik + size[j] * djk) / (size[i] + size[j])
-            dist[(min(k, next_id), max(k, next_id))] = dnew
-        size[next_id] = size[i] + size[j]
-        min_leaf[next_id] = min(min_leaf[i], min_leaf[j])
-        active = [k for k in active if k not in (i, j)] + [next_id]
-        next_id += 1
+    for m in range(n - 1):
+        a = int(nearest_d.argmin())
+        b = int(nearest[a])
+        lo, hi = sorted((cluster_id[a], cluster_id[b]))
+        merges.append((lo, hi, float(nearest_d[a])))
+        # Lance-Williams; the weighted sum commutes, so it equals the
+        # lower-cluster-id-first form bit for bit
+        row = (size[a] * dist[a] + size[b] * dist[b]) / (size[a] + size[b])
+        dist[a], dist[:, a] = row, row
+        dist[b], dist[:, b] = np.inf, np.inf
+        size[a] += size[b]
+        cluster_id[a] = n + m
+        nearest_d[b] = np.inf
+
+        # rows above b whose neighbour was merged; row a is one of them
+        stale = (nearest[:b] == a) | (nearest[:b] == b)
+        # in any other row above a, only the distance to row a changed
+        new = dist[:a, a]
+        closer = ~stale[:a] & ((new < nearest_d[:a])
+                               | ((new == nearest_d[:a]) & (a < nearest[:a])))
+        nearest[:a][closer] = a
+        nearest_d[:a][closer] = new[closer]
+        for r in (stale & (nearest_d[:b] < np.inf)).nonzero()[0].tolist():
+            j = r + 1 + int(dist[r, r + 1:].argmin())
+            nearest[r], nearest_d[r] = j, dist[r, j]
     return Dendrogram(n, merges)
 
 
 def cut_clusters(dendrogram, k):
-    """Flat assignment with k clusters: apply the first leaves-k merges."""
+    """Flat assignment with k clusters: apply the first leaves-k merges.
+
+    Clusters are numbered in the order of their first leaf.
+    """
     n = dendrogram.leaf_count
     if not (1 <= k <= n):
         raise EvalError(f"cannot cut {n} leaves into {k} clusters")
-    parent = {}
-    for m, (a, b, _) in enumerate(dendrogram.merges[: n - k]):
-        parent[a] = parent[b] = n + m
-
-    def root(c):
-        while c in parent:
-            c = parent[c]
-        return c
-
-    roots = {}
-    out = np.empty(n, dtype=int)
-    for leaf in range(n):
-        r = root(leaf)
-        out[leaf] = roots.setdefault(r, len(roots))
-    return out
+    # a merge's root is known before its children's in a reverse pass
+    root = list(range(2 * n - k))
+    for m in range(n - k - 1, -1, -1):
+        a, b, _ = dendrogram.merges[m]
+        root[a] = root[b] = root[n + m]
+    labels = {}
+    return np.array([labels.setdefault(root[leaf], len(labels)) for leaf in range(n)])
 
 
 def purity(assignments, true_families):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdiv.divergence import distance_matrix
 from graphdiv.encoder import TrainConfig
 from graphdiv.evaluation import (ClassifierConfig, Dendrogram, EvalError,
-                                 HingeClassifier, Standardizer, classify_cv,
-                                 cut_clusters, hier_cluster, make_fold_plan,
-                                 purity, sample_sources, sampling_study)
+                                 HingeClassifier, Standardizer, _knn_predict,
+                                 classify_cv, cut_clusters, hier_cluster,
+                                 make_fold_plan, purity, sample_sources,
+                                 sampling_study)
 from graphdiv.generators import random_graph
 from graphdiv.graphs import GraphDataset
 
@@ -18,6 +20,135 @@ def blobs(n_per, d=3, sep=10.0, seed=0):
     x = np.vstack([a, b])
     y = np.array([0] * n_per + [1] * n_per)
     return x, y
+
+
+def class_blobs(classes, n_per=15, d=4, seed=0):
+    """Overlapping Gaussian blobs, one per class label."""
+    rng = np.random.default_rng(seed)
+    centers = 2.0 * rng.normal(size=(len(classes), d))
+    x = np.vstack([c + rng.normal(size=(n_per, d)) for c in centers])
+    return x, np.repeat(classes, n_per)
+
+
+# --- reference implementations: the straightforward loops the library's
+# vectorised code must reproduce --------------------------------------------
+
+def fold_plan_reference(classes, fold_count, rng_seed):
+    classes = np.asarray(classes)
+    rng = np.random.default_rng(rng_seed)
+    assignments = np.empty(len(classes), dtype=int)
+    for c in np.unique(classes):
+        idx = np.where(classes == c)[0]
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            assignments[i] = pos % fold_count
+    return assignments
+
+
+def fit_hinge_binary_reference(x, y, cfg):
+    """One binary problem, y in {-1, +1}; returns (w, b)."""
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(cfg.epochs):
+        lr = cfg.learning_rate / (1.0 + 0.01 * t)
+        margin = y * (x @ w + b)
+        active = margin < 1.0
+        gw = -(x[active] * y[active, None]).sum(axis=0) / n + 2.0 * cfg.l2 * w
+        gb = -y[active].sum() / n
+        w -= lr * gw
+        b -= lr * gb
+    return w, b
+
+
+def hinge_decision_reference(train_x, train_y, test_x, cfg):
+    models = [fit_hinge_binary_reference(train_x, np.where(train_y == c, 1.0, -1.0), cfg)
+              for c in np.unique(train_y)]
+    return np.stack([test_x @ w + b for w, b in models], axis=1)
+
+
+def knn_reference(train_x, train_y, test_x, k):
+    d = distance_matrix(np.vstack([train_x, test_x]))[len(train_x):, :len(train_x)]
+    preds = []
+    for row in d:
+        order = np.argsort(row, kind="stable")[:k]
+        vals, counts = np.unique(train_y[order], return_counts=True)
+        preds.append(vals[np.argmax(counts)])
+    return np.array(preds)
+
+
+def hier_cluster_reference(d):
+    """Average linkage over a dict of pair distances, O(n^3): every step scans
+    all active pairs for the least (distance, low leaf, high leaf)."""
+    n = len(d)
+    dist = {}
+    active = list(range(n))
+    size = {i: 1 for i in range(n)}
+    min_leaf = {i: i for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = d[i, j]
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        best = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                i, j = active[ai], active[aj]
+                key = (i, j) if i < j else (j, i)
+                lo, hi = sorted((min_leaf[i], min_leaf[j]))
+                cand = (dist[key], lo, hi, key)
+                if best is None or cand < best:
+                    best = cand
+        h, _, _, (i, j) = best
+        merges.append((i, j, h))
+        for k in active:
+            if k in (i, j):
+                continue
+            dik = dist[(min(i, k), max(i, k))]
+            djk = dist[(min(j, k), max(j, k))]
+            dist[(min(k, next_id), max(k, next_id))] = \
+                (size[i] * dik + size[j] * djk) / (size[i] + size[j])
+        size[next_id] = size[i] + size[j]
+        min_leaf[next_id] = min(min_leaf[i], min_leaf[j])
+        active = [k for k in active if k not in (i, j)] + [next_id]
+        next_id += 1
+    return merges
+
+
+def cut_clusters_reference(merges, n, k):
+    parent = {}
+    for m, (a, b, _) in enumerate(merges[: n - k]):
+        parent[a] = parent[b] = n + m
+    roots = {}
+    out = np.empty(n, dtype=int)
+    for leaf in range(n):
+        r = leaf
+        while r in parent:
+            r = parent[r]
+        out[leaf] = roots.setdefault(r, len(roots))
+    return out
+
+
+def assert_same_dendrogram(dend, reference):
+    assert [(a, b) for a, b, _ in dend.merges] == [(a, b) for a, b, _ in reference]
+    heights = np.array([h for _, _, h in dend.merges])
+    expected = np.array([h for _, _, h in reference], dtype=float)
+    assert heights.tobytes() == expected.tobytes()
+    assert all(type(a) is int and type(b) is int and type(h) is float
+               for a, b, h in dend.merges)
+
+
+def random_dendrogram(n, rng):
+    """Valid merge list joining random active clusters at rising heights."""
+    active = list(range(n))
+    merges = []
+    for m in range(n - 1):
+        i, j = sorted(rng.choice(len(active), size=2, replace=False))
+        merges.append((active[i], active[j], float(m)))
+        del active[j], active[i]
+        active.append(n + m)
+    return Dendrogram(n, merges)
 
 
 def test_fold_plan_properties():
@@ -47,6 +178,21 @@ def test_fold_plan_deterministic_and_validated():
         make_fold_plan([0, 1], fold_count=3)
 
 
+def test_fold_plan_matches_loop_reference():
+    # pinned for a fixed seed, and equal to the per-index loop on several
+    # class mixes (labels need not be contiguous)
+    plan = make_fold_plan([0] * 6 + [1] * 4, fold_count=3, rng_seed=5)
+    assert plan.assignments.tolist() == fold_plan_reference([0] * 6 + [1] * 4, 3, 5).tolist()
+    assert plan.assignments.tolist() == [2, 0, 2, 0, 1, 1, 0, 0, 2, 1]
+    assert plan.stratified and plan.rng_seed == 5 and plan.fold_count == 3
+    rng = np.random.default_rng(0)
+    for seed in range(20):
+        classes = rng.choice([3, 7, 11], size=int(rng.integers(10, 60)))
+        folds = int(rng.integers(2, 10))
+        assert np.array_equal(make_fold_plan(classes, fold_count=folds, rng_seed=seed).assignments,
+                              fold_plan_reference(classes, folds, seed))
+
+
 def test_standardizer_train_only_stats():
     x = np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0]])
     s = Standardizer().fit(x)
@@ -62,6 +208,44 @@ def test_hinge_classifier_separable():
     assert np.mean(clf.predict(x) == y) == 1.0
     with pytest.raises(EvalError):
         HingeClassifier().fit(x, np.zeros(len(x)))
+
+
+@pytest.mark.parametrize("classes", [[0, 1], [2, 5, 9], [0, 1, 2, 3, 4, 5]])
+def test_hinge_fit_matches_per_class_reference(classes):
+    # the one-matrix fit solves the same one-vs-rest problems as a loop of
+    # binary fits; a matmul may sum in another order, so decisions agree to
+    # rounding and predictions exactly
+    x, y = class_blobs(np.array(classes), seed=len(classes))
+    cfg = ClassifierConfig(epochs=300)
+    xtr, ytr, xte = x[::2], y[::2], x[1::2]
+    clf = HingeClassifier(cfg).fit(xtr, ytr)
+    expected = hinge_decision_reference(xtr, ytr, xte, cfg)
+    assert np.allclose(clf.decision(xte), expected, rtol=0, atol=1e-9)
+    assert np.array_equal(clf.predict(xte), clf.classes_[np.argmax(expected, axis=1)])
+
+
+def test_knn_tie_breaks():
+    train_x = np.array([[0.0], [2.0], [-2.0], [4.0]])
+    # equal distances: the lower training index is nearer, so 1-NN of 1.0
+    # (tied between rows 0 and 1) takes row 0's label
+    assert _knn_predict(train_x, np.array([7, 3, 3, 3]), np.array([[1.0]]), 1).tolist() == [7]
+    # equal votes go to the smallest label
+    assert _knn_predict(train_x, np.array([9, 4, 9, 4]), np.array([[1.0]]), 4).tolist() == [4]
+    assert _knn_predict(train_x, np.array([9, 4, 9, 4]), np.array([[1.0]]), 2).tolist() == [4]
+
+
+def test_knn_matches_loop_reference():
+    # small-integer coordinates and duplicate rows make tied distances and,
+    # with even k, tied votes common
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        train_x = rng.integers(0, 3, size=(int(rng.integers(3, 30)), 2)).astype(float)
+        train_x[-1] = train_x[0]
+        train_y = rng.choice([1, 4, 6], size=len(train_x))
+        test_x = rng.integers(0, 3, size=(12, 2)).astype(float)
+        k = int(rng.integers(1, 8))
+        assert np.array_equal(_knn_predict(train_x, train_y, test_x, k),
+                              knn_reference(train_x, train_y, test_x, k)), trial
 
 
 def test_classify_cv_separable_blobs():
@@ -105,6 +289,64 @@ def test_hier_cluster_hand_case():
     # every leaf its own cluster at k = n, one cluster at k = 1
     assert len(set(cut_clusters(dend, 4))) == 4
     assert len(set(cut_clusters(dend, 1))) == 1
+
+
+def test_hier_cluster_matches_reference():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5, 17, 40, 77, 120):
+        d = distance_matrix(rng.normal(size=(n, 3)))
+        assert_same_dendrogram(hier_cluster(d), hier_cluster_reference(d))
+
+
+def test_hier_cluster_rounding_tie():
+    # merging 1 and 3 puts cluster {1, 3} at 0's cached minimum: the mean of
+    # 1 + 2^-52 and 1 rounds to 1.0. The tie then goes to the lower leaf 1,
+    # not to leaf 2, which 0 had cached as its neighbour.
+    d = np.array([[0.0, 1.0 + 2.0 ** -52, 1.0, 1.0],
+                  [1.0 + 2.0 ** -52, 0.0, 5.0, 0.5],
+                  [1.0, 5.0, 0.0, 5.0],
+                  [1.0, 0.5, 5.0, 0.0]])
+    dend = hier_cluster(d)
+    assert dend.merges == [(1, 3, 0.5), (0, 4, 1.0), (2, 5, 11.0 / 3.0)]
+    assert_same_dendrogram(dend, hier_cluster_reference(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40),
+       st.integers(0, 5))
+def test_hier_cluster_matches_reference_with_ties(points, duplicates):
+    # small-integer coordinates and repeated points: many pairs and many
+    # average-linkage updates tie exactly
+    x = np.array(points + points[:duplicates], dtype=float)
+    d = distance_matrix(x)
+    dend = hier_cluster(d)
+    assert_same_dendrogram(dend, hier_cluster_reference(d))
+    for k in range(1, len(x) + 1):
+        assert np.array_equal(cut_clusters(dend, k), cut_clusters_reference(dend.merges, len(x), k))
+
+
+def test_hier_cluster_large_last_merge_is_mean_distance():
+    n = 1200
+    x = np.random.default_rng(5).normal(size=(n, 4))
+    d = distance_matrix(x)
+    dend = hier_cluster(d)
+    assert dend.leaf_count == n and len(dend.merges) == n - 1
+    side = cut_clusters(dend, 2)
+    mean = d[np.ix_(side == 0, side == 1)].mean()
+    assert dend.merges[-1][2] == pytest.approx(mean, rel=1e-9, abs=0)
+
+
+def test_cut_clusters_matches_reference():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 9, 50):
+        dend = random_dendrogram(n, rng)
+        for k in range(1, n + 1):
+            assert np.array_equal(cut_clusters(dend, k), cut_clusters_reference(dend.merges, n, k))
+    # a chain: each merge adds one leaf to the previous cluster
+    n = 2000
+    chain = Dendrogram(n, [(0, 1, 0.0)] + [(n + m - 1, m + 1, float(m)) for m in range(1, n - 1)])
+    for k in (1, 2, 7, 1000, n):
+        assert np.array_equal(cut_clusters(chain, k), cut_clusters_reference(chain.merges, n, k))
 
 
 def test_hier_cluster_input_validation():
