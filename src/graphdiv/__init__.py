@@ -8,13 +8,13 @@ the target graph's embedding.
 
 from .graphs import (Graph, GraphDataset, GraphError, GraphFormatError,
                      LabelVocabulary, edge_attr_matrix, load_dataset_json,
-                     load_graph_json, neighborhood_attr_matrix,
-                     node_label_onehot, save_dataset_json, save_graph_json)
+                     neighborhood_attr_matrix, node_label_onehot,
+                     save_dataset_json)
 from .tu import DatasetIngestionError, load_tu_dataset, save_tu_dataset
 from .generators import (karate_club, make_barbell, make_grid, make_ring,
                          make_star, mutate_family, random_graph)
 from .encoder import (SourceEncoder, TrainConfig, TrainingFault,
-                      positive_log_loss, train_encoder)
+                      positive_log_loss, train_encoder, train_encoders)
 from .attention import (AttentionPair, AugmentedEncoder, argmax_alignment,
                         train_attention)
 from .divergence import DivergenceTable, embed_all, raw_divergence

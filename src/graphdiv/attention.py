@@ -246,13 +246,6 @@ def attention_loss_and_grads(problem, params):
     return loss, {"forward": g_forward, "reverse": g_reverse}
 
 
-def structural_loss(ae):
-    """Target BCE under the augmented encoder, without penalties."""
-    adjacency = ae.target_graph.adjacency_matrix()
-    loss, _ = _bce_probs(augmented_neighbor_probs(ae), adjacency, 1.0 - adjacency)
-    return float(loss)
-
-
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
     """Fit the attention pair of one target against a frozen source encoder:
     a stack of one in train_attentions, with the same bits."""

@@ -74,8 +74,8 @@ def _encoder_path(out, cfg, idx):
 def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
     """Encoders for the dataset graphs at idxs. A cached checkpoint is loaded
     unless it is corrupted, --force is set, or it was trained on a different
-    graph; the rest are trained in parallel and saved. Returns (encoders in
-    idxs order, number trained)."""
+    graph; the rest are trained, one stack per node count in parallel, and
+    saved. Returns (encoders in idxs order, number trained)."""
     encoders = {}
     for idx in idxs:
         path = _encoder_path(out, cfg, idx)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .attention import augmented_neighbor_probs, train_attention, train_attentions
-from .encoder import TrainingFault, train_encoder, positive_log_loss
+from .encoder import TrainingFault, positive_log_loss, train_encoders
 from .graphs import atomic_write
 
 
@@ -125,19 +125,31 @@ def _cell_path(cell_dir, key, source_id, target_id):
 
 
 def train_source_encoders(sources, cfg, source_ids=None, workers=1):
-    """Stage 1: one encoder per source graph, trainable in parallel."""
+    """Stage 1: one encoder per source graph, returned in input order.
+
+    Sources with the same node count train as one stacked fit
+    (encoder.train_encoders), one pool task per node count, heaviest group
+    (about G n^2) first. A slice's bits do not depend on its group or on the
+    order, so the encoders are the same at any worker count.
+    """
     if source_ids is None:
         source_ids = list(range(len(sources)))
-    args = list(zip(sources, [cfg] * len(sources), source_ids))
-    if workers > 1 and len(sources) > 1:
+    groups = {}
+    for i, graph in enumerate(sources):
+        groups.setdefault(graph.node_count, []).append(i)
+    order = sorted(groups.values(), key=lambda idx: -len(idx) * sources[idx[0]].node_count ** 2)
+    args = ([[sources[i] for i in idx] for idx in order], [cfg] * len(order),
+            [[source_ids[i] for i in idx] for idx in order])
+    if workers > 1 and len(order) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_train_one_encoder, args))
-    return [_train_one_encoder(a) for a in args]
-
-
-def _train_one_encoder(args):
-    graph, cfg, graph_id = args
-    return train_encoder(graph, cfg, graph_id=graph_id)
+            fitted = list(ex.map(train_encoders, *args))
+    else:
+        fitted = list(map(train_encoders, *args))
+    encoders = [None] * len(sources)
+    for idx, encs in zip(order, fitted):
+        for i, enc in zip(idx, encs):
+            encoders[i] = enc
+    return encoders
 
 
 def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,

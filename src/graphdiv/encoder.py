@@ -2,7 +2,8 @@
 
 Training minimizes full binary cross-entropy against the adjacency matrix
 (non-neighbors count as negative targets, including the self column).
-Divergence scoring uses only the positive edge terms; see positive_log_loss.
+Same-size graphs train as one stack (train_encoders); a slice's bytes do not
+depend on its group. Scoring uses only the positive edge terms (positive_log_loss).
 """
 
 import hashlib
@@ -57,7 +58,8 @@ def derive_seed(*parts):
 
 
 class SourceEncoder:
-    """Embedding table + relu hidden stack + linear output over |V| logits."""
+    """Embedding table + relu hidden stack + linear output over |V| logits.
+    In a stacked fit (train_encoders) every array has a leading axis G."""
 
     def __init__(self, graph, graph_id, embedding, hidden, output):
         self.graph = graph
@@ -104,15 +106,20 @@ def build_encoder(graph, cfg, graph_id=0):
     return SourceEncoder(graph, graph_id, embedding, hidden, output)
 
 
-def _forward_all(enc):
-    """Logits for every node at once (rows follow node ids)."""
-    return nn.forward(enc.layers, enc.embedding)
+def _assemble(graph, graph_id, params, hidden_layers):
+    """A SourceEncoder over named parameter arrays (see SourceEncoder.params)."""
+    hidden = [DenseLayer(params[f"hidden{k}.weight"], params[f"hidden{k}.bias"], "relu")
+              for k in range(hidden_layers)]
+    output = DenseLayer(params["output.weight"], params["output.bias"], "identity")
+    return SourceEncoder(graph, graph_id, params["embedding"], hidden, output)
 
 
 def encoder_loss_and_grads(enc, adjacency):
-    """Full-batch BCE against the graph's adjacency matrix, with analytic
-    gradients; the caller passes enc.graph.adjacency_matrix(), built once."""
-    logits, tape = _forward_all(enc)
+    """Full-batch BCE against the adjacency matrix, with analytic gradients.
+    enc may be a stack (arrays with a leading axis G, as train_encoders
+    builds) against a (G, n, n) adjacency: one loss per slice, each slice's
+    loss and gradients the bits it would get alone."""
+    logits, tape = nn.forward(enc.layers, enc.embedding)
     loss, g_logits = nn.multilabel_bce_loss(logits, adjacency)
     layer_grads, g_input = nn.backward(enc.layers, tape, g_logits)
     grads = {"embedding": g_input}
@@ -126,36 +133,57 @@ def positive_log_loss(enc):
     """-sum log sigma(logit) over both orientations of every edge of the
     encoder's own graph: the self-divergence baseline, strictly positive for
     any finite parameters."""
-    logits, _ = _forward_all(enc)
+    logits, _ = nn.forward(enc.layers, enc.embedding)
     total = 0.0
     for u, v in enc.graph.edges:
         total += nn.softplus(-logits[u, v]) + nn.softplus(-logits[v, u])
     return float(total)
 
 
-def fit_encoder(enc, cfg):
-    """Run encoding_epochs of full-batch Adam; returns the per-epoch loss trace."""
-    if enc.trained:
-        raise ContractViolation("encoder is already trained and frozen")
-    params = enc.params()
-    adjacency = enc.graph.adjacency_matrix()
+def train_encoders(graphs, cfg, graph_ids):
+    """Fit one encoder per graph; the graphs must share a node count.
+
+    They train as one stacked problem: encoding_epochs of full-batch Adam,
+    one forward, backward and Adam step per epoch for the whole stack. Each
+    slice starts from build_encoder's init for its graph id, and its params
+    and loss trace are the bits of a fit of that graph alone, whatever its
+    group or position. Returns the encoders in order; raises TrainingFault
+    naming the graph ids of any slice whose loss goes non-finite.
+    """
+    if len({g.node_count for g in graphs}) != 1:
+        raise ValueError("a stack of encoders needs graphs of one node count")
+    encs = [build_encoder(g, cfg, graph_id=gid) for g, gid in zip(graphs, graph_ids)]
+    inits = [enc.params() for enc in encs]
+    # every stacked array is a view into one flat buffer, so one Adam step
+    # updates the whole stack in a single pass over it
+    stacked = [np.stack([init[name] for init in inits]) for name in inits[0]]
+    flat = np.concatenate([a.ravel() for a in stacked])
+    views = np.split(flat, np.cumsum([a.size for a in stacked])[:-1])
+    params = {name: v.reshape(a.shape) for name, v, a in zip(inits[0], views, stacked)}
+    stack = _assemble(None, list(graph_ids), params, cfg.encoder_layers)
+    adjacency = np.stack([g.adjacency_matrix() for g in graphs])
     state = nn.AdamState()
-    trace = []
+    trace = np.empty((cfg.encoding_epochs, len(encs)))
     for epoch in range(cfg.encoding_epochs):
-        loss, grads = encoder_loss_and_grads(enc, adjacency)
-        if not np.isfinite(loss):
-            raise TrainingFault(f"encoder loss diverged (non-finite) at epoch {epoch}")
-        trace.append(loss)
-        nn.adam_step(params, grads, state, cfg.learning_rate)
-    enc.trained = True
-    enc.loss_trace = trace
-    return trace
+        losses, grads = encoder_loss_and_grads(stack, adjacency)
+        if not np.isfinite(losses).all():
+            ids = [graph_ids[i] for i in np.flatnonzero(~np.isfinite(losses))]
+            raise TrainingFault(f"encoder loss diverged (non-finite) at epoch {epoch} "
+                                f"for graph id(s) {ids}")
+        trace[epoch] = losses
+        flat_grad = np.concatenate([grads[name].ravel() for name in params])
+        nn.adam_step({"encoder": flat}, {"encoder": flat_grad}, state, cfg.learning_rate)
+    for g, (enc, init) in enumerate(zip(encs, inits)):
+        for name, p in init.items():
+            p[...] = params[name][g]
+        enc.trained = True
+        enc.loss_trace = trace[:, g].tolist()
+    return encs
 
 
 def train_encoder(graph, cfg, graph_id=0):
-    enc = build_encoder(graph, cfg, graph_id=graph_id)
-    fit_encoder(enc, cfg)
-    return enc
+    """Fit one graph's encoder: a stack of one in train_encoders."""
+    return train_encoders([graph], cfg, [graph_id])[0]
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -169,13 +197,9 @@ def encoder_to_checkpoint(enc, cfg):
 
 
 def encoder_from_checkpoint(ckpt):
-    params = nn.params_from_checkpoint(ckpt)
     meta = ckpt["meta"]
-    graph = Graph.from_json_dict(meta["graph"])
-    hidden = [DenseLayer(params[f"hidden{k}.weight"], params[f"hidden{k}.bias"], "relu")
-              for k in range(meta["hidden_layers"])]
-    output = DenseLayer(params["output.weight"], params["output.bias"], "identity")
-    enc = SourceEncoder(graph, meta["graph_id"], params["embedding"], hidden, output)
+    enc = _assemble(Graph.from_json_dict(meta["graph"]), meta["graph_id"],
+                    nn.params_from_checkpoint(ckpt), meta["hidden_layers"])
     enc.trained = bool(meta["trained"])
     return enc
 

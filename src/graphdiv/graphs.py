@@ -151,16 +151,6 @@ class Graph:
                    num_edge_labels=d.get("num_edge_labels"))
 
 
-def save_graph_json(g, path):
-    with open(path, "w") as f:
-        json.dump(g.to_json_dict(), f)
-
-
-def load_graph_json(path):
-    with open(path) as f:
-        return Graph.from_json_dict(json.load(f))
-
-
 def atomic_write(path, text):
     """Write text to path through a uniquely named temp file in the same
     directory and a rename, so readers never see a partial file and

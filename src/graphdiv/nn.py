@@ -1,4 +1,4 @@
-"""Dense layers, losses, Adam, and gradient checking on float64 numpy arrays.
+"""Dense layers, losses and Adam on float64 numpy arrays.
 
 Gradients are hand-derived per layer; there is no autodiff. Everything is a
 pure function over caller-owned buffers, so independent trainings can run in
@@ -21,13 +21,10 @@ class ShapeError(ValueError):
 
 
 def sigmoid(z):
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # piecewise form avoids overflow in exp for large |z|: exp(-|z|) is
+    # exp(-z) where z >= 0 and exp(z) elsewhere, and never exceeds 1
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def softplus(z):
@@ -46,7 +43,8 @@ ACTIVATIONS = ("identity", "relu")
 
 @dataclass
 class DenseLayer:
-    """y = act(x W^T + b); weight is (out, in), inputs are batched row-wise."""
+    """y = act(x W^T + b); weight is (out, in), inputs are batched row-wise.
+    A stack of G layers has weight (G, out, in) and bias (G, out)."""
     weight: np.ndarray
     bias: np.ndarray
     activation: str = "identity"
@@ -54,16 +52,16 @@ class DenseLayer:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ShapeError("weight must be (out, in) with bias of length out")
+        if self.weight.ndim not in (2, 3) or self.bias.shape != self.weight.shape[:-1]:
+            raise ShapeError("weight must be (out, in) or (G, out, in) with bias (out,) or (G, out)")
 
     @property
     def out_dim(self):
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def in_dim(self):
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
 
 def init_dense(out_dim, in_dim, activation, rng):
@@ -82,13 +80,15 @@ def _activation_backward(act, z, grad_out):
 
 
 def forward(layers, x):
-    """Run a layer stack over a batch; returns (output, tape for backward)."""
+    """Run a layer stack over a batch, or G stacked layer stacks over G
+    batches; returns (output, tape for backward). Each slice gets the bits it
+    would get alone."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
     tape = []
     for k, layer in enumerate(layers):
-        if h.shape[1] != layer.in_dim:
-            raise ShapeError(f"layer {k}: input width {h.shape[1]} != expected {layer.in_dim}")
-        z = h @ layer.weight.T + layer.bias
+        if h.shape[-1] != layer.in_dim:
+            raise ShapeError(f"layer {k}: input width {h.shape[-1]} != expected {layer.in_dim}")
+        z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
         tape.append((h, z))
         h = _apply_activation(layer.activation, z)
     return h, tape
@@ -104,18 +104,19 @@ def backward(layers, tape, grad_out):
     for k in range(len(layers) - 1, -1, -1):
         h, z = tape[k]
         gz = _activation_backward(layers[k].activation, z, g)
-        grads[k] = (gz.T @ h, gz.sum(axis=0))
+        grads[k] = (gz.swapaxes(-1, -2) @ h, gz.sum(axis=-2))
         g = gz @ layers[k].weight
     return grads, g
 
 
 def multilabel_bce_loss(logits, targets):
-    """Summed binary cross-entropy from logits; grad wrt logits is sigma(z) - t."""
+    """Binary cross-entropy from logits, summed over the last two axes (one
+    loss per slice of a stack); grad wrt logits is sigma(z) - t."""
     z = np.asarray(logits, dtype=float)
     t = np.asarray(targets, dtype=float)
     if z.shape != t.shape:
         raise ShapeError(f"logits {z.shape} vs targets {t.shape}")
-    loss = float(np.sum(softplus(z) - t * z))
+    loss = (softplus(z) - t * z).sum(axis=(-2, -1))
     return loss, sigmoid(z) - t
 
 
@@ -132,8 +133,8 @@ class AdamState:
 def adam_step(params, grads, state, lr):
     """One Adam update (with bias correction) over a dict of named arrays.
 
-    The one Adam of the package: the encoder passes its layer arrays and a
-    scalar lr; a stacked attention fit passes (R, ...) arrays and an lr of
+    The one Adam of the package: an encoder stack passes one flat buffer and
+    a scalar lr; a stacked attention fit passes (R, ...) arrays and an lr of
     shape (R, 1, 1), one rate per restart slice. Every operation is
     elementwise, so each slice moves exactly as it would alone. Moments are
     allocated on the first step and updated in place after that; params are
@@ -171,30 +172,6 @@ def adam_step(params, grads, state, lr):
         step /= buf
         p -= step
     return params
-
-
-def gradient_check(params, loss_and_grads, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_and_grads(params) -> (loss, {name: grad})`; every parameter entry is
-    perturbed, so keep the models small.
-    """
-    _, analytic = loss_and_grads(params)
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lo_plus, _ = loss_and_grads(params)
-            flat[i] = orig - eps
-            lo_minus, _ = loss_and_grads(params)
-            flat[i] = orig
-            numeric = (lo_plus - lo_minus) / (2 * eps)
-            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from graphdiv.encoder import TrainConfig
+from graphdiv.attention import _bce_probs, augmented_neighbor_probs
+from graphdiv.encoder import SourceEncoder, TrainConfig, encoder_loss_and_grads
 from graphdiv.graphs import Graph
+from graphdiv.nn import DenseLayer
 
 
 @pytest.fixture
@@ -30,3 +32,65 @@ def labeled_pair():
 
 def assert_close(a, b, tol=1e-9):
     assert abs(float(a) - float(b)) <= tol, f"{a} != {b} (tol {tol})"
+
+
+def gradient_check(params, loss_and_grads, eps=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    `loss_and_grads(params) -> (loss, {name: grad})`; every parameter entry is
+    perturbed, so keep the models small.
+    """
+    _, analytic = loss_and_grads(params)
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.reshape(-1)
+        a_flat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lo_plus, _ = loss_and_grads(params)
+            flat[i] = orig - eps
+            lo_minus, _ = loss_and_grads(params)
+            flat[i] = orig
+            numeric = (lo_plus - lo_minus) / (2 * eps)
+            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
+def encoder_stack(encs):
+    """Same-size encoders as one SourceEncoder whose arrays carry a leading
+    stack axis, the form encoder_loss_and_grads takes."""
+    layers = [DenseLayer(np.stack([e.layers[k].weight for e in encs]),
+                         np.stack([e.layers[k].bias for e in encs]), layer.activation)
+              for k, layer in enumerate(encs[0].layers)]
+    return SourceEncoder(None, [e.graph_id for e in encs],
+                         np.stack([e.embedding for e in encs]), layers[:-1], layers[-1])
+
+
+def encoder_stack_gradient_errors(encs):
+    """Gradient-check error of each slice's loss in the stacked encoder loss.
+
+    Every entry of the whole stack is perturbed for each slice, with the
+    other slices' analytic gradients zero, so a slice whose loss leaked into
+    another's would fail too.
+    """
+    stack = encoder_stack(encs)
+    adjacency = np.stack([e.graph.adjacency_matrix() for e in encs])
+    others = [np.arange(len(encs)) != g for g in range(len(encs))]
+
+    def slice_loss_and_grads(g):
+        losses, grads = encoder_loss_and_grads(stack, adjacency)
+        for grad in grads.values():
+            grad[others[g]] = 0.0
+        return float(losses[g]), grads
+
+    return [gradient_check(stack.params(), lambda _: slice_loss_and_grads(g))
+            for g in range(len(encs))]
+
+
+def structural_loss(ae):
+    """Target BCE under the augmented encoder, without label penalties."""
+    adjacency = ae.target_graph.adjacency_matrix()
+    loss, _ = _bce_probs(augmented_neighbor_probs(ae), adjacency, 1.0 - adjacency)
+    return float(loss)

@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from graphdiv import nn
+from conftest import encoder_stack_gradient_errors, gradient_check, structural_loss
 from graphdiv.attention import (AlignmentProblem, AttentionPair, argmax_alignment,
                                 attention_loss_and_grads, init_attention,
-                                structural_loss, train_attention)
+                                train_attention)
 from graphdiv.divergence import (embed_all, distance_matrix, raw_divergence,
                                  table_to_csv, unit_rows)
-from graphdiv.encoder import (TrainConfig, build_encoder, encoder_loss_and_grads,
-                              positive_log_loss, train_encoder)
+from graphdiv.encoder import (TrainConfig, build_encoder, positive_log_loss,
+                              train_encoder)
 from graphdiv.evaluation import cut_clusters, hier_cluster, purity
 from graphdiv.generators import (karate_club, make_barbell, make_grid, make_ring,
                                  make_star, mutate_family, random_graph)
@@ -36,12 +36,13 @@ def _criterion_2_universe():
 def test_criterion_1_gradient_integrity():
     """Gradient check of the encoder and the full augmented pipeline < 1e-4."""
     start = time.time()
-    # (a) 2-layer encoder, 6-node graph; seed picked clear of relu kinks where
-    # central differences legitimately disagree with the subgradient
+    # (a) the stacked loss of two 2-layer encoders of 6-node graphs, every
+    # slice checked; seed picked clear of relu kinks where central
+    # differences legitimately disagree with the subgradient
     cfg = TrainConfig(embed_dim=4, rng_seed=2)
-    enc = build_encoder(random_graph(6, 0.5, 3), cfg)
-    adjacency = enc.graph.adjacency_matrix()
-    err_enc = nn.gradient_check(enc.params(), lambda _: encoder_loss_and_grads(enc, adjacency))
+    encs = [build_encoder(random_graph(6, 0.5, 3), cfg),
+            build_encoder(random_graph(6, 0.5, 4), cfg, graph_id=1)]
+    err_enc = max(encoder_stack_gradient_errors(encs))
 
     # (b) full augmented pipeline (structural + all label penalties), 6-node pair
     g1 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)],
@@ -59,7 +60,7 @@ def test_criterion_1_gradient_integrity():
         losses, grads = attention_loss_and_grads(problem, params)
         return float(losses[0]), grads
 
-    err_att = nn.gradient_check(stack, att_loss_and_grads)
+    err_att = gradient_check(stack, att_loss_and_grads)
 
     elapsed = time.time() - start
     ok = err_enc < 1e-4 and err_att < 1e-4 and elapsed < 10

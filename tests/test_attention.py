@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gradient_check, structural_loss
 from graphdiv import nn
 from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
                                 AugmentedEncoder, argmax_alignment,
                                 attention_loss_and_grads, attention_matrix,
                                 augmented_neighbor_probs, init_attention,
-                                source_prob_matrix, structural_loss,
-                                train_attention)
+                                source_prob_matrix, train_attention)
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
                               build_encoder, derive_seed, encoder_loss_and_grads,
                               train_encoder)
@@ -99,7 +99,7 @@ def gradient_error(problem, pair):
         losses, grads = attention_loss_and_grads(problem, p)
         return float(losses[0]), grads
 
-    return nn.gradient_check(params, loss_and_grads)
+    return gradient_check(params, loss_and_grads)
 
 
 def test_attention_gradient_check_structural(tiny_cfg, small_source):

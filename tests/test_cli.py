@@ -51,8 +51,12 @@ def test_encode_retrains_corrupted_checkpoint(tmp_path, dataset_file):
         assert json.load(f)["trained"] == 1
 
 
-def test_encode_workers_write_identical_checkpoints(tmp_path, dataset_file):
-    # missing encoders train in parallel; checkpoints and counts do not move
+def test_encode_workers_write_identical_checkpoints(tmp_path):
+    # missing encoders train in parallel, one stack per node count (two
+    # stacks of 2 here); checkpoints and counts do not move
+    graphs = [random_graph(n, 0.5, s) for s, n in enumerate((5, 5, 6, 7, 6, 8))]
+    dataset_file = str(tmp_path / "ds.json")
+    save_dataset_json(GraphDataset(graphs, [0, 0, 0, 1, 1, 1]), dataset_file)
     runs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}"

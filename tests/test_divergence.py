@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from graphdiv.attention import (AttentionPair, AugmentedEncoder, train_attention
 from graphdiv.divergence import (DivergenceTable, distance_csv, distance_matrix,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
-from graphdiv.encoder import TrainConfig, positive_log_loss, train_encoder
+from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, positive_log_loss,
+                              train_encoder)
 from graphdiv.generators import make_ring, random_graph
 
 
@@ -267,12 +270,19 @@ def test_distance_csv_format():
 
 
 def test_train_source_encoders_parallel_matches_serial():
-    graphs = [random_graph(5, 0.5, s) for s in (9, 10)]
+    # node counts 5, 6, 5, 7, 6, 5: stacks of 3, 2 and 1, trained at workers 1
+    # and 2, come back in input order with each graph's solo bits
+    graphs = [random_graph(n, 0.5, s) for n, s in zip((5, 6, 5, 7, 6, 5), range(9, 15))]
+    ids = ["a", "b", "c", "d", "e", "f"]
     cfg = quick_cfg()
-    serial = train_source_encoders(graphs, cfg)
-    parallel = train_source_encoders(graphs, cfg, workers=2)
-    for a, b in zip(serial, parallel):
-        assert positive_log_loss(a) == positive_log_loss(b)
+
+    def record(enc):
+        return enc.graph_id, enc.graph, json.dumps(encoder_to_checkpoint(enc, cfg)), enc.loss_trace
+
+    alone = [record(train_encoder(g, cfg, graph_id=gid)) for g, gid in zip(graphs, ids)]
+    for workers in (1, 2):
+        fitted = train_source_encoders(graphs, cfg, source_ids=ids, workers=workers)
+        assert [record(enc) for enc in fitted] == alone
 
 
 def test_self_divergence_zero_without_attention(tiny_cfg):

@@ -1,14 +1,58 @@
 import numpy as np
 import pytest
 
-from graphdiv import nn
+from conftest import encoder_stack, encoder_stack_gradient_errors
+from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
-from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
-                              build_encoder, derive_seed, encoder_loss_and_grads,
-                              fit_encoder, load_encoder, positive_log_loss,
-                              save_encoder, train_encoder)
+from graphdiv.encoder import (TrainConfig, TrainingFault, build_encoder, derive_seed,
+                              encoder_loss_and_grads, load_encoder, positive_log_loss,
+                              save_encoder, train_encoder, train_encoders)
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph
+
+
+def reference_fit(graph, cfg, graph_id):
+    """The per-graph encoder fit in plain 2-D numpy, one graph at a time:
+    the oracle every slice of a stacked fit must match bit for bit.
+    Returns (params, loss trace)."""
+    enc = build_encoder(graph, cfg, graph_id=graph_id)
+    params = enc.params()
+    adjacency = graph.adjacency_matrix()
+    state = nn.AdamState()
+    trace = []
+    for _ in range(cfg.encoding_epochs):
+        h, tape = enc.embedding, []
+        for layer in enc.layers:
+            z = h @ layer.weight.T + layer.bias
+            tape.append((h, z))
+            h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        trace.append(float(np.sum(np.maximum(h, 0.0) + np.log1p(np.exp(-np.abs(h)))
+                                  - adjacency * h)))
+        g = np.empty_like(h)
+        pos = h >= 0
+        g[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
+        g[~pos] = np.exp(h[~pos]) / (1.0 + np.exp(h[~pos]))
+        g -= adjacency
+        layer_grads = []
+        for layer, (h_in, z) in zip(enc.layers[::-1], tape[::-1]):
+            gz = g * (z > 0) if layer.activation == "relu" else g
+            layer_grads.insert(0, (gz.T @ h_in, gz.sum(axis=0)))
+            g = gz @ layer.weight
+        grads = {"embedding": g}
+        for k in range(len(enc.hidden)):
+            grads[f"hidden{k}.weight"], grads[f"hidden{k}.bias"] = layer_grads[k]
+        grads["output.weight"], grads["output.bias"] = layer_grads[-1]
+        nn.adam_step(params, grads, state, cfg.learning_rate)
+    return params, trace
+
+
+def assert_same_bits(enc, reference):
+    params, trace = reference
+    assert enc.trained
+    assert enc.params().keys() == params.keys()
+    for name, p in params.items():
+        assert enc.params()[name].tobytes() == p.tobytes(), name
+    assert np.array(enc.loss_trace).tobytes() == np.array(trace).tobytes()
 
 
 def test_config_validation():
@@ -39,22 +83,57 @@ def test_zero_weight_encoder_loss(tiny_cfg, triangle):
     for p in enc.params().values():
         p[...] = 0.0
     loss, _ = encoder_loss_and_grads(enc, triangle.adjacency_matrix())
-    assert loss == pytest.approx(9 * np.log(2))
+    assert float(loss) == pytest.approx(9 * np.log(2))
     # positive-edge loss: 2E directed edges at sigma(0)=0.5
     assert positive_log_loss(enc) == pytest.approx(6 * np.log(2))
 
 
 def test_encoder_gradient_check():
-    # rng_seed chosen so no relu pre-activation sits within eps of its kink,
-    # where central differences and the subgradient legitimately disagree
+    # the stacked loss over a stack of 2, every slice checked; rng_seed chosen
+    # so no relu pre-activation sits within eps of its kink, where central
+    # differences and the subgradient legitimately disagree
     cfg = TrainConfig(embed_dim=4, rng_seed=2)
-    g = random_graph(6, 0.5, 3)
-    enc = build_encoder(g, cfg)
+    encs = [build_encoder(random_graph(6, 0.5, 3), cfg),
+            build_encoder(random_graph(6, 0.5, 4), cfg, graph_id=1)]
+    assert max(encoder_stack_gradient_errors(encs)) < 1e-4
 
-    def loss_and_grads(_):
-        return encoder_loss_and_grads(enc, g.adjacency_matrix())
 
-    assert nn.gradient_check(enc.params(), loss_and_grads) < 1e-4
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_stacked_fit_matches_reference(layers):
+    # each slice reproduces the 2-D reference alone, in a group of 3, and with
+    # the group's order reversed
+    cfg = TrainConfig(embed_dim=4, encoder_layers=layers, encoding_epochs=25, rng_seed=1)
+    graphs = [random_graph(7, p, s) for p, s in ((0.3, 1), (0.5, 2), (0.7, 3))]
+    ids = [4, "b", 9]
+    refs = [reference_fit(g, cfg, gid) for g, gid in zip(graphs, ids)]
+    alone = [train_encoder(g, cfg, graph_id=gid) for g, gid in zip(graphs, ids)]
+    group = train_encoders(graphs, cfg, ids)
+    reverse = train_encoders(graphs[::-1], cfg, ids[::-1])[::-1]
+    for fits in (alone, group, reverse):
+        for enc, ref in zip(fits, refs):
+            assert_same_bits(enc, ref)
+
+
+def test_stack_needs_one_node_count(tiny_cfg):
+    with pytest.raises(ValueError):
+        train_encoders([random_graph(5, 0.5, 1), random_graph(6, 0.5, 1)], tiny_cfg, [0, 1])
+
+
+def test_nonfinite_slice_names_its_graph(monkeypatch, tiny_cfg):
+    # a NaN in one slice's init faults the stack at epoch 0, naming that
+    # slice's graph id and no other
+    build = encoder.build_encoder
+
+    def poisoned(graph, cfg, graph_id=0):
+        enc = build(graph, cfg, graph_id=graph_id)
+        if graph_id == "bad":
+            enc.embedding[0, 0] = np.nan
+        return enc
+
+    monkeypatch.setattr(encoder, "build_encoder", poisoned)
+    graphs = [random_graph(5, 0.5, s) for s in (1, 2, 3)]
+    with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \['bad'\]$"):
+        train_encoders(graphs, tiny_cfg, [7, "bad", 8])
 
 
 def test_two_node_graph_converges():
@@ -90,34 +169,36 @@ def test_training_deterministic(tiny_cfg):
 
 
 def test_loss_is_permutation_covariant(tiny_cfg):
-    # relabeling nodes and reusing the same seed gives the same loss profile
+    # node u of g is node perm[u] of g2; moving the embedding rows and the
+    # output rows and bias the same way gives the same loss, and the
+    # embedding and output gradients come back permuted
     g = random_graph(7, 0.4, 2)
-    perm = [3, 0, 6, 1, 5, 2, 4]
-    inv = {p: i for i, p in enumerate(perm)}
+    perm = np.array([3, 0, 6, 1, 5, 2, 4])
     g2 = Graph(7, [(perm[u], perm[v]) for u, v in g.edges])
-    e1 = train_encoder(g, tiny_cfg, graph_id=0)
-    e2 = train_encoder(g2, tiny_cfg, graph_id=0)
-    # same degree multiset and edge count mean comparable but not equal traces;
-    # the invariant that must hold exactly: loss of g2 under e2's params when
-    # rebuilt from the same seed over the permuted graph structure is finite
-    assert np.isfinite(e2.loss_trace[-1])
-    assert abs(len(e1.loss_trace) - len(e2.loss_trace)) == 0
+    enc = train_encoder(g, tiny_cfg)
+    moved = build_encoder(g2, tiny_cfg)
+    for name, p in enc.params().items():
+        q = moved.params()[name]
+        if name in ("embedding", "output.weight", "output.bias"):
+            q[perm] = p
+        else:
+            q[...] = p
+    stack = encoder_stack([enc, moved])
+    adjacency = np.stack([g.adjacency_matrix(), g2.adjacency_matrix()])
+    losses, grads = encoder_loss_and_grads(stack, adjacency)
+    assert losses[1] == pytest.approx(losses[0], rel=1e-12)
+    for name in ("embedding", "output.weight", "output.bias"):
+        assert np.allclose(grads[name][1][perm], grads[name][0], rtol=1e-12, atol=1e-15)
 
 
-def test_zero_epochs_leaves_init(tiny_cfg):
-    g = random_graph(5, 0.5, 0)
+def test_zero_epochs_leaves_init():
+    # alone and in a group of 3, every slice comes back as its init, trained
     cfg = TrainConfig(embed_dim=4, encoding_epochs=0)
-    enc_init = build_encoder(g, cfg)
-    enc = train_encoder(g, cfg)
-    for a, b in zip(enc.params().values(), enc_init.params().values()):
-        assert np.array_equal(a, b)
-    assert enc.trained
-
-
-def test_refit_raises(tiny_cfg, triangle):
-    enc = train_encoder(triangle, tiny_cfg)
-    with pytest.raises(ContractViolation):
-        fit_encoder(enc, tiny_cfg)
+    graphs = [random_graph(5, p, 0) for p in (0.3, 0.5, 0.7)]
+    fits = [train_encoder(graphs[1], cfg, graph_id=1)] + train_encoders(graphs, cfg, [0, 1, 2])
+    for enc in fits:
+        assert enc.loss_trace == []
+        assert_same_bits(enc, (build_encoder(enc.graph, cfg, enc.graph_id).params(), []))
 
 
 def test_encode_node_bounds(tiny_cfg, triangle):

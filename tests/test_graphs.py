@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphdiv.graphs import (Graph, GraphDataset, GraphError, GraphFormatError,
                              LabelVocabulary, atomic_write, edge_attr_matrix,
-                             load_dataset_json, load_graph_json,
-                             neighborhood_attr_matrix, node_label_onehot,
-                             save_dataset_json, save_graph_json)
+                             load_dataset_json, neighborhood_attr_matrix,
+                             node_label_onehot, save_dataset_json)
 
 
 def test_edges_canonical_and_sorted():
@@ -60,8 +59,8 @@ def test_graph_json_roundtrip(tmp_path):
     g = Graph(5, [(0, 1), (1, 2), (3, 4)], node_labels=[0, 1, 2, 1, 0],
               edge_labels=[1, 0, 1])
     path = tmp_path / "g.json"
-    save_graph_json(g, path)
-    assert load_graph_json(path) == g
+    path.write_text(json.dumps(g.to_json_dict()))
+    assert Graph.from_json_dict(json.loads(path.read_text())) == g
 
 
 def test_graph_json_missing_field():

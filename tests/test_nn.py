@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gradient_check
 from graphdiv import nn
 from graphdiv.nn import (AdamState, CheckpointError, DenseLayer, NumericsFault,
-                         ShapeError, adam_step, backward, forward, gradient_check,
-                         init_dense, multilabel_bce_loss, params_from_checkpoint,
+                         ShapeError, adam_step, backward, forward, init_dense,
+                         multilabel_bce_loss, params_from_checkpoint,
                          params_to_checkpoint)
 
 
@@ -20,6 +21,22 @@ def test_sigmoid_softplus_stable_at_extremes():
     assert np.all(np.isfinite(sp))
     assert sp[2] == pytest.approx(np.log(2))
     assert sp[-1] == pytest.approx(1000.0)
+
+
+def test_sigmoid_matches_masked_piecewise_form():
+    # each sign takes its overflow-safe branch, with the bits of computing
+    # that branch on the masked entries alone; NaN stays NaN (its sign bit
+    # may differ)
+    assert np.isnan(nn.sigmoid(np.array([np.nan]))).all()
+    z = np.concatenate([np.random.default_rng(1).normal(scale=20, size=4000),
+                        [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308,
+                         np.inf, -np.inf]])
+    ref = np.empty_like(z)
+    pos = z >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    ref[~pos] = ez / (1.0 + ez)
+    assert nn.sigmoid(z).tobytes() == ref.tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -46,6 +63,47 @@ def test_layer_shape_validation():
     layer = DenseLayer(np.eye(3), np.zeros(3))
     with pytest.raises(ShapeError):
         forward([layer], np.ones((1, 4)))
+
+
+def test_stacked_layer_shapes():
+    DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)), "relu")
+    with pytest.raises(ShapeError):
+        DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))
+    with pytest.raises(ShapeError):
+        DenseLayer(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)))
+    layer = DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+    assert (layer.out_dim, layer.in_dim) == (3, 4)
+    with pytest.raises(ShapeError):
+        forward([layer], np.ones((2, 5, 3)))
+
+
+def test_stacked_layers_match_slices():
+    # a stack of 3 two-layer nets: forward, loss and backward of each slice
+    # are the bits of that net run alone
+    rng = np.random.default_rng(4)
+    nets = [[init_dense(4, 3, "relu", rng), init_dense(2, 4, "identity", rng)]
+            for _ in range(3)]
+    for net in nets:
+        for layer in net:
+            layer.bias[...] = rng.normal(size=layer.bias.shape)
+    stack = [DenseLayer(np.stack([net[k].weight for net in nets]),
+                        np.stack([net[k].bias for net in nets]), layer.activation)
+             for k, layer in enumerate(nets[0])]
+    x = rng.normal(size=(3, 5, 3))
+    t = (rng.random((3, 5, 2)) < 0.5).astype(float)
+    out, tape = forward(stack, x)
+    losses, g = multilabel_bce_loss(out, t)
+    grads, g_in = backward(stack, tape, g)
+    for i, net in enumerate(nets):
+        out_i, tape_i = forward(net, x[i])
+        loss_i, g_i = multilabel_bce_loss(out_i, t[i])
+        grads_i, g_in_i = backward(net, tape_i, g_i)
+        assert out_i.tobytes() == out[i].tobytes()
+        assert loss_i == losses[i]
+        assert g_in_i.tobytes() == g_in[i].tobytes()
+        for (gw_i, gb_i), (gw, gb) in zip(grads_i, grads):
+            assert gw_i.tobytes() == gw[i].tobytes()
+            assert gb_i.tobytes() == gb[i].tobytes()
 
 
 def test_bce_known_value():
