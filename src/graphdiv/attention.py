@@ -31,7 +31,7 @@ running the source encoder again.
 import numpy as np
 
 from . import nn
-from .encoder import ContractViolation, TrainingFault, derive_seed
+from .encoder import ContractViolation, derive_seed
 from .graphs import (GraphError, edge_attr_matrix, neighborhood_attr_matrix,
                      node_label_onehot)
 
@@ -263,8 +263,8 @@ def train_attentions(source, targets, cfg, target_graph_ids, restarts=1):
     at once, and the one with the lowest final training loss wins (the first
     on ties). Each target's fit is deterministic given (source.graph_id, its
     target graph id, cfg.rng_seed), and bit-identical to fitting it alone.
-    Returns one AugmentedEncoder per target, in order. Raises TrainingFault
-    (or nn.NumericsFault) when any slice diverges.
+    Returns one AugmentedEncoder per target, in order. Raises
+    nn.TrainingFault naming the diverged targets (or nn.NumericsFault).
     """
     if not source.trained:
         raise ContractViolation("source encoder must be trained and frozen before alignment")
@@ -282,15 +282,9 @@ def train_attentions(source, targets, cfg, target_graph_ids, restarts=1):
     params = {"forward": np.stack([pair.forward for pair in inits]),
               "reverse": np.stack([pair.reverse for pair in inits])}
     lr = np.array(lrs).reshape(len(lrs), 1, 1)
-
-    state = nn.AdamState()
-    trace = np.empty((cfg.scoring_epochs, len(lrs)))
-    for epoch in range(cfg.scoring_epochs):
-        losses, grads = attention_loss_and_grads(problem, params)
-        if not np.isfinite(losses).all():
-            raise TrainingFault(f"attention loss diverged (non-finite) at epoch {epoch}")
-        trace[epoch] = losses
-        nn.adam_step(params, grads, state, lr)
+    slice_ids = [tid for tid in target_graph_ids for _ in range(restarts)]
+    trace = nn.train_stack(lambda p: attention_loss_and_grads(problem, p), params, lr,
+                           cfg.scoring_epochs, slice_ids)
 
     fitted = []
     for g, (target, target_graph_id) in enumerate(zip(targets, target_graph_ids)):

@@ -14,19 +14,19 @@ from dataclasses import asdict
 from .attention import argmax_alignment, attention_matrix, train_attention
 from .divergence import (distance_csv, distance_matrix, embed_all, symmetrize,
                          table_from_csv, table_to_csv, train_source_encoders, unit_rows)
-from .encoder import TrainConfig, TrainingFault, load_encoder, save_encoder
+from .encoder import TrainConfig, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
-from .graphs import GraphError, GraphFormatError, atomic_write, load_dataset_json
-from .nn import CheckpointError, NumericsFault
-from .tu import DatasetIngestionError, load_tu_dataset
+from .graphs import atomic_write, load_dataset_json
+from .nn import CheckpointError, NumericsFault, TrainingFault
+from .tu import load_tu_dataset
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_INPUT_ERRORS = (DatasetIngestionError, GraphFormatError, GraphError,
-                 FileNotFoundError, NotADirectoryError, ValueError)
+# every package input error (DatasetIngestionError, GraphError, ...) is a ValueError
+_INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
 
 
 class CliInputError(ValueError):
@@ -43,11 +43,9 @@ def _read_csv_table(path):
     return table_from_csv(text)
 
 
-def _write_summary(path, command, cfg, extra=None):
+def _write_summary(path, command, cfg, extra):
     payload = {"command": command, "config": asdict(cfg), "config_hash": cfg.hash(),
-               "seed": cfg.rng_seed}
-    if extra:
-        payload.update(extra)
+               "seed": cfg.rng_seed, **extra}
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -100,31 +98,30 @@ def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
 
 
 def _parse_sources(spec, num_graphs):
+    parts = spec.split(":")
     if spec == "all":
         return list(range(num_graphs))
-    if spec.startswith("sample:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise CliInputError(f"bad --sources spec {spec!r}; use all or sample:<fraction>:<seed>")
+    if len(parts) == 3 and parts[0] == "sample":
         return sample_sources(num_graphs, float(parts[1]), int(parts[2]))
     raise CliInputError(f"bad --sources spec {spec!r}; use all or sample:<fraction>:<seed>")
 
 
-def cmd_encode(args):
+# Each command returns (CSV file name or None, CSV body, summary fields);
+# main writes both files.
+
+def cmd_encode(args, cfg):
     dataset = load_dataset(args.dataset, args.format)
-    cfg = build_config(args)
     _, trained = _ensure_encoders(dataset.graphs, range(len(dataset.graphs)), cfg, args.out,
                                   force=args.force, workers=args.workers)
-    _write_summary(os.path.join(args.out, "encode_summary.json"), "encode", cfg,
-                   {"graphs": len(dataset.graphs), "trained": trained,
-                    "skipped": len(dataset.graphs) - trained})
-    return EXIT_OK
+    return None, None, {"graphs": len(dataset.graphs), "trained": trained,
+                        "skipped": len(dataset.graphs) - trained}
 
 
-def cmd_embed(args):
+def cmd_embed(args, cfg):
     dataset = load_dataset(args.dataset, args.format)
-    cfg = build_config(args)
     src_idx = _parse_sources(args.sources, len(dataset.graphs))
+    if args.symmetric and len(src_idx) != len(dataset.graphs):
+        raise CliInputError("--symmetric needs every graph as a source (--sources all)")
     encoders, _ = _ensure_encoders(dataset.graphs, src_idx, cfg, args.out,
                                    force=args.force, workers=args.workers)
     table = embed_all([dataset.graphs[i] for i in src_idx], dataset.graphs, cfg,
@@ -133,17 +130,13 @@ def cmd_embed(args):
                       cell_dir=os.path.join(args.out, "cells"))
     if args.symmetric:
         table = symmetrize(table)
-    _write_csv(os.path.join(args.out, "embeddings.csv"), cfg, table_to_csv(table))
-    _write_summary(os.path.join(args.out, "embed_summary.json"), "embed", cfg,
-                   {"sources": src_idx, "targets": len(dataset.graphs),
-                    "symmetric": bool(args.symmetric),
-                    "cell_errors": {f"{t},{s}": msg for (t, s), msg in table.errors.items()}})
-    return EXIT_OK
+    return "embeddings.csv", table_to_csv(table), {
+        "sources": src_idx, "targets": len(dataset.graphs), "symmetric": bool(args.symmetric),
+        "cell_errors": {f"{t},{s}": msg for (t, s), msg in table.errors.items()}}
 
 
-def cmd_classify(args):
+def cmd_classify(args, cfg):
     dataset = load_dataset(args.dataset, args.format)
-    cfg = build_config(args)
     table = _read_csv_table(args.embeddings)
     if len(table.target_ids) != len(dataset.graphs):
         raise CliInputError("embeddings rows do not match dataset size")
@@ -152,16 +145,13 @@ def cmd_classify(args):
     body = "fold,accuracy,knn_accuracy\n" + "".join(
         f"{i},{a!r},{k!r}\n" for i, (a, k) in
         enumerate(zip(result.fold_accuracies, result.knn_fold_accuracies)))
-    _write_csv(os.path.join(args.out, "accuracy.csv"), cfg, body)
-    _write_summary(os.path.join(args.out, "classify_summary.json"), "classify", cfg,
-                   {"mean_accuracy": result.mean, "std_accuracy": result.std,
-                    "knn_mean_accuracy": result.knn_mean, "knn_std_accuracy": result.knn_std,
-                    "skipped_folds": result.skipped_folds, "folds": args.folds})
-    return EXIT_OK
+    return "accuracy.csv", body, {
+        "mean_accuracy": result.mean, "std_accuracy": result.std,
+        "knn_mean_accuracy": result.knn_mean, "knn_std_accuracy": result.knn_std,
+        "skipped_folds": result.skipped_folds, "folds": args.folds}
 
 
-def cmd_cluster(args):
-    cfg = build_config(args)
+def cmd_cluster(args, cfg):
     table = _read_csv_table(args.embeddings)
     values = table.values if args.raw_rows else unit_rows(table.values)
     dist = distance_matrix(values)
@@ -171,18 +161,12 @@ def cmd_cluster(args):
     if args.clusters:
         assignments = cut_clusters(dendro, args.clusters)
         extra["assignments"] = assignments.tolist()
-        if args.dataset:
-            dataset = load_dataset(args.dataset, args.format)
-            extra["purity"] = purity(assignments, dataset.graph_classes)
-    _write_csv(os.path.join(args.out, "distances.csv"), cfg,
-               distance_csv(table.target_ids, dist))
-    _write_summary(os.path.join(args.out, "cluster_summary.json"), "cluster", cfg, extra)
-    return EXIT_OK
+        extra["purity"] = purity(assignments, load_dataset(args.dataset, args.format).graph_classes)
+    return "distances.csv", distance_csv(table.target_ids, dist), extra
 
 
-def cmd_attention(args):
+def cmd_attention(args, cfg):
     dataset = load_dataset(args.dataset, args.format)
-    cfg = build_config(args)
     n = len(dataset.graphs)
     if not (0 <= args.source_index < n and 0 <= args.target_index < n):
         raise CliInputError(f"graph indices must be in 0..{n - 1}")
@@ -194,12 +178,9 @@ def cmd_attention(args):
     body_lines = ["source_node," + ",".join(f"t{j}" for j in range(m.shape[1]))]
     for i in range(m.shape[0]):
         body_lines.append(f"s{i}," + ",".join(repr(float(v)) for v in m[i]))
-    _write_csv(os.path.join(args.out, "attention.csv"), cfg, "\n".join(body_lines) + "\n")
-    alignment = [int(v) for v in argmax_alignment(ae)]
-    _write_summary(os.path.join(args.out, "attention_summary.json"), "attention", cfg,
-                   {"source_index": args.source_index, "target_index": args.target_index,
-                    "argmax_alignment": alignment})
-    return EXIT_OK
+    return "attention.csv", "\n".join(body_lines) + "\n", {
+        "source_index": args.source_index, "target_index": args.target_index,
+        "argmax_alignment": [int(v) for v in argmax_alignment(ae)]}
 
 
 def _add_common(p):
@@ -259,11 +240,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliInputError,) + _INPUT_ERRORS as exc:
+        cfg = build_config(args)
+        csv_name, body, extra = args.func(args, cfg)
+        if csv_name:
+            _write_csv(os.path.join(args.out, csv_name), cfg, body)
+        _write_summary(os.path.join(args.out, f"{args.command}_summary.json"), args.command,
+                       cfg, extra)
+        return EXIT_OK
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingFault, NumericsFault, OSError) as exc:

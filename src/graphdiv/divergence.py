@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .attention import augmented_neighbor_probs, train_attention, train_attentions
-from .encoder import TrainingFault, positive_log_loss, train_encoders
+from .encoder import positive_log_loss, train_encoders
 from .graphs import atomic_write
 
 
@@ -29,9 +29,6 @@ class DivergenceTable:
     values: np.ndarray          # M x N, row j = embedding of target j
     self_losses: np.ndarray     # N, positive self log-loss of each source encoder
     errors: dict = field(default_factory=dict)  # (target_idx, source_idx) -> message
-
-    def embedding(self, target_idx):
-        return self.values[target_idx]
 
 
 def raw_divergence(ae):
@@ -79,42 +76,42 @@ def _score_cell(source_enc, target, cfg, target_id, restarts):
         ae = train_attention(source_enc, target, cfg, target_graph_id=target_id,
                              restarts=restarts)
         return raw_divergence(ae), None
-    except (TrainingFault, nn.NumericsFault) as first:
+    except (nn.TrainingFault, nn.NumericsFault) as first:
         try:
             ae = train_attention(source_enc, target, cfg,
                                  target_graph_id=f"{target_id}#retry", restarts=restarts)
             return raw_divergence(ae), None
-        except (TrainingFault, nn.NumericsFault) as second:
+        except (nn.TrainingFault, nn.NumericsFault) as second:
             return float("nan"), f"{first}; retry: {second}"
 
 
-def _score_chunk(args):
+def _score_chunk(source_enc, si, jobs, cfg, restarts):
     """Score one source against a group of same-size targets as one stacked
     fit. Slices never mix, so the group faults only when one of its cells
     would fault alone; then each cell is scored on its own, with its retry,
     and only the faulty cells fail."""
-    source_enc, si, jobs, cfg, restarts = args
     tis, targets, target_ids = zip(*jobs)
     try:
         fitted = train_attentions(source_enc, targets, cfg, target_ids, restarts)
         scored = [(raw_divergence(ae), None) for ae in fitted]
-    except (TrainingFault, nn.NumericsFault):
+    except (nn.TrainingFault, nn.NumericsFault):
         scored = [_score_cell(source_enc, target, cfg, target_id, restarts)
                   for target, target_id in zip(targets, target_ids)]
     return [(ti, si, raw, err) for ti, (raw, err) in zip(tis, scored)]
 
 
-def _completed(chunks, workers):
-    """Yield each chunk's scored cells as soon as its task finishes; on an
+def _completed(fn, tasks, workers):
+    """Yield (index, fn(*task)) for each task as soon as it finishes, on a
+    process pool when workers > 1 and there is more than one task; on an
     error, tasks that have not started are cancelled."""
-    if workers <= 1 or len(chunks) <= 1:
-        yield from map(_score_chunk, chunks)
+    if workers <= 1 or len(tasks) <= 1:
+        yield from enumerate(fn(*task) for task in tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(_score_chunk, chunk) for chunk in chunks]
+        futures = {ex.submit(fn, *task): i for i, task in enumerate(tasks)}
         try:
             for future in as_completed(futures):
-                yield future.result()
+                yield futures[future], future.result()
         finally:
             for future in futures:
                 future.cancel()
@@ -138,16 +135,10 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1):
     for i, graph in enumerate(sources):
         groups.setdefault(graph.node_count, []).append(i)
     order = sorted(groups.values(), key=lambda idx: -len(idx) * sources[idx[0]].node_count ** 2)
-    args = ([[sources[i] for i in idx] for idx in order], [cfg] * len(order),
-            [[source_ids[i] for i in idx] for idx in order])
-    if workers > 1 and len(order) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            fitted = list(ex.map(train_encoders, *args))
-    else:
-        fitted = list(map(train_encoders, *args))
+    tasks = [([sources[i] for i in idx], cfg, [source_ids[i] for i in idx]) for idx in order]
     encoders = [None] * len(sources)
-    for idx, encs in zip(order, fitted):
-        for i, enc in zip(idx, encs):
+    for k, encs in _completed(train_encoders, tasks, workers):
+        for i, enc in zip(order[k], encs):
             encoders[i] = enc
     return encoders
 
@@ -202,7 +193,7 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
                 groups.setdefault((si, shape), []).append((ti, target, target_ids[ti]))
     chunks = [(encoders[si], si, jobs, cfg, restarts) for (si, _), jobs in groups.items()]
 
-    for chunk_result in _completed(chunks, workers):
+    for _, chunk_result in _completed(_score_chunk, chunks, workers):
         for ti, si, raw, err in chunk_result:
             # normalized: zero for a source on itself, and allowed to go negative
             values[ti, si] = raw - self_losses[si]

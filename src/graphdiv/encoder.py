@@ -14,11 +14,7 @@ import numpy as np
 
 from . import nn
 from .graphs import Graph, atomic_write
-from .nn import DenseLayer
-
-
-class TrainingFault(RuntimeError):
-    pass
+from .nn import DenseLayer, TrainingFault  # noqa: F401 (TrainingFault is re-exported)
 
 
 class ContractViolation(RuntimeError):
@@ -143,12 +139,11 @@ def positive_log_loss(enc):
 def train_encoders(graphs, cfg, graph_ids):
     """Fit one encoder per graph; the graphs must share a node count.
 
-    They train as one stacked problem: encoding_epochs of full-batch Adam,
-    one forward, backward and Adam step per epoch for the whole stack. Each
-    slice starts from build_encoder's init for its graph id, and its params
-    and loss trace are the bits of a fit of that graph alone, whatever its
-    group or position. Returns the encoders in order; raises TrainingFault
-    naming the graph ids of any slice whose loss goes non-finite.
+    They train as one stacked problem in nn.train_stack: encoding_epochs of
+    full-batch Adam, one forward, backward and Adam step per epoch for the
+    whole stack. Each slice starts from build_encoder's init for its graph
+    id, and its params and loss trace are the bits of a fit of that graph
+    alone, whatever its group or position. Returns the encoders in order.
     """
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
@@ -162,17 +157,13 @@ def train_encoders(graphs, cfg, graph_ids):
     params = {name: v.reshape(a.shape) for name, v, a in zip(inits[0], views, stacked)}
     stack = _assemble(None, list(graph_ids), params, cfg.encoder_layers)
     adjacency = np.stack([g.adjacency_matrix() for g in graphs])
-    state = nn.AdamState()
-    trace = np.empty((cfg.encoding_epochs, len(encs)))
-    for epoch in range(cfg.encoding_epochs):
+
+    def loss_and_grads(_):
         losses, grads = encoder_loss_and_grads(stack, adjacency)
-        if not np.isfinite(losses).all():
-            ids = [graph_ids[i] for i in np.flatnonzero(~np.isfinite(losses))]
-            raise TrainingFault(f"encoder loss diverged (non-finite) at epoch {epoch} "
-                                f"for graph id(s) {ids}")
-        trace[epoch] = losses
-        flat_grad = np.concatenate([grads[name].ravel() for name in params])
-        nn.adam_step({"encoder": flat}, {"encoder": flat_grad}, state, cfg.learning_rate)
+        return losses, {"encoder": np.concatenate([grads[name].ravel() for name in params])}
+
+    trace = nn.train_stack(loss_and_grads, {"encoder": flat}, cfg.learning_rate,
+                           cfg.encoding_epochs, list(graph_ids))
     for g, (enc, init) in enumerate(zip(encs, inits)):
         for name, p in init.items():
             p[...] = params[name][g]

@@ -51,12 +51,10 @@ def make_fold_plan(classes, fold_count=10, rng_seed=0):
 
 # --- classifiers -------------------------------------------------------------
 
-@dataclass
-class ClassifierConfig:
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2: float = 1e-3
-    knn_k: int = 5
+HINGE_LEARNING_RATE = 0.1
+HINGE_EPOCHS = 500
+HINGE_L2 = 1e-3
+KNN_K = 5
 
 
 class Standardizer:
@@ -79,22 +77,18 @@ class HingeClassifier:
     the per-class problems train together as the columns of one weight matrix.
     """
 
-    def __init__(self, cfg=None):
-        self.cfg = cfg or ClassifierConfig()
-
     def fit(self, x, y):
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise EvalError("training split contains a single class")
-        cfg = self.cfg
         n, d = x.shape
         targets = np.where(np.asarray(y)[:, None] == self.classes_, 1.0, -1.0)
         w = np.zeros((d, len(self.classes_)))
         b = np.zeros(len(self.classes_))
-        for t in range(cfg.epochs):
-            lr = cfg.learning_rate / (1.0 + 0.01 * t)
+        for t in range(HINGE_EPOCHS):
+            lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
             active = np.where(targets * (x @ w + b) < 1.0, targets, 0.0)
-            gw = -(x.T @ active) / n + 2.0 * cfg.l2 * w
+            gw = -(x.T @ active) / n + 2.0 * HINGE_L2 * w
             gb = -active.sum(axis=0) / n
             w -= lr * gw
             b -= lr * gb
@@ -129,7 +123,7 @@ class CVResult:
     skipped_folds: list = field(default_factory=list)
 
 
-def classify_cv(table, classes, plan=None, classifier_cfg=None):
+def classify_cv(table, classes, plan=None):
     """Stratified cross-validated accuracy of the embeddings.
 
     Standardization is fit per fold on the training split only. Reports the
@@ -144,7 +138,6 @@ def classify_cv(table, classes, plan=None, classifier_cfg=None):
         raise _nonfinite_error("feature", bad)
     if plan is None:
         plan = make_fold_plan(classes)
-    cfg = classifier_cfg or ClassifierConfig()
 
     accs, knn_accs, skipped = [], [], []
     for fold in range(plan.fold_count):
@@ -156,9 +149,9 @@ def classify_cv(table, classes, plan=None, classifier_cfg=None):
             continue
         scaler = Standardizer().fit(features[tr])
         xtr, xte = scaler.transform(features[tr]), scaler.transform(features[te])
-        clf = HingeClassifier(cfg).fit(xtr, classes[tr])
+        clf = HingeClassifier().fit(xtr, classes[tr])
         accs.append(float(np.mean(clf.predict(xte) == classes[te])))
-        knn = _knn_predict(xtr, classes[tr], xte, cfg.knn_k)
+        knn = _knn_predict(xtr, classes[tr], xte, KNN_K)
         knn_accs.append(float(np.mean(knn == classes[te])))
 
     if not accs:

@@ -64,8 +64,6 @@ class Graph:
 
         if edge_labels is not None:
             edge_labels = tuple(int(l) for l in edge_labels)
-            if len(edge_labels) != len(self.edges):
-                raise GraphError("edge_labels must cover every edge")
             if edge_labels and min(edge_labels) < 0:
                 raise GraphError("negative edge label id")
         self.edge_labels = edge_labels
@@ -205,10 +203,6 @@ class GraphDataset:
     def __len__(self):
         return len(self.graphs)
 
-    @property
-    def num_classes(self):
-        return len(set(self.graph_classes))
-
 
 def save_dataset_json(dataset, path):
     d = {"graphs": [g.to_json_dict() for g in dataset.graphs],
@@ -229,27 +223,22 @@ def load_dataset_json(path):
         classes = list(d["classes"])
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"dataset JSON missing required field: {exc}") from exc
-    node_vocab = edge_vocab = None
-    # align per-graph vocab sizes so attribute distributions are comparable
-    if any(g.node_labels is not None for g in graphs):
-        if d.get("node_label_names"):
-            node_vocab = LabelVocabulary("node", tuple(d["node_label_names"]))
-            k = node_vocab.size
-        else:
-            k = max(g.num_node_labels or 0 for g in graphs)
-        graphs = [Graph(g.node_count, g.edges, node_labels=g.node_labels,
-                        edge_labels=g.edge_labels, num_node_labels=k,
-                        num_edge_labels=g.num_edge_labels) for g in graphs]
-    if any(g.edge_labels is not None for g in graphs):
-        if d.get("edge_label_names"):
-            edge_vocab = LabelVocabulary("edge", tuple(d["edge_label_names"]))
-            k = edge_vocab.size
-        else:
-            k = max(g.num_edge_labels or 0 for g in graphs)
-        graphs = [Graph(g.node_count, g.edges, node_labels=g.node_labels,
-                        edge_labels=g.edge_labels, num_node_labels=g.num_node_labels,
-                        num_edge_labels=k) for g in graphs]
-    return GraphDataset(graphs, classes, node_vocab=node_vocab, edge_vocab=edge_vocab)
+    # align per-graph vocab sizes so attribute distributions are comparable;
+    # a graph is built again only when a size moves
+    vocabs, sizes = {}, {}
+    for kind in ("node", "edge"):
+        if any(getattr(g, f"{kind}_labels") is not None for g in graphs):
+            if d.get(f"{kind}_label_names"):
+                vocabs[kind] = LabelVocabulary(kind, tuple(d[f"{kind}_label_names"]))
+                sizes[kind] = vocabs[kind].size
+            else:
+                sizes[kind] = max(getattr(g, f"num_{kind}_labels") or 0 for g in graphs)
+    graphs = [g if all(getattr(g, f"num_{kind}_labels") == k for kind, k in sizes.items())
+              else Graph(g.node_count, g.edges, node_labels=g.node_labels, edge_labels=g.edge_labels,
+                         num_node_labels=sizes.get("node", g.num_node_labels),
+                         num_edge_labels=sizes.get("edge", g.num_edge_labels))
+              for g in graphs]
+    return GraphDataset(graphs, classes, node_vocab=vocabs.get("node"), edge_vocab=vocabs.get("edge"))
 
 
 # --- label distribution matrices -------------------------------------------

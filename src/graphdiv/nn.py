@@ -20,6 +20,10 @@ class ShapeError(ValueError):
     pass
 
 
+class TrainingFault(RuntimeError):
+    """A training loss went non-finite."""
+
+
 def sigmoid(z):
     # piecewise form avoids overflow in exp for large |z|: exp(-|z|) is
     # exp(-z) where z >= 0 and exp(z) elsewhere, and never exceeds 1
@@ -120,14 +124,16 @@ def multilabel_bce_loss(logits, targets):
     return loss, sigmoid(z) - t
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def adam_step(params, grads, state, lr):
@@ -143,7 +149,7 @@ def adam_step(params, grads, state, lr):
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_correction = 1 - b1 ** t
     v_correction = 1 - b2 ** t
     for name, p in params.items():
@@ -166,12 +172,31 @@ def adam_step(params, grads, state, lr):
         # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
         np.divide(v, v_correction, out=buf)
         np.sqrt(buf, out=buf)
-        buf += state.epsilon
+        buf += ADAM_EPSILON
         step = m / m_correction
         step *= lr
         step /= buf
         p -= step
     return params
+
+
+def train_stack(loss_and_grads, params, lr, epochs, slice_ids):
+    """The package's training loop: `epochs` full-batch Adam steps on a stack
+    of independent problems, where loss_and_grads(params) returns one loss
+    per slice and the gradients. Returns the (epochs, slices) loss trace;
+    raises TrainingFault naming the ids of the slices whose loss goes
+    non-finite."""
+    state = AdamState()
+    trace = np.empty((epochs, len(slice_ids)))
+    for epoch in range(epochs):
+        losses, grads = loss_and_grads(params)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            ids = list(dict.fromkeys(slice_ids[i] for i in np.flatnonzero(~finite)))
+            raise TrainingFault(f"loss diverged (non-finite) at epoch {epoch} for graph id(s) {ids}")
+        trace[epoch] = losses
+        adam_step(params, grads, state, lr)
+    return trace
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -8,7 +8,7 @@ from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPa
                                 AugmentedEncoder, argmax_alignment,
                                 attention_loss_and_grads, attention_matrix,
                                 augmented_neighbor_probs, init_attention,
-                                source_prob_matrix, train_attention)
+                                source_prob_matrix, train_attention, train_attentions)
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
                               build_encoder, derive_seed, encoder_loss_and_grads,
                               train_encoder)
@@ -428,6 +428,23 @@ def test_diverging_restart_raises_training_fault(small_source, monkeypatch):
         return losses, grads
 
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
-    with pytest.raises(TrainingFault):
+    # the last restart of target 1 diverges; the fault names that target once
+    with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \[1\]$"):
         train_attention(small_source, random_graph(4, 0.5, 2), TrainConfig(embed_dim=4),
                         target_graph_id=1, restarts=2)
+
+
+def test_stacked_fault_names_only_diverged_targets(small_source, monkeypatch):
+    import graphdiv.attention as att
+
+    real = att.attention_loss_and_grads
+
+    def poisoned(problem, params):
+        losses, grads = real(problem, params)
+        losses[[2, 3, 5]] = np.nan  # both restarts of target 6, one of target 7
+        return losses, grads
+
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    targets = [random_graph(4, 0.5, s) for s in (2, 3, 4)]
+    with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \[6, 7\]$"):
+        train_attentions(small_source, targets, TrainConfig(embed_dim=4), [5, 6, 7], restarts=2)

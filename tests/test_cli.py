@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import pytest
 
 from graphdiv.cli import EXIT_OK, EXIT_USAGE, main
+from graphdiv.divergence import distance_csv, distance_matrix, table_from_csv
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 
@@ -240,3 +242,61 @@ def test_encode_ignores_stale_temp_path(tmp_path, dataset_file):
     assert main(args) == EXIT_OK
     assert os.path.isfile(out / ckpt)
     assert not [p for p in os.listdir(out) if p.endswith(".tmp") and p != ckpt + ".tmp"]
+
+
+def test_symmetric_needs_every_source(tmp_path, dataset_file):
+    # rejected before any encoder is trained or any cell is written
+    out = tmp_path / "out"
+    assert main(["embed", "--dataset", dataset_file, "--out", str(out),
+                 "--sources", "sample:0.5:7", "--symmetric"] + fast()) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cluster_raw_rows(tmp_path, dataset_file):
+    out = tmp_path / "out"
+    assert main(["embed", "--dataset", dataset_file, "--out", str(out)] + fast()) == EXIT_OK
+    emb = str(out / "embeddings.csv")
+    assert main(["cluster", "--dataset", dataset_file, "--out", str(out),
+                 "--embeddings", emb, "--raw-rows"] + fast()) == EXIT_OK
+    with open(emb) as f:
+        table = table_from_csv("".join(l for l in f if not l.startswith("#")))
+    with open(out / "distances.csv") as f:
+        text = f.read()
+    assert text.split("\n", 1)[1] == distance_csv(table.target_ids, distance_matrix(table.values))
+
+
+_COMMON_KEYS = {"command", "config", "config_hash", "seed"}
+_ENCODERS = {f"encoder_H_g{i}.json" for i in range(6)}
+# per command: extra arguments, the files it writes to a fresh --out (config
+# hash replaced by H) and the keys of its summary
+CONTRACT = {
+    "encode": ([], _ENCODERS | {"encode_summary.json"},
+               {"graphs", "trained", "skipped"}),
+    "embed": ([], _ENCODERS | {"embeddings.csv", "embed_summary.json"}
+              | {f"cells/cell_H_r1_t{t}_s{s}.json" for t in range(6) for s in range(6)},
+              {"sources", "targets", "symmetric", "cell_errors"}),
+    "classify": (["--embeddings", "EMB", "--folds", "3"], {"accuracy.csv", "classify_summary.json"},
+                 {"mean_accuracy", "std_accuracy", "knn_mean_accuracy", "knn_std_accuracy",
+                  "skipped_folds", "folds"}),
+    "cluster": (["--embeddings", "EMB", "--clusters", "2"], {"distances.csv", "cluster_summary.json"},
+                {"merges", "leaf_ids", "assignments", "purity"}),
+    "attention": (["--source-index", "1", "--target-index", "4"],
+                  {"encoder_H_g1.json", "attention.csv", "attention_summary.json"},
+                  {"source_index", "target_index", "argmax_alignment"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT))
+def test_command_outputs_contract(tmp_path, dataset_file, command):
+    extra, files, keys = CONTRACT[command]
+    emb = tmp_path / "emb.csv"
+    emb.write_text("# config_hash=x seed=0\ngraph_id,0,1\n" + "".join(
+        f"{i},{float(i % 3)!r},{float(i // 3)!r}\n" for i in range(6)))
+    out = tmp_path / "out"
+    args = [str(emb) if a == "EMB" else a for a in extra]
+    assert main([command, "--dataset", dataset_file, "--out", str(out)] + fast() + args) == EXIT_OK
+    written = {re.sub(r"_[0-9a-f]{12}_", "_H_", os.path.relpath(os.path.join(root, name), out))
+               for root, _, names in os.walk(out) for name in names}
+    assert written == files
+    with open(out / f"{command}_summary.json") as f:
+        assert set(json.load(f)) == _COMMON_KEYS | keys

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphdiv.divergence import distance_matrix
 from graphdiv.encoder import TrainConfig
-from graphdiv.evaluation import (ClassifierConfig, Dendrogram, EvalError,
-                                 HingeClassifier, Standardizer, _knn_predict,
+from graphdiv.evaluation import (HINGE_EPOCHS, HINGE_L2, HINGE_LEARNING_RATE,
+                                 Dendrogram, EvalError, HingeClassifier, Standardizer, _knn_predict,
                                  classify_cv, cut_clusters, hier_cluster,
                                  make_fold_plan, purity, sample_sources,
                                  sampling_study)
@@ -45,24 +45,24 @@ def fold_plan_reference(classes, fold_count, rng_seed):
     return assignments
 
 
-def fit_hinge_binary_reference(x, y, cfg):
+def fit_hinge_binary_reference(x, y):
     """One binary problem, y in {-1, +1}; returns (w, b)."""
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
-    for t in range(cfg.epochs):
-        lr = cfg.learning_rate / (1.0 + 0.01 * t)
+    for t in range(HINGE_EPOCHS):
+        lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
         margin = y * (x @ w + b)
         active = margin < 1.0
-        gw = -(x[active] * y[active, None]).sum(axis=0) / n + 2.0 * cfg.l2 * w
+        gw = -(x[active] * y[active, None]).sum(axis=0) / n + 2.0 * HINGE_L2 * w
         gb = -y[active].sum() / n
         w -= lr * gw
         b -= lr * gb
     return w, b
 
 
-def hinge_decision_reference(train_x, train_y, test_x, cfg):
-    models = [fit_hinge_binary_reference(train_x, np.where(train_y == c, 1.0, -1.0), cfg)
+def hinge_decision_reference(train_x, train_y, test_x):
+    models = [fit_hinge_binary_reference(train_x, np.where(train_y == c, 1.0, -1.0))
               for c in np.unique(train_y)]
     return np.stack([test_x @ w + b for w, b in models], axis=1)
 
@@ -216,10 +216,9 @@ def test_hinge_fit_matches_per_class_reference(classes):
     # binary fits; a matmul may sum in another order, so decisions agree to
     # rounding and predictions exactly
     x, y = class_blobs(np.array(classes), seed=len(classes))
-    cfg = ClassifierConfig(epochs=300)
     xtr, ytr, xte = x[::2], y[::2], x[1::2]
-    clf = HingeClassifier(cfg).fit(xtr, ytr)
-    expected = hinge_decision_reference(xtr, ytr, xte, cfg)
+    clf = HingeClassifier().fit(xtr, ytr)
+    expected = hinge_decision_reference(xtr, ytr, xte)
     assert np.allclose(clf.decision(xte), expected, rtol=0, atol=1e-9)
     assert np.array_equal(clf.predict(xte), clf.classes_[np.argmax(expected, axis=1)])
 

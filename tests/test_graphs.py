@@ -87,15 +87,15 @@ def test_graph_json_keeps_vocabulary_and_reads_older_files():
 
 
 def test_dataset_roundtrip_aligns_vocab(tmp_path):
-    g1 = Graph(3, [(0, 1)], node_labels=[0, 0, 0])
-    g2 = Graph(3, [(0, 2)], node_labels=[2, 1, 0])
+    g1 = Graph(3, [(0, 1)], node_labels=[0, 0, 0], edge_labels=[0])
+    g2 = Graph(3, [(0, 2)], node_labels=[2, 1, 0], edge_labels=[1])
     ds = GraphDataset([g1, g2], [0, 1])
     path = tmp_path / "ds.json"
     save_dataset_json(ds, path)
     loaded = load_dataset_json(path)
-    # both graphs see the union-sized node vocabulary
-    assert loaded.graphs[0].num_node_labels == 3
-    assert loaded.graphs[1].num_node_labels == 3
+    # both graphs see the union-sized node and edge vocabularies
+    assert [g.num_node_labels for g in loaded.graphs] == [3, 3]
+    assert [g.num_edge_labels for g in loaded.graphs] == [2, 2]
     assert loaded.graph_classes == [0, 1]
 
 
