@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .attention import argmax_alignment, attention_matrix, train_attention
-from .divergence import (distance_csv, distance_matrix, embed_all, symmetrize,
+from .divergence import (distance_matrix, embed_all, matrix_csv, symmetrize,
                          table_from_csv, table_to_csv, train_source_encoders, unit_rows)
 from .encoder import TrainConfig, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
@@ -162,7 +162,7 @@ def cmd_cluster(args, cfg):
         assignments = cut_clusters(dendro, args.clusters)
         extra["assignments"] = assignments.tolist()
         extra["purity"] = purity(assignments, load_dataset(args.dataset, args.format).graph_classes)
-    return "distances.csv", distance_csv(table.target_ids, dist), extra
+    return "distances.csv", matrix_csv("graph_id", table.target_ids, table.target_ids, dist), extra
 
 
 def cmd_attention(args, cfg):
@@ -175,10 +175,9 @@ def cmd_attention(args, cfg):
     ae = train_attention(source, dataset.graphs[args.target_index], cfg,
                          target_graph_id=args.target_index, restarts=args.restarts)
     m = attention_matrix(ae.attention)  # rows = source nodes, cols = target nodes
-    body_lines = ["source_node," + ",".join(f"t{j}" for j in range(m.shape[1]))]
-    for i in range(m.shape[0]):
-        body_lines.append(f"s{i}," + ",".join(repr(float(v)) for v in m[i]))
-    return "attention.csv", "\n".join(body_lines) + "\n", {
+    body = matrix_csv("source_node", [f"t{j}" for j in range(m.shape[1])],
+                      [f"s{i}" for i in range(m.shape[0])], m)
+    return "attention.csv", body, {
         "source_index": args.source_index, "target_index": args.target_index,
         "argmax_alignment": [int(v) for v in argmax_alignment(ae)]}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .attention import augmented_neighbor_probs, train_attention, train_attentions
+from .attention import augmented_neighbor_probs, train_attentions
 from .encoder import positive_log_loss, train_encoders
 from .graphs import atomic_write
 
@@ -68,36 +68,25 @@ def unit_rows(embeddings):
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def _score_cell(source_enc, target, cfg, target_id, restarts):
-    """One (target, source) cell with a single reseeded retry when the fit
-    diverges. Only numeric failures are retried and recorded; any other error
-    (a shape or label-vocabulary mismatch) is a caller's mistake and raises."""
-    try:
-        ae = train_attention(source_enc, target, cfg, target_graph_id=target_id,
-                             restarts=restarts)
-        return raw_divergence(ae), None
-    except (nn.TrainingFault, nn.NumericsFault) as first:
-        try:
-            ae = train_attention(source_enc, target, cfg,
-                                 target_graph_id=f"{target_id}#retry", restarts=restarts)
-            return raw_divergence(ae), None
-        except (nn.TrainingFault, nn.NumericsFault) as second:
-            return float("nan"), f"{first}; retry: {second}"
-
-
 def _score_chunk(source_enc, si, jobs, cfg, restarts):
     """Score one source against a group of same-size targets as one stacked
     fit. Slices never mix, so the group faults only when one of its cells
-    would fault alone; then each cell is scored on its own, with its retry,
-    and only the faulty cells fail."""
+    would fault alone; then each cell is scored again as a group of one. A
+    lone cell that faults is retried once under a fresh seed, then recorded
+    as failed; any other error is a caller's mistake and raises."""
     tis, targets, target_ids = zip(*jobs)
     try:
         fitted = train_attentions(source_enc, targets, cfg, target_ids, restarts)
-        scored = [(raw_divergence(ae), None) for ae in fitted]
-    except (nn.TrainingFault, nn.NumericsFault):
-        scored = [_score_cell(source_enc, target, cfg, target_id, restarts)
-                  for target, target_id in zip(targets, target_ids)]
-    return [(ti, si, raw, err) for ti, (raw, err) in zip(tis, scored)]
+        return [(ti, si, raw_divergence(ae), None) for ti, ae in zip(tis, fitted)]
+    except (nn.TrainingFault, nn.NumericsFault) as first:
+        if len(jobs) > 1:
+            return sum((_score_chunk(source_enc, si, [job], cfg, restarts) for job in jobs), [])
+        (ti, target, tid), = jobs
+        try:
+            (ae,) = train_attentions(source_enc, [target], cfg, [f"{tid}#retry"], restarts)
+            return [(ti, si, raw_divergence(ae), None)]
+        except (nn.TrainingFault, nn.NumericsFault) as second:
+            return [(ti, si, float("nan"), f"{first}; retry: {second}")]
 
 
 def _completed(fn, tasks, workers):
@@ -218,16 +207,17 @@ def symmetrize(table):
 
 # --- CSV output --------------------------------------------------------------
 
-def _fmt(x):
-    return repr(float(x))
+def matrix_csv(corner, column_ids, row_ids, values):
+    """Header `corner,<column ids>`, then `<row id>,<repr(float(v)) ...>` rows."""
+    lines = [f"{corner}," + ",".join(str(c) for c in column_ids)]
+    for rid, row in zip(row_ids, values):
+        lines.append(f"{rid}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def table_to_csv(table):
     """Embeddings CSV: header of source ids, one row per target graph."""
-    lines = ["graph_id," + ",".join(str(s) for s in table.source_ids)]
-    for ti, tid in enumerate(table.target_ids):
-        lines.append(f"{tid}," + ",".join(_fmt(v) for v in table.values[ti]))
-    return "\n".join(lines) + "\n"
+    return matrix_csv("graph_id", table.source_ids, table.target_ids, table.values)
 
 
 def table_from_csv(text):
@@ -240,10 +230,3 @@ def table_from_csv(text):
         rows.append([float(x) for x in parts[1:]])
     values = np.array(rows)
     return DivergenceTable(source_ids, target_ids, values, np.full(len(source_ids), np.nan))
-
-
-def distance_csv(ids, dist):
-    lines = ["graph_id," + ",".join(str(i) for i in ids)]
-    for i, gid in enumerate(ids):
-        lines.append(f"{gid}," + ",".join(_fmt(v) for v in dist[i]))
-    return "\n".join(lines) + "\n"

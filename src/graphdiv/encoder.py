@@ -97,16 +97,16 @@ def build_encoder(graph, cfg, graph_id=0):
     n = graph.node_count
     bound = 1.0 / np.sqrt(n)
     embedding = rng.uniform(-bound, bound, size=(n, d))
-    hidden = [nn.init_dense(d, d, "relu", rng) for _ in range(cfg.encoder_layers)]
-    output = nn.init_dense(n, d, "identity", rng)
+    hidden = [nn.init_dense(d, d, rng) for _ in range(cfg.encoder_layers)]
+    output = nn.init_dense(n, d, rng)
     return SourceEncoder(graph, graph_id, embedding, hidden, output)
 
 
 def _assemble(graph, graph_id, params, hidden_layers):
     """A SourceEncoder over named parameter arrays (see SourceEncoder.params)."""
-    hidden = [DenseLayer(params[f"hidden{k}.weight"], params[f"hidden{k}.bias"], "relu")
+    hidden = [DenseLayer(params[f"hidden{k}.weight"], params[f"hidden{k}.bias"])
               for k in range(hidden_layers)]
-    output = DenseLayer(params["output.weight"], params["output.bias"], "identity")
+    output = DenseLayer(params["output.weight"], params["output.bias"])
     return SourceEncoder(graph, graph_id, params["embedding"], hidden, output)
 
 

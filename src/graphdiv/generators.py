@@ -114,7 +114,7 @@ def mutate_family(seed_graph, steps, mutation_count, rng_seed):
         raise GraphError("steps must be >= 0")
     rng = np.random.default_rng(rng_seed)
     n = seed_graph.node_count
-    pa_weights = [seed_graph.degree(u) for u in range(n)]
+    pa_weights = np.bincount(np.array(seed_graph.edges, dtype=int).ravel(), minlength=n)
     out = []
     for _ in range(mutation_count):
         edge_set = set(seed_graph.edges)

@@ -79,21 +79,9 @@ class Graph:
         self.num_node_labels = num_node_labels
         self.num_edge_labels = num_edge_labels
 
-        adj = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adjacency = tuple(tuple(sorted(a)) for a in adj)
-
     @property
     def edge_count(self):
         return len(self.edges)
-
-    def neighbors(self, u):
-        return self._adjacency[u]
-
-    def degree(self, u):
-        return len(self._adjacency[u])
 
     def adjacency_matrix(self):
         """Dense 0/1 adjacency, float64, zero diagonal."""

@@ -1,4 +1,5 @@
-"""Dense layers, losses and Adam on float64 numpy arrays.
+"""Dense layer stacks (relu after every layer but the last), losses and Adam
+on float64 numpy arrays.
 
 Gradients are hand-derived per layer; there is no autodiff. Everything is a
 pure function over caller-owned buffers, so independent trainings can run in
@@ -42,20 +43,15 @@ def softmax(z, axis=-1):
     return e
 
 
-ACTIVATIONS = ("identity", "relu")
-
-
 @dataclass
 class DenseLayer:
-    """y = act(x W^T + b); weight is (out, in), inputs are batched row-wise.
-    A stack of G layers has weight (G, out, in) and bias (G, out)."""
+    """y = x W^T + b; weight is (out, in), inputs are batched row-wise. A stack
+    of G layers has weight (G, out, in) and bias (G, out). forward applies
+    relu after every layer but the last."""
     weight: np.ndarray
     bias: np.ndarray
-    activation: str = "identity"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}")
         if self.weight.ndim not in (2, 3) or self.bias.shape != self.weight.shape[:-1]:
             raise ShapeError("weight must be (out, in) or (G, out, in) with bias (out,) or (G, out)")
 
@@ -68,25 +64,17 @@ class DenseLayer:
         return self.weight.shape[-1]
 
 
-def init_dense(out_dim, in_dim, activation, rng):
+def init_dense(out_dim, in_dim, rng):
     """Uniform weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
     bound = 1.0 / np.sqrt(in_dim)
     w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    return DenseLayer(w, np.zeros(out_dim), activation)
-
-
-def _apply_activation(act, z):
-    return np.maximum(z, 0.0) if act == "relu" else z
-
-
-def _activation_backward(act, z, grad_out):
-    return grad_out * (z > 0) if act == "relu" else grad_out
+    return DenseLayer(w, np.zeros(out_dim))
 
 
 def forward(layers, x):
-    """Run a layer stack over a batch, or G stacked layer stacks over G
-    batches; returns (output, tape for backward). Each slice gets the bits it
-    would get alone."""
+    """Run a layer stack (relu after all but the last layer) over a batch, or
+    G stacked layer stacks over G batches; returns (output, tape for
+    backward). Each slice gets the bits it would get alone."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
     tape = []
     for k, layer in enumerate(layers):
@@ -94,12 +82,12 @@ def forward(layers, x):
             raise ShapeError(f"layer {k}: input width {h.shape[-1]} != expected {layer.in_dim}")
         z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
         tape.append((h, z))
-        h = _apply_activation(layer.activation, z)
+        h = np.maximum(z, 0.0) if k < len(layers) - 1 else z
     return h, tape
 
 
 def backward(layers, tape, grad_out):
-    """Backprop grad_out through the stack.
+    """Backprop grad_out through the stack, as forward ran it.
 
     Returns (per-layer [(grad_weight, grad_bias)], grad_input).
     """
@@ -107,7 +95,7 @@ def backward(layers, tape, grad_out):
     g = grad_out
     for k in range(len(layers) - 1, -1, -1):
         h, z = tape[k]
-        gz = _activation_backward(layers[k].activation, z, g)
+        gz = g * (z > 0) if k < len(layers) - 1 else g
         grads[k] = (gz.swapaxes(-1, -2) @ h, gz.sum(axis=-2))
         g = gz @ layers[k].weight
     return grads, g

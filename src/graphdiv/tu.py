@@ -34,6 +34,19 @@ def _read_lines(path, required):
         return [line.strip() for line in f if line.strip()]
 
 
+def _ints(path, lines, low=None):
+    """Parse one integer per line; GraphFormatError names file:line."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: not an integer: {line!r}") from None
+        if low is not None and out[-1] < low:
+            raise GraphFormatError(f"{path}:{lineno}: expected an integer >= {low}, got {line!r}")
+    return out
+
+
 def _dense_remap(values):
     """Map arbitrary label values to dense ids, ordered by sorted original value."""
     distinct = sorted(set(values))
@@ -58,12 +71,7 @@ def load_tu_dataset(directory):
     edge_label_lines = _read_lines(path("edge_labels"), required=False)
 
     # graph_indicator: line i (1-based) holds the graph id of global node i
-    graph_of_node = []
-    for lineno, line in enumerate(indicator, start=1):
-        try:
-            graph_of_node.append(int(line))
-        except ValueError:
-            raise GraphFormatError(f"{path('graph_indicator')}:{lineno}: not an integer: {line!r}")
+    graph_of_node = _ints(path("graph_indicator"), indicator, low=1)
     num_graphs = max(graph_of_node)
 
     # per-graph dense local ids, in global-id order
@@ -78,11 +86,12 @@ def load_tu_dataset(directory):
         if len(node_label_lines) != len(graph_of_node):
             raise GraphFormatError(f"{path('node_labels')}: expected {len(graph_of_node)} lines, "
                                    f"got {len(node_label_lines)}")
-        raw_node_labels = [int(l) for l in node_label_lines]
+        raw_node_labels = _ints(path("node_labels"), node_label_lines)
 
     if edge_label_lines is not None and len(edge_label_lines) != len(edge_lines):
         raise GraphFormatError(f"{path('edge_labels')}: expected {len(edge_lines)} lines, "
                                f"got {len(edge_label_lines)}")
+    edge_label_ints = _ints(path("edge_labels"), edge_label_lines or [])
 
     # collect undirected edges per graph, dropping duplicates and self-loops
     edges_per_graph = [dict() for _ in range(num_graphs + 1)]  # canonical local edge -> raw label
@@ -104,7 +113,7 @@ def load_tu_dataset(directory):
             self_loops += 1
             continue
         e = canonical_edge(local_id[a - 1], local_id[b - 1])
-        label = int(edge_label_lines[lineno - 1]) if edge_label_lines is not None else None
+        label = edge_label_ints[lineno - 1] if edge_label_lines is not None else None
         prev = edges_per_graph[ga].get(e)
         if prev is not None and label is not None and prev != label:
             raise GraphFormatError(f"{path('A')}:{lineno}: conflicting labels for edge ({a}, {b})")
@@ -142,7 +151,7 @@ def load_tu_dataset(directory):
                             num_node_labels=node_vocab.size if node_vocab else None,
                             num_edge_labels=edge_vocab.size if edge_vocab else None))
 
-    classes, class_names = _dense_remap([int(l) for l in graph_labels])
+    classes, class_names = _dense_remap(_ints(path("graph_labels"), graph_labels))
     if len(classes) != num_graphs:
         raise GraphFormatError(f"{path('graph_labels')}: expected {num_graphs} lines, got {len(classes)}")
     return GraphDataset(graphs, classes, node_vocab=node_vocab, edge_vocab=edge_vocab,

@@ -62,8 +62,8 @@ def encoder_stack(encs):
     """Same-size encoders as one SourceEncoder whose arrays carry a leading
     stack axis, the form encoder_loss_and_grads takes."""
     layers = [DenseLayer(np.stack([e.layers[k].weight for e in encs]),
-                         np.stack([e.layers[k].bias for e in encs]), layer.activation)
-              for k, layer in enumerate(encs[0].layers)]
+                         np.stack([e.layers[k].bias for e in encs]))
+              for k in range(len(encs[0].layers))]
     return SourceEncoder(None, [e.graph_id for e in encs],
                          np.stack([e.embedding for e in encs]), layers[:-1], layers[-1])
 

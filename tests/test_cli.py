@@ -2,10 +2,13 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
-from graphdiv.cli import EXIT_OK, EXIT_USAGE, main
-from graphdiv.divergence import distance_csv, distance_matrix, table_from_csv
+from graphdiv.attention import attention_matrix, train_attention
+from graphdiv.cli import EXIT_OK, EXIT_USAGE, build_config, build_parser, main
+from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
+from graphdiv.encoder import load_encoder
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 
@@ -166,8 +169,31 @@ def test_attention_identity_on_labeled_barbell(tmp_path):
     assert lines[1].startswith("source_node,t0")
     # softmax columns of the dumped matrix sum to 1
     cols = [list(map(float, l.split(",")[1:])) for l in lines[2:]]
-    import numpy as np
     assert np.allclose(np.sum(cols, axis=0), 1.0, atol=1e-9)
+
+
+def test_attention_csv_format(tmp_path):
+    # header t0..t6 over the 7 target nodes, one row s0..s4 per source node,
+    # and every value reads back to the bits of the fitted alignment
+    ds = GraphDataset([random_graph(5, 0.5, 1), random_graph(7, 0.5, 2)], [0, 1])
+    path = str(tmp_path / "ds.json")
+    save_dataset_json(ds, path)
+    out = str(tmp_path / "out")
+    argv = ["attention", "--dataset", path, "--out", out,
+            "--source-index", "0", "--target-index", "1"] + fast()
+    assert main(argv) == EXIT_OK
+    args = build_parser().parse_args(argv)
+    cfg = build_config(args)
+    source = load_encoder(os.path.join(out, f"encoder_{cfg.hash()}_g0.json"))
+    ae = train_attention(source, ds.graphs[1], cfg, target_graph_id=1, restarts=args.restarts)
+    with open(os.path.join(out, "attention.csv")) as f:
+        lines = f.read().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "source_node," + ",".join(f"t{j}" for j in range(7))
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[0] for row in rows] == [f"s{i}" for i in range(5)]
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert values.tobytes() == attention_matrix(ae.attention).tobytes()
 
 
 def test_attention_index_bounds(tmp_path, dataset_file):
@@ -262,7 +288,8 @@ def test_cluster_raw_rows(tmp_path, dataset_file):
         table = table_from_csv("".join(l for l in f if not l.startswith("#")))
     with open(out / "distances.csv") as f:
         text = f.read()
-    assert text.split("\n", 1)[1] == distance_csv(table.target_ids, distance_matrix(table.values))
+    assert text.split("\n", 1)[1] == matrix_csv("graph_id", table.target_ids, table.target_ids,
+                                                 distance_matrix(table.values))
 
 
 _COMMON_KEYS = {"command", "config", "config_hash", "seed"}

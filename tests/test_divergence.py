@@ -6,7 +6,7 @@ import pytest
 from graphdiv import nn
 from graphdiv.attention import (AttentionPair, AugmentedEncoder, train_attention,
                                 train_attentions)
-from graphdiv.divergence import (DivergenceTable, distance_csv, distance_matrix,
+from graphdiv.divergence import (DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
 from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, positive_log_loss,
@@ -186,6 +186,32 @@ def test_embed_all_failure_isolated(monkeypatch):
     assert table.values[[0, 2]].tobytes() == clean.values[[0, 2]].tobytes()
 
 
+def test_faulting_cell_fits_twice(monkeypatch):
+    # a one-cell group whose every fit diverges: one stacked fit, one retry
+    # under a fresh seed, then the cell fails with both faults on record
+    import graphdiv.attention as att
+
+    real = att.attention_loss_and_grads
+    fits = []
+
+    def diverged(problem, params):
+        # every fit diverges at its first epoch, so one call is one fit
+        fits.append(problem)
+        losses, grads = real(problem, params)
+        return np.full_like(losses, np.nan), grads
+
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8)]
+    cfg = quick_cfg()
+    monkeypatch.setattr(att, "attention_loss_and_grads", diverged)
+    table = embed_all(graphs[:1], graphs[1:], cfg, source_ids=["s"], target_ids=["t"],
+                      restarts=2)
+    assert len(fits) == 2
+    assert np.isnan(table.values[0, 0])
+    first = "loss diverged (non-finite) at epoch 0 for graph id(s) ['t']"
+    second = "loss diverged (non-finite) at epoch 0 for graph id(s) ['t#retry']"
+    assert table.errors == {(0, 0): f"{first}; retry: {second}"}
+
+
 def _mixed_sizes():
     return [random_graph(n, 0.5, s) for n, s in ((5, 1), (6, 2), (5, 3), (6, 4), (5, 5))]
 
@@ -263,7 +289,7 @@ def test_table_csv_roundtrip():
 
 def test_distance_csv_format():
     d = distance_matrix(np.array([[0.0], [2.0]]))
-    text = distance_csv(["a", "b"], d)
+    text = matrix_csv("graph_id", ["a", "b"], ["a", "b"], d)
     lines = text.splitlines()
     assert lines[0] == "graph_id,a,b"
     assert lines[1].startswith("a,0.0,")

@@ -47,7 +47,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_identity_layer_passthrough():
-    layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
+    layer = DenseLayer(np.eye(3), np.zeros(3))
     x = np.array([[1.0, -2.0, 0.5]])
     out, _ = forward([layer], x)
     assert np.array_equal(out, x)
@@ -56,17 +56,13 @@ def test_identity_layer_passthrough():
 def test_layer_shape_validation():
     with pytest.raises(ShapeError):
         DenseLayer(np.eye(3), np.zeros(2))
-    with pytest.raises(ShapeError):
-        DenseLayer(np.eye(3), np.zeros(3), "tanh")
-    with pytest.raises(ShapeError):
-        DenseLayer(np.eye(3), np.zeros(3), "softmax")
     layer = DenseLayer(np.eye(3), np.zeros(3))
     with pytest.raises(ShapeError):
         forward([layer], np.ones((1, 4)))
 
 
 def test_stacked_layer_shapes():
-    DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)), "relu")
+    DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))
     with pytest.raises(ShapeError):
@@ -81,14 +77,13 @@ def test_stacked_layers_match_slices():
     # a stack of 3 two-layer nets: forward, loss and backward of each slice
     # are the bits of that net run alone
     rng = np.random.default_rng(4)
-    nets = [[init_dense(4, 3, "relu", rng), init_dense(2, 4, "identity", rng)]
-            for _ in range(3)]
+    nets = [[init_dense(4, 3, rng), init_dense(2, 4, rng)] for _ in range(3)]
     for net in nets:
         for layer in net:
             layer.bias[...] = rng.normal(size=layer.bias.shape)
     stack = [DenseLayer(np.stack([net[k].weight for net in nets]),
-                        np.stack([net[k].bias for net in nets]), layer.activation)
-             for k, layer in enumerate(nets[0])]
+                        np.stack([net[k].bias for net in nets]))
+             for k in range(len(nets[0]))]
     x = rng.normal(size=(3, 5, 3))
     t = (rng.random((3, 5, 2)) < 0.5).astype(float)
     out, tape = forward(stack, x)
@@ -130,7 +125,7 @@ def test_bce_matches_finite_differences():
 
 def test_stack_gradient_check():
     rng = np.random.default_rng(2)
-    layers = [init_dense(4, 3, "relu", rng), init_dense(2, 4, "identity", rng)]
+    layers = [init_dense(4, 3, rng), init_dense(2, 4, rng)]
     x = rng.normal(size=(5, 3))
     t = (rng.random((5, 2)) < 0.5).astype(float)
     params = {"w0": layers[0].weight, "b0": layers[0].bias,

@@ -82,6 +82,31 @@ def test_bad_edge_line_reports_file_and_line(tmp_path):
     assert "TOY_A.txt:2" in str(exc.value)
 
 
+@pytest.mark.parametrize("graph_id", ["-1", "0"])
+def test_graph_id_below_one_rejected(tmp_path, graph_id):
+    # a 3-node path (graph 1) and an edge in graph -1 or 0: ids start at 1,
+    # so neither may merge into the last graph or vanish
+    write_fixture(tmp_path, **{"TOY_A.txt": "1, 2\n2, 1\n2, 3\n3, 2\n4, 5\n5, 4\n",
+                               "TOY_graph_indicator.txt": f"1\n1\n1\n{graph_id}\n{graph_id}\n",
+                               "TOY_graph_labels.txt": "1\n",
+                               "TOY_edge_labels.txt": None})
+    with pytest.raises(GraphFormatError) as exc:
+        load_tu_dataset(tmp_path)
+    assert "TOY_graph_indicator.txt:4" in str(exc.value)
+
+
+@pytest.mark.parametrize("fname, text, line", [
+    ("TOY_node_labels.txt", "7\n7\nC\n8\n7\n", 3),
+    ("TOY_edge_labels.txt", "0\n0\n1\n1\n0\nx\n1\n1\n", 6),
+    ("TOY_graph_labels.txt", "1\nactive\n", 2),
+])
+def test_non_integer_label_reports_file_and_line(tmp_path, fname, text, line):
+    write_fixture(tmp_path, **{fname: text})
+    with pytest.raises(GraphFormatError) as exc:
+        load_tu_dataset(tmp_path)
+    assert f"{fname}:{line}" in str(exc.value)
+
+
 def test_cross_graph_edge_rejected(tmp_path):
     write_fixture(tmp_path, **{"TOY_A.txt": "1, 4\n4, 1\n", "TOY_edge_labels.txt": None})
     with pytest.raises(GraphFormatError) as exc:
