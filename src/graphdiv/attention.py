@@ -10,22 +10,24 @@ augmented encoder can never predict sharper than the source it wraps.
 Label-consistency penalties (node and edge, on both maps) pull the alignment
 toward label-preserving ones; they exist only inside the training loss.
 
-Training is a stacked fit. The targets of one source that have the same node
-count, times the R restarts of each, share their shapes, so they train as
-one problem: forward logits (G*R, |V_S|, |V_T|), reverse logits
-(G*R, |V_T|, |V_S|), one loss/gradient call and one Adam step per epoch,
-with a per-slice learning rate. Slices are target-major: slices g*R to
-g*R + R - 1 are the restarts of target g. Everything that does not change
-during a fit lives in one AlignmentProblem built once per stack: the
-target-side matrices (adjacency, 1 - A, target label penalties) are stacked
-and repeated R times, while the source-side ones and the frozen source
-probabilities stay 2-D and broadcast. Nothing is padded or masked. Each
-slice runs the same elementwise operations in the same order, with its
-reductions taken over that slice alone, so a cell trains to the same bits
-whichever targets share its stack, and each target keeps its own seeds,
-learning rates and best restart. The fitted AugmentedEncoder keeps the
-problem's frozen source probabilities, so scoring it reads them instead of
-running the source encoder again.
+Training is a stacked fit. A cell is one (source, target) pair; cells whose
+sources share a node count and label kinds, and whose targets do too, times
+the R restarts of each, share their shapes, so they train as one problem:
+forward logits (C*R, |V_S|, |V_T|), reverse logits (C*R, |V_T|, |V_S|), one
+loss/gradient call and one Adam step per epoch, with a per-slice learning
+rate. Slices are cell-major: slices c*R to c*R + R - 1 are the restarts of
+cell c. Everything that does not change during a fit lives in one
+AlignmentProblem built once per stack: each source-side constant (the frozen
+source probabilities S, the node one-hots, the edge-attribute and
+neighbourhood matrices) and each target-side one (adjacency, 1 - A, target
+label penalties) is built once per distinct source or target and gathered
+to a per-slice stack. Nothing is padded or masked. Each slice runs the same
+elementwise operations in the same order, with its reductions and matrix
+products taken over that slice alone, so a cell trains to the same bits
+whichever cells share its stack, and each cell keeps its own seeds,
+learning rates and best restart. The fitted AugmentedEncoder keeps its
+slice of the problem's frozen source probabilities, so scoring it reads
+them instead of running the source encoder again.
 """
 
 import numpy as np
@@ -134,51 +136,68 @@ def _bce_probs(pred, target, non_target):
     return loss, grad
 
 
-class AlignmentProblem:
-    """The constants of one stacked alignment: a frozen source against a list
-    of targets with the same node count, each repeated for `restarts`.
+def stack_key(graph):
+    """What the sources of one stack, and its targets, must share: the node
+    count and which kinds of labels the graph carries."""
+    return graph.node_count, graph.node_labels is None, graph.edge_labels is None
 
-    Holds the target adjacencies A and 1 - A as (G*R, |V_T|, |V_T|) stacks,
-    the frozen source's neighbor probabilities S (2-D), and the active label
-    penalties as (side, coef, rows, features, observed, -(coef / rows) *
-    observed) tuples in the order their losses are summed; the target-side
-    matrices of a penalty are stacked like A, the source-side ones stay 2-D.
-    Raises ShapeError when the targets differ in node count, and GraphError
-    when they differ in which labels they carry or when a target's label
-    vocabulary differs from the source's.
+
+class AlignmentProblem:
+    """The constants of one stacked alignment: cell c pairs the frozen source
+    encoder sources[c] with targets[c], and each cell is repeated for
+    `restarts`. The sources must share a node count and the kinds of labels
+    they carry, and so must the targets.
+
+    Every constant is a (C*R, ., .) stack with one slice per (cell, restart),
+    built once per distinct graph or encoder and gathered to its slices: the
+    target adjacencies A and 1 - A, the frozen sources' neighbor
+    probabilities S, and the active label penalties as (side, coef, rows,
+    features, observed, -(coef / rows) * observed) tuples in the order their
+    losses are summed. Raises ShapeError when the sources or the targets
+    differ in node count, and GraphError when they differ in which labels
+    they carry or when a label vocabulary is not shared by all of them.
     """
 
-    def __init__(self, source, targets, cfg, restarts=1):
-        s, t = source.graph, targets[0]
-        if any(g.node_count != t.node_count for g in targets):
-            raise nn.ShapeError("stacked targets must have the same node count")
-        if any((g.node_labels is None, g.edge_labels is None)
-               != (t.node_labels is None, t.edge_labels is None) for g in targets):
-            raise GraphError("stacked targets differ in which labels they carry")
+    def __init__(self, sources, targets, cfg, restarts=1):
+        if len(sources) != len(targets):
+            raise ValueError("a stack needs one source encoder per target")
+        source_graphs = [enc.graph for enc in sources]
+        for side, graphs in (("sources", source_graphs), ("targets", targets)):
+            if any(g.node_count != graphs[0].node_count for g in graphs):
+                raise nn.ShapeError(f"stacked {side} must have the same node count")
+            if any(stack_key(g) != stack_key(graphs[0]) for g in graphs):
+                raise GraphError(f"stacked {side} differ in which labels they carry")
+        s, t = source_graphs[0], targets[0]
+        both = source_graphs + list(targets)
 
-        def stack(build):
-            return np.repeat(np.stack([build(g) for g in targets]), restarts, axis=0)
+        def stack(items, build):
+            # build once per distinct item, then one copy per (cell, restart)
+            slot = {}
+            for item in items:
+                slot.setdefault(id(item), (len(slot), item))
+            built = np.stack([build(item) for _, item in slot.values()])
+            return built[np.repeat([slot[id(item)][0] for item in items], restarts)]
 
-        self.adjacency = stack(lambda g: g.adjacency_matrix())
+        self.adjacency = stack(targets, lambda g: g.adjacency_matrix())
         self.non_adjacency = 1.0 - self.adjacency
-        self.source_probs = source_prob_matrix(source)
+        self.source_probs = stack(sources, source_prob_matrix)
         terms = []
         if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
-            if any(g.num_node_labels != s.num_node_labels for g in targets):
-                raise GraphError("node label vocabularies differ between the pair")
-            terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s),
-                          stack(node_label_onehot)))
+            if len({g.num_node_labels for g in both}) > 1:
+                raise GraphError("node label vocabularies differ between sources and targets")
+            terms.append(("forward", cfg.node_reg_coef, stack(source_graphs, node_label_onehot),
+                          stack(targets, node_label_onehot)))
             terms.append(("reverse", cfg.node_reg_coef,
-                          stack(lambda g: neighborhood_attr_matrix(g, "node")),
-                          neighborhood_attr_matrix(s, "node")))
+                          stack(targets, lambda g: neighborhood_attr_matrix(g, "node")),
+                          stack(source_graphs, lambda g: neighborhood_attr_matrix(g, "node"))))
         if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
-            if any(g.num_edge_labels != s.num_edge_labels for g in targets):
-                raise GraphError("edge label vocabularies differ between the pair")
-            terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s),
-                          stack(edge_attr_matrix)))
+            if len({g.num_edge_labels for g in both}) > 1:
+                raise GraphError("edge label vocabularies differ between sources and targets")
+            terms.append(("forward", cfg.edge_reg_coef, stack(source_graphs, edge_attr_matrix),
+                          stack(targets, edge_attr_matrix)))
             terms.append(("reverse", cfg.edge_reg_coef,
-                          stack(lambda g: neighborhood_attr_matrix(g, "edge")),
-                          neighborhood_attr_matrix(s, "edge")))
+                          stack(targets, lambda g: neighborhood_attr_matrix(g, "edge")),
+                          stack(source_graphs, lambda g: neighborhood_attr_matrix(g, "edge"))))
         self.penalties = []
         for side, coef, feats, observed in terms:
             # forward penalties average over target nodes, reverse over source nodes
@@ -200,18 +219,18 @@ def attention_loss_and_grads(problem, params):
     """Training losses and analytic gradients for a stack of attention pairs.
 
     params["forward"] is (B, |V_S|, |V_T|) and params["reverse"] is
-    (B, |V_T|, |V_S|), where B is the problem's targets times restarts; a
+    (B, |V_T|, |V_S|), where B is the problem's cells times restarts; a
     single pair is a stack of one. Returns the B per-slice losses and
     {"forward", "reverse"} gradients of the same shapes.
     Each loss is structural BCE on the target adjacency plus the weighted
     label penalties; slices never mix, so slice r's loss and gradients are
-    those of pair r alone. The source encoder is a constant here; nothing
-    propagates into it.
+    those of pair r alone. The source encoders are constants here; nothing
+    propagates into them.
     """
     forward, reverse = params["forward"], params["reverse"]
     s = problem.source_probs
 
-    # structural path; s is constant because the source is frozen
+    # structural path; s is constant because the sources are frozen
     p = nn.softmax(forward, axis=-2)
     w = nn.softmax(reverse, axis=-1)
     p_t = p.swapaxes(-1, -2)
@@ -249,30 +268,32 @@ def attention_loss_and_grads(problem, params):
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
     """Fit the attention pair of one target against a frozen source encoder:
     a stack of one in train_attentions, with the same bits."""
-    return train_attentions(source, [target_graph], cfg, [target_graph_id], restarts)[0]
+    return train_attentions([source], [target_graph], cfg, [target_graph_id], restarts)[0]
 
 
-def train_attentions(source, targets, cfg, target_graph_ids, restarts=1):
-    """Fit one attention pair per target against a frozen source encoder.
+def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
+    """Fit one attention pair per cell (sources[c], targets[c]), each source a
+    frozen encoder.
 
-    The targets must share a node count; they train side by side as one
-    stacked problem of len(targets) * restarts slices. Runs scoring_epochs of
-    full-batch Adam on the attention matrices only. The alignment objective
-    is non-convex; with restarts > 1 several seeded inits per target, each
-    with its own init scale and learning rate from _RESTART_SCHEDULE, train
-    at once, and the one with the lowest final training loss wins (the first
-    on ties). Each target's fit is deterministic given (source.graph_id, its
-    target graph id, cfg.rng_seed), and bit-identical to fitting it alone.
-    Returns one AugmentedEncoder per target, in order. Raises
-    nn.TrainingFault naming the diverged targets (or nn.NumericsFault).
+    The sources must share a node count and label kinds, and so must the
+    targets; the cells train side by side as one stacked problem of
+    len(targets) * restarts slices. Runs scoring_epochs of full-batch Adam on
+    the attention matrices only. The alignment objective is non-convex; with
+    restarts > 1 several seeded inits per cell, each with its own init scale
+    and learning rate from _RESTART_SCHEDULE, train at once, and the one with
+    the lowest final training loss wins (the first on ties). Each cell's fit
+    is deterministic given (its source's graph_id, its target graph id,
+    cfg.rng_seed), and bit-identical to fitting it alone. Returns one
+    AugmentedEncoder per cell, in order. Raises nn.TrainingFault naming the
+    diverged targets (or nn.NumericsFault).
     """
-    if not source.trained:
+    if not all(source.trained for source in sources):
         raise ContractViolation("source encoder must be trained and frozen before alignment")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    problem = AlignmentProblem(source, targets, cfg, restarts)
+    problem = AlignmentProblem(sources, targets, cfg, restarts)
     inits, lrs = [], []
-    for target, target_graph_id in zip(targets, target_graph_ids):
+    for source, target, target_graph_id in zip(sources, targets, target_graph_ids):
         for restart in range(restarts):
             scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
             rng = np.random.default_rng(
@@ -287,13 +308,14 @@ def train_attentions(source, targets, cfg, target_graph_ids, restarts=1):
                            cfg.scoring_epochs, slice_ids)
 
     fitted = []
-    for g, (target, target_graph_id) in enumerate(zip(targets, target_graph_ids)):
-        first = g * restarts
+    for c, (source, target, target_graph_id) in enumerate(zip(sources, targets,
+                                                              target_graph_ids)):
+        first = c * restarts
         best = first + (int(np.argmin(trace[-1, first:first + restarts]))
                         if cfg.scoring_epochs else 0)
         pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
         ae = AugmentedEncoder(source, pair, target, target_graph_id=target_graph_id,
-                              source_probs=problem.source_probs)
+                              source_probs=problem.source_probs[first])
         ae.loss_trace = trace[:, best].tolist()
         fitted.append(ae)
     return fitted

@@ -2,11 +2,14 @@
 
 Row j of the table is the embedding of target graph j: its normalized
 divergence against every source graph. Cells are independent jobs, each
-seeded from (source id, target id, base seed). The pending targets of a
-source that have the same node count are fitted as one stacked problem, one
-pool task per (source, node count) group; a cell's bits do not depend on its
-group, so results are identical regardless of worker count or resume point,
-and the table is resumable cell by cell.
+seeded from (source id, target id, base seed). Pending cells are grouped by
+(source size, target size), where a size is a node count with the kinds of
+labels carried, and each group is fitted as stacked problems, one pool task
+per stack. One task builder (_tasks) shapes the pool work for both stages:
+it cuts a group into near-equal stacks of at most ceil(items / workers)
+items and MAX_STACK_ELEMENTS elements, and submits the heaviest first. A
+cell's bits do not depend on its stack, so results are identical regardless
+of worker count or resume point, and the table is resumable cell by cell.
 """
 
 import json
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .attention import augmented_neighbor_probs, train_attentions
+from .attention import augmented_neighbor_probs, stack_key, train_attentions
 from .encoder import positive_log_loss, train_encoders
 from .graphs import atomic_write
 
@@ -68,25 +71,52 @@ def unit_rows(embeddings):
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def _score_chunk(source_enc, si, jobs, cfg, restarts):
-    """Score one source against a group of same-size targets as one stacked
-    fit. Slices never mix, so the group faults only when one of its cells
-    would fault alone; then each cell is scored again as a group of one. A
-    lone cell that faults is retried once under a fresh seed, then recorded
-    as failed; any other error is a caller's mistake and raises."""
-    tis, targets, target_ids = zip(*jobs)
+def _score_chunk(jobs, cfg, restarts):
+    """Score a stack of (ti, si, source encoder, target, target id) jobs,
+    whose sources share a node count and label kinds and whose targets do
+    too, as one stacked fit. Slices never mix, so the stack faults only when
+    one of its cells would fault alone; then each cell is scored again as a
+    stack of one. A lone cell that faults is retried once under a fresh seed,
+    then recorded as failed; any other error is a caller's mistake and
+    raises."""
+    tis, sis, encoders, targets, target_ids = zip(*jobs)
     try:
-        fitted = train_attentions(source_enc, targets, cfg, target_ids, restarts)
-        return [(ti, si, raw_divergence(ae), None) for ti, ae in zip(tis, fitted)]
+        fitted = train_attentions(encoders, targets, cfg, target_ids, restarts)
+        return [(ti, si, raw_divergence(ae), None) for ti, si, ae in zip(tis, sis, fitted)]
     except (nn.TrainingFault, nn.NumericsFault) as first:
         if len(jobs) > 1:
-            return sum((_score_chunk(source_enc, si, [job], cfg, restarts) for job in jobs), [])
-        (ti, target, tid), = jobs
+            return sum((_score_chunk([job], cfg, restarts) for job in jobs), [])
+        (ti, si, encoder, target, tid), = jobs
         try:
-            (ae,) = train_attentions(source_enc, [target], cfg, [f"{tid}#retry"], restarts)
+            (ae,) = train_attentions([encoder], [target], cfg, [f"{tid}#retry"], restarts)
             return [(ti, si, raw_divergence(ae), None)]
         except (nn.TrainingFault, nn.NumericsFault) as second:
             return [(ti, si, float("nan"), f"{first}; retry: {second}")]
+
+
+# Largest stack a pool task builds, in elements of one stacked array: slices x
+# n_S x n_T for attention fits, slices x n^2 for encoders. Per-slice fit time
+# is flat from about 10k elements up to this size and grows past it at
+# n = 49 (the curve is in CHANGES.md); it also bounds a stack's memory.
+MAX_STACK_ELEMENTS = 50_000
+
+
+def _tasks(groups, weight, workers):
+    """Pool tasks from groups of items that can share a stack, heaviest first.
+
+    weight(item) is the elements one item adds to a stack. Each group is cut
+    into near-equal pieces, as few as keep every piece within
+    ceil(items / workers) items and MAX_STACK_ELEMENTS elements (one item
+    may exceed the latter alone). An item's bits do not depend on its stack,
+    so the split is exact.
+    """
+    cap = -(-sum(len(items) for items in groups) // max(workers, 1))
+    pieces = []
+    for items in groups:
+        n, w = len(items), weight(items[0])
+        k = min(n, max(-(-n // cap), -(-n * w // MAX_STACK_ELEMENTS)))
+        pieces += [items[i * n // k:(i + 1) * n // k] for i in range(k)]
+    return sorted(pieces, key=lambda piece: -len(piece) * weight(piece[0]))
 
 
 def _completed(fn, tasks, workers):
@@ -114,20 +144,21 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1):
     """Stage 1: one encoder per source graph, returned in input order.
 
     Sources with the same node count train as one stacked fit
-    (encoder.train_encoders), one pool task per node count, heaviest group
-    (about G n^2) first. A slice's bits do not depend on its group or on the
-    order, so the encoders are the same at any worker count.
+    (encoder.train_encoders), split by _tasks into pool tasks of at most
+    ceil(sources / workers) graphs, heaviest (about G n^2) first. A slice's
+    bits do not depend on its stack or on the order, so the encoders are the
+    same at any worker count.
     """
     if source_ids is None:
         source_ids = list(range(len(sources)))
     groups = {}
     for i, graph in enumerate(sources):
         groups.setdefault(graph.node_count, []).append(i)
-    order = sorted(groups.values(), key=lambda idx: -len(idx) * sources[idx[0]].node_count ** 2)
-    tasks = [([sources[i] for i in idx], cfg, [source_ids[i] for i in idx]) for idx in order]
+    pieces = _tasks(list(groups.values()), lambda i: sources[i].node_count ** 2, workers)
+    tasks = [([sources[i] for i in idx], cfg, [source_ids[i] for i in idx]) for idx in pieces]
     encoders = [None] * len(sources)
     for k, encs in _completed(train_encoders, tasks, workers):
-        for i, enc in zip(order[k], encs):
+        for i, enc in zip(pieces[k], encs):
             encoders[i] = enc
     return encoders
 
@@ -138,8 +169,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     Deterministic given ids and cfg.rng_seed; a failing cell is retried once
     and otherwise recorded in table.errors (value NaN) without aborting the
-    rest. With cell_dir set, cells are persisted as each (source, node count)
-    task finishes and reused on the next call. Each cell keeps the best of
+    rest. With cell_dir set, cells are persisted as each stacked task
+    finishes and reused on the next call. Each cell keeps the best of
     `restarts` attention fits (non-convex).
     """
     if not sources or not targets:
@@ -172,15 +203,18 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
                         errors[(ti, si)] = cell["error"]
                     done.add((ti, si))
 
-    # one task per (source, node count) group of pending targets; targets that
-    # carry different kinds of labels never share a stack
+    # pending cells grouped by (source size, target size); a group trains as
+    # stacks of at most ceil(pending / workers) cells and MAX_STACK_ELEMENTS
+    # elements
     groups = {}
-    for ti, target in enumerate(targets):
-        shape = (target.node_count, target.node_labels is None, target.edge_labels is None)
-        for si in range(len(sources)):
+    for si, encoder in enumerate(encoders):
+        for ti, target in enumerate(targets):
             if (ti, si) not in done:
-                groups.setdefault((si, shape), []).append((ti, target, target_ids[ti]))
-    chunks = [(encoders[si], si, jobs, cfg, restarts) for (si, _), jobs in groups.items()]
+                groups.setdefault((stack_key(encoder.graph), stack_key(target)), []).append(
+                    (ti, si, encoder, target, target_ids[ti]))
+    pieces = _tasks(list(groups.values()),
+                    lambda job: restarts * job[2].node_count * job[3].node_count, workers)
+    chunks = [(jobs, cfg, restarts) for jobs in pieces]
 
     for _, chunk_result in _completed(_score_chunk, chunks, workers):
         for ti, si, raw, err in chunk_result:

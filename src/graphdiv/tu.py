@@ -80,6 +80,9 @@ def load_tu_dataset(directory):
     for gid in graph_of_node:
         local_id.append(counts[gid])
         counts[gid] += 1
+    if 0 in counts[1:]:
+        raise GraphFormatError(f"{path('graph_indicator')}: graph id {counts.index(0, 1)} "
+                               f"has no nodes (graph ids must run 1..{num_graphs})")
 
     raw_node_labels = None
     if node_label_lines is not None:

@@ -107,7 +107,7 @@ def test_attention_gradient_check_structural(tiny_cfg, small_source):
     rng = np.random.default_rng(7)
     pair = init_attention(small_source, target, rng, scale=0.5)
     cfg = TrainConfig(node_reg_coef=0.0, edge_reg_coef=0.0)
-    assert gradient_error(AlignmentProblem(small_source, [target], cfg), pair) < 1e-4
+    assert gradient_error(AlignmentProblem([small_source], [target], cfg), pair) < 1e-4
 
 
 def test_attention_gradient_check_with_regularizers(tiny_cfg, labeled_pair):
@@ -116,20 +116,21 @@ def test_attention_gradient_check_with_regularizers(tiny_cfg, labeled_pair):
     rng = np.random.default_rng(3)
     cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
     pair = init_attention(src, g2, rng, scale=0.5)
-    assert gradient_error(AlignmentProblem(src, [g2], cfg), pair) < 1e-4
+    assert gradient_error(AlignmentProblem([src], [g2], cfg), pair) < 1e-4
 
 
 def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
-    # slice g * R + r of a (targets x restarts) stack gets the bits a stack of
-    # one gives target g with init r alone
+    # slice c * R + r of a (cells x restarts) stack gets the bits a stack of
+    # one gives cell c with init r alone
     g1, g2 = labeled_pair
     g3 = Graph(6, [(0, 2), (1, 3), (2, 4), (3, 5)], node_labels=[0, 0, 1, 1, 0, 1],
                edge_labels=[1, 2, 0, 1], num_node_labels=2, num_edge_labels=3)
     targets = [g2, g1, g3]
     src = train_encoder(g1, tiny_cfg, graph_id=1)
     cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
-    problem = AlignmentProblem(src, targets, cfg, restarts=2)
-    assert problem.adjacency.shape == (6, 6, 6) and problem.source_probs.ndim == 2
+    problem = AlignmentProblem([src] * 3, targets, cfg, restarts=2)
+    # the source probabilities are a per-slice stack, like the adjacencies
+    assert problem.adjacency.shape == (6, 6, 6) and problem.source_probs.shape == (6, 6, 6)
     rng = np.random.default_rng(5)
     pairs = [init_attention(src, g2, rng, scale=s) for s in (1e-2, 0.3, 2.0, 1e-2, 0.5, 1.0)]
     losses, grads = attention_loss_and_grads(
@@ -137,7 +138,7 @@ def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
                   "reverse": np.stack([p.reverse for p in pairs])})
     for b, pair in enumerate(pairs):
         one, one_grads = attention_loss_and_grads(
-            AlignmentProblem(src, [targets[b // 2]], cfg),
+            AlignmentProblem([src], [targets[b // 2]], cfg),
             {"forward": pair.forward[None], "reverse": pair.reverse[None]})
         assert losses[b:b + 1].tobytes() == one.tobytes()
         for name in ("forward", "reverse"):
@@ -148,9 +149,52 @@ def test_stack_rejects_mixed_targets(tiny_cfg, labeled_pair):
     g1, g2 = labeled_pair
     src = train_encoder(g1, tiny_cfg)
     with pytest.raises(nn.ShapeError):
-        AlignmentProblem(src, [g2, random_graph(5, 0.5, 1)], TrainConfig())
+        AlignmentProblem([src] * 2, [g2, random_graph(5, 0.5, 1)], TrainConfig())
     with pytest.raises(GraphError, match="which labels"):
-        AlignmentProblem(src, [g2, random_graph(6, 0.5, 1)], TrainConfig())
+        AlignmentProblem([src] * 2, [g2, random_graph(6, 0.5, 1)], TrainConfig())
+
+
+def test_cross_source_stack_matches_pairs_alone(tiny_cfg, labeled_pair, monkeypatch):
+    # two same-size sources whose label matrices differ, against 3 targets
+    # with 2 restarts each, as one 12-slice stack: every cell gets the bits
+    # train_attention gives that pair alone
+    import graphdiv.attention as att
+
+    g1, g2 = labeled_pair
+    g3 = Graph(6, [(0, 2), (1, 3), (2, 4), (3, 5)], node_labels=[0, 0, 1, 1, 0, 1],
+               edge_labels=[1, 2, 0, 1], num_node_labels=2, num_edge_labels=3)
+    sources = [train_encoder(g1, tiny_cfg, graph_id=1), train_encoder(g2, tiny_cfg, graph_id=2)]
+    assert node_label_onehot(g1).tobytes() != node_label_onehot(g2).tobytes()
+    assert edge_attr_matrix(g1).tobytes() != edge_attr_matrix(g2).tobytes()
+    cfg = TrainConfig(scoring_epochs=30, node_reg_coef=1.0, edge_reg_coef=1.5)
+    cells = [(src, target, tid) for src in sources for target, tid in zip((g2, g1, g3), "abc")]
+    built = []
+    real = att.source_prob_matrix
+    monkeypatch.setattr(att, "source_prob_matrix", lambda enc: built.append(enc) or real(enc))
+    stacked = train_attentions([c[0] for c in cells], [c[1] for c in cells], cfg,
+                               [c[2] for c in cells], restarts=2)
+    # S is built once per distinct source, not once per cell or slice
+    assert built == sources
+    for (src, target, tid), ae in zip(cells, stacked):
+        alone = train_attention(src, target, cfg, target_graph_id=tid, restarts=2)
+        assert ae.source is src and ae.target_graph is target
+        assert ae.attention.forward.tobytes() == alone.attention.forward.tobytes()
+        assert ae.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
+        assert np.array(ae.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
+        assert ae.source_probs.tobytes() == alone.source_probs.tobytes()
+
+
+def test_stack_rejects_mixed_sources(tiny_cfg, labeled_pair):
+    g1, g2 = labeled_pair
+    labeled = train_encoder(g1, tiny_cfg, graph_id=1)
+    smaller = train_encoder(random_graph(5, 0.5, 1), tiny_cfg, graph_id=2)
+    unlabeled = train_encoder(random_graph(6, 0.5, 1), tiny_cfg, graph_id=3)
+    with pytest.raises(nn.ShapeError, match="sources"):
+        AlignmentProblem([labeled, smaller], [g2, g2], TrainConfig())
+    with pytest.raises(GraphError, match="sources differ in which labels"):
+        AlignmentProblem([labeled, unlabeled], [g2, g2], TrainConfig())
+    with pytest.raises(ValueError, match="one source encoder per target"):
+        AlignmentProblem([labeled], [g2, g2], TrainConfig())
 
 
 def label_penalty(source, target, pair, node_reg_coef=1.0, edge_reg_coef=0.0):
@@ -160,7 +204,7 @@ def label_penalty(source, target, pair, node_reg_coef=1.0, edge_reg_coef=0.0):
 
     def loss(node, edge):
         cfg = TrainConfig(node_reg_coef=node, edge_reg_coef=edge)
-        return float(attention_loss_and_grads(AlignmentProblem(source, [target], cfg), params)[0][0])
+        return float(attention_loss_and_grads(AlignmentProblem([source], [target], cfg), params)[0][0])
 
     return loss(node_reg_coef, edge_reg_coef) - loss(0.0, 0.0)
 
@@ -227,12 +271,12 @@ def test_node_attr_inferred_requires_shared_vocab(tiny_cfg):
     src = train_encoder(g, tiny_cfg)
     wider_nodes = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], num_node_labels=3)
     with pytest.raises(GraphError, match="node label vocabularies differ"):
-        AlignmentProblem(src, [wider_nodes], TrainConfig())
+        AlignmentProblem([src], [wider_nodes], TrainConfig())
     wider_edges = Graph(3, [(0, 1), (1, 2)], edge_labels=[0, 1], num_edge_labels=3)
     with pytest.raises(GraphError, match="edge label vocabularies differ"):
-        AlignmentProblem(src, [wider_edges], TrainConfig())
+        AlignmentProblem([src], [wider_edges], TrainConfig())
     # an unlabeled side turns the penalty off rather than failing
-    assert AlignmentProblem(src, [Graph(3, [(0, 1)])], TrainConfig()).penalties == []
+    assert AlignmentProblem([src], [Graph(3, [(0, 1)])], TrainConfig()).penalties == []
 
 
 def test_train_requires_trained_source(tiny_cfg, triangle):
@@ -447,4 +491,5 @@ def test_stacked_fault_names_only_diverged_targets(small_source, monkeypatch):
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
     targets = [random_graph(4, 0.5, s) for s in (2, 3, 4)]
     with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \[6, 7\]$"):
-        train_attentions(small_source, targets, TrainConfig(embed_dim=4), [5, 6, 7], restarts=2)
+        train_attentions([small_source] * 3, targets, TrainConfig(embed_dim=4), [5, 6, 7],
+                         restarts=2)

@@ -159,9 +159,10 @@ def test_embed_all_mixes_labeled_and_unlabeled_targets():
 
 
 def test_embed_all_failure_isolated(monkeypatch):
-    # a numeric fault in one target of a same-size group: the group falls back
-    # to cell-by-cell fits, so only that target's cells fail (NaN + error, after
-    # the retry) and its group-mates keep the bits they get without the fault
+    # a numeric fault in one target of a stack of every source against every
+    # target: the stack falls back to cell-by-cell fits, so only that target's
+    # cells fail, in every source's column (NaN + error, after the retry), and
+    # its stack-mates keep the bits they get without the fault
     import graphdiv.attention as att
 
     graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
@@ -179,7 +180,7 @@ def test_embed_all_failure_isolated(monkeypatch):
     clean = embed_all(graphs, graphs, cfg, restarts=2)
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
     table = embed_all(graphs, graphs, cfg, restarts=2)
-    assert max(stacks) == 6  # 3 same-size targets x 2 restarts
+    assert max(stacks) == 18  # 3 same-size sources x 3 same-size targets x 2 restarts
     assert np.all(np.isnan(table.values[1]))
     assert sorted(table.errors) == [(1, 0), (1, 1), (1, 2)]
     assert "retry" in table.errors[(1, 0)]
@@ -224,7 +225,7 @@ def test_cell_bytes_do_not_depend_on_batch(tmp_path):
     src = train_encoder(graphs[1], cfg, graph_id=1)
     fives = [graphs[0], graphs[2], graphs[4]]
     alone = train_attention(src, graphs[2], cfg, target_graph_id=2, restarts=3)
-    grouped = train_attentions(src, fives, cfg, [0, 2, 4], restarts=3)[1]
+    grouped = train_attentions([src] * 3, fives, cfg, [0, 2, 4], restarts=3)[1]
     assert grouped.attention.forward.tobytes() == alone.attention.forward.tobytes()
     assert grouped.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
     assert np.array(grouped.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
@@ -309,6 +310,79 @@ def test_train_source_encoders_parallel_matches_serial():
     for workers in (1, 2):
         fitted = train_source_encoders(graphs, cfg, source_ids=ids, workers=workers)
         assert [record(enc) for enc in fitted] == alone
+
+
+def _recording_completed(monkeypatch):
+    """Record the task count of every _completed call, then run it as usual."""
+    import graphdiv.divergence as div
+
+    real, counts = div._completed, []
+
+    def recording(fn, tasks, workers):
+        counts.append(len(tasks))
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(div, "_completed", recording)
+    return counts
+
+
+def test_train_source_encoders_splits_one_size(monkeypatch):
+    # six 5-node sources form one same-size group; at workers 2 it runs as
+    # at least 2 tasks, and every checkpoint keeps the workers-1 bytes
+    graphs = [random_graph(5, 0.5, s) for s in range(20, 26)]
+    cfg = quick_cfg()
+    counts = _recording_completed(monkeypatch)
+    runs = {}
+    for workers in (1, 2):
+        fitted = train_source_encoders(graphs, cfg, workers=workers)
+        runs[workers] = [(json.dumps(encoder_to_checkpoint(enc, cfg)), enc.loss_trace)
+                         for enc in fitted]
+    assert counts[0] == 1 and counts[1] >= 2
+    assert runs[2] == runs[1]
+
+
+def test_uniform_size_corpus_same_at_any_workers(monkeypatch):
+    # every cell of a one-size corpus can share a stack; at 2 and 3 workers
+    # it is split into as many tasks, and the table keeps every bit, each
+    # cell equal to its pair fitted alone
+    graphs = [random_graph(5, 0.5, s) for s in range(30, 36)]
+    cfg = quick_cfg()
+    encoders = train_source_encoders(graphs, cfg)
+    counts = _recording_completed(monkeypatch)
+    tables = [embed_all(graphs, graphs, cfg, encoders=encoders, restarts=2, workers=workers)
+              for workers in (1, 2, 3)]
+    assert counts == [1, 2, 3]
+    for table in tables:
+        assert table.values.tobytes() == tables[0].values.tobytes()
+        assert table.self_losses.tobytes() == tables[0].self_losses.tobytes()
+        assert table.errors == {}
+    for ti, target in enumerate(graphs):
+        for si, enc in enumerate(encoders):
+            ae = train_attention(enc, target, cfg, target_graph_id=ti, restarts=2)
+            assert tables[0].values[ti, si] == raw_divergence(ae) - positive_log_loss(enc)
+
+
+def test_stack_element_budget_splits_tasks(monkeypatch):
+    # a group larger than MAX_STACK_ELEMENTS is cut into near-equal stacks,
+    # heaviest first, with the bits of one unbudgeted stack
+    import graphdiv.divergence as div
+
+    graphs = [random_graph(5, 0.5, s) for s in range(40, 44)] + [random_graph(6, 0.5, 44)]
+    cfg = quick_cfg()
+    encoders = train_source_encoders(graphs, cfg)
+    whole = embed_all(graphs, graphs, cfg, encoders=encoders, restarts=2)
+    # a 5-node source against a 5-node target adds 2 x 5 x 5 = 50 elements
+    monkeypatch.setattr(div, "MAX_STACK_ELEMENTS", 300)
+    sizes = []
+    real = div._score_chunk
+    monkeypatch.setattr(div, "_score_chunk",
+                        lambda jobs, *rest: sizes.append(len(jobs)) or real(jobs, *rest))
+    split = embed_all(graphs, graphs, cfg, encoders=encoders, restarts=2)
+    # the 16 (5, 5) cells become stacks of 5, 5 and 6 (at most 300 elements);
+    # the 4 (5, 6) and the 4 (6, 5) cells (60 elements each) fit one stack per
+    # group, and the (6, 6) cell runs last
+    assert sizes == [6, 5, 5, 4, 4, 1]
+    assert split.values.tobytes() == whole.values.tobytes()
 
 
 def test_self_divergence_zero_without_attention(tiny_cfg):

@@ -95,6 +95,18 @@ def test_graph_id_below_one_rejected(tmp_path, graph_id):
     assert "TOY_graph_indicator.txt:4" in str(exc.value)
 
 
+def test_graph_id_gap_rejected(tmp_path):
+    # graph ids 1 and 3 with no node in graph 2: the gap must not load as an
+    # empty graph that only fails later, without naming the file
+    write_fixture(tmp_path, **{"TOY_A.txt": "1, 2\n2, 1\n3, 4\n4, 3\n",
+                               "TOY_graph_indicator.txt": "1\n1\n3\n3\n",
+                               "TOY_graph_labels.txt": "1\n-1\n1\n",
+                               "TOY_node_labels.txt": "7\n8\n7\n8\n",
+                               "TOY_edge_labels.txt": None})
+    with pytest.raises(GraphFormatError, match=r"TOY_graph_indicator\.txt: graph id 2 "):
+        load_tu_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("fname, text, line", [
     ("TOY_node_labels.txt", "7\n7\nC\n8\n7\n", 3),
     ("TOY_edge_labels.txt", "0\n0\n1\n1\n0\nx\n1\n1\n", 6),
