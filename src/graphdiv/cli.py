@@ -143,8 +143,8 @@ def cmd_classify(args, cfg):
     plan = make_fold_plan(dataset.graph_classes, fold_count=args.folds, rng_seed=cfg.rng_seed)
     result = classify_cv(table, dataset.graph_classes, plan)
     body = "fold,accuracy,knn_accuracy\n" + "".join(
-        f"{i},{a!r},{k!r}\n" for i, (a, k) in
-        enumerate(zip(result.fold_accuracies, result.knn_fold_accuracies)))
+        f"{i},{a!r},{k!r}\n" for i, a, k in
+        zip(result.fold_ids, result.fold_accuracies, result.knn_fold_accuracies))
     return "accuracy.csv", body, {
         "mean_accuracy": result.mean, "std_accuracy": result.std,
         "knn_mean_accuracy": result.knn_mean, "knn_std_accuracy": result.knn_std,

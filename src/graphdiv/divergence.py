@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .attention import augmented_neighbor_probs, stack_key, train_attentions
 from .encoder import positive_log_loss, train_encoders
-from .graphs import atomic_write
+from .graphs import atomic_write, edge_pair_sum
 
 
 @dataclass
@@ -41,10 +41,8 @@ def raw_divergence(ae):
     because the predictions are probabilities.
     """
     p = np.maximum(augmented_neighbor_probs(ae), 1e-300)
-    total = 0.0
-    for u, v in ae.target_graph.edges:
-        total -= np.log(p[u, v]) + np.log(p[v, u])
-    return float(total)
+    # 0.0 - s, not -s, so a zero sum (an edgeless target) scores +0.0
+    return 0.0 - edge_pair_sum(ae.target_graph, np.log, p)
 
 
 def distance_matrix(embeddings):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn
-from .graphs import Graph, atomic_write
+from .graphs import Graph, atomic_write, edge_pair_sum
 from .nn import DenseLayer, TrainingFault  # noqa: F401 (TrainingFault is re-exported)
 
 
@@ -130,10 +130,7 @@ def positive_log_loss(enc):
     encoder's own graph: the self-divergence baseline, strictly positive for
     any finite parameters."""
     logits, _ = nn.forward(enc.layers, enc.embedding)
-    total = 0.0
-    for u, v in enc.graph.edges:
-        total += nn.softplus(-logits[u, v]) + nn.softplus(-logits[v, u])
-    return float(total)
+    return edge_pair_sum(enc.graph, nn.softplus, -logits)
 
 
 def train_encoders(graphs, cfg, graph_ids):

@@ -1,6 +1,13 @@
 """Downstream evaluation: cross-validated classification on the divergence
 embeddings, agglomerative clustering of the embedding space, and the
-source-sampling sweep."""
+source-sampling sweep.
+
+Cross-validation fits the hinge classifiers of all folds whose training
+splits share a size and a class set as one (F, n, d) problem. No row is
+padded or masked and every matmul, reduction and update runs per slice, so
+each fold's weights are the bits of its lone fit; a stratified plan gives
+one or two such groups.
+"""
 
 from dataclasses import dataclass, field
 
@@ -75,25 +82,39 @@ class HingeClassifier:
 
     L2-regularized hinge loss by deterministic full-batch subgradient descent;
     the per-class problems train together as the columns of one weight matrix.
+    fit also takes F same-size training splits, x (F, n, d) with y (F, n) or
+    one (n,) vector; each slice gets the bits of its lone fit, and clf[k] is
+    slice k's classifier.
     """
 
     def fit(self, x, y):
-        self.classes_ = np.unique(y)
+        x = np.asarray(x, dtype=float)
+        xs = x[None] if x.ndim == 2 else x
+        ys = np.broadcast_to(np.asarray(y), xs.shape[:2])
+        self.classes_ = np.unique(ys)
         if len(self.classes_) < 2:
             raise EvalError("training split contains a single class")
-        n, d = x.shape
-        targets = np.where(np.asarray(y)[:, None] == self.classes_, 1.0, -1.0)
-        w = np.zeros((d, len(self.classes_)))
-        b = np.zeros(len(self.classes_))
+        if any(len(np.unique(row)) != len(self.classes_) for row in ys):
+            raise EvalError("stacked training splits must hold the same classes")
+        f, n, d = xs.shape
+        targets = np.where(ys[..., None] == self.classes_, 1.0, -1.0)
+        xt = xs.swapaxes(-1, -2)
+        w = np.zeros((f, d, len(self.classes_)))
+        b = np.zeros((f, 1, len(self.classes_)))
         for t in range(HINGE_EPOCHS):
             lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
-            active = np.where(targets * (x @ w + b) < 1.0, targets, 0.0)
-            gw = -(x.T @ active) / n + 2.0 * HINGE_L2 * w
-            gb = -active.sum(axis=0) / n
+            active = np.where(targets * (xs @ w + b) < 1.0, targets, 0.0)
+            gw = -(xt @ active) / n + 2.0 * HINGE_L2 * w
+            gb = -active.sum(axis=-2, keepdims=True) / n
             w -= lr * gw
             b -= lr * gb
-        self.weights_, self.bias_ = w, b
+        self.weights_, self.bias_ = (w[0], b[0, 0]) if x.ndim == 2 else (w, b[:, 0])
         return self
+
+    def __getitem__(self, k):
+        lone = HingeClassifier()
+        lone.classes_, lone.weights_, lone.bias_ = self.classes_, self.weights_[k], self.bias_[k]
+        return lone
 
     def decision(self, x):
         return x @ self.weights_ + self.bias_
@@ -120,6 +141,7 @@ class CVResult:
     knn_mean: float
     knn_std: float
     knn_fold_accuracies: list
+    fold_ids: list              # the plan's fold id of each accuracy
     skipped_folds: list = field(default_factory=list)
 
 
@@ -127,7 +149,9 @@ def classify_cv(table, classes, plan=None):
     """Stratified cross-validated accuracy of the embeddings.
 
     Standardization is fit per fold on the training split only. Reports the
-    linear hinge classifier as the headline number plus a k-NN baseline.
+    linear hinge classifier as the headline number plus a k-NN baseline, per
+    evaluated fold in fold order. A fold with no test rows is left out and
+    one whose training split holds a single class is skipped.
     """
     features = table.values if isinstance(table, DivergenceTable) else np.asarray(table, dtype=float)
     classes = np.asarray(classes)
@@ -138,26 +162,41 @@ def classify_cv(table, classes, plan=None):
         raise _nonfinite_error("feature", bad)
     if plan is None:
         plan = make_fold_plan(classes)
+    if len(plan.assignments) != len(features):
+        raise EvalError(f"fold plan assigns {len(plan.assignments)} items, "
+                        f"the features have {len(features)} rows")
 
-    accs, knn_accs, skipped = [], [], []
+    folds, skipped, groups = [], [], {}
     for fold in range(plan.fold_count):
         tr, te = plan.train_indices(fold), plan.test_indices(fold)
         if len(te) == 0:
             continue
-        if len(np.unique(classes[tr])) < 2:
+        labels = np.unique(classes[tr])
+        if len(labels) < 2:
             skipped.append(fold)
             continue
         scaler = Standardizer().fit(features[tr])
-        xtr, xte = scaler.transform(features[tr]), scaler.transform(features[te])
-        clf = HingeClassifier().fit(xtr, classes[tr])
+        groups.setdefault((len(tr), tuple(labels.tolist())), []).append(len(folds))
+        folds.append((fold, tr, te, scaler.transform(features[tr]), scaler.transform(features[te])))
+    if not folds:
+        raise EvalError("no usable folds")
+
+    # the folds of one training-split size and class set fit as one stack
+    clfs = [None] * len(folds)
+    for members in groups.values():
+        stacked = HingeClassifier().fit(np.stack([folds[i][3] for i in members]),
+                                        np.stack([classes[folds[i][1]] for i in members]))
+        for k, i in enumerate(members):
+            clfs[i] = stacked[k]
+
+    accs, knn_accs = [], []
+    for (fold, tr, te, xtr, xte), clf in zip(folds, clfs):
         accs.append(float(np.mean(clf.predict(xte) == classes[te])))
         knn = _knn_predict(xtr, classes[tr], xte, KNN_K)
         knn_accs.append(float(np.mean(knn == classes[te])))
-
-    if not accs:
-        raise EvalError("no usable folds")
     return CVResult(float(np.mean(accs)), float(np.std(accs)), accs,
-                    float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs, skipped)
+                    float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs,
+                    [f[0] for f in folds], skipped)
 
 
 # --- hierarchical clustering -------------------------------------------------

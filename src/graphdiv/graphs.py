@@ -254,6 +254,16 @@ def _edge_arrays(g):
     return ends[:, 0], ends[:, 1]
 
 
+def edge_pair_sum(g, f, m):
+    """Sum over the edges (u, v) of g of f(m[u, v]) + f(m[v, u]), added in
+    edge order to 0.0, the order of a Python loop over the edges. f runs
+    elementwise on the gathered entries; np.sum's pairwise order would change
+    the last bits."""
+    a, b = _edge_arrays(g)
+    pairs = f(m[a, b]) + f(m[b, a])
+    return float(np.add.accumulate(np.concatenate(([0.0], pairs)))[-1])
+
+
 def _label_rows(rows, labels, node_count, k):
     """Count each (row, label) occurrence into |V| x k, then scale every row
     to sum to one; rows with no occurrence are uniform."""

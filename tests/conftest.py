@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphdiv import nn
 from graphdiv.attention import _bce_probs, augmented_neighbor_probs
 from graphdiv.encoder import SourceEncoder, TrainConfig, encoder_loss_and_grads
 from graphdiv.graphs import Graph
@@ -94,3 +95,28 @@ def structural_loss(ae):
     adjacency = ae.target_graph.adjacency_matrix()
     loss, _ = _bce_probs(augmented_neighbor_probs(ae), adjacency, 1.0 - adjacency)
     return float(loss)
+
+
+# --- edge-sum oracles: the per-edge loops raw_divergence and
+# positive_log_loss ran before their edge sums became array sums; the array
+# form must give their bits, the order bench/refs.py checks ----------------
+
+def raw_divergence_loop(p, edges):
+    """-sum log p over both orientations of every edge, one edge at a time."""
+    total = 0.0
+    for u, v in edges:
+        total -= np.log(p[u, v]) + np.log(p[v, u])
+    return float(total)
+
+
+def positive_log_loss_loop(logits, edges):
+    """sum softplus(-logit) over both orientations of every edge, one edge
+    at a time."""
+    total = 0.0
+    for u, v in edges:
+        total += nn.softplus(-logits[u, v]) + nn.softplus(-logits[v, u])
+    return float(total)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()

@@ -1,10 +1,12 @@
-"""One short round of the benchmark on its all-pairs workloads.
+"""One short round of the benchmark on each of its workloads.
 
 The benchmark imports the package's API and checks that a second round and
 an independent refit reproduce the first round's outputs bit for bit; this
 runs it on a copy of bench/ so that nothing lands in the repository's
-bench/out/. Both workloads fit cells of several same-size sources in one
-stack, so the benchmark's alone-refit check covers cross-source stacks.
+bench/out/. The all-pairs workloads fit cells of several same-size sources
+in one stack, so the benchmark's alone-refit check covers cross-source
+stacks; sampled-corpus runs classify_cv over 10 folds in two stacked hinge
+fits (training splits of two sizes) against the benchmark's accuracy check.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["tu-labeled", "families"])
+@pytest.mark.parametrize("workload", ["tu-labeled", "families", "sampled-corpus"])
 def test_bench_round_is_correct(tmp_path, workload):
     shutil.copytree(os.path.join(ROOT, "bench"), tmp_path / "bench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))

@@ -126,6 +126,24 @@ def test_classify_pipeline(tmp_path, dataset_file):
     assert len(lines) == 2 + 3
 
 
+def test_classify_writes_fold_ids(tmp_path):
+    # the single-member class sits in fold 0, whose training split then holds
+    # one class: fold 0 is skipped and the rows keep the ids 1-4
+    ds = GraphDataset([random_graph(5, 0.5, s) for s in range(10)], [0] * 9 + [1])
+    save_dataset_json(ds, tmp_path / "ds.json")
+    values = np.random.default_rng(0).normal(size=(10, 2)).tolist()
+    emb = tmp_path / "emb.csv"
+    emb.write_text("graph_id,0,1\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(values)))
+    out = str(tmp_path / "out")
+    assert main(["classify", "--dataset", str(tmp_path / "ds.json"), "--out", out,
+                 "--embeddings", str(emb), "--folds", "5"] + fast()) == EXIT_OK
+    with open(os.path.join(out, "classify_summary.json")) as f:
+        assert json.load(f)["skipped_folds"] == [0]
+    with open(os.path.join(out, "accuracy.csv")) as f:
+        rows = f.read().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+
+
 def test_classify_rejects_mismatched_embeddings(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     emb = tmp_path / "bad.csv"

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import raw_divergence_loop, same_bits
 from graphdiv import nn
-from graphdiv.attention import (AttentionPair, AugmentedEncoder, train_attention,
-                                train_attentions)
+from graphdiv.attention import (AttentionPair, AugmentedEncoder, augmented_neighbor_probs,
+                                train_attention, train_attentions)
 from graphdiv.divergence import (DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
@@ -29,6 +30,14 @@ def test_raw_divergence_nonnegative(tiny_cfg):
     src = train_encoder(random_graph(6, 0.5, 2), tiny_cfg)
     ae = train_attention(src, random_graph(5, 0.5, 3), tiny_cfg, target_graph_id=1)
     assert raw_divergence(ae) >= 0.0
+
+
+def test_raw_divergence_matches_edge_loop(tiny_cfg):
+    for s in range(4):
+        src = train_encoder(random_graph(6, 0.5, 10 + s), tiny_cfg)
+        ae = train_attention(src, random_graph(5 + s, 0.5, 20 + s), tiny_cfg, target_graph_id=s)
+        p = np.maximum(augmented_neighbor_probs(ae), 1e-300)
+        assert same_bits(raw_divergence(ae), raw_divergence_loop(p, ae.target_graph.edges))
 
 
 def test_normalized_and_symmetric_are_trivial_arithmetic():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import encoder_stack, encoder_stack_gradient_errors
+from conftest import (encoder_stack, encoder_stack_gradient_errors, positive_log_loss_loop,
+                      same_bits)
 from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
 from graphdiv.encoder import (TrainConfig, TrainingFault, build_encoder, derive_seed,
@@ -236,6 +237,13 @@ def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
     save_encoder(train_encoder(g, tiny_cfg), tiny_cfg, path)
     back = load_encoder(path)
     assert (back.graph.num_node_labels, back.graph.num_edge_labels) == (3, 2)
+
+
+def test_positive_log_loss_matches_edge_loop(tiny_cfg):
+    for s in range(4):
+        enc = train_encoder(random_graph(4 + 3 * s, 0.5, 30 + s), tiny_cfg)
+        logits, _ = nn.forward(enc.layers, enc.embedding)
+        assert same_bits(positive_log_loss(enc), positive_log_loss_loop(logits, enc.graph.edges))
 
 
 def test_positive_log_loss_strictly_positive(tiny_cfg):

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from graphdiv.divergence import distance_matrix
 from graphdiv.encoder import TrainConfig
-from graphdiv.evaluation import (HINGE_EPOCHS, HINGE_L2, HINGE_LEARNING_RATE,
-                                 Dendrogram, EvalError, HingeClassifier, Standardizer, _knn_predict,
-                                 classify_cv, cut_clusters, hier_cluster,
+from graphdiv.evaluation import (HINGE_EPOCHS, HINGE_L2, HINGE_LEARNING_RATE, KNN_K,
+                                 CVResult, Dendrogram, EvalError, FoldPlan, HingeClassifier,
+                                 Standardizer, _knn_predict, classify_cv, cut_clusters, hier_cluster,
                                  make_fold_plan, purity, sample_sources,
                                  sampling_study)
 from graphdiv.generators import random_graph
@@ -65,6 +65,32 @@ def hinge_decision_reference(train_x, train_y, test_x):
     models = [fit_hinge_binary_reference(train_x, np.where(train_y == c, 1.0, -1.0))
               for c in np.unique(train_y)]
     return np.stack([test_x @ w + b for w, b in models], axis=1)
+
+
+def classify_cv_reference(features, classes, plan):
+    """classify_cv as a loop of lone fits, one fold at a time: the oracle of
+    its stacked fits. Returns the CVResult and each evaluated fold's
+    classifier."""
+    classes = np.asarray(classes)
+    accs, knn_accs, ids, skipped, clfs = [], [], [], [], []
+    for fold in range(plan.fold_count):
+        tr, te = plan.train_indices(fold), plan.test_indices(fold)
+        if len(te) == 0:
+            continue
+        if len(np.unique(classes[tr])) < 2:
+            skipped.append(fold)
+            continue
+        scaler = Standardizer().fit(features[tr])
+        xtr, xte = scaler.transform(features[tr]), scaler.transform(features[te])
+        clf = HingeClassifier().fit(xtr, classes[tr])
+        accs.append(float(np.mean(clf.predict(xte) == classes[te])))
+        knn = _knn_predict(xtr, classes[tr], xte, KNN_K)
+        knn_accs.append(float(np.mean(knn == classes[te])))
+        ids.append(fold)
+        clfs.append(clf)
+    return CVResult(float(np.mean(accs)), float(np.std(accs)), accs,
+                    float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs,
+                    ids, skipped), clfs
 
 
 def knn_reference(train_x, train_y, test_x, k):
@@ -221,6 +247,102 @@ def test_hinge_fit_matches_per_class_reference(classes):
     expected = hinge_decision_reference(xtr, ytr, xte)
     assert np.allclose(clf.decision(xte), expected, rtol=0, atol=1e-9)
     assert np.array_equal(clf.predict(xte), clf.classes_[np.argmax(expected, axis=1)])
+
+
+def assert_same_classifier(a, b, test_x):
+    assert np.array_equal(a.classes_, b.classes_)
+    assert a.weights_.tobytes() == b.weights_.tobytes()
+    assert a.bias_.tobytes() == b.bias_.tobytes()
+    assert a.decision(test_x).tobytes() == b.decision(test_x).tobytes()
+    assert a.predict(test_x).tobytes() == b.predict(test_x).tobytes()
+
+
+@pytest.mark.parametrize("stack,n,d,classes", [(1, 20, 3, [0, 1]), (4, 33, 5, [2, 5, 9]),
+                                               (3, 17, 1, [0, 1, 2, 3]), (6, 40, 8, [1, 4])])
+def test_stacked_hinge_fit_matches_lone_fits(stack, n, d, classes):
+    # every slice of a stacked fit has the bits of its lone fit
+    rng = np.random.default_rng(stack * n)
+    x = rng.normal(size=(stack, n, d)) + rng.normal(size=(stack, 1, d))
+    y = np.stack([rng.permutation(np.resize(classes, n)) for _ in range(stack)])
+    test_x = rng.normal(size=(7, d))
+    stacked = HingeClassifier().fit(x, y)
+    assert stacked.weights_.shape == (stack, d, len(classes))
+    assert stacked.bias_.shape == (stack, len(classes))
+    for k in range(stack):
+        assert_same_classifier(stacked[k], HingeClassifier().fit(x[k], y[k]), test_x)
+    # one label vector shared by every slice
+    shared = HingeClassifier().fit(x, y[0])
+    for k in range(stack):
+        assert_same_classifier(shared[k], HingeClassifier().fit(x[k], y[0]), test_x)
+
+
+def test_stacked_hinge_fit_needs_one_class_set():
+    x = np.random.default_rng(0).normal(size=(2, 6, 2))
+    with pytest.raises(EvalError, match="same classes"):
+        HingeClassifier().fit(x, np.array([[0, 1, 0, 1, 0, 1], [0, 1, 2, 0, 1, 2]]))
+    with pytest.raises(EvalError, match="single class"):
+        HingeClassifier().fit(x, np.zeros((2, 6), dtype=int))
+
+
+def _cv_case(case):
+    """(classes, fold plan, evaluated fold ids, stacked fits) of each plan."""
+    if case == "three-sizes":
+        # three classes with different remainders: training splits of 17,
+        # 18 and 19 rows
+        classes = np.repeat([0, 1, 2], [7, 8, 9])
+        return classes, make_fold_plan(classes, fold_count=4, rng_seed=3), [0, 1, 2, 3], 3
+    if case == "skipped-fold":
+        # the single-member class sits in fold 0, whose training split then
+        # holds one class
+        classes = np.array([0] * 9 + [1])
+        return classes, make_fold_plan(classes, fold_count=5, rng_seed=0), [1, 2, 3, 4], 2
+    if case == "empty-fold":
+        # fold 3 of 4 holds no item
+        plan = FoldPlan(4, np.arange(16) % 3, False, 0)
+        return np.array([0, 1] * 8), plan, [0, 1, 2], 2
+    # four folds of distinct sizes: every fit is a stack of one
+    plan = FoldPlan(4, np.repeat([0, 1, 2, 3], [4, 6, 7, 9]), False, 0)
+    return np.array([0, 1] * 13), plan, [0, 1, 2, 3], 4
+
+
+@pytest.mark.parametrize("case", ["three-sizes", "skipped-fold", "empty-fold", "stacks-of-one"])
+def test_classify_cv_matches_per_fold_loop(case, monkeypatch):
+    classes, plan, fold_ids, fit_count = _cv_case(case)
+    rng = np.random.default_rng(len(classes))
+    features = rng.normal(size=(len(classes), 4)) + 1.5 * classes[:, None]
+    fits = []
+    fit = HingeClassifier.fit
+
+    def spy(self, x, y):
+        fits.append((x, fit(self, x, y)))
+        return self
+
+    monkeypatch.setattr(HingeClassifier, "fit", spy)
+    result = classify_cv(features, classes, plan)
+    monkeypatch.undo()
+    expected, lone_clfs = classify_cv_reference(features, classes, plan)
+    assert result == expected
+    assert result.fold_ids == fold_ids
+    # one stacked fit per (training-split size, class set)
+    assert len(fits) == fit_count
+    # every slice is the lone fit of its fold, bit for bit
+    slices = {x[k].tobytes(): clf[k] for x, clf in fits for k in range(len(x))}
+    assert len(slices) == len(lone_clfs)
+    for fold, clf in zip(fold_ids, lone_clfs):
+        tr, te = plan.train_indices(fold), plan.test_indices(fold)
+        scaler = Standardizer().fit(features[tr])
+        assert_same_classifier(slices[scaler.transform(features[tr]).tobytes()], clf,
+                               scaler.transform(features[te]))
+
+
+def test_classify_cv_rejects_plan_of_other_length():
+    # a plan for 8 items would leave 4 of 12 rows out of every fold; one for
+    # 14 items indexes past the table
+    x, y = blobs(6, seed=3)
+    for size in (8, 14):
+        plan = make_fold_plan(np.resize([0, 1], size), fold_count=4)
+        with pytest.raises(EvalError, match=f"fold plan assigns {size} items"):
+            classify_cv(x, y, plan)
 
 
 def test_knn_tie_breaks():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import positive_log_loss_loop, raw_divergence_loop, same_bits
+from graphdiv import nn
+from graphdiv.generators import random_graph
 from graphdiv.graphs import (Graph, GraphDataset, GraphError, GraphFormatError,
-                             LabelVocabulary, atomic_write, edge_attr_matrix,
+                             LabelVocabulary, atomic_write, edge_attr_matrix, edge_pair_sum,
                              load_dataset_json, neighborhood_attr_matrix,
                              node_label_onehot, save_dataset_json)
 
@@ -246,3 +249,28 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     atomic_write(str(path), "two")
     assert path.read_text() == "two"
     assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+
+def test_edge_pair_sum_matches_edge_loops():
+    # the array sum adds the edges in the loops' order, so both scores keep
+    # their bits; probabilities of exactly 1 give log 0 terms
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        n = int(rng.integers(2, 30))
+        g = random_graph(n, float(rng.uniform(0.1, 0.9)), trial)
+        p = rng.uniform(1e-6, 1.0, size=(n, n))
+        p[rng.random((n, n)) < 0.2] = 1.0
+        logits = 8.0 * rng.normal(size=(n, n))
+        assert same_bits(0.0 - edge_pair_sum(g, np.log, p), raw_divergence_loop(p, g.edges)), trial
+        assert same_bits(edge_pair_sum(g, nn.softplus, -logits),
+                         positive_log_loss_loop(logits, g.edges)), trial
+
+
+def test_edge_pair_sum_zero_cases():
+    # an edgeless graph and an all-ones probability matrix both score +0.0
+    ones = np.ones((4, 4))
+    for g in (Graph(4, []), Graph(4, [(0, 1), (2, 3)])):
+        raw = 0.0 - edge_pair_sum(g, np.log, ones)
+        assert same_bits(raw, 0.0) and same_bits(raw, raw_divergence_loop(ones, g.edges))
+    empty = edge_pair_sum(Graph(4, []), nn.softplus, ones)
+    assert same_bits(empty, 0.0) and same_bits(empty, positive_log_loss_loop(-ones, ()))
