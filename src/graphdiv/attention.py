@@ -267,8 +267,11 @@ def attention_loss_and_grads(problem, params):
 
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
     """Fit the attention pair of one target against a frozen source encoder:
-    a stack of one in train_attentions, with the same bits."""
-    return train_attentions([source], [target_graph], cfg, [target_graph_id], restarts)[0]
+    a stack of one in train_attentions, with the same bits; raises its fault."""
+    (ae,) = train_attentions([source], [target_graph], cfg, [target_graph_id], restarts)
+    if ae.fault:
+        raise ae.fault
+    return ae
 
 
 def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
@@ -284,8 +287,8 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
     the lowest final training loss wins (the first on ties). Each cell's fit
     is deterministic given (its source's graph_id, its target graph id,
     cfg.rng_seed), and bit-identical to fitting it alone. Returns one
-    AugmentedEncoder per cell, in order. Raises nn.TrainingFault naming the
-    diverged targets (or nn.NumericsFault).
+    AugmentedEncoder per cell, in order, whose `fault` is None or, if a
+    restart went non-finite, the nn.TrainingFault of the cell's lone fit.
     """
     if not all(source.trained for source in sources):
         raise ContractViolation("source encoder must be trained and frozen before alignment")
@@ -303,9 +306,9 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
     params = {"forward": np.stack([pair.forward for pair in inits]),
               "reverse": np.stack([pair.reverse for pair in inits])}
     lr = np.array(lrs).reshape(len(lrs), 1, 1)
-    slice_ids = [tid for tid in target_graph_ids for _ in range(restarts)]
     trace = nn.train_stack(lambda p: attention_loss_and_grads(problem, p), params, lr,
-                           cfg.scoring_epochs, slice_ids)
+                           cfg.scoring_epochs, len(lrs))
+    bad = nn.first_bad_epochs(trace, params.values(), restarts)
 
     fitted = []
     for c, (source, target, target_graph_id) in enumerate(zip(sources, targets,
@@ -317,6 +320,7 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
         ae = AugmentedEncoder(source, pair, target, target_graph_id=target_graph_id,
                               source_probs=problem.source_probs[first])
         ae.loss_trace = trace[:, best].tolist()
+        ae.fault = nn.diverged(bad[c], [target_graph_id]) if bad[c] >= 0 else None
         fitted.append(ae)
     return fitted
 

@@ -18,7 +18,7 @@ from .encoder import TrainConfig, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
 from .graphs import atomic_write, load_dataset_json
-from .nn import CheckpointError, NumericsFault, TrainingFault
+from .nn import CheckpointError, TrainingFault
 from .tu import load_tu_dataset
 
 EXIT_OK = 0
@@ -66,7 +66,7 @@ def build_config(args):
 
 
 def _encoder_path(out, cfg, idx):
-    return os.path.join(out, f"encoder_{cfg.hash()}_g{idx}.json")
+    return os.path.join(out, f"encoder_{cfg.encoder_hash()}_g{idx}.json")
 
 
 def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
@@ -251,7 +251,7 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingFault, NumericsFault, OSError) as exc:
+    except (TrainingFault, OSError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
 from .attention import augmented_neighbor_probs, stack_key, train_attentions
 from .encoder import positive_log_loss, train_encoders
 from .graphs import atomic_write, edge_pair_sum
@@ -72,24 +71,21 @@ def unit_rows(embeddings):
 def _score_chunk(jobs, cfg, restarts):
     """Score a stack of (ti, si, source encoder, target, target id) jobs,
     whose sources share a node count and label kinds and whose targets do
-    too, as one stacked fit. Slices never mix, so the stack faults only when
-    one of its cells would fault alone; then each cell is scored again as a
-    stack of one. A lone cell that faults is retried once under a fresh seed,
-    then recorded as failed; any other error is a caller's mistake and
-    raises."""
+    too, as one stacked fit. A cell that goes non-finite faults alone; the
+    faulted cells are fitted again as one stack under target ids
+    '<tid>#retry' (fresh seeds, each cell the bits of its lone retry), and a
+    cell that faults twice is recorded as failed with both faults. Any other
+    error is a caller's mistake and raises."""
     tis, sis, encoders, targets, target_ids = zip(*jobs)
-    try:
-        fitted = train_attentions(encoders, targets, cfg, target_ids, restarts)
-        return [(ti, si, raw_divergence(ae), None) for ti, si, ae in zip(tis, sis, fitted)]
-    except (nn.TrainingFault, nn.NumericsFault) as first:
-        if len(jobs) > 1:
-            return sum((_score_chunk([job], cfg, restarts) for job in jobs), [])
-        (ti, si, encoder, target, tid), = jobs
-        try:
-            (ae,) = train_attentions([encoder], [target], cfg, [f"{tid}#retry"], restarts)
-            return [(ti, si, raw_divergence(ae), None)]
-        except (nn.TrainingFault, nn.NumericsFault) as second:
-            return [(ti, si, float("nan"), f"{first}; retry: {second}")]
+    fitted = train_attentions(encoders, targets, cfg, target_ids, restarts)
+    redo = [c for c, ae in enumerate(fitted) if ae.fault]
+    retried = redo and train_attentions([encoders[c] for c in redo], [targets[c] for c in redo],
+                                        cfg, [f"{target_ids[c]}#retry" for c in redo], restarts)
+    for c, ae in zip(redo, retried):
+        ae.fault = ae.fault and f"{fitted[c].fault}; retry: {ae.fault}"
+        fitted[c] = ae
+    return [(ti, si, float("nan") if ae.fault else raw_divergence(ae), ae.fault)
+            for ti, si, ae in zip(tis, sis, fitted)]
 
 
 # Largest stack a pool task builds, in elements of one stacked array: slices x
@@ -193,13 +189,15 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         for ti, tid in enumerate(target_ids):
             for si, sid in enumerate(source_ids):
                 path = _cell_path(cell_dir, key, sid, tid)
-                if os.path.isfile(path):
+                try:
                     with open(path) as f:
                         cell = json.load(f)
                     values[ti, si] = cell["raw"] - self_losses[si]
-                    if cell.get("error"):
-                        errors[(ti, si)] = cell["error"]
-                    done.add((ti, si))
+                except (OSError, ValueError, KeyError, TypeError):
+                    continue  # absent or unreadable: scored below, and the file (re)written
+                if cell.get("error"):
+                    errors[(ti, si)] = cell["error"]
+                done.add((ti, si))
 
     # pending cells grouped by (source size, target size); a group trains as
     # stacks of at most ceil(pending / workers) cells and MAX_STACK_ELEMENTS

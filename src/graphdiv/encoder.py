@@ -42,9 +42,16 @@ class TrainConfig:
         if self.node_reg_coef < 0 or self.edge_reg_coef < 0:
             raise ValueError("regularizer coefficients must be >= 0")
 
-    def hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+    def hash(self, fields=None):
+        """Short digest of the named fields, or of the whole config."""
+        config = asdict(self)
+        blob = json.dumps({k: config[k] for k in fields or config}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+    def encoder_hash(self):
+        """Digest of the fields an encoder fit reads; it keys the checkpoints."""
+        return self.hash(("embed_dim", "encoder_layers", "learning_rate", "encoding_epochs",
+                          "rng_seed"))
 
 
 def derive_seed(*parts):
@@ -137,10 +144,10 @@ def train_encoders(graphs, cfg, graph_ids):
     """Fit one encoder per graph; the graphs must share a node count.
 
     They train as one stacked problem in nn.train_stack: encoding_epochs of
-    full-batch Adam, one forward, backward and Adam step per epoch for the
-    whole stack. Each slice starts from build_encoder's init for its graph
-    id, and its params and loss trace are the bits of a fit of that graph
-    alone, whatever its group or position. Returns the encoders in order.
+    full-batch Adam, one forward, backward and Adam step per epoch. Each
+    slice starts from build_encoder's init for its graph id, and its params
+    and loss trace are the bits of a fit of that graph alone. Returns the
+    encoders in order; raises one nn.TrainingFault naming every diverged id.
     """
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
@@ -160,7 +167,10 @@ def train_encoders(graphs, cfg, graph_ids):
         return losses, {"encoder": np.concatenate([grads[name].ravel() for name in params])}
 
     trace = nn.train_stack(loss_and_grads, {"encoder": flat}, cfg.learning_rate,
-                           cfg.encoding_epochs, list(graph_ids))
+                           cfg.encoding_epochs, len(graphs))
+    bad = nn.first_bad_epochs(trace, params.values())
+    if (bad >= 0).any():
+        raise nn.diverged(bad[bad >= 0].min(), [graph_ids[g] for g in np.flatnonzero(bad >= 0)])
     for g, (enc, init) in enumerate(zip(encs, inits)):
         for name, p in init.items():
             p[...] = params[name][g]
@@ -177,7 +187,7 @@ def train_encoder(graph, cfg, graph_id=0):
 # --- checkpointing -----------------------------------------------------------
 
 def encoder_to_checkpoint(enc, cfg):
-    meta = {"graph_id": str(enc.graph_id), "config_hash": cfg.hash(),
+    meta = {"graph_id": str(enc.graph_id), "config_hash": cfg.encoder_hash(),
             "node_count": enc.node_count, "embed_dim": enc.embed_dim,
             "hidden_layers": len(enc.hidden), "trained": enc.trained,
             "graph": enc.graph.to_json_dict()}

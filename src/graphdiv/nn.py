@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class NumericsFault(ArithmeticError):
-    """A NaN/Inf showed up where only finite values are allowed."""
-
-
 class ShapeError(ValueError):
     pass
 
 
 class TrainingFault(RuntimeError):
-    """A training loss went non-finite."""
+    """A fit went non-finite."""
 
 
 def sigmoid(z):
@@ -132,7 +128,7 @@ def adam_step(params, grads, state, lr):
     shape (R, 1, 1), one rate per restart slice. Every operation is
     elementwise, so each slice moves exactly as it would alone. Moments are
     allocated on the first step and updated in place after that; params are
-    updated in place. Raises NumericsFault on a non-finite gradient.
+    updated in place, so a non-finite gradient stays in its own slice.
     Returns params.
     """
     state.step_count += 1
@@ -142,8 +138,6 @@ def adam_step(params, grads, state, lr):
     v_correction = 1 - b2 ** t
     for name, p in params.items():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericsFault(f"non-finite gradient for parameter {name!r}")
         m = state.first_moment.get(name)
         if m is None:
             m = state.first_moment[name] = np.zeros_like(p)
@@ -168,23 +162,31 @@ def adam_step(params, grads, state, lr):
     return params
 
 
-def train_stack(loss_and_grads, params, lr, epochs, slice_ids):
+def train_stack(loss_and_grads, params, lr, epochs, slices):
     """The package's training loop: `epochs` full-batch Adam steps on a stack
-    of independent problems, where loss_and_grads(params) returns one loss
-    per slice and the gradients. Returns the (epochs, slices) loss trace;
-    raises TrainingFault naming the ids of the slices whose loss goes
-    non-finite."""
+    of `slices` independent problems, where loss_and_grads(params) returns
+    one loss per slice and the gradients. Returns the (epochs, slices) loss
+    trace. A slice that goes non-finite runs on alone: see first_bad_epochs."""
     state = AdamState()
-    trace = np.empty((epochs, len(slice_ids)))
+    trace = np.empty((epochs, slices))
     for epoch in range(epochs):
-        losses, grads = loss_and_grads(params)
-        finite = np.isfinite(losses)
-        if not finite.all():
-            ids = list(dict.fromkeys(slice_ids[i] for i in np.flatnonzero(~finite)))
-            raise TrainingFault(f"loss diverged (non-finite) at epoch {epoch} for graph id(s) {ids}")
-        trace[epoch] = losses
+        trace[epoch], grads = loss_and_grads(params)
         adam_step(params, grads, state, lr)
     return trace
+
+
+def first_bad_epochs(trace, fitted, group=1):
+    """Per run of `group` slices of a train_stack fit: the first epoch whose
+    loss in the trace is non-finite, `epochs` if only the fitted arrays (with
+    a leading slice axis) are (a last-step gradient fault), or -1 if clean."""
+    ok = np.all([np.isfinite(a).reshape(trace.shape[1], -1).all(axis=1) for a in fitted], axis=0)
+    bad = np.vstack([~np.isfinite(trace), ~ok]).reshape(len(trace) + 1, -1, group).any(axis=2)
+    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+
+
+def diverged(epoch, ids):
+    """The fault of a fit whose slices for graph ids `ids` went bad at `epoch`."""
+    return TrainingFault(f"loss diverged (non-finite) at epoch {epoch} for graph id(s) {ids}")
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -490,6 +490,41 @@ def test_stacked_fault_names_only_diverged_targets(small_source, monkeypatch):
 
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
     targets = [random_graph(4, 0.5, s) for s in (2, 3, 4)]
-    with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \[6, 7\]$"):
-        train_attentions([small_source] * 3, targets, TrainConfig(embed_dim=4), [5, 6, 7],
-                         restarts=2)
+    fitted = train_attentions([small_source] * 3, targets, TrainConfig(embed_dim=4), [5, 6, 7],
+                              restarts=2)
+    assert [ae.fault and str(ae.fault) for ae in fitted] == [
+        None,
+        "loss diverged (non-finite) at epoch 0 for graph id(s) [6]",
+        "loss diverged (non-finite) at epoch 0 for graph id(s) [7]"]
+
+
+@pytest.mark.parametrize("poison_epoch", [4, 9])
+def test_gradient_fault_stays_in_its_cell(small_source, monkeypatch, poison_epoch):
+    # a NaN gradient in one restart of target 6 while every loss stays finite:
+    # that cell faults at the next epoch (at `scoring_epochs`, read off its
+    # fitted arrays, when the fault comes at the last step), and the other
+    # cells keep the bits of a clean fit
+    import graphdiv.attention as att
+
+    real = att.attention_loss_and_grads
+    calls = []
+
+    def poisoned(problem, params):
+        losses, grads = real(problem, params)
+        if len(calls) == poison_epoch:
+            grads["reverse"][3, 0, 0] = np.nan  # cell 1 (target 6), restart 1
+        calls.append(None)
+        return losses, grads
+
+    cfg = TrainConfig(embed_dim=4, scoring_epochs=10)
+    targets = [random_graph(4, 0.5, s) for s in (2, 3, 4)]
+    clean = train_attentions([small_source] * 3, targets, cfg, [5, 6, 7], restarts=2)
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    fitted = train_attentions([small_source] * 3, targets, cfg, [5, 6, 7], restarts=2)
+    assert str(fitted[1].fault) == (
+        f"loss diverged (non-finite) at epoch {poison_epoch + 1} for graph id(s) [6]")
+    for c in (0, 2):
+        assert fitted[c].fault is None
+        assert fitted[c].attention.forward.tobytes() == clean[c].attention.forward.tobytes()
+        assert fitted[c].attention.reverse.tobytes() == clean[c].attention.reverse.tobytes()
+        assert np.array(fitted[c].loss_trace).tobytes() == np.array(clean[c].loss_trace).tobytes()

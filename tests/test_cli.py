@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphdiv.attention import attention_matrix, train_attention
-from graphdiv.cli import EXIT_OK, EXIT_USAGE, build_config, build_parser, main
+from graphdiv.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_config, build_parser, main
 from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
 from graphdiv.encoder import load_encoder
 from graphdiv.generators import make_barbell, random_graph
@@ -42,6 +42,57 @@ def test_encode_caches_checkpoints(tmp_path, dataset_file):
     assert main(args + ["--force"]) == EXIT_OK
     with open(os.path.join(out, "encode_summary.json")) as f:
         assert json.load(f)["trained"] == 6
+
+
+def test_encoder_checkpoints_ignore_scoring_fields(tmp_path, dataset_file):
+    # scoring epochs and label penalties do not enter an encoder fit, so a
+    # change to them reuses the checkpoints instead of training a second set
+    out = str(tmp_path / "out")
+    args = ["encode", "--dataset", dataset_file, "--out", out] + fast()
+    assert main(args) == EXIT_OK
+    names = sorted(os.listdir(out))
+    assert main(args + ["--scoring-epochs", "5", "--node-reg", "0", "--edge-reg", "2"]) == EXIT_OK
+    with open(os.path.join(out, "encode_summary.json")) as f:
+        assert json.load(f)["trained"] == 0
+    assert sorted(os.listdir(out)) == names
+    assert main(args + ["--encoding-epochs", "5"]) == EXIT_OK
+    with open(os.path.join(out, "encode_summary.json")) as f:
+        assert json.load(f)["trained"] == 6
+
+
+def test_encode_exits_runtime_on_diverged_encoder(tmp_path, dataset_file, monkeypatch, capsys):
+    import graphdiv.encoder as encoder
+
+    build = encoder.build_encoder
+
+    def poisoned(graph, cfg, graph_id=0):
+        enc = build(graph, cfg, graph_id=graph_id)
+        if graph_id in (1, 4):
+            enc.embedding[0, 0] = np.nan
+        return enc
+
+    monkeypatch.setattr(encoder, "build_encoder", poisoned)
+    out = str(tmp_path / "out")
+    assert main(["encode", "--dataset", dataset_file, "--out", out] + fast()) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [1, 4]\n")
+
+
+def test_attention_exits_runtime_on_diverged_fit(tmp_path, dataset_file, monkeypatch, capsys):
+    import graphdiv.attention as att
+
+    real = att.attention_loss_and_grads
+
+    def diverged(problem, params):
+        losses, grads = real(problem, params)
+        return np.full_like(losses, np.nan), grads
+
+    monkeypatch.setattr(att, "attention_loss_and_grads", diverged)
+    out = str(tmp_path / "out")
+    assert main(["attention", "--dataset", dataset_file, "--out", out,
+                 "--source-index", "0", "--target-index", "2"] + fast()) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [2]\n")
 
 
 def test_encode_retrains_corrupted_checkpoint(tmp_path, dataset_file):
@@ -202,7 +253,7 @@ def test_attention_csv_format(tmp_path):
     assert main(argv) == EXIT_OK
     args = build_parser().parse_args(argv)
     cfg = build_config(args)
-    source = load_encoder(os.path.join(out, f"encoder_{cfg.hash()}_g0.json"))
+    source = load_encoder(os.path.join(out, f"encoder_{cfg.encoder_hash()}_g0.json"))
     ae = train_attention(source, ds.graphs[1], cfg, target_graph_id=1, restarts=args.restarts)
     with open(os.path.join(out, "attention.csv")) as f:
         lines = f.read().splitlines()

@@ -129,6 +129,23 @@ def test_embed_all_cell_resume(tmp_path):
     assert np.isclose(t2.values, 123.5 - t2.self_losses[None, :]).any()
 
 
+def test_unreadable_cell_is_scored_again(tmp_path):
+    # a truncated cell file and one without "raw" count as absent: the cells
+    # are computed again and their files overwritten with a clean run's bytes
+    graphs = [random_graph(5, 0.5, s) for s in (5, 6)]
+    cfg = quick_cfg()
+    clean_dir, cell_dir = tmp_path / "clean", tmp_path / "cells"
+    clean = embed_all(graphs, graphs, cfg, cell_dir=str(clean_dir), restarts=1)
+    embed_all(graphs, graphs, cfg, cell_dir=str(cell_dir), restarts=1)
+    files = sorted(cell_dir.iterdir())
+    files[0].write_text(files[0].read_text()[:20])
+    files[1].write_text(json.dumps({"source_id": 0, "target_id": 1}))
+    table = embed_all(graphs, graphs, cfg, cell_dir=str(cell_dir), restarts=1)
+    assert table.values.tobytes() == clean.values.tobytes()
+    for p in clean_dir.iterdir():
+        assert (cell_dir / p.name).read_bytes() == p.read_bytes()
+
+
 def test_cell_cache_keyed_by_restarts(tmp_path):
     # a rerun with more restarts must not reuse cells fitted with fewer
     graphs = [random_graph(5, 0.5, s) for s in (5, 6)]
@@ -167,33 +184,72 @@ def test_embed_all_mixes_labeled_and_unlabeled_targets():
         assert table.values[ti, 0] == raw_divergence(ae) - positive_log_loss(src)
 
 
-def test_embed_all_failure_isolated(monkeypatch):
-    # a numeric fault in one target of a stack of every source against every
-    # target: the stack falls back to cell-by-cell fits, so only that target's
-    # cells fail, in every source's column (NaN + error, after the retry), and
-    # its stack-mates keep the bits they get without the fault
-    import graphdiv.attention as att
-
-    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
-    bad = graphs[1].adjacency_matrix()
+def _poison_target(att, graph):
+    """attention_loss_and_grads with every slice whose target is `graph` set
+    to NaN loss, and a list that keeps each fitted problem (each fit)."""
     real = att.attention_loss_and_grads
-    stacks = []
+    bad = graph.adjacency_matrix()
+    problems = []
 
     def poisoned(problem, params):
         losses, grads = real(problem, params)
-        stacks.append(len(losses))
+        if not any(p is problem for p in problems):
+            problems.append(problem)
         losses[(problem.adjacency == bad).all(axis=(1, 2))] = np.nan
         return losses, grads
 
+    return poisoned, problems
+
+
+def test_embed_all_failure_isolated(monkeypatch):
+    # a numeric fault in one target of a stack of every source against every
+    # target: only that target's cells fail, in every source's column (NaN +
+    # error, after the retry), and its stack-mates keep the bits they get
+    # without the fault
+    import graphdiv.attention as att
+
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
+    poisoned, problems = _poison_target(att, graphs[1])
     cfg = quick_cfg()
     clean = embed_all(graphs, graphs, cfg, restarts=2)
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
     table = embed_all(graphs, graphs, cfg, restarts=2)
-    assert max(stacks) == 18  # 3 same-size sources x 3 same-size targets x 2 restarts
+    assert len(problems[0].adjacency) == 18  # 3 sources x 3 same-size targets x 2 restarts
     assert np.all(np.isnan(table.values[1]))
     assert sorted(table.errors) == [(1, 0), (1, 1), (1, 2)]
     assert "retry" in table.errors[(1, 0)]
     assert table.values[[0, 2]].tobytes() == clean.values[[0, 2]].tobytes()
+
+
+def test_faulted_cells_retry_as_one_stack(monkeypatch):
+    # the poisoned fixture above fits twice: the 18-slice stack, then its 3
+    # faulted cells as one 6-slice retry stack; no clean cell is fitted again
+    import graphdiv.attention as att
+
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
+    poisoned, problems = _poison_target(att, graphs[1])
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    embed_all(graphs, graphs, quick_cfg(), restarts=2)
+    assert [len(p.adjacency) for p in problems] == [18, 6]
+    bad = graphs[1].adjacency_matrix()
+    assert (problems[1].adjacency == bad).all()
+
+
+def test_poisoned_table_same_at_any_worker_count(monkeypatch):
+    # values and error strings of the poisoned fixture do not depend on how
+    # the pool splits the stacks
+    import graphdiv.attention as att
+
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
+    poisoned, _ = _poison_target(att, graphs[1])
+    monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
+    tables = [embed_all(graphs, graphs, quick_cfg(), restarts=2, workers=w) for w in (1, 2, 3)]
+    first = "loss diverged (non-finite) at epoch 0 for graph id(s) [1]"
+    second = "loss diverged (non-finite) at epoch 0 for graph id(s) ['1#retry']"
+    assert tables[0].errors == {(1, s): f"{first}; retry: {second}" for s in range(3)}
+    for table in tables[1:]:
+        assert table_to_csv(table) == table_to_csv(tables[0])
+        assert table.errors == tables[0].errors
 
 
 def test_faulting_cell_fits_twice(monkeypatch):
@@ -202,11 +258,10 @@ def test_faulting_cell_fits_twice(monkeypatch):
     import graphdiv.attention as att
 
     real = att.attention_loss_and_grads
-    fits = []
+    problems = []  # kept alive, so no two fits share an id
 
     def diverged(problem, params):
-        # every fit diverges at its first epoch, so one call is one fit
-        fits.append(problem)
+        problems.append(problem)
         losses, grads = real(problem, params)
         return np.full_like(losses, np.nan), grads
 
@@ -215,7 +270,7 @@ def test_faulting_cell_fits_twice(monkeypatch):
     monkeypatch.setattr(att, "attention_loss_and_grads", diverged)
     table = embed_all(graphs[:1], graphs[1:], cfg, source_ids=["s"], target_ids=["t"],
                       restarts=2)
-    assert len(fits) == 2
+    assert len({id(p) for p in problems}) == 2
     assert np.isnan(table.values[0, 0])
     first = "loss diverged (non-finite) at epoch 0 for graph id(s) ['t']"
     second = "loss diverged (non-finite) at epoch 0 for graph id(s) ['t#retry']"

@@ -73,6 +73,15 @@ def test_config_hash_stable_and_sensitive():
     assert a.hash() != TrainConfig(embed_dim=16).hash()
 
 
+def test_encoder_hash_reads_only_encoder_fields():
+    base = TrainConfig()
+    for change in ({"scoring_epochs": 5}, {"node_reg_coef": 0.0}, {"edge_reg_coef": 2.0}):
+        assert TrainConfig(**change).encoder_hash() == base.encoder_hash()
+    for change in ({"embed_dim": 4}, {"encoder_layers": 1}, {"learning_rate": 0.1},
+                   {"encoding_epochs": 5}, {"rng_seed": 1}):
+        assert TrainConfig(**change).encoder_hash() != base.encoder_hash()
+
+
 def test_derive_seed_deterministic():
     assert derive_seed("a", 1, 2) == derive_seed("a", 1, 2)
     assert derive_seed("a", 1, 2) != derive_seed("a", 2, 1)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gradient_check
 from graphdiv import nn
-from graphdiv.nn import (AdamState, CheckpointError, DenseLayer, NumericsFault,
-                         ShapeError, adam_step, backward, forward, init_dense,
+from graphdiv.nn import (AdamState, CheckpointError, DenseLayer, ShapeError,
+                         adam_step, backward, first_bad_epochs, forward, init_dense,
                          multilabel_bce_loss, params_from_checkpoint,
                          params_to_checkpoint)
 
@@ -152,9 +152,60 @@ def test_adam_first_step_is_signed_lr():
     assert p[2] == pytest.approx(3.0)
 
 
-def test_adam_rejects_non_finite_gradient():
-    with pytest.raises(NumericsFault):
-        adam_step({"p": np.zeros(2)}, {"p": np.array([1.0, np.nan])}, AdamState(), 0.1)
+def _quadratic_stack_fit(epochs, poison_epoch=None, poison_slice=1, poison=np.nan):
+    """Three stacked problems min |p - c|^2; at poison_epoch the gradient of
+    poison_slice turns to `poison` while every loss stays finite."""
+    centers = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    params = {"p": np.zeros((3, 2))}
+    calls = []
+
+    def loss_and_grads(p):
+        d = p["p"] - centers
+        grads = {"p": 2.0 * d}
+        if len(calls) == poison_epoch:
+            grads["p"][poison_slice, 0] = poison
+        calls.append(None)
+        return (d * d).sum(axis=1), grads
+
+    trace = nn.train_stack(loss_and_grads, params, 0.1, epochs, 3)
+    return trace, params["p"]
+
+
+@pytest.mark.parametrize("poison_epoch", [0, 3, 5])
+def test_non_finite_gradient_stays_in_its_slice(poison_epoch):
+    # a NaN gradient with a finite loss faults its slice only: the first bad
+    # epoch is the next one, or `epochs` (read off the fitted arrays) when the
+    # fault comes at the last step, and the other slices keep their bits
+    epochs = 6
+    clean_trace, clean_p = _quadratic_stack_fit(epochs)
+    trace, p = _quadratic_stack_fit(epochs, poison_epoch)
+    assert np.isfinite(trace[:poison_epoch + 1]).all()
+    assert first_bad_epochs(trace, [p]).tolist() == [-1, poison_epoch + 1, -1]
+    for k in (0, 2):
+        assert trace[:, k].tobytes() == clean_trace[:, k].tobytes()
+        assert p[k].tobytes() == clean_p[k].tobytes()
+
+
+def test_inf_gradient_warns_and_stays_in_its_slice():
+    # Adam's inf / inf is numpy's "invalid value" warning, which the test
+    # suite turns into an error unless a test expects it, as here
+    clean_trace, _ = _quadratic_stack_fit(6)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        trace, p = _quadratic_stack_fit(6, 2, poison=np.inf)
+    assert first_bad_epochs(trace, [p]).tolist() == [-1, 3, -1]
+    assert trace[:, 0].tobytes() == clean_trace[:, 0].tobytes()
+
+
+def test_first_bad_epochs_per_group():
+    # runs of `group` slices report the first bad epoch of any member
+    trace = np.zeros((4, 6))
+    trace[2, 1] = np.nan
+    trace[1, 4] = np.inf
+    fitted = np.zeros((6, 2, 2))
+    fitted[3, 1, 0] = np.nan
+    assert first_bad_epochs(trace, [fitted]).tolist() == [-1, 2, -1, 4, 1, -1]
+    assert first_bad_epochs(trace, [fitted], group=2).tolist() == [2, 4, 1]
+    assert first_bad_epochs(trace[:0], [fitted], group=3).tolist() == [-1, 0]
 
 
 def test_checkpoint_roundtrip_bit_identical():
