@@ -73,7 +73,9 @@ def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
     """Encoders for the dataset graphs at idxs. A cached checkpoint is loaded
     unless it is corrupted, --force is set, or it was trained on a different
     graph; the rest are trained, one stack per node count in parallel, and
-    saved. Returns (encoders in idxs order, number trained)."""
+    each is saved as its stack finishes, so a diverged encoder (which
+    raises once every stack is done) costs no other its checkpoint.
+    Returns (encoders in idxs order, number trained)."""
     encoders = {}
     for idx in idxs:
         path = _encoder_path(out, cfg, idx)
@@ -89,11 +91,10 @@ def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
             enc.graph = graphs[idx]
             encoders[idx] = enc
     missing = [idx for idx in idxs if idx not in encoders]
-    trained = train_source_encoders([graphs[idx] for idx in missing], cfg,
-                                    source_ids=missing, workers=workers)
-    for idx, enc in zip(missing, trained):
-        save_encoder(enc, cfg, _encoder_path(out, cfg, idx))
-        encoders[idx] = enc
+    trained = train_source_encoders(
+        [graphs[idx] for idx in missing], cfg, source_ids=missing, workers=workers,
+        save=lambda enc: save_encoder(enc, cfg, _encoder_path(out, cfg, enc.graph_id)))
+    encoders.update(zip(missing, trained))
     return [encoders[idx] for idx in idxs], len(missing)
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import augmented_neighbor_probs, stack_key, train_attentions
-from .encoder import positive_log_loss, train_encoders
+from .encoder import fit_encoders, positive_log_loss
 from .graphs import atomic_write, edge_pair_sum
+from .nn import raise_faults
 
 
 @dataclass
@@ -130,18 +131,35 @@ def _completed(fn, tasks, workers):
                 future.cancel()
 
 
-def _cell_path(cell_dir, key, source_id, target_id):
-    return os.path.join(cell_dir, f"{key}_t{target_id}_s{source_id}.json")
+# bytes asked of each os.read of a cell file. A cell file is about 90 bytes,
+# so one read takes it whole and a second sees EOF; every read allocates the
+# whole request, so it stays small.
+CELL_READ_BYTES = 4096
 
 
-def train_source_encoders(sources, cfg, source_ids=None, workers=1):
+def _read_cell(path):
+    """The cell record at path, read through one raw descriptor until EOF
+    and decoded as UTF-8 JSON; raises OSError or ValueError."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, CELL_READ_BYTES):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return json.loads(b"".join(chunks).decode())
+
+
+def train_source_encoders(sources, cfg, source_ids=None, workers=1, save=None):
     """Stage 1: one encoder per source graph, returned in input order.
 
     Sources with the same node count train as one stacked fit
-    (encoder.train_encoders), split by _tasks into pool tasks of at most
+    (encoder.fit_encoders), split by _tasks into pool tasks of at most
     ceil(sources / workers) graphs, heaviest (about G n^2) first. A slice's
     bits do not depend on its stack or on the order, so the encoders are the
-    same at any worker count.
+    same at any worker count. save(encoder), if given, is called for each
+    encoder whose slice stayed finite as soon as its task finishes; after
+    every task, one nn.TrainingFault names every diverged source id.
     """
     if source_ids is None:
         source_ids = list(range(len(sources)))
@@ -151,10 +169,12 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1):
     pieces = _tasks(list(groups.values()), lambda i: sources[i].node_count ** 2, workers)
     tasks = [([sources[i] for i in idx], cfg, [source_ids[i] for i in idx]) for idx in pieces]
     encoders = [None] * len(sources)
-    for k, encs in _completed(train_encoders, tasks, workers):
+    for k, encs in _completed(fit_encoders, tasks, workers):
         for i, enc in zip(pieces[k], encs):
             encoders[i] = enc
-    return encoders
+            if save is not None and not enc.fault:
+                save(enc)
+    return raise_faults(encoders)
 
 
 def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
@@ -184,14 +204,13 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     done = set()
     if cell_dir is not None:
         os.makedirs(cell_dir, exist_ok=True)
-        # file-name prefix shared by every cell of this config and restart count
-        key = f"cell_{cfg.hash()}_r{restarts}"
+        # path prefix shared by every cell of this config and restart count;
+        # a cell's file is f"{prefix}_t{target id}_s{source id}.json"
+        prefix = os.path.join(cell_dir, f"cell_{cfg.hash()}_r{restarts}")
         for ti, tid in enumerate(target_ids):
             for si, sid in enumerate(source_ids):
-                path = _cell_path(cell_dir, key, sid, tid)
                 try:
-                    with open(path) as f:
-                        cell = json.load(f)
+                    cell = _read_cell(f"{prefix}_t{tid}_s{sid}.json")
                     values[ti, si] = cell["raw"] - self_losses[si]
                 except (OSError, ValueError, KeyError, TypeError):
                     continue  # absent or unreadable: scored below, and the file (re)written
@@ -219,7 +238,7 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
             if err is not None:
                 errors[(ti, si)] = err
             if cell_dir is not None:
-                atomic_write(_cell_path(cell_dir, key, source_ids[si], target_ids[ti]),
+                atomic_write(f"{prefix}_t{target_ids[ti]}_s{source_ids[si]}.json",
                              json.dumps({"source_id": source_ids[si], "target_id": target_ids[ti],
                                          "raw": raw, "error": err}))
 

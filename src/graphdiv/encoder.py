@@ -2,7 +2,7 @@
 
 Training minimizes full binary cross-entropy against the adjacency matrix
 (non-neighbors count as negative targets, including the self column).
-Same-size graphs train as one stack (train_encoders); a slice's bytes do not
+Same-size graphs train as one stack (fit_encoders); a slice's bytes do not
 depend on its group. Scoring uses only the positive edge terms (positive_log_loss).
 """
 
@@ -72,6 +72,7 @@ class SourceEncoder:
         self.output = output            # DenseLayer to |V| logits
         self.trained = False
         self.loss_trace = []
+        self.fault = None               # set by fit_encoders
 
     @property
     def node_count(self):
@@ -140,14 +141,15 @@ def positive_log_loss(enc):
     return edge_pair_sum(enc.graph, nn.softplus, -logits)
 
 
-def train_encoders(graphs, cfg, graph_ids):
+def fit_encoders(graphs, cfg, graph_ids):
     """Fit one encoder per graph; the graphs must share a node count.
 
     They train as one stacked problem in nn.train_stack: encoding_epochs of
     full-batch Adam, one forward, backward and Adam step per epoch. Each
     slice starts from build_encoder's init for its graph id, and its params
     and loss trace are the bits of a fit of that graph alone. Returns the
-    encoders in order; raises one nn.TrainingFault naming every diverged id.
+    encoders in order, each with `fault` None or, if its slice went
+    non-finite, the nn.TrainingFault of its lone fit.
     """
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
@@ -169,14 +171,18 @@ def train_encoders(graphs, cfg, graph_ids):
     trace = nn.train_stack(loss_and_grads, {"encoder": flat}, cfg.learning_rate,
                            cfg.encoding_epochs, len(graphs))
     bad = nn.first_bad_epochs(trace, params.values())
-    if (bad >= 0).any():
-        raise nn.diverged(bad[bad >= 0].min(), [graph_ids[g] for g in np.flatnonzero(bad >= 0)])
     for g, (enc, init) in enumerate(zip(encs, inits)):
         for name, p in init.items():
             p[...] = params[name][g]
         enc.trained = True
         enc.loss_trace = trace[:, g].tolist()
+        enc.fault = nn.diverged(bad[g], [graph_ids[g]]) if bad[g] >= 0 else None
     return encs
+
+
+def train_encoders(graphs, cfg, graph_ids):
+    """fit_encoders, raising one nn.TrainingFault naming every diverged id."""
+    return nn.raise_faults(fit_encoders(graphs, cfg, graph_ids))
 
 
 def train_encoder(graph, cfg, graph_id=0):

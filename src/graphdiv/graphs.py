@@ -140,13 +140,18 @@ class Graph:
 def atomic_write(path, text):
     """Write text to path through a uniquely named temp file in the same
     directory and a rename, so readers never see a partial file and
-    concurrent writers never share a temp file."""
+    concurrent writers never share a temp file. The UTF-8 bytes of text go
+    straight to the temp file's descriptor, with no text-file layer."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]  # a write may take only part
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -18,7 +18,7 @@ class ShapeError(ValueError):
 
 
 class TrainingFault(RuntimeError):
-    """A fit went non-finite."""
+    """A fit went non-finite; see diverged."""
 
 
 def sigmoid(z):
@@ -186,7 +186,18 @@ def first_bad_epochs(trace, fitted, group=1):
 
 def diverged(epoch, ids):
     """The fault of a fit whose slices for graph ids `ids` went bad at `epoch`."""
-    return TrainingFault(f"loss diverged (non-finite) at epoch {epoch} for graph id(s) {ids}")
+    fault = TrainingFault(f"loss diverged (non-finite) at epoch {epoch} for graph id(s) {ids}")
+    fault.epoch, fault.ids = epoch, list(ids)
+    return fault
+
+
+def raise_faults(fitted):
+    """fitted, unless some of its items carry a `fault`: then one fault
+    naming each of their graph ids, in order, at the earliest epoch."""
+    faults = [item.fault for item in fitted if item.fault]
+    if faults:
+        raise diverged(min(f.epoch for f in faults), [i for f in faults for i in f.ids])
+    return fitted
 
 
 # --- checkpoints -------------------------------------------------------------

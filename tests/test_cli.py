@@ -78,6 +78,41 @@ def test_encode_exits_runtime_on_diverged_encoder(tmp_path, dataset_file, monkey
         "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [1, 4]\n")
 
 
+def test_diverged_encoder_keeps_the_clean_checkpoints(tmp_path, monkeypatch, capsys):
+    # graph 1 diverges in the 6-node stack; every other encoder, of either
+    # node count, is saved with the bits of a clean run before the exit, and
+    # a rerun without the fault trains graph 1 alone
+    import graphdiv.encoder as encoder
+
+    graphs = [random_graph(n, 0.5, s) for s, n in enumerate((5, 6, 5, 6, 5, 6))]
+    dataset_file = str(tmp_path / "ds.json")
+    save_dataset_json(GraphDataset(graphs, [0, 1, 0, 1, 0, 1]), dataset_file)
+    args = lambda out: ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+    checkpoints = lambda out: {p.name: p.read_bytes() for p in out.iterdir()
+                               if p.name.startswith("encoder_")}
+    assert main(args(tmp_path / "clean")) == EXIT_OK
+    clean = checkpoints(tmp_path / "clean")
+    build = encoder.build_encoder
+
+    def poisoned(graph, cfg, graph_id=0):
+        enc = build(graph, cfg, graph_id=graph_id)
+        if graph_id == 1:
+            enc.embedding[0, 0] = np.nan
+        return enc
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as m:
+        m.setattr(encoder, "build_encoder", poisoned)
+        assert main(args(out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [1]\n")
+    assert checkpoints(out) == {k: v for k, v in clean.items() if not k.endswith("_g1.json")}
+    assert main(args(out)) == EXIT_OK
+    with open(out / "encode_summary.json") as f:
+        assert json.load(f)["trained"] == 1
+    assert checkpoints(out) == clean
+
+
 def test_attention_exits_runtime_on_diverged_fit(tmp_path, dataset_file, monkeypatch, capsys):
     import graphdiv.attention as att
 

@@ -1,18 +1,24 @@
+import functools
 import json
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import raw_divergence_loop, same_bits
 from graphdiv import nn
 from graphdiv.attention import (AttentionPair, AugmentedEncoder, augmented_neighbor_probs,
                                 train_attention, train_attentions)
-from graphdiv.divergence import (DivergenceTable, distance_matrix, matrix_csv,
+from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
 from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, positive_log_loss,
                               train_encoder)
 from graphdiv.generators import make_ring, random_graph
+from graphdiv.graphs import atomic_write
 
 
 def test_untrained_divergence_oracle(tiny_cfg):
@@ -144,6 +150,108 @@ def test_unreadable_cell_is_scored_again(tmp_path):
     assert table.values.tobytes() == clean.values.tobytes()
     for p in clean_dir.iterdir():
         assert (cell_dir / p.name).read_bytes() == p.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_cache():
+    """(graphs, cfg, encoders, table, {file name: bytes}) of a clean run of
+    three 5-node graphs against each other, with its cell files read back."""
+    graphs = tuple(random_graph(5, 0.5, s) for s in (7, 8, 9))
+    cfg = quick_cfg()
+    encoders = train_source_encoders(graphs, cfg)
+    with tempfile.TemporaryDirectory() as cell_dir:
+        table = embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=cell_dir, restarts=1)
+        files = {p.name: p.read_bytes() for p in pathlib.Path(cell_dir).iterdir()}
+    return graphs, cfg, encoders, table, files
+
+
+def _damage(data, how, at):
+    """Cell file bytes made unreadable: cut short, made non-UTF-8 at byte
+    `at`, or rewritten without "raw"."""
+    if how == "truncated":
+        return data[:at % len(data)]
+    if how == "non-utf8":
+        return data[:at % len(data)] + b"\xff" + data[at % len(data) + 1:]
+    cell = json.loads(data)
+    del cell["raw"]
+    return json.dumps(cell).encode()
+
+
+_DAMAGE = st.tuples(st.sampled_from(["intact", "truncated", "non-utf8", "no-raw"]),
+                    st.integers(0, 10**6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_warm_embed_heals_any_damaged_subset(data):
+    # a warm embed over any subset of a clean run's cell files, each kept,
+    # cut short, made non-UTF-8 or stripped of "raw", returns the clean table
+    # and leaves every file with the clean run's bytes
+    graphs, cfg, encoders, clean, files = _clean_cache()
+    kept = data.draw(st.dictionaries(st.sampled_from(sorted(files)), _DAMAGE))
+    with tempfile.TemporaryDirectory() as cell_dir:
+        cells = pathlib.Path(cell_dir)
+        for name, (how, at) in kept.items():
+            body = files[name] if how == "intact" else _damage(files[name], how, at)
+            (cells / name).write_bytes(body)
+        table = embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=cell_dir, restarts=1)
+        assert table.values.tobytes() == clean.values.tobytes()
+        assert table.errors == clean.errors
+        assert {p.name: p.read_bytes() for p in cells.iterdir()} == files
+
+
+def test_cell_file_longer_than_one_read(tmp_path):
+    # a valid cell file of several read chunks is read whole: its value sits
+    # past the first chunk, and the warm embed reuses it without a rewrite
+    graphs, cfg, encoders, clean, files = _clean_cache()
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    name = sorted(files)[0]
+    cell = json.loads(files[name])
+    cell["raw"] = 123.5
+    padded = b" " * (2 * CELL_READ_BYTES + 7) + json.dumps(cell).encode()
+    (tmp_path / name).write_bytes(padded)
+    table = embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=str(tmp_path), restarts=1)
+    ti, si = cell["target_id"], cell["source_id"]
+    assert table.values[ti, si] == 123.5 - table.self_losses[si]
+    assert (tmp_path / name).read_bytes() == padded
+
+
+def test_warm_embed_leaves_a_full_cache_untouched(tmp_path):
+    graphs, cfg, encoders, clean, files = _clean_cache()
+    embed = lambda: embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=str(tmp_path),
+                              restarts=1)
+    embed()
+    stat = lambda: {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size)
+                    for p in tmp_path.iterdir()}
+    before = stat()
+    assert embed().values.tobytes() == clean.values.tobytes()
+    assert stat() == before and len(before) == len(files)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_cell_io_leaks_no_descriptor(tmp_path):
+    # a cold embed, a warm embed over unreadable cell files and a failing
+    # atomic_write each leave the process's open descriptors as they were
+    graphs, cfg, encoders, _, _ = _clean_cache()
+    open_fds = lambda: len(os.listdir("/proc/self/fd"))
+    cell_dir = tmp_path / "cells"
+    before = open_fds()
+    embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=str(cell_dir), restarts=1,
+              workers=2)
+    assert open_fds() == before
+    names = sorted(p.name for p in cell_dir.iterdir())
+    for name, how in zip(names, ["truncated", "non-utf8", "no-raw"]):
+        (cell_dir / name).write_bytes(_damage((cell_dir / name).read_bytes(), how, 9))
+    embed_all(graphs, graphs, cfg, encoders=encoders, cell_dir=str(cell_dir), restarts=1)
+    assert open_fds() == before
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(tmp_path / "bad.txt"), "\udc80")
+    (tmp_path / "taken" / "inside").mkdir(parents=True)
+    with pytest.raises(OSError):
+        atomic_write(str(tmp_path / "taken"), "text")
+    assert open_fds() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cells", "taken"]
 
 
 def test_cell_cache_keyed_by_restarts(tmp_path):

@@ -276,6 +276,42 @@ def test_stacked_hinge_fit_matches_lone_fits(stack, n, d, classes):
         assert_same_classifier(shared[k], HingeClassifier().fit(x[k], y[0]), test_x)
 
 
+def hinge_fit_row_sum_reference(x, y):
+    """HingeClassifier.fit on x (F, n, d), y (F, n) with the bias gradient
+    as a reduction over the row axis: the oracle of the fit's exact column
+    sum. Returns (weights (F, d, C), bias (F, C))."""
+    classes = np.unique(y)
+    f, n, d = x.shape
+    targets = np.where(y[..., None] == classes, 1.0, -1.0)
+    xt = x.swapaxes(-1, -2)
+    w = np.zeros((f, d, len(classes)))
+    b = np.zeros((f, 1, len(classes)))
+    for t in range(HINGE_EPOCHS):
+        lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
+        active = np.where(targets * (x @ w + b) < 1.0, targets, 0.0)
+        gw = -(xt @ active) / n + 2.0 * HINGE_L2 * w
+        gb = -active.sum(axis=-2, keepdims=True) / n
+        w -= lr * gw
+        b -= lr * gb
+    return w, b[:, 0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(stack=st.integers(1, 6), n=st.integers(2, 200), d=st.integers(1, 6),
+       num_classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_hinge_bias_gradient_matches_row_sum(stack, n, d, num_classes, seed):
+    # the bias gradient's column sums of -1, 0 and +1 are exact in any
+    # order, so the fit keeps the row-axis reduction's bits, zeros included
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(stack, n, d)) + rng.normal(size=(stack, 1, d))
+    y = np.resize(np.arange(num_classes), n)
+    y = np.stack([rng.permutation(y) for _ in range(stack)])
+    clf = HingeClassifier().fit(x, y)
+    w, b = hinge_fit_row_sum_reference(x, y)
+    assert clf.weights_.tobytes() == w.tobytes()
+    assert clf.bias_.tobytes() == b.tobytes()
+
+
 def test_stacked_hinge_fit_needs_one_class_set():
     x = np.random.default_rng(0).normal(size=(2, 6, 2))
     with pytest.raises(EvalError, match="same classes"):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -249,6 +250,28 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     atomic_write(str(path), "two")
     assert path.read_text() == "two"
     assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+
+def text_mode_write(path, text):
+    """atomic_write's former writer: a UTF-8 text file over the temp file."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+@pytest.mark.parametrize("text", ["", '{"raw": 1.5, "error": null}\n', "divergence \u00e9 \u6f22 \U0001f389\r\n",
+                                  "x" * 70_000 + "\u00fc" * 40_000 + "\n"],
+                         ids=["empty", "ascii", "non-ascii", "over-64k"])
+def test_atomic_write_bytes_match_text_file(tmp_path, monkeypatch, text):
+    # ASCII, non-ASCII, empty and >64 KiB text give a text file's bytes,
+    # also when every os.write takes at most 7 bytes
+    text_mode_write(tmp_path / "want", text)
+    want = (tmp_path / "want").read_bytes()
+    atomic_write(str(tmp_path / "got"), text)
+    assert (tmp_path / "got").read_bytes() == want
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    atomic_write(str(tmp_path / "short"), text)
+    assert (tmp_path / "short").read_bytes() == want
 
 
 def test_edge_pair_sum_matches_edge_loops():
