@@ -14,7 +14,7 @@ from .tu import DatasetIngestionError, load_tu_dataset, save_tu_dataset
 from .generators import (karate_club, make_barbell, make_grid, make_ring,
                          make_star, mutate_family, random_graph)
 from .encoder import (SourceEncoder, TrainConfig, TrainingFault,
-                      positive_log_loss, train_encoder, train_encoders)
+                      positive_log_loss, train_encoder)
 from .attention import (AttentionPair, AugmentedEncoder, argmax_alignment,
                         train_attention)
 from .divergence import DivergenceTable, embed_all, raw_divergence

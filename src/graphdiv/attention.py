@@ -60,25 +60,19 @@ class AttentionPair:
     def target_nodes(self):
         return self.forward.shape[1]
 
-    def params(self):
-        return {"forward": self.forward, "reverse": self.reverse}
-
 
 class AugmentedEncoder:
-    """A frozen source encoder wrapped by an attention pair for one target graph."""
+    """A frozen source encoder, with its source_probs, wrapped by an attention pair."""
 
-    def __init__(self, source, attention, target_graph, target_graph_id=None,
-                 source_probs=None):
+    def __init__(self, source, attention, target_graph, source_probs):
         if attention.source_nodes != source.node_count:
             raise nn.ShapeError("attention rows do not match source node count")
         if attention.target_nodes != target_graph.node_count:
             raise nn.ShapeError("attention cols do not match target node count")
         self.source = source
-        # the frozen source's neighbor probabilities; a fit passes its own
-        self.source_probs = source_prob_matrix(source) if source_probs is None else source_probs
+        self.source_probs = source_probs
         self.attention = attention
         self.target_graph = target_graph
-        self.target_graph_id = target_graph_id
         self.loss_trace = []
 
 
@@ -100,29 +94,22 @@ def attention_matrix(pair):
     return nn.softmax(pair.forward, axis=0)
 
 
-def reverse_mixture_matrix(pair):
-    """Row-stochastic mixture weights: row j mixes source predictions into the
-    prediction for target node j. Keeps augmented outputs inside [0, 1]."""
-    return nn.softmax(pair.reverse, axis=1)
-
-
 def source_prob_matrix(source):
     """The frozen source's own neighbor probabilities, |V_S| x |V_S|."""
     scores, _ = nn.forward(source.layers, source.embedding)
     return nn.sigmoid(scores)
 
 
-def augmented_neighbor_probs(ae):
-    """Target neighbor probabilities for every target node (row u = node u).
-
-    Row u is the attention mixture of source prediction rows, mapped back to
-    target nodes by the reverse mixture; every entry is a convex combination
-    of frozen source probabilities, so the augmented encoder cannot predict
-    any edge more confidently than the source itself does.
-    """
-    p = attention_matrix(ae.attention)
-    w = reverse_mixture_matrix(ae.attention)
-    return (p.T @ ae.source_probs) @ w.T
+def augmented_probs(forward, reverse, source_probs):
+    """The augmented encoder's forward map, for one pair or a stack of pairs:
+    (p, w, p^T S, probs = p^T S w^T), with p the column softmax of the forward
+    logits and w the row softmax of the reverse ones. Row u of probs holds
+    target node u's neighbor probabilities, each a convex combination of
+    frozen source probabilities, so it is never sharper than the source."""
+    p = nn.softmax(forward, axis=-2)
+    w = nn.softmax(reverse, axis=-1)
+    mixrows = p.swapaxes(-1, -2) @ source_probs
+    return p, w, mixrows, mixrows @ w.swapaxes(-1, -2)
 
 
 def _bce_probs(pred, target, non_target):
@@ -231,11 +218,8 @@ def attention_loss_and_grads(problem, params):
     s = problem.source_probs
 
     # structural path; s is constant because the sources are frozen
-    p = nn.softmax(forward, axis=-2)
-    w = nn.softmax(reverse, axis=-1)
+    p, w, mixrows, pred = augmented_probs(forward, reverse, s)
     p_t = p.swapaxes(-1, -2)
-    mixrows = p_t @ s
-    pred = mixrows @ w.swapaxes(-1, -2)
     loss, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency)
     g_w = g_pred.swapaxes(-1, -2) @ mixrows
     g_reverse = w * (g_w - (w * g_w).sum(axis=-1, keepdims=True))
@@ -308,19 +292,17 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
     lr = np.array(lrs).reshape(len(lrs), 1, 1)
     trace = nn.train_stack(lambda p: attention_loss_and_grads(problem, p), params, lr,
                            cfg.scoring_epochs, len(lrs))
-    bad = nn.first_bad_epochs(trace, params.values(), restarts)
+    faults = nn.stack_faults(trace, params.values(), target_graph_ids, restarts)
 
     fitted = []
-    for c, (source, target, target_graph_id) in enumerate(zip(sources, targets,
-                                                              target_graph_ids)):
+    for c, (source, target) in enumerate(zip(sources, targets)):
         first = c * restarts
         best = first + (int(np.argmin(trace[-1, first:first + restarts]))
                         if cfg.scoring_epochs else 0)
         pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
-        ae = AugmentedEncoder(source, pair, target, target_graph_id=target_graph_id,
-                              source_probs=problem.source_probs[first])
+        ae = AugmentedEncoder(source, pair, target, problem.source_probs[first])
         ae.loss_trace = trace[:, best].tolist()
-        ae.fault = nn.diverged(bad[c], [target_graph_id]) if bad[c] >= 0 else None
+        ae.fault = faults[c]
         fitted.append(ae)
     return fitted
 

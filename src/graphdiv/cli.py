@@ -18,7 +18,7 @@ from .encoder import TrainConfig, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
 from .graphs import atomic_write, load_dataset_json
-from .nn import CheckpointError, TrainingFault
+from .nn import TrainingFault
 from .tu import load_tu_dataset
 
 EXIT_OK = 0
@@ -26,7 +26,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 # every package input error (DatasetIngestionError, GraphError, ...) is a ValueError
-_INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
+_INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
 
 
 class CliInputError(ValueError):
@@ -38,9 +38,11 @@ def _write_csv(path, cfg, body):
 
 
 def _read_csv_table(path):
-    with open(path) as f:
-        text = "".join(line for line in f if not line.startswith("#"))
-    return table_from_csv(text)
+    try:
+        with open(path) as f:
+            return table_from_csv("".join(line for line in f if not line.startswith("#")))
+    except ValueError as exc:  # not UTF-8, or not an embeddings table
+        raise CliInputError(f"{path}: {exc}") from None
 
 
 def _write_summary(path, command, cfg, extra):
@@ -71,10 +73,11 @@ def _encoder_path(out, cfg, idx):
 
 def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
     """Encoders for the dataset graphs at idxs. A cached checkpoint is loaded
-    unless it is corrupted, --force is set, or it was trained on a different
-    graph; the rest are trained, one stack per node count in parallel, and
-    each is saved as its stack finishes, so a diverged encoder (which
-    raises once every stack is done) costs no other its checkpoint.
+    unless --force is set or it is not a trained encoder of the same graph
+    (unreadable, untrained, or trained on a different graph); the rest are
+    trained, one stack per node count in parallel, and each is saved over
+    its old file as its stack finishes, so a diverged encoder (which raises
+    once every stack is done) costs no other its checkpoint.
     Returns (encoders in idxs order, number trained)."""
     encoders = {}
     for idx in idxs:
@@ -83,9 +86,9 @@ def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
             continue
         try:
             enc = load_encoder(path)
-        except (CheckpointError, json.JSONDecodeError, KeyError):
-            continue  # corrupted on disk, retrain below
-        if enc.graph == graphs[idx]:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            continue  # unreadable: retrained below, and the file overwritten
+        if enc.trained and enc.graph == graphs[idx]:
             # equality ignores vocabulary sizes, which older checkpoints did
             # not store; the dataset's graph carries this dataset's sizes
             enc.graph = graphs[idx]

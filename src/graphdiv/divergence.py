@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import augmented_neighbor_probs, stack_key, train_attentions
+from .attention import augmented_probs, stack_key, train_attentions
 from .encoder import fit_encoders, positive_log_loss
 from .graphs import atomic_write, edge_pair_sum
 from .nn import raise_faults
@@ -34,15 +34,19 @@ class DivergenceTable:
     errors: dict = field(default_factory=dict)  # (target_idx, source_idx) -> message
 
 
-def raw_divergence(ae):
-    """Positive-edge log-loss of the target graph under the augmented encoder.
+def raw_divergence(fitted):
+    """Positive-edge log-loss of each target under its augmented encoder, for
+    fitted cells of one shape scored in one batched forward pass.
 
     -sum log p(u, v) over both orientations of every target edge; nonnegative
-    because the predictions are probabilities.
+    because the predictions are probabilities. A cell scores as it would alone.
     """
-    p = np.maximum(augmented_neighbor_probs(ae), 1e-300)
+    forward = np.stack([ae.attention.forward for ae in fitted])
+    reverse = np.stack([ae.attention.reverse for ae in fitted])
+    *_, probs = augmented_probs(forward, reverse, np.stack([ae.source_probs for ae in fitted]))
+    p = np.maximum(probs, 1e-300)
     # 0.0 - s, not -s, so a zero sum (an edgeless target) scores +0.0
-    return 0.0 - edge_pair_sum(ae.target_graph, np.log, p)
+    return [0.0 - edge_pair_sum(ae.target_graph, np.log, q) for ae, q in zip(fitted, p)]
 
 
 def distance_matrix(embeddings):
@@ -75,8 +79,9 @@ def _score_chunk(jobs, cfg, restarts):
     too, as one stacked fit. A cell that goes non-finite faults alone; the
     faulted cells are fitted again as one stack under target ids
     '<tid>#retry' (fresh seeds, each cell the bits of its lone retry), and a
-    cell that faults twice is recorded as failed with both faults. Any other
-    error is a caller's mistake and raises."""
+    cell that faults twice is recorded as failed with both faults; the rest
+    are scored in one raw_divergence call. Other errors are a caller's
+    mistake and raise."""
     tis, sis, encoders, targets, target_ids = zip(*jobs)
     fitted = train_attentions(encoders, targets, cfg, target_ids, restarts)
     redo = [c for c, ae in enumerate(fitted) if ae.fault]
@@ -85,7 +90,9 @@ def _score_chunk(jobs, cfg, restarts):
     for c, ae in zip(redo, retried):
         ae.fault = ae.fault and f"{fitted[c].fault}; retry: {ae.fault}"
         fitted[c] = ae
-    return [(ti, si, float("nan") if ae.fault else raw_divergence(ae), ae.fault)
+    clean = [ae for ae in fitted if not ae.fault]
+    raws = iter(raw_divergence(clean) if clean else [])
+    return [(ti, si, float("nan") if ae.fault else next(raws), ae.fault)
             for ti, si, ae in zip(tis, sis, fitted)]
 
 
@@ -270,11 +277,17 @@ def table_to_csv(table):
 
 
 def table_from_csv(text):
+    """The table of a table_to_csv text; raises ValueError if it is not one."""
     lines = [l for l in text.strip().splitlines() if l]
+    if len(lines) < 2:
+        raise ValueError("needs a header row and at least one data row")
     source_ids = lines[0].split(",")[1:]
     target_ids, rows = [], []
-    for line in lines[1:]:
+    for k, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
+        if len(parts) != len(source_ids) + 1:
+            raise ValueError(f"data row {k} has {len(parts) - 1} values, "
+                             f"the header {len(source_ids)} sources")
         target_ids.append(parts[0])
         rows.append([float(x) for x in parts[1:]])
     values = np.array(rows)

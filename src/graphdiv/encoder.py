@@ -62,7 +62,7 @@ def derive_seed(*parts):
 
 class SourceEncoder:
     """Embedding table + relu hidden stack + linear output over |V| logits.
-    In a stacked fit (train_encoders) every array has a leading axis G."""
+    In a stacked fit (fit_encoders) every array has a leading axis G."""
 
     def __init__(self, graph, graph_id, embedding, hidden, output):
         self.graph = graph
@@ -120,7 +120,7 @@ def _assemble(graph, graph_id, params, hidden_layers):
 
 def encoder_loss_and_grads(enc, adjacency):
     """Full-batch BCE against the adjacency matrix, with analytic gradients.
-    enc may be a stack (arrays with a leading axis G, as train_encoders
+    enc may be a stack (arrays with a leading axis G, as fit_encoders
     builds) against a (G, n, n) adjacency: one loss per slice, each slice's
     loss and gradients the bits it would get alone."""
     logits, tape = nn.forward(enc.layers, enc.embedding)
@@ -170,24 +170,19 @@ def fit_encoders(graphs, cfg, graph_ids):
 
     trace = nn.train_stack(loss_and_grads, {"encoder": flat}, cfg.learning_rate,
                            cfg.encoding_epochs, len(graphs))
-    bad = nn.first_bad_epochs(trace, params.values())
+    faults = nn.stack_faults(trace, params.values(), graph_ids)
     for g, (enc, init) in enumerate(zip(encs, inits)):
         for name, p in init.items():
             p[...] = params[name][g]
         enc.trained = True
         enc.loss_trace = trace[:, g].tolist()
-        enc.fault = nn.diverged(bad[g], [graph_ids[g]]) if bad[g] >= 0 else None
+        enc.fault = faults[g]
     return encs
 
 
-def train_encoders(graphs, cfg, graph_ids):
-    """fit_encoders, raising one nn.TrainingFault naming every diverged id."""
-    return nn.raise_faults(fit_encoders(graphs, cfg, graph_ids))
-
-
 def train_encoder(graph, cfg, graph_id=0):
-    """Fit one graph's encoder: a stack of one in train_encoders."""
-    return train_encoders([graph], cfg, [graph_id])[0]
+    """Fit one graph's encoder: a stack of one in fit_encoders; raises its fault."""
+    return nn.raise_faults(fit_encoders([graph], cfg, [graph_id]))[0]
 
 
 # --- checkpointing -----------------------------------------------------------

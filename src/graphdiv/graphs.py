@@ -209,13 +209,16 @@ def save_dataset_json(dataset, path):
 
 
 def load_dataset_json(path):
-    with open(path) as f:
-        d = json.load(f)
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise GraphFormatError(f"{path}: not a JSON dataset: {exc}") from None
     try:
         graphs = [Graph.from_json_dict(gd) for gd in d["graphs"]]
         classes = list(d["classes"])
     except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"dataset JSON missing required field: {exc}") from exc
+        raise GraphFormatError(f"{path}: dataset JSON missing required field: {exc}") from exc
     # align per-graph vocab sizes so attribute distributions are comparable;
     # a graph is built again only when a size moves
     vocabs, sizes = {}, {}

@@ -166,7 +166,7 @@ def train_stack(loss_and_grads, params, lr, epochs, slices):
     """The package's training loop: `epochs` full-batch Adam steps on a stack
     of `slices` independent problems, where loss_and_grads(params) returns
     one loss per slice and the gradients. Returns the (epochs, slices) loss
-    trace. A slice that goes non-finite runs on alone: see first_bad_epochs."""
+    trace. A slice that goes non-finite runs on alone: see stack_faults."""
     state = AdamState()
     trace = np.empty((epochs, slices))
     for epoch in range(epochs):
@@ -175,13 +175,15 @@ def train_stack(loss_and_grads, params, lr, epochs, slices):
     return trace
 
 
-def first_bad_epochs(trace, fitted, group=1):
-    """Per run of `group` slices of a train_stack fit: the first epoch whose
-    loss in the trace is non-finite, `epochs` if only the fitted arrays (with
-    a leading slice axis) are (a last-step gradient fault), or -1 if clean."""
+def stack_faults(trace, fitted, ids, group=1):
+    """Per run of `group` slices of a train_stack fit, for graph ids `ids`:
+    None if clean, else the fault (see diverged) at the first epoch whose
+    loss in the trace is non-finite, or at `epochs` if only the fitted arrays
+    (with a leading slice axis) are (a last-step gradient fault)."""
     ok = np.all([np.isfinite(a).reshape(trace.shape[1], -1).all(axis=1) for a in fitted], axis=0)
     bad = np.vstack([~np.isfinite(trace), ~ok]).reshape(len(trace) + 1, -1, group).any(axis=2)
-    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    return [diverged(int(e), [i]) if b else None
+            for e, b, i in zip(bad.argmax(axis=0), bad.any(axis=0), ids)]
 
 
 def diverged(epoch, ids):

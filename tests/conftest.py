@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphdiv import nn
-from graphdiv.attention import _bce_probs, augmented_neighbor_probs
+from graphdiv.attention import _bce_probs, augmented_probs
 from graphdiv.encoder import SourceEncoder, TrainConfig, encoder_loss_and_grads
 from graphdiv.graphs import Graph
 from graphdiv.nn import DenseLayer
@@ -90,10 +90,15 @@ def encoder_stack_gradient_errors(encs):
             for g in range(len(encs))]
 
 
+def neighbor_probs(ae):
+    """The target neighbor probabilities of one augmented encoder."""
+    return augmented_probs(ae.attention.forward, ae.attention.reverse, ae.source_probs)[-1]
+
+
 def structural_loss(ae):
     """Target BCE under the augmented encoder, without label penalties."""
     adjacency = ae.target_graph.adjacency_matrix()
-    loss, _ = _bce_probs(augmented_neighbor_probs(ae), adjacency, 1.0 - adjacency)
+    loss, _ = _bce_probs(neighbor_probs(ae), adjacency, 1.0 - adjacency)
     return float(loss)
 
 

@@ -87,7 +87,7 @@ def test_criterion_2_self_divergence():
         # own positive log-loss, so normalization cancels it exactly
         assert self_loss - self_loss == 0.0
         ae = train_attention(src, g, att_cfg, target_graph_id=i, restarts=3)
-        d = raw_divergence(ae) - self_loss
+        d = raw_divergence([ae])[0] - self_loss
         ratios.append(abs(d) / self_loss)
 
     elapsed = time.time() - start

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gradient_check, structural_loss
+from conftest import gradient_check, neighbor_probs, structural_loss
 from graphdiv import nn
 from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
                                 AugmentedEncoder, argmax_alignment,
                                 attention_loss_and_grads, attention_matrix,
-                                augmented_neighbor_probs, init_attention,
+                                init_attention,
                                 source_prob_matrix, train_attention, train_attentions)
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
                               build_encoder, derive_seed, encoder_loss_and_grads,
@@ -57,9 +57,9 @@ def test_identity_attention_is_exact_pass_through(small_source):
     # identity alignment on the source's own graph reproduces the source's
     # predictions, so the structural loss equals the source self-loss
     g = small_source.graph
-    ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g)
-    assert np.allclose(augmented_neighbor_probs(ae), source_prob_matrix(small_source),
-                       atol=1e-12)
+    s = source_prob_matrix(small_source)
+    ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g, s)
+    assert np.allclose(neighbor_probs(ae), s, atol=1e-12)
     loss, _ = encoder_loss_and_grads(small_source, g.adjacency_matrix())
     assert structural_loss(ae) == pytest.approx(loss, rel=1e-9)
 
@@ -74,9 +74,9 @@ def test_zero_attention_predicts_global_mean(small_source):
     # uniform mixture both ways: every prediction is the mean source probability
     g = small_source.graph
     n = g.node_count
-    ae = AugmentedEncoder(small_source, AttentionPair(np.zeros((n, n)), np.zeros((n, n))), g)
     s = source_prob_matrix(small_source)
-    assert np.allclose(augmented_neighbor_probs(ae), s.mean(), atol=1e-12)
+    ae = AugmentedEncoder(small_source, AttentionPair(np.zeros((n, n)), np.zeros((n, n))), g, s)
+    assert np.allclose(neighbor_probs(ae), s.mean(), atol=1e-12)
 
 
 def test_zero_encoder_zero_attention_oracle(tiny_cfg):
@@ -87,7 +87,8 @@ def test_zero_encoder_zero_attention_oracle(tiny_cfg):
     for p in src.params().values():
         p[...] = 0.0
     target = random_graph(4, 0.6, 4)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 4)), np.zeros((4, 5))), target)
+    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 4)), np.zeros((4, 5))), target,
+                          source_prob_matrix(src))
     assert structural_loss(ae) == pytest.approx(16 * np.log(2))
 
 
@@ -343,9 +344,8 @@ def test_augmented_probs_are_convex_mixtures(seed):
     src = train_encoder(g, cfg)
     target = random_graph(4, 0.5, seed % 11)
     pair = init_attention(src, target, rng, scale=2.0)
-    ae = AugmentedEncoder(src, pair, target)
     s = source_prob_matrix(src)
-    pred = augmented_neighbor_probs(ae)
+    pred = neighbor_probs(AugmentedEncoder(src, pair, target, s))
     assert np.all(pred >= s.min() - 1e-12)
     assert np.all(pred <= s.max() + 1e-12)
 
@@ -429,7 +429,7 @@ def reference_train_attention(source, target, cfg, target_graph_id, restarts):
         rng = np.random.default_rng(
             derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
         pair = init_attention(source, target, rng, scale=scale)
-        params = pair.params()
+        params = {"forward": pair.forward, "reverse": pair.reverse}
         state = {"t": 0, "m": {}, "v": {}}
         trace = []
         for _ in range(cfg.scoring_epochs):

@@ -142,6 +142,27 @@ def test_encode_retrains_corrupted_checkpoint(tmp_path, dataset_file):
         assert json.load(f)["trained"] == 1
 
 
+def _untrained(text):
+    ckpt = json.loads(text)
+    ckpt["meta"]["trained"] = False
+    return json.dumps(ckpt).encode()
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: b"[1, 2]", lambda text: b"\xff\xfe{", _untrained],
+                         ids=["not-an-object", "not-utf8", "untrained"])
+def test_embed_retrains_unusable_checkpoint(tmp_path, dataset_file, corrupt):
+    # a checkpoint that is unreadable or not a trained encoder counts as
+    # absent: it is retrained and overwritten with the bytes of a clean run
+    out = tmp_path / "out"
+    args = ["--dataset", dataset_file, "--out", str(out)] + fast()
+    assert main(["encode"] + args) == EXIT_OK
+    ckpt = out / next(p for p in sorted(os.listdir(out)) if p.startswith("encoder_"))
+    clean = ckpt.read_bytes()
+    ckpt.write_bytes(corrupt(clean.decode()))
+    assert main(["embed"] + args) == EXIT_OK
+    assert ckpt.read_bytes() == clean
+
+
 def test_encode_workers_write_identical_checkpoints(tmp_path):
     # missing encoders train in parallel, one stack per node count (two
     # stacks of 2 here); checkpoints and counts do not move
@@ -310,6 +331,37 @@ def test_missing_dataset_is_usage_error(tmp_path):
     out = str(tmp_path / "out")
     assert main(["encode", "--dataset", str(tmp_path / "nope.json"),
                  "--out", out] + fast()) == EXIT_USAGE
+
+
+def test_directory_for_a_file_is_usage_error(tmp_path, dataset_file, capsys):
+    # a directory where a file belongs (a json dataset, --embeddings) exits 2
+    # naming the path, as a file where a TU directory belongs already did
+    assert main(["encode", "--dataset", str(tmp_path), "--out", str(tmp_path / "out")]
+                + fast()) == EXIT_USAGE
+    assert str(tmp_path) in capsys.readouterr().err
+    assert main(["cluster", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
+                 "--embeddings", str(tmp_path)] + fast()) == EXIT_USAGE
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_malformed_json_dataset_names_its_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"graphs": [{')
+    assert main(["encode", "--dataset", str(path), "--out", str(tmp_path / "out")]
+                + fast()) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("text", ["graph_id,0,1\n0,0.0,1.0\n1,abc,0.5\n",
+                                  "graph_id,0,1\n0,0.0,1.0\n1,0.5\n",
+                                  "# config_hash=x seed=0\n", "graph_id,0,1\n"],
+                         ids=["not-a-float", "ragged", "empty", "header-only"])
+def test_malformed_embeddings_name_their_file(tmp_path, dataset_file, capsys, text):
+    emb = tmp_path / "emb.csv"
+    emb.write_text(text)
+    assert main(["cluster", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
+                 "--embeddings", str(emb)] + fast()) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {emb}: ")
 
 
 def test_bad_sources_spec(tmp_path, dataset_file):

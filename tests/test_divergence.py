@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import raw_divergence_loop, same_bits
+from conftest import neighbor_probs, raw_divergence_loop, same_bits
 from graphdiv import nn
-from graphdiv.attention import (AttentionPair, AugmentedEncoder, augmented_neighbor_probs,
+from graphdiv.attention import (AttentionPair, AugmentedEncoder, source_prob_matrix,
                                 train_attention, train_attentions)
 from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
-from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, positive_log_loss,
-                              train_encoder)
+from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, fit_encoders,
+                              positive_log_loss, train_encoder)
 from graphdiv.generators import make_ring, random_graph
-from graphdiv.graphs import atomic_write
+from graphdiv.graphs import Graph, atomic_write
 
 
 def test_untrained_divergence_oracle(tiny_cfg):
@@ -28,22 +28,89 @@ def test_untrained_divergence_oracle(tiny_cfg):
     for p in src.params().values():
         p[...] = 0.0
     target = make_ring(7)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 7)), np.zeros((7, 5))), target)
-    assert raw_divergence(ae) == pytest.approx(2 * 7 * np.log(2))
+    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 7)), np.zeros((7, 5))), target,
+                          source_prob_matrix(src))
+    assert raw_divergence([ae])[0] == pytest.approx(2 * 7 * np.log(2))
 
 
 def test_raw_divergence_nonnegative(tiny_cfg):
     src = train_encoder(random_graph(6, 0.5, 2), tiny_cfg)
     ae = train_attention(src, random_graph(5, 0.5, 3), tiny_cfg, target_graph_id=1)
-    assert raw_divergence(ae) >= 0.0
+    assert raw_divergence([ae])[0] >= 0.0
 
 
 def test_raw_divergence_matches_edge_loop(tiny_cfg):
     for s in range(4):
         src = train_encoder(random_graph(6, 0.5, 10 + s), tiny_cfg)
         ae = train_attention(src, random_graph(5 + s, 0.5, 20 + s), tiny_cfg, target_graph_id=s)
-        p = np.maximum(augmented_neighbor_probs(ae), 1e-300)
-        assert same_bits(raw_divergence(ae), raw_divergence_loop(p, ae.target_graph.edges))
+        p = np.maximum(neighbor_probs(ae), 1e-300)
+        assert same_bits(raw_divergence([ae])[0], raw_divergence_loop(p, ae.target_graph.edges))
+
+
+def _labeled(graph, labeled):
+    """graph with node and edge labels from shared vocabularies, if labeled."""
+    if not labeled:
+        return graph
+    return Graph(graph.node_count, graph.edges,
+                 node_labels=[u % 2 for u in range(graph.node_count)],
+                 edge_labels=[k % 3 for k in range(graph.edge_count)],
+                 num_node_labels=2, num_edge_labels=3)
+
+
+@functools.lru_cache(maxsize=None)
+def _scoring_sources(labeled):
+    graphs = [_labeled(random_graph(5, 0.5, s), labeled) for s in (61, 62, 63)]
+    return fit_encoders(graphs, TrainConfig(embed_dim=4, encoding_epochs=20), [0, 1, 2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 10_000))
+def test_stacked_scores_are_lone_scores(cells, labeled, seed):
+    # cells from one stacked fit, scored as one stack: each gets the bits of
+    # its stack of one and of the per-edge loop over its own probabilities
+    rng = np.random.default_rng(seed)
+    sources = _scoring_sources(labeled)
+    size = 4 + seed % 3
+    targets = [_labeled(random_graph(size, 0.5, seed + c), labeled) for c in range(cells)]
+    cfg = TrainConfig(embed_dim=4, scoring_epochs=5, learning_rate=5e-2)
+    fitted = train_attentions([sources[i] for i in rng.integers(0, 3, cells)], targets, cfg,
+                              list(range(cells)), restarts=2)
+    for ae, raw in zip(fitted, raw_divergence(fitted)):
+        p = np.maximum(neighbor_probs(ae), 1e-300)
+        assert same_bits(raw, raw_divergence([ae])[0])
+        assert same_bits(raw, raw_divergence_loop(p, ae.target_graph.edges))
+
+
+def test_stack_of_first_fits_and_a_retry_scores_each_alone(monkeypatch):
+    # the first fit of cell 1 diverges and its retry does not: the chunk
+    # scores both first-fit cells and the retried one in one call, and each
+    # gets the bits of its lone fit and lone score
+    import graphdiv.attention as att
+    import graphdiv.divergence as div
+
+    graphs = [random_graph(5, 0.5, s) for s in (7, 8, 9)]
+    cfg = quick_cfg()
+    src = train_encoder(graphs[0], cfg, graph_id=0)
+    real, fits, scored = att.attention_loss_and_grads, [], []
+
+    def first_fit_poisoned(problem, params):
+        if not any(p is problem for p in fits):
+            fits.append(problem)  # kept alive, so no two fits share an id
+        losses, grads = real(problem, params)
+        if problem is fits[0]:
+            losses[2:4] = np.nan  # both restarts of cell 1
+        return losses, grads
+
+    monkeypatch.setattr(att, "attention_loss_and_grads", first_fit_poisoned)
+    monkeypatch.setattr(div, "raw_divergence",
+                        lambda fitted: scored.append(len(fitted)) or raw_divergence(fitted))
+    result = div._score_chunk([(ti, 0, src, g, ti) for ti, g in enumerate(graphs)], cfg, 2)
+    monkeypatch.undo()
+    assert len(fits) == 2 and scored == [3]
+    for (ti, si, raw, err), tid in zip(result, (0, "1#retry", 2)):
+        assert err is None
+        alone = train_attention(src, graphs[ti], cfg, target_graph_id=tid, restarts=2)
+        assert same_bits(raw, raw_divergence([alone])[0])
 
 
 def test_normalized_and_symmetric_are_trivial_arithmetic():
@@ -54,7 +121,7 @@ def test_normalized_and_symmetric_are_trivial_arithmetic():
     table = embed_all(graphs, graphs, cfg, restarts=1)
     src = train_encoder(graphs[1], cfg, graph_id=1)
     ae = train_attention(src, graphs[0], cfg, target_graph_id=0)
-    assert table.values[0, 1] == raw_divergence(ae) - positive_log_loss(src)
+    assert table.values[0, 1] == raw_divergence([ae])[0] - positive_log_loss(src)
     assert table.self_losses[1] == positive_log_loss(src)
     assert symmetrize(table).values[0, 1] == table.values[0, 1] + table.values[1, 0]
 
@@ -289,7 +356,7 @@ def test_embed_all_mixes_labeled_and_unlabeled_targets():
     src = train_encoder(source, cfg, graph_id=0)
     for ti, target in enumerate([plain, labeled]):
         ae = train_attention(src, target, cfg, target_graph_id=ti)
-        assert table.values[ti, 0] == raw_divergence(ae) - positive_log_loss(src)
+        assert table.values[ti, 0] == raw_divergence([ae])[0] - positive_log_loss(src)
 
 
 def _poison_target(att, graph):
@@ -402,7 +469,7 @@ def test_cell_bytes_do_not_depend_on_batch(tmp_path):
     assert grouped.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
     assert np.array(grouped.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
 
-    expected = raw_divergence(alone) - positive_log_loss(src)
+    expected = raw_divergence([alone])[0] - positive_log_loss(src)
     for workers in (1, 2):
         cell_dir = tmp_path / f"cells{workers}"
         # a first pass over 2 targets leaves the rest of each group pending
@@ -531,7 +598,7 @@ def test_uniform_size_corpus_same_at_any_workers(monkeypatch):
     for ti, target in enumerate(graphs):
         for si, enc in enumerate(encoders):
             ae = train_attention(enc, target, cfg, target_graph_id=ti, restarts=2)
-            assert tables[0].values[ti, si] == raw_divergence(ae) - positive_log_loss(enc)
+            assert tables[0].values[ti, si] == raw_divergence([ae])[0] - positive_log_loss(enc)
 
 
 def test_stack_element_budget_splits_tasks(monkeypatch):
@@ -564,5 +631,5 @@ def test_self_divergence_zero_without_attention(tiny_cfg):
     src = train_encoder(g, tiny_cfg)
     n = g.node_count
     fwd = np.where(np.eye(n, dtype=bool), 50.0, -50.0)
-    ae = AugmentedEncoder(src, AttentionPair(fwd.copy(), fwd.copy()), g)
-    assert raw_divergence(ae) - positive_log_loss(src) == pytest.approx(0.0, abs=1e-9)
+    ae = AugmentedEncoder(src, AttentionPair(fwd.copy(), fwd.copy()), g, source_prob_matrix(src))
+    assert raw_divergence([ae])[0] - positive_log_loss(src) == pytest.approx(0.0, abs=1e-9)

@@ -7,7 +7,7 @@ from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
 from graphdiv.encoder import (TrainConfig, TrainingFault, build_encoder, derive_seed,
                               encoder_loss_and_grads, load_encoder, positive_log_loss,
-                              save_encoder, train_encoder, train_encoders)
+                              fit_encoders, save_encoder, train_encoder)
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph
 
@@ -117,8 +117,8 @@ def test_stacked_fit_matches_reference(layers):
     ids = [4, "b", 9]
     refs = [reference_fit(g, cfg, gid) for g, gid in zip(graphs, ids)]
     alone = [train_encoder(g, cfg, graph_id=gid) for g, gid in zip(graphs, ids)]
-    group = train_encoders(graphs, cfg, ids)
-    reverse = train_encoders(graphs[::-1], cfg, ids[::-1])[::-1]
+    group = fit_encoders(graphs, cfg, ids)
+    reverse = fit_encoders(graphs[::-1], cfg, ids[::-1])[::-1]
     for fits in (alone, group, reverse):
         for enc, ref in zip(fits, refs):
             assert_same_bits(enc, ref)
@@ -126,12 +126,12 @@ def test_stacked_fit_matches_reference(layers):
 
 def test_stack_needs_one_node_count(tiny_cfg):
     with pytest.raises(ValueError):
-        train_encoders([random_graph(5, 0.5, 1), random_graph(6, 0.5, 1)], tiny_cfg, [0, 1])
+        fit_encoders([random_graph(5, 0.5, 1), random_graph(6, 0.5, 1)], tiny_cfg, [0, 1])
 
 
 def test_nonfinite_slice_names_its_graph(monkeypatch, tiny_cfg):
-    # a NaN in one slice's init faults the stack at epoch 0, naming that
-    # slice's graph id and no other
+    # a NaN in one slice's init faults that slice at epoch 0, naming its
+    # graph id and no other
     build = encoder.build_encoder
 
     def poisoned(graph, cfg, graph_id=0):
@@ -142,8 +142,11 @@ def test_nonfinite_slice_names_its_graph(monkeypatch, tiny_cfg):
 
     monkeypatch.setattr(encoder, "build_encoder", poisoned)
     graphs = [random_graph(5, 0.5, s) for s in (1, 2, 3)]
+    fits = fit_encoders(graphs, tiny_cfg, [7, "bad", 8])
+    assert [enc.fault and str(enc.fault) for enc in fits] == [
+        None, "loss diverged (non-finite) at epoch 0 for graph id(s) ['bad']", None]
     with pytest.raises(TrainingFault, match=r"epoch 0 for graph id\(s\) \['bad'\]$"):
-        train_encoders(graphs, tiny_cfg, [7, "bad", 8])
+        nn.raise_faults(fits)
 
 
 def test_two_node_graph_converges():
@@ -205,7 +208,7 @@ def test_zero_epochs_leaves_init():
     # alone and in a group of 3, every slice comes back as its init, trained
     cfg = TrainConfig(embed_dim=4, encoding_epochs=0)
     graphs = [random_graph(5, p, 0) for p in (0.3, 0.5, 0.7)]
-    fits = [train_encoder(graphs[1], cfg, graph_id=1)] + train_encoders(graphs, cfg, [0, 1, 2])
+    fits = [train_encoder(graphs[1], cfg, graph_id=1)] + fit_encoders(graphs, cfg, [0, 1, 2])
     for enc in fits:
         assert enc.loss_trace == []
         assert_same_bits(enc, (build_encoder(enc.graph, cfg, enc.graph_id).params(), []))

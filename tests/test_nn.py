@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import gradient_check
 from graphdiv import nn
 from graphdiv.nn import (AdamState, CheckpointError, DenseLayer, ShapeError,
-                         adam_step, backward, first_bad_epochs, forward, init_dense,
+                         adam_step, backward, forward, init_dense,
                          multilabel_bce_loss, params_from_checkpoint,
-                         params_to_checkpoint)
+                         params_to_checkpoint, stack_faults)
 
 
 def test_sigmoid_softplus_stable_at_extremes():
@@ -180,7 +180,7 @@ def test_non_finite_gradient_stays_in_its_slice(poison_epoch):
     clean_trace, clean_p = _quadratic_stack_fit(epochs)
     trace, p = _quadratic_stack_fit(epochs, poison_epoch)
     assert np.isfinite(trace[:poison_epoch + 1]).all()
-    assert first_bad_epochs(trace, [p]).tolist() == [-1, poison_epoch + 1, -1]
+    assert bad_epochs(trace, [p]) == [-1, poison_epoch + 1, -1]
     for k in (0, 2):
         assert trace[:, k].tobytes() == clean_trace[:, k].tobytes()
         assert p[k].tobytes() == clean_p[k].tobytes()
@@ -192,20 +192,30 @@ def test_inf_gradient_warns_and_stays_in_its_slice():
     clean_trace, _ = _quadratic_stack_fit(6)
     with pytest.warns(RuntimeWarning, match="invalid value"):
         trace, p = _quadratic_stack_fit(6, 2, poison=np.inf)
-    assert first_bad_epochs(trace, [p]).tolist() == [-1, 3, -1]
+    assert bad_epochs(trace, [p]) == [-1, 3, -1]
     assert trace[:, 0].tobytes() == clean_trace[:, 0].tobytes()
 
 
-def test_first_bad_epochs_per_group():
-    # runs of `group` slices report the first bad epoch of any member
+def bad_epochs(trace, fitted, group=1):
+    """The epoch of each run's stack_faults fault, or -1 where it has none."""
+    runs = trace.shape[1] // group
+    faults = stack_faults(trace, fitted, [f"g{k}" for k in range(runs)], group)
+    for k, fault in enumerate(faults):
+        assert fault is None or fault.ids == [f"g{k}"]
+    return [-1 if fault is None else fault.epoch for fault in faults]
+
+
+def test_stack_faults_per_group():
+    # runs of `group` slices report the first bad epoch of any member, each
+    # fault naming its own run's id
     trace = np.zeros((4, 6))
     trace[2, 1] = np.nan
     trace[1, 4] = np.inf
     fitted = np.zeros((6, 2, 2))
     fitted[3, 1, 0] = np.nan
-    assert first_bad_epochs(trace, [fitted]).tolist() == [-1, 2, -1, 4, 1, -1]
-    assert first_bad_epochs(trace, [fitted], group=2).tolist() == [2, 4, 1]
-    assert first_bad_epochs(trace[:0], [fitted], group=3).tolist() == [-1, 0]
+    assert bad_epochs(trace, [fitted]) == [-1, 2, -1, 4, 1, -1]
+    assert bad_epochs(trace, [fitted], group=2) == [2, 4, 1]
+    assert bad_epochs(trace[:0], [fitted], group=3) == [-1, 0]
 
 
 def test_checkpoint_roundtrip_bit_identical():
