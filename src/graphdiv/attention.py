@@ -285,14 +285,11 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
             scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
             rng = np.random.default_rng(
                 derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-            inits.append(init_attention(source, target, rng, scale=scale))
+            pair = init_attention(source, target, rng, scale=scale)
+            inits.append({"forward": pair.forward, "reverse": pair.reverse})
             lrs.append(cfg.learning_rate * lr_mult)
-    params = {"forward": np.stack([pair.forward for pair in inits]),
-              "reverse": np.stack([pair.reverse for pair in inits])}
-    lr = np.array(lrs).reshape(len(lrs), 1, 1)
-    trace = nn.train_stack(lambda p: attention_loss_and_grads(problem, p), params, lr,
-                           cfg.scoring_epochs, len(lrs))
-    faults = nn.stack_faults(trace, params.values(), target_graph_ids, restarts)
+    params, trace, faults = nn.fit_stack(inits, lambda p: attention_loss_and_grads(problem, p),
+                                         lrs, cfg.scoring_epochs, target_graph_ids, restarts)
 
     fitted = []
     for c, (source, target) in enumerate(zip(sources, targets)):

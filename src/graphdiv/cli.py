@@ -59,12 +59,15 @@ def load_dataset(path, fmt):
     return load_dataset_json(path)
 
 
+# training flag -> the TrainConfig field it sets, which gives its type and default
+_TRAIN_FLAGS = {"--seed": "rng_seed", "--embed-dim": "embed_dim",
+                "--encoder-layers": "encoder_layers", "--lr": "learning_rate",
+                "--encoding-epochs": "encoding_epochs", "--scoring-epochs": "scoring_epochs",
+                "--node-reg": "node_reg_coef", "--edge-reg": "edge_reg_coef"}
+
+
 def build_config(args):
-    return TrainConfig(embed_dim=args.embed_dim, encoder_layers=args.encoder_layers,
-                       learning_rate=args.lr, encoding_epochs=args.encoding_epochs,
-                       scoring_epochs=args.scoring_epochs,
-                       node_reg_coef=args.node_reg, edge_reg_coef=args.edge_reg,
-                       rng_seed=args.seed)
+    return TrainConfig(**{field: getattr(args, field) for field in _TRAIN_FLAGS.values()})
 
 
 def _encoder_path(out, cfg, idx):
@@ -190,15 +193,11 @@ def _add_common(p):
     p.add_argument("--dataset", required=True, help="dataset directory (tu) or file (json)")
     p.add_argument("--format", choices=("tu", "json"), default="tu")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--embed-dim", type=int, default=8)
-    p.add_argument("--encoder-layers", type=int, default=2)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--encoding-epochs", type=int, default=300)
-    p.add_argument("--scoring-epochs", type=int, default=300)
-    p.add_argument("--node-reg", type=float, default=1.0)
-    p.add_argument("--edge-reg", type=float, default=1.0)
+    defaults = TrainConfig()
+    for flag, field in _TRAIN_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default)
     p.add_argument("--restarts", type=int, default=3,
                    help="attention fits per pair; best training loss wins")
     p.add_argument("--force", action="store_true", help="retrain even if checkpoints exist")

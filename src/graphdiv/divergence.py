@@ -200,6 +200,11 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         source_ids = list(range(len(sources)))
     if target_ids is None:
         target_ids = list(range(len(targets)))
+    for side, ids in (("source", source_ids), ("target", target_ids)):
+        named = [f"{i}" for i in ids]  # as a cell file names them
+        if len(set(named)) != len(named):
+            repeated = sorted({i for i in named if named.count(i) > 1})
+            raise ValueError(f"repeated {side} ids {repeated}: each names its own cell file")
 
     if encoders is None:
         encoders = train_source_encoders(sources, cfg, source_ids=source_ids, workers=workers)

@@ -8,6 +8,7 @@ depend on its group. Scoring uses only the positive edge terms (positive_log_los
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,12 +36,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.embed_dim <= 0 or self.encoder_layers <= 0:
             raise ValueError("embed_dim and encoder_layers must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # chained comparisons, so that NaN fails them too
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.encoding_epochs < 0 or self.scoring_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
-        if self.node_reg_coef < 0 or self.edge_reg_coef < 0:
-            raise ValueError("regularizer coefficients must be >= 0")
+        if not (0 <= self.node_reg_coef < math.inf and 0 <= self.edge_reg_coef < math.inf):
+            raise ValueError("regularizer coefficients must be finite and >= 0")
 
     def hash(self, fields=None):
         """Short digest of the named fields, or of the whole config."""
@@ -61,8 +63,7 @@ def derive_seed(*parts):
 
 
 class SourceEncoder:
-    """Embedding table + relu hidden stack + linear output over |V| logits.
-    In a stacked fit (fit_encoders) every array has a leading axis G."""
+    """Embedding table + relu hidden stack + linear output over |V| logits."""
 
     def __init__(self, graph, graph_id, embedding, hidden, output):
         self.graph = graph
@@ -110,26 +111,27 @@ def build_encoder(graph, cfg, graph_id=0):
     return SourceEncoder(graph, graph_id, embedding, hidden, output)
 
 
-def _assemble(graph, graph_id, params, hidden_layers):
-    """A SourceEncoder over named parameter arrays (see SourceEncoder.params)."""
-    hidden = [DenseLayer(params[f"hidden{k}.weight"], params[f"hidden{k}.bias"])
-              for k in range(hidden_layers)]
-    output = DenseLayer(params["output.weight"], params["output.bias"])
-    return SourceEncoder(graph, graph_id, params["embedding"], hidden, output)
+def _layers(params):
+    """The DenseLayers over named parameter arrays (see SourceEncoder.params),
+    hidden first."""
+    names = [f"hidden{k}" for k in range((len(params) - 3) // 2)] + ["output"]
+    return [DenseLayer(params[f"{name}.weight"], params[f"{name}.bias"]) for name in names]
 
 
-def encoder_loss_and_grads(enc, adjacency):
-    """Full-batch BCE against the adjacency matrix, with analytic gradients.
-    enc may be a stack (arrays with a leading axis G, as fit_encoders
-    builds) against a (G, n, n) adjacency: one loss per slice, each slice's
-    loss and gradients the bits it would get alone."""
-    logits, tape = nn.forward(enc.layers, enc.embedding)
+def encoder_loss_and_grads(params, adjacency, layers=None):
+    """Full-batch BCE against the adjacency matrix, with analytic gradients,
+    for named parameter arrays (see SourceEncoder.params) and their layers
+    (built from them unless given). The arrays may be a stack (a leading
+    axis G, as fit_encoders trains) against a (G, n, n) adjacency: one loss
+    per slice, each slice's loss and gradients the bits it would get alone."""
+    layers = layers or _layers(params)
+    logits, tape = nn.forward(layers, params["embedding"])
     loss, g_logits = nn.multilabel_bce_loss(logits, adjacency)
-    layer_grads, g_input = nn.backward(enc.layers, tape, g_logits)
+    layer_grads, g_input = nn.backward(layers, tape, g_logits)
     grads = {"embedding": g_input}
-    for k in range(len(enc.hidden)):
-        grads[f"hidden{k}.weight"], grads[f"hidden{k}.bias"] = layer_grads[k]
-    grads["output.weight"], grads["output.bias"] = layer_grads[-1]
+    for k, (g_weight, g_bias) in enumerate(layer_grads):
+        name = f"hidden{k}" if k < len(layers) - 1 else "output"
+        grads[f"{name}.weight"], grads[f"{name}.bias"] = g_weight, g_bias
     return loss, grads
 
 
@@ -144,7 +146,7 @@ def positive_log_loss(enc):
 def fit_encoders(graphs, cfg, graph_ids):
     """Fit one encoder per graph; the graphs must share a node count.
 
-    They train as one stacked problem in nn.train_stack: encoding_epochs of
+    They train as one stacked problem in nn.fit_stack: encoding_epochs of
     full-batch Adam, one forward, backward and Adam step per epoch. Each
     slice starts from build_encoder's init for its graph id, and its params
     and loss trace are the bits of a fit of that graph alone. Returns the
@@ -154,25 +156,18 @@ def fit_encoders(graphs, cfg, graph_ids):
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
     encs = [build_encoder(g, cfg, graph_id=gid) for g, gid in zip(graphs, graph_ids)]
-    inits = [enc.params() for enc in encs]
-    # every stacked array is a view into one flat buffer, so one Adam step
-    # updates the whole stack in a single pass over it
-    stacked = [np.stack([init[name] for init in inits]) for name in inits[0]]
-    flat = np.concatenate([a.ravel() for a in stacked])
-    views = np.split(flat, np.cumsum([a.size for a in stacked])[:-1])
-    params = {name: v.reshape(a.shape) for name, v, a in zip(inits[0], views, stacked)}
-    stack = _assemble(None, list(graph_ids), params, cfg.encoder_layers)
     adjacency = np.stack([g.adjacency_matrix() for g in graphs])
+    layers = []
 
-    def loss_and_grads(_):
-        losses, grads = encoder_loss_and_grads(stack, adjacency)
-        return losses, {"encoder": np.concatenate([grads[name].ravel() for name in params])}
+    def loss_and_grads(params):
+        layers[:] = layers or _layers(params)  # the views stay put: build their layers once
+        return encoder_loss_and_grads(params, adjacency, layers)
 
-    trace = nn.train_stack(loss_and_grads, {"encoder": flat}, cfg.learning_rate,
-                           cfg.encoding_epochs, len(graphs))
-    faults = nn.stack_faults(trace, params.values(), graph_ids)
-    for g, (enc, init) in enumerate(zip(encs, inits)):
-        for name, p in init.items():
+    params, trace, faults = nn.fit_stack([enc.params() for enc in encs], loss_and_grads,
+                                         [cfg.learning_rate] * len(encs),
+                                         cfg.encoding_epochs, graph_ids)
+    for g, enc in enumerate(encs):
+        for name, p in enc.params().items():
             p[...] = params[name][g]
         enc.trained = True
         enc.loss_trace = trace[:, g].tolist()
@@ -196,9 +191,10 @@ def encoder_to_checkpoint(enc, cfg):
 
 
 def encoder_from_checkpoint(ckpt):
-    meta = ckpt["meta"]
-    enc = _assemble(Graph.from_json_dict(meta["graph"]), meta["graph_id"],
-                    nn.params_from_checkpoint(ckpt), meta["hidden_layers"])
+    meta, params = ckpt["meta"], nn.params_from_checkpoint(ckpt)
+    *hidden, output = _layers(params)
+    enc = SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"],
+                        params["embedding"], hidden, output)
     enc.trained = bool(meta["trained"])
     return enc
 

@@ -8,7 +8,7 @@ parallel processes without shared state.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,77 +113,61 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
-class AdamState:
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
-    step_count: int = 0
-
-
-def adam_step(params, grads, state, lr):
-    """One Adam update (with bias correction) over a dict of named arrays.
-
-    The one Adam of the package: an encoder stack passes one flat buffer and
-    a scalar lr; a stacked attention fit passes (R, ...) arrays and an lr of
-    shape (R, 1, 1), one rate per restart slice. Every operation is
-    elementwise, so each slice moves exactly as it would alone. Moments are
-    allocated on the first step and updated in place after that; params are
-    updated in place, so a non-finite gradient stays in its own slice.
-    Returns params.
-    """
-    state.step_count += 1
-    t = state.step_count
+def adam_step(p, g, m, v, t, lr):
+    """Adam step t (with bias correction) on params p with gradient g and
+    moments m, v, all updated in place; lr is a scalar or one rate per
+    element. Every operation is elementwise, so each element moves exactly
+    as it would alone and a non-finite gradient stays where it lands."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m_correction = 1 - b1 ** t
-    v_correction = 1 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.first_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(p)
-            state.second_moment[name] = np.zeros_like(p)
-        v = state.second_moment[name]
-        # m += (1 - b1) * (g - m); v += (1 - b2) * (g * g - v)
-        buf = g - m
-        buf *= 1 - b1
-        m += buf
-        np.multiply(g, g, out=buf)
-        buf -= v
-        buf *= 1 - b2
-        v += buf
-        # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
-        np.divide(v, v_correction, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += ADAM_EPSILON
-        step = m / m_correction
-        step *= lr
-        step /= buf
-        p -= step
-    return params
+    # m += (1 - b1) * (g - m); v += (1 - b2) * (g * g - v)
+    buf = g - m
+    buf *= 1 - b1
+    m += buf
+    np.multiply(g, g, out=buf)
+    buf -= v
+    buf *= 1 - b2
+    v += buf
+    # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
+    np.divide(v, 1 - b2 ** t, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += ADAM_EPSILON
+    step = m / (1 - b1 ** t)
+    step *= lr
+    step /= buf
+    p -= step
 
 
-def train_stack(loss_and_grads, params, lr, epochs, slices):
+def fit_stack(inits, loss_and_grads, lrs, epochs, ids, group=1):
     """The package's training loop: `epochs` full-batch Adam steps on a stack
-    of `slices` independent problems, where loss_and_grads(params) returns
-    one loss per slice and the gradients. Returns the (epochs, slices) loss
-    trace. A slice that goes non-finite runs on alone: see stack_faults."""
-    state = AdamState()
-    trace = np.empty((epochs, slices))
+    of independent problems, slice k starting from the named arrays inits[k]
+    (every slice with the same names and shapes) at learning rate lrs[k].
+
+    The slices are stacked into (G, ...) views of one flat buffer, so one
+    adam_step moves them all; loss_and_grads(params) takes those views and
+    returns one loss per slice and a gradient per name. As long as it keeps
+    the slices apart, each slice gets the bits of its lone fit, and a slice
+    that goes non-finite runs on alone. Returns (params, the (epochs, G) loss
+    trace, faults): per run of `group` slices, for graph id ids[k], None if
+    clean, else the fault (see diverged) at the first epoch whose loss is
+    non-finite, or at `epochs` if only the fitted arrays are (a last-step
+    gradient fault).
+    """
+    stacked = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
+    flat = np.concatenate([a.ravel() for a in stacked.values()])
+    views = np.split(flat, np.cumsum([a.size for a in stacked.values()])[:-1])
+    params = {name: view.reshape(a.shape) for (name, a), view in zip(stacked.items(), views)}
+    lr = np.concatenate([np.repeat(lrs, a[0].size) for a in stacked.values()])
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    trace = np.empty((epochs, len(inits)))
     for epoch in range(epochs):
         trace[epoch], grads = loss_and_grads(params)
-        adam_step(params, grads, state, lr)
-    return trace
-
-
-def stack_faults(trace, fitted, ids, group=1):
-    """Per run of `group` slices of a train_stack fit, for graph ids `ids`:
-    None if clean, else the fault (see diverged) at the first epoch whose
-    loss in the trace is non-finite, or at `epochs` if only the fitted arrays
-    (with a leading slice axis) are (a last-step gradient fault)."""
-    ok = np.all([np.isfinite(a).reshape(trace.shape[1], -1).all(axis=1) for a in fitted], axis=0)
-    bad = np.vstack([~np.isfinite(trace), ~ok]).reshape(len(trace) + 1, -1, group).any(axis=2)
-    return [diverged(int(e), [i]) if b else None
-            for e, b, i in zip(bad.argmax(axis=0), bad.any(axis=0), ids)]
+        adam_step(flat, np.concatenate([grads[name].ravel() for name in params]), m, v,
+                  epoch + 1, lr)
+    ok = np.all([np.isfinite(view).reshape(len(inits), -1).all(axis=1) for view in views], axis=0)
+    bad = np.vstack([~np.isfinite(trace), ~ok]).reshape(epochs + 1, -1, group).any(axis=2)
+    faults = [diverged(int(e), [i]) if b else None
+              for e, b, i in zip(bad.argmax(axis=0), bad.any(axis=0), ids)]
+    return params, trace, faults
 
 
 def diverged(epoch, ids):

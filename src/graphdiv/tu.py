@@ -9,7 +9,8 @@ are comma-separated pairs, normally listed in both directions.
 import os
 import warnings
 
-from .graphs import Graph, GraphDataset, GraphFormatError, LabelVocabulary, canonical_edge
+from .graphs import (Graph, GraphDataset, GraphError, GraphFormatError, LabelVocabulary,
+                     canonical_edge)
 
 
 class DatasetIngestionError(ValueError):
@@ -162,13 +163,27 @@ def load_tu_dataset(directory):
 
 
 def save_tu_dataset(dataset, directory, name="DS"):
-    """Write a GraphDataset back out in TU text format (both edge directions)."""
+    """Write a GraphDataset back out in TU text format (both edge directions).
+
+    The format holds only datasets of at least one graph, each with at least
+    one node, in which every graph or none carries node labels, and likewise
+    edge labels; GraphError names the first graph that breaks this."""
+    graphs = dataset.graphs
+    if not graphs:
+        raise GraphError("a TU dataset needs at least one graph")
+    for i, g in enumerate(graphs):
+        if g.node_count == 0:
+            raise GraphError(f"graph {i} has no nodes, which the TU format cannot hold")
+        for kind in ("node_labels", "edge_labels"):
+            if (getattr(g, kind) is None) != (getattr(graphs[0], kind) is None):
+                raise GraphError(f"graph {i} and graph 0 differ in carrying "
+                                 f"{kind.replace('_', ' ')}; TU labels every graph or none")
     os.makedirs(directory, exist_ok=True)
     path = lambda suffix: os.path.join(directory, f"{name}_{suffix}.txt")
 
     a_lines, indicator, edge_label_out, node_label_out = [], [], [], []
     offset = 0
-    for gid, g in enumerate(dataset.graphs, start=1):
+    for gid, g in enumerate(graphs, start=1):
         indicator.extend([str(gid)] * g.node_count)
         for idx, (u, v) in enumerate(g.edges):
             for a, b in ((u, v), (v, u)):
@@ -185,9 +200,9 @@ def save_tu_dataset(dataset, directory, name="DS"):
         f.write("\n".join(indicator) + "\n")
     with open(path("graph_labels"), "w") as f:
         f.write("\n".join(str(c) for c in dataset.graph_classes) + "\n")
-    if node_label_out:
+    if graphs[0].node_labels is not None:
         with open(path("node_labels"), "w") as f:
             f.write("\n".join(node_label_out) + "\n")
-    if edge_label_out:
+    if graphs[0].edge_labels is not None:
         with open(path("edge_labels"), "w") as f:
             f.write("\n".join(edge_label_out) + "\n")

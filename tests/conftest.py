@@ -3,9 +3,8 @@ import pytest
 
 from graphdiv import nn
 from graphdiv.attention import _bce_probs, augmented_probs
-from graphdiv.encoder import SourceEncoder, TrainConfig, encoder_loss_and_grads
+from graphdiv.encoder import TrainConfig, encoder_loss_and_grads
 from graphdiv.graphs import Graph
-from graphdiv.nn import DenseLayer
 
 
 @pytest.fixture
@@ -60,13 +59,9 @@ def gradient_check(params, loss_and_grads, eps=1e-5):
 
 
 def encoder_stack(encs):
-    """Same-size encoders as one SourceEncoder whose arrays carry a leading
-    stack axis, the form encoder_loss_and_grads takes."""
-    layers = [DenseLayer(np.stack([e.layers[k].weight for e in encs]),
-                         np.stack([e.layers[k].bias for e in encs]))
-              for k in range(len(encs[0].layers))]
-    return SourceEncoder(None, [e.graph_id for e in encs],
-                         np.stack([e.embedding for e in encs]), layers[:-1], layers[-1])
+    """The named arrays of same-size encoders, each with a leading stack
+    axis: the stacked form encoder_loss_and_grads takes."""
+    return {name: np.stack([e.params()[name] for e in encs]) for name in encs[0].params()}
 
 
 def encoder_stack_gradient_errors(encs):
@@ -86,7 +81,7 @@ def encoder_stack_gradient_errors(encs):
             grad[others[g]] = 0.0
         return float(losses[g]), grads
 
-    return [gradient_check(stack.params(), lambda _: slice_loss_and_grads(g))
+    return [gradient_check(stack, lambda _: slice_loss_and_grads(g))
             for g in range(len(encs))]
 
 

@@ -60,7 +60,7 @@ def test_identity_attention_is_exact_pass_through(small_source):
     s = source_prob_matrix(small_source)
     ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g, s)
     assert np.allclose(neighbor_probs(ae), s, atol=1e-12)
-    loss, _ = encoder_loss_and_grads(small_source, g.adjacency_matrix())
+    loss, _ = encoder_loss_and_grads(small_source.params(), g.adjacency_matrix())
     assert structural_loss(ae) == pytest.approx(loss, rel=1e-9)
 
 

@@ -1,4 +1,5 @@
-"""One short round of the benchmark on each of its workloads.
+"""One short round of the benchmark on each of its workloads, and one traced
+round, whose per-epoch Adam count pins how the fits are stacked.
 
 The benchmark imports the package's API and checks that a second round and
 an independent refit reproduce the first round's outputs bit for bit; this
@@ -20,16 +21,29 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["tu-labeled", "families", "sampled-corpus"])
-def test_bench_round_is_correct(tmp_path, workload):
+def bench_round(tmp_path, workload, trace):
+    """The result line of one benchmark round of `workload`, traced or not."""
     shutil.copytree(os.path.join(ROOT, "bench"), tmp_path / "bench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     os.symlink(os.path.join(ROOT, "src"), tmp_path / "src")
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", "0", "--seconds", "0", "--trace", "0"],
+                           "--seed", "0", "--seconds", "0", "--trace", str(trace)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["tu-labeled", "families", "sampled-corpus"])
+def test_bench_round_is_correct(tmp_path, workload):
+    bench_round(tmp_path, workload, trace=0)
+
+
+def test_traced_round_takes_one_adam_step_per_stacked_epoch(tmp_path):
+    # tu-labeled at one worker: 8 encoder stacks (one per node count) x 300
+    # epochs, and 64 cell stacks (one per source and target node count) x 60
+    result = bench_round(tmp_path, "tu-labeled", trace=1)
+    assert result["metrics"]["nn.adam_step_calls"]["value"] == 8 * 300 + 64 * 60 == 6240

@@ -8,7 +8,7 @@ import pytest
 from graphdiv.attention import attention_matrix, train_attention
 from graphdiv.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_config, build_parser, main
 from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
-from graphdiv.encoder import load_encoder
+from graphdiv.encoder import TrainConfig, load_encoder
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 
@@ -368,6 +368,24 @@ def test_bad_sources_spec(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     assert main(["embed", "--dataset", dataset_file, "--out", out,
                  "--sources", "half"] + fast()) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--node-reg", "--edge-reg"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_training_value_is_usage_error(tmp_path, dataset_file, capsys, flag, value):
+    # NaN and inf once passed the config checks: --node-reg nan trained with
+    # the penalty off, --node-reg inf gave an all-NaN table, and --lr nan
+    # exited 1 as a runtime fault
+    out = tmp_path / "out"
+    assert main(["embed", "--dataset", dataset_file, "--out", str(out)]
+                + fast(flag, value)) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_training_flags_give_the_default_config():
+    args = build_parser().parse_args(["embed", "--dataset", "ds.json", "--out", "out"])
+    assert build_config(args) == TrainConfig()
 
 
 def test_unknown_command_exits_two(capsys):

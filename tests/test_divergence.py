@@ -17,7 +17,7 @@ from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matr
                                  table_from_csv, table_to_csv, train_source_encoders)
 from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, fit_encoders,
                               positive_log_loss, train_encoder)
-from graphdiv.generators import make_ring, random_graph
+from graphdiv.generators import make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, atomic_write
 
 
@@ -181,6 +181,20 @@ def test_embed_all_deterministic_across_workers():
 def test_embed_all_validates_inputs():
     with pytest.raises(ValueError):
         embed_all([], [random_graph(4, 0.5, 0)], quick_cfg())
+
+
+def test_repeated_ids_are_rejected(tmp_path):
+    # ids name the cell files, so two cells under one id shared a file and a
+    # warm rerun read the star's value back for the ring; ids that format
+    # alike count as repeated
+    ring5, ring6, star6 = make_ring(5), make_ring(6), make_star(6)
+    for target_ids in ([7, 7], [7, "7"]):
+        with pytest.raises(ValueError, match=r"repeated target ids \['7'\]"):
+            embed_all([ring5], [ring6, star6], quick_cfg(), target_ids=target_ids,
+                      cell_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"repeated source ids \['0'\]"):
+        embed_all([ring5, ring6], [star6], quick_cfg(), source_ids=[0, 0], cell_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_embed_all_cell_resume(tmp_path):

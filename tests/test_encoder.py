@@ -14,14 +14,15 @@ from graphdiv.graphs import Graph
 
 def reference_fit(graph, cfg, graph_id):
     """The per-graph encoder fit in plain 2-D numpy, one graph at a time:
-    the oracle every slice of a stacked fit must match bit for bit.
+    the oracle every slice of a stacked fit must match bit for bit. Its Adam
+    steps each array with its own moments, apart from nn.fit_stack.
     Returns (params, loss trace)."""
     enc = build_encoder(graph, cfg, graph_id=graph_id)
     params = enc.params()
     adjacency = graph.adjacency_matrix()
-    state = nn.AdamState()
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     trace = []
-    for _ in range(cfg.encoding_epochs):
+    for epoch in range(cfg.encoding_epochs):
         h, tape = enc.embedding, []
         for layer in enc.layers:
             z = h @ layer.weight.T + layer.bias
@@ -43,7 +44,8 @@ def reference_fit(graph, cfg, graph_id):
         for k in range(len(enc.hidden)):
             grads[f"hidden{k}.weight"], grads[f"hidden{k}.bias"] = layer_grads[k]
         grads["output.weight"], grads["output.bias"] = layer_grads[-1]
-        nn.adam_step(params, grads, state, cfg.learning_rate)
+        for name, p in params.items():
+            nn.adam_step(p, grads[name], *moments[name], epoch + 1, cfg.learning_rate)
     return params, trace
 
 
@@ -65,6 +67,10 @@ def test_config_validation():
         TrainConfig(encoding_epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(node_reg_coef=-0.5)
+    for field in ("learning_rate", "node_reg_coef", "edge_reg_coef"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(**{field: value})
 
 
 def test_config_hash_stable_and_sensitive():
@@ -92,7 +98,7 @@ def test_zero_weight_encoder_loss(tiny_cfg, triangle):
     enc = build_encoder(triangle, tiny_cfg)
     for p in enc.params().values():
         p[...] = 0.0
-    loss, _ = encoder_loss_and_grads(enc, triangle.adjacency_matrix())
+    loss, _ = encoder_loss_and_grads(enc.params(), triangle.adjacency_matrix())
     assert float(loss) == pytest.approx(9 * np.log(2))
     # positive-edge loss: 2E directed edges at sigma(0)=0.5
     assert positive_log_loss(enc) == pytest.approx(6 * np.log(2))
@@ -237,7 +243,8 @@ def test_encoder_checkpoint_roundtrip(tmp_path, tiny_cfg, triangle):
     for a, b in zip(back.params().values(), enc.params().values()):
         assert np.array_equal(a, b)
     adjacency = triangle.adjacency_matrix()
-    assert encoder_loss_and_grads(back, adjacency)[0] == encoder_loss_and_grads(enc, adjacency)[0]
+    assert (encoder_loss_and_grads(back.params(), adjacency)[0]
+            == encoder_loss_and_grads(enc.params(), adjacency)[0])
 
 
 def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gradient_check
 from graphdiv import nn
-from graphdiv.nn import (AdamState, CheckpointError, DenseLayer, ShapeError,
-                         adam_step, backward, forward, init_dense,
-                         multilabel_bce_loss, params_from_checkpoint,
-                         params_to_checkpoint, stack_faults)
+from graphdiv.nn import (CheckpointError, DenseLayer, ShapeError, adam_step, backward,
+                         fit_stack, forward, init_dense, multilabel_bce_loss,
+                         params_from_checkpoint, params_to_checkpoint)
 
 
 def test_sigmoid_softplus_stable_at_extremes():
@@ -142,11 +141,9 @@ def test_stack_gradient_check():
 
 
 def test_adam_first_step_is_signed_lr():
-    # with zero state, the first Adam step moves each coordinate by ~lr*sign(g)
+    # with zero moments, the first Adam step moves each coordinate by ~lr*sign(g)
     p = np.array([1.0, 2.0, 3.0])
-    params = {"p": p}
-    grads = {"p": np.array([0.5, -3.0, 0.0])}
-    adam_step(params, grads, AdamState(), lr=0.1)
+    adam_step(p, np.array([0.5, -3.0, 0.0]), np.zeros(3), np.zeros(3), 1, 0.1)
     assert p[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
     assert p[1] == pytest.approx(2.0 + 0.1, abs=1e-6)
     assert p[2] == pytest.approx(3.0)
@@ -156,7 +153,6 @@ def _quadratic_stack_fit(epochs, poison_epoch=None, poison_slice=1, poison=np.na
     """Three stacked problems min |p - c|^2; at poison_epoch the gradient of
     poison_slice turns to `poison` while every loss stays finite."""
     centers = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-    params = {"p": np.zeros((3, 2))}
     calls = []
 
     def loss_and_grads(p):
@@ -167,8 +163,9 @@ def _quadratic_stack_fit(epochs, poison_epoch=None, poison_slice=1, poison=np.na
         calls.append(None)
         return (d * d).sum(axis=1), grads
 
-    trace = nn.train_stack(loss_and_grads, params, 0.1, epochs, 3)
-    return trace, params["p"]
+    params, trace, faults = fit_stack([{"p": np.zeros(2)} for _ in range(3)], loss_and_grads,
+                                      [0.1] * 3, epochs, ["g0", "g1", "g2"])
+    return trace, params["p"], faults
 
 
 @pytest.mark.parametrize("poison_epoch", [0, 3, 5])
@@ -177,10 +174,10 @@ def test_non_finite_gradient_stays_in_its_slice(poison_epoch):
     # epoch is the next one, or `epochs` (read off the fitted arrays) when the
     # fault comes at the last step, and the other slices keep their bits
     epochs = 6
-    clean_trace, clean_p = _quadratic_stack_fit(epochs)
-    trace, p = _quadratic_stack_fit(epochs, poison_epoch)
+    clean_trace, clean_p, _ = _quadratic_stack_fit(epochs)
+    trace, p, faults = _quadratic_stack_fit(epochs, poison_epoch)
     assert np.isfinite(trace[:poison_epoch + 1]).all()
-    assert bad_epochs(trace, [p]) == [-1, poison_epoch + 1, -1]
+    assert bad_epochs(faults) == [-1, poison_epoch + 1, -1]
     for k in (0, 2):
         assert trace[:, k].tobytes() == clean_trace[:, k].tobytes()
         assert p[k].tobytes() == clean_p[k].tobytes()
@@ -189,33 +186,94 @@ def test_non_finite_gradient_stays_in_its_slice(poison_epoch):
 def test_inf_gradient_warns_and_stays_in_its_slice():
     # Adam's inf / inf is numpy's "invalid value" warning, which the test
     # suite turns into an error unless a test expects it, as here
-    clean_trace, _ = _quadratic_stack_fit(6)
+    clean_trace, _, _ = _quadratic_stack_fit(6)
     with pytest.warns(RuntimeWarning, match="invalid value"):
-        trace, p = _quadratic_stack_fit(6, 2, poison=np.inf)
-    assert bad_epochs(trace, [p]) == [-1, 3, -1]
+        trace, _, faults = _quadratic_stack_fit(6, 2, poison=np.inf)
+    assert bad_epochs(faults) == [-1, 3, -1]
     assert trace[:, 0].tobytes() == clean_trace[:, 0].tobytes()
 
 
-def bad_epochs(trace, fitted, group=1):
-    """The epoch of each run's stack_faults fault, or -1 where it has none."""
-    runs = trace.shape[1] // group
-    faults = stack_faults(trace, fitted, [f"g{k}" for k in range(runs)], group)
+def bad_epochs(faults):
+    """The epoch of each run's fault, or -1 where it has none; each fault
+    names its own run's id, g<run>."""
     for k, fault in enumerate(faults):
         assert fault is None or fault.ids == [f"g{k}"]
     return [-1 if fault is None else fault.epoch for fault in faults]
 
 
-def test_stack_faults_per_group():
-    # runs of `group` slices report the first bad epoch of any member, each
-    # fault naming its own run's id
+def scripted_faults(epochs, group=1):
+    """fit_stack faults of six slices whose losses are scripted: non-finite
+    at (epoch 2, slice 1) and (epoch 1, slice 4), while slice 3 starts from a
+    NaN no loss reads, so only its fitted array shows it."""
     trace = np.zeros((4, 6))
     trace[2, 1] = np.nan
     trace[1, 4] = np.inf
-    fitted = np.zeros((6, 2, 2))
-    fitted[3, 1, 0] = np.nan
-    assert bad_epochs(trace, [fitted]) == [-1, 2, -1, 4, 1, -1]
-    assert bad_epochs(trace, [fitted], group=2) == [2, 4, 1]
-    assert bad_epochs(trace[:0], [fitted], group=3) == [-1, 0]
+    inits = [{"p": np.zeros(2)} for _ in range(6)]
+    inits[3]["p"][1] = np.nan
+    steps = iter(trace)
+    _, _, faults = fit_stack(inits, lambda p: (next(steps), {"p": np.zeros_like(p["p"])}),
+                             [0.1] * 6, epochs, [f"g{k}" for k in range(6 // group)], group)
+    return bad_epochs(faults)
+
+
+def test_stack_faults_per_group():
+    # runs of `group` slices report the first bad epoch of any member, each
+    # fault naming its own run's id
+    assert scripted_faults(4) == [-1, 2, -1, 4, 1, -1]
+    assert scripted_faults(4, group=2) == [2, 4, 1]
+    assert scripted_faults(0, group=3) == [-1, 0]
+
+
+def _coupled_loss(targets):
+    """Slices min sum((a * b - t)^2) over a (r, c) and b (c,), for a stack
+    (one target per slice) or one slice."""
+    def loss_and_grads(params):
+        a, b = params["a"], params["b"][..., None, :]
+        d = a * b - targets
+        return (d * d).sum(axis=(-2, -1)), {"a": 2.0 * d * b, "b": (2.0 * d * a).sum(axis=-2)}
+    return loss_and_grads
+
+
+def _lone_fit(init, targets, lr, epochs):
+    """One slice's fit with its own Adam moments per array, apart from fit_stack."""
+    params = {name: a.copy() for name, a in init.items()}
+    moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in params.items()}
+    loss_and_grads, trace = _coupled_loss(targets), []
+    for epoch in range(epochs):
+        loss, grads = loss_and_grads(params)
+        trace.append(loss)
+        for name, p in params.items():
+            adam_step(p, grads[name], *moments[name], epoch + 1, lr)
+    return params, np.array(trace, dtype=float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 8), st.integers(0, 10_000), st.booleans())
+def test_fit_stack_slices_are_lone_fits(rows, cols, group, runs, epochs, seed, poisoned):
+    # every clean slice gets the bits of its lone fit at its own lr, and a
+    # slice poisoned with a NaN faults its own run and no other
+    rng = np.random.default_rng(seed)
+    slices = group * runs
+    inits = [{"a": rng.normal(size=(rows, cols)), "b": rng.normal(size=cols)}
+             for _ in range(slices)]
+    targets = rng.normal(size=(slices, rows, cols))
+    lrs = rng.uniform(1e-3, 0.5, size=slices).tolist()
+    bad = int(rng.integers(slices)) if poisoned else None
+    if poisoned:
+        inits[bad]["a"][0, 0] = np.nan
+    params, trace, faults = fit_stack(inits, _coupled_loss(targets), lrs, epochs,
+                                      [f"g{k}" for k in range(runs)], group)
+    assert trace.shape == (epochs, slices)
+    assert bad_epochs(faults) == [0 if poisoned and k == bad // group else -1
+                                  for k in range(runs)]
+    for k in range(slices):
+        if k == bad:
+            continue
+        lone, lone_trace = _lone_fit(inits[k], targets[k], lrs[k], epochs)
+        assert trace[:, k].tobytes() == lone_trace.tobytes()
+        for name, a in lone.items():
+            assert params[name][k].tobytes() == a.tobytes()
 
 
 def test_checkpoint_roundtrip_bit_identical():

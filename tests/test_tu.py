@@ -1,8 +1,10 @@
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphdiv.graphs import Graph, GraphDataset, GraphFormatError
+from graphdiv.graphs import Graph, GraphDataset, GraphError, GraphFormatError
 from graphdiv.tu import DatasetIngestionError, load_tu_dataset, save_tu_dataset
 
 
@@ -164,3 +166,70 @@ def test_save_then_load_unlabeled(tmp_path):
     save_tu_dataset(ds, tmp_path, name="U")
     back = load_tu_dataset(tmp_path)
     assert [g.edges for g in back.graphs] == [g.edges for g in ds.graphs]
+
+
+@pytest.mark.parametrize("graphs, message", [
+    ([], "at least one graph"),
+    ([Graph(2, [(0, 1)]), Graph(0, [])], "graph 1 has no nodes"),
+    ([Graph(2, [(0, 1)], node_labels=[0, 1]), Graph(3, [(0, 1)])],
+     "graph 1 and graph 0 differ in carrying node labels"),
+    ([Graph(2, [(0, 1)]), Graph(2, [(0, 1)], edge_labels=[0])],
+     "graph 1 and graph 0 differ in carrying edge labels"),
+], ids=["no-graph", "empty-graph", "some-node-labels", "some-edge-labels"])
+def test_save_rejects_what_the_format_cannot_hold(tmp_path, graphs, message):
+    # each of these was written without complaint and then failed to load
+    # ("expected 1 lines, got 2", "expected 6 lines, got 3", ...)
+    with pytest.raises(GraphError, match=message):
+        save_tu_dataset(GraphDataset(graphs, [0] * len(graphs)), tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def _dense(values):
+    """values relabeled by rank, so that the ids in use are 0..k-1."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+@st.composite
+def datasets(draw):
+    """0-4 graphs of 0-5 nodes carrying node and edge labels on every graph,
+    on none, or (mixed) on some; label and class ids dense over the dataset."""
+    mixed = draw(st.booleans())
+    kinds = [draw(st.booleans()), draw(st.booleans())]
+    specs = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        node, edge = [draw(st.booleans()) if mixed else k for k in kinds]
+        specs.append((n, edges, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+                      if node else None,
+                      draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+                      if edge else None))
+    node_ids = iter(_dense([l for *_, nl, _ in specs for l in nl or []]))
+    edge_ids = iter(_dense([l for *_, el in specs for l in el or []]))
+    graphs = [Graph(n, edges, node_labels=None if nl is None else [next(node_ids) for _ in nl],
+                    edge_labels=None if el is None else [next(edge_ids) for _ in el])
+              for n, edges, nl, el in specs]
+    classes = _dense(draw(st.lists(st.integers(0, 2), min_size=len(graphs), max_size=len(graphs))))
+    return GraphDataset(graphs, classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_saved_dataset_loads_back(dataset):
+    # save_tu_dataset refuses exactly what the format cannot hold, and
+    # whatever it writes loads back as equal graphs and classes
+    graphs = dataset.graphs
+    holdable = (graphs and all(g.node_count for g in graphs)
+                and all(len({getattr(g, kind) is None for g in graphs}) == 1
+                        for kind in ("node_labels", "edge_labels")))
+    with tempfile.TemporaryDirectory() as d:
+        if not holdable:
+            with pytest.raises(GraphError):
+                save_tu_dataset(dataset, d)
+            return
+        save_tu_dataset(dataset, d)
+        back = load_tu_dataset(d)
+    assert back.graphs == graphs
+    assert back.graph_classes == dataset.graph_classes
