@@ -52,24 +52,14 @@ class AttentionPair:
         self.forward = forward
         self.reverse = reverse
 
-    @property
-    def source_nodes(self):
-        return self.forward.shape[0]
-
-    @property
-    def target_nodes(self):
-        return self.forward.shape[1]
-
 
 class AugmentedEncoder:
-    """A frozen source encoder, with its source_probs, wrapped by an attention pair."""
+    """A fitted attention pair over the frozen source probabilities it was
+    fitted against (source_probs, |V_S| x |V_S|), for one target graph."""
 
-    def __init__(self, source, attention, target_graph, source_probs):
-        if attention.source_nodes != source.node_count:
-            raise nn.ShapeError("attention rows do not match source node count")
-        if attention.target_nodes != target_graph.node_count:
-            raise nn.ShapeError("attention cols do not match target node count")
-        self.source = source
+    def __init__(self, attention, target_graph, source_probs):
+        if attention.forward.shape != (len(source_probs), target_graph.node_count):
+            raise nn.ShapeError("attention does not match the source or target node count")
         self.source_probs = source_probs
         self.attention = attention
         self.target_graph = target_graph
@@ -77,11 +67,11 @@ class AugmentedEncoder:
 
 
 def init_attention(source, target_graph, rng, scale=1e-2):
-    """Near-uniform start by default: tiny noise breaks symmetric-node ties."""
+    """The {"forward", "reverse"} logits nn.fit_stack starts a pair from.
+    Near-uniform by default: tiny noise breaks symmetric-node ties."""
     n_s, n_t = source.node_count, target_graph.node_count
-    fwd = rng.uniform(-1, 1, size=(n_s, n_t)) * scale
-    rev = rng.uniform(-1, 1, size=(n_t, n_s)) * scale
-    return AttentionPair(fwd, rev)
+    return {"forward": rng.uniform(-1, 1, size=(n_s, n_t)) * scale,
+            "reverse": rng.uniform(-1, 1, size=(n_t, n_s)) * scale}
 
 
 # (init scale, learning-rate multiplier) cycled over restarts; the mix of
@@ -252,10 +242,8 @@ def attention_loss_and_grads(problem, params):
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
     """Fit the attention pair of one target against a frozen source encoder:
     a stack of one in train_attentions, with the same bits; raises its fault."""
-    (ae,) = train_attentions([source], [target_graph], cfg, [target_graph_id], restarts)
-    if ae.fault:
-        raise ae.fault
-    return ae
+    return nn.raise_faults(
+        train_attentions([source], [target_graph], cfg, [target_graph_id], restarts))[0]
 
 
 def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
@@ -285,19 +273,18 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
             scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
             rng = np.random.default_rng(
                 derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-            pair = init_attention(source, target, rng, scale=scale)
-            inits.append({"forward": pair.forward, "reverse": pair.reverse})
+            inits.append(init_attention(source, target, rng, scale=scale))
             lrs.append(cfg.learning_rate * lr_mult)
     params, trace, faults = nn.fit_stack(inits, lambda p: attention_loss_and_grads(problem, p),
                                          lrs, cfg.scoring_epochs, target_graph_ids, restarts)
 
     fitted = []
-    for c, (source, target) in enumerate(zip(sources, targets)):
+    for c, target in enumerate(targets):
         first = c * restarts
         best = first + (int(np.argmin(trace[-1, first:first + restarts]))
                         if cfg.scoring_epochs else 0)
         pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
-        ae = AugmentedEncoder(source, pair, target, problem.source_probs[first])
+        ae = AugmentedEncoder(pair, target, problem.source_probs[first])
         ae.loss_trace = trace[:, best].tolist()
         ae.fault = faults[c]
         fitted.append(ae)

@@ -109,7 +109,11 @@ def _parse_sources(spec, num_graphs):
     if spec == "all":
         return list(range(num_graphs))
     if len(parts) == 3 and parts[0] == "sample":
-        return sample_sources(num_graphs, float(parts[1]), int(parts[2]))
+        try:
+            fraction, seed = float(parts[1]), int(parts[2])
+        except ValueError:
+            raise CliInputError(f"bad number in --sources spec {spec!r}") from None
+        return sample_sources(num_graphs, fraction, seed)
     raise CliInputError(f"bad --sources spec {spec!r}; use all or sample:<fraction>:<seed>")
 
 

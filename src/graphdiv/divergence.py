@@ -192,7 +192,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     and otherwise recorded in table.errors (value NaN) without aborting the
     rest. With cell_dir set, cells are persisted as each stacked task
     finishes and reused on the next call. Each cell keeps the best of
-    `restarts` attention fits (non-convex).
+    `restarts` attention fits (non-convex). Given `encoders`, encoders[i]
+    must be an encoder of sources[i]; otherwise ValueError.
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
@@ -208,6 +209,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     if encoders is None:
         encoders = train_source_encoders(sources, cfg, source_ids=source_ids, workers=workers)
+    elif len(encoders) != len(sources) or any(e.graph != g for e, g in zip(encoders, sources)):
+        raise ValueError("encoders must be one per source, each of its source's graph")
     self_losses = np.array([positive_log_loss(enc) for enc in encoders])
 
     values = np.full((len(targets), len(sources)), np.nan)

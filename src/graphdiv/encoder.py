@@ -63,38 +63,26 @@ def derive_seed(*parts):
 
 
 class SourceEncoder:
-    """Embedding table + relu hidden stack + linear output over |V| logits."""
+    """One graph's encoder: embedding table + relu hidden stack + linear output
+    over |V| logits. `params` is its one store: the named arrays nn.fit_stack
+    returns and a checkpoint carries, in order "embedding" (|V| x d),
+    "hidden{k}.weight" and ".bias" per hidden layer, "output.weight" and
+    ".bias". embedding, layers, hidden and output are views of them."""
 
-    def __init__(self, graph, graph_id, embedding, hidden, output):
+    def __init__(self, graph, graph_id, params, trained=False):
         self.graph = graph
         self.graph_id = graph_id
-        self.embedding = embedding      # |V| x d
-        self.hidden = hidden            # list of DenseLayer (relu)
-        self.output = output            # DenseLayer to |V| logits
-        self.trained = False
+        self.params = params
+        self.trained = trained
+        self.embedding = params["embedding"]
+        self.layers = _layers(params)
+        *self.hidden, self.output = self.layers
         self.loss_trace = []
         self.fault = None               # set by fit_encoders
 
     @property
     def node_count(self):
         return self.graph.node_count
-
-    @property
-    def embed_dim(self):
-        return self.embedding.shape[1]
-
-    @property
-    def layers(self):
-        return self.hidden + [self.output]
-
-    def params(self):
-        p = {"embedding": self.embedding}
-        for k, layer in enumerate(self.hidden):
-            p[f"hidden{k}.weight"] = layer.weight
-            p[f"hidden{k}.bias"] = layer.bias
-        p["output.weight"] = self.output.weight
-        p["output.bias"] = self.output.bias
-        return p
 
 
 def build_encoder(graph, cfg, graph_id=0):
@@ -105,22 +93,23 @@ def build_encoder(graph, cfg, graph_id=0):
     d = cfg.embed_dim
     n = graph.node_count
     bound = 1.0 / np.sqrt(n)
-    embedding = rng.uniform(-bound, bound, size=(n, d))
-    hidden = [nn.init_dense(d, d, rng) for _ in range(cfg.encoder_layers)]
-    output = nn.init_dense(n, d, rng)
-    return SourceEncoder(graph, graph_id, embedding, hidden, output)
+    params = {"embedding": rng.uniform(-bound, bound, size=(n, d))}
+    for k in range(cfg.encoder_layers):
+        params[f"hidden{k}.weight"], params[f"hidden{k}.bias"] = nn.init_dense(d, d, rng)
+    params["output.weight"], params["output.bias"] = nn.init_dense(n, d, rng)
+    return SourceEncoder(graph, graph_id, params)
 
 
 def _layers(params):
-    """The DenseLayers over named parameter arrays (see SourceEncoder.params),
-    hidden first."""
+    """The DenseLayers over named parameter arrays (see SourceEncoder),
+    hidden first: the one path from the arrays to layers."""
     names = [f"hidden{k}" for k in range((len(params) - 3) // 2)] + ["output"]
     return [DenseLayer(params[f"{name}.weight"], params[f"{name}.bias"]) for name in names]
 
 
 def encoder_loss_and_grads(params, adjacency, layers=None):
     """Full-batch BCE against the adjacency matrix, with analytic gradients,
-    for named parameter arrays (see SourceEncoder.params) and their layers
+    for named parameter arrays (see SourceEncoder) and their layers
     (built from them unless given). The arrays may be a stack (a leading
     axis G, as fit_encoders trains) against a (G, n, n) adjacency: one loss
     per slice, each slice's loss and gradients the bits it would get alone."""
@@ -137,8 +126,8 @@ def encoder_loss_and_grads(params, adjacency, layers=None):
 
 def positive_log_loss(enc):
     """-sum log sigma(logit) over both orientations of every edge of the
-    encoder's own graph: the self-divergence baseline, strictly positive for
-    any finite parameters."""
+    encoder's own graph: the self-divergence baseline. For finite parameters
+    it is positive when the graph has an edge, and 0.0 when it has none."""
     logits, _ = nn.forward(enc.layers, enc.embedding)
     return edge_pair_sum(enc.graph, nn.softplus, -logits)
 
@@ -155,7 +144,7 @@ def fit_encoders(graphs, cfg, graph_ids):
     """
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
-    encs = [build_encoder(g, cfg, graph_id=gid) for g, gid in zip(graphs, graph_ids)]
+    inits = [build_encoder(g, cfg, graph_id=gid).params for g, gid in zip(graphs, graph_ids)]
     adjacency = np.stack([g.adjacency_matrix() for g in graphs])
     layers = []
 
@@ -163,15 +152,12 @@ def fit_encoders(graphs, cfg, graph_ids):
         layers[:] = layers or _layers(params)  # the views stay put: build their layers once
         return encoder_loss_and_grads(params, adjacency, layers)
 
-    params, trace, faults = nn.fit_stack([enc.params() for enc in encs], loss_and_grads,
-                                         [cfg.learning_rate] * len(encs),
+    params, trace, faults = nn.fit_stack(inits, loss_and_grads, [cfg.learning_rate] * len(inits),
                                          cfg.encoding_epochs, graph_ids)
+    encs = [SourceEncoder(graph, gid, {name: a[g] for name, a in params.items()}, trained=True)
+            for g, (graph, gid) in enumerate(zip(graphs, graph_ids))]
     for g, enc in enumerate(encs):
-        for name, p in enc.params().items():
-            p[...] = params[name][g]
-        enc.trained = True
-        enc.loss_trace = trace[:, g].tolist()
-        enc.fault = faults[g]
+        enc.loss_trace, enc.fault = trace[:, g].tolist(), faults[g]
     return encs
 
 
@@ -184,19 +170,16 @@ def train_encoder(graph, cfg, graph_id=0):
 
 def encoder_to_checkpoint(enc, cfg):
     meta = {"graph_id": str(enc.graph_id), "config_hash": cfg.encoder_hash(),
-            "node_count": enc.node_count, "embed_dim": enc.embed_dim,
+            "node_count": enc.node_count, "embed_dim": enc.embedding.shape[1],
             "hidden_layers": len(enc.hidden), "trained": enc.trained,
             "graph": enc.graph.to_json_dict()}
-    return nn.params_to_checkpoint(enc.params(), meta=meta)
+    return nn.params_to_checkpoint(enc.params, meta=meta)
 
 
 def encoder_from_checkpoint(ckpt):
     meta, params = ckpt["meta"], nn.params_from_checkpoint(ckpt)
-    *hidden, output = _layers(params)
-    enc = SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"],
-                        params["embedding"], hidden, output)
-    enc.trained = bool(meta["trained"])
-    return enc
+    return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
+                         trained=bool(meta["trained"]))
 
 
 def save_encoder(enc, cfg, path):

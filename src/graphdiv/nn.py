@@ -52,19 +52,14 @@ class DenseLayer:
             raise ShapeError("weight must be (out, in) or (G, out, in) with bias (out,) or (G, out)")
 
     @property
-    def out_dim(self):
-        return self.weight.shape[-2]
-
-    @property
     def in_dim(self):
         return self.weight.shape[-1]
 
 
 def init_dense(out_dim, in_dim, rng):
-    """Uniform weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
+    """(weight, bias): weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
     bound = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    return DenseLayer(w, np.zeros(out_dim))
+    return rng.uniform(-bound, bound, size=(out_dim, in_dim)), np.zeros(out_dim)
 
 
 def forward(layers, x):

@@ -61,7 +61,7 @@ def gradient_check(params, loss_and_grads, eps=1e-5):
 def encoder_stack(encs):
     """The named arrays of same-size encoders, each with a leading stack
     axis: the stacked form encoder_loss_and_grads takes."""
-    return {name: np.stack([e.params()[name] for e in encs]) for name in encs[0].params()}
+    return {name: np.stack([e.params[name] for e in encs]) for name in encs[0].params}
 
 
 def encoder_stack_gradient_errors(encs):

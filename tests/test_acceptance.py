@@ -54,7 +54,7 @@ def test_criterion_1_gradient_integrity():
     src = train_encoder(g1, TrainConfig(embed_dim=4, encoding_epochs=40, rng_seed=0))
     pair = init_attention(src, g2, np.random.default_rng(3), scale=0.5)
     problem = AlignmentProblem([src], [g2], TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.0))
-    stack = {"forward": pair.forward[None], "reverse": pair.reverse[None]}
+    stack = {name: a[None] for name, a in pair.items()}
 
     def att_loss_and_grads(params):
         losses, grads = attention_loss_and_grads(problem, params)

@@ -39,7 +39,18 @@ def test_pair_shape_validation():
     with pytest.raises(nn.ShapeError):
         AttentionPair(np.zeros((3, 4)), np.zeros((3, 4)))
     pair = AttentionPair(np.zeros((3, 4)), np.zeros((4, 3)))
-    assert pair.source_nodes == 3 and pair.target_nodes == 4
+    assert pair.forward.shape == (3, 4) and pair.reverse.shape == (4, 3)
+
+
+def test_augmented_encoder_shape_check(triangle):
+    # forward logits map the source_probs' nodes onto the target's
+    pair = AttentionPair(np.zeros((3, 4)), np.zeros((4, 3)))
+    target = random_graph(4, 0.5, 1)
+    assert AugmentedEncoder(pair, target, np.zeros((3, 3))).attention is pair
+    with pytest.raises(nn.ShapeError):
+        AugmentedEncoder(pair, target, np.zeros((4, 4)))
+    with pytest.raises(nn.ShapeError):
+        AugmentedEncoder(pair, triangle, np.zeros((3, 3)))
 
 
 def test_zero_logits_give_uniform_dist():
@@ -58,9 +69,9 @@ def test_identity_attention_is_exact_pass_through(small_source):
     # predictions, so the structural loss equals the source self-loss
     g = small_source.graph
     s = source_prob_matrix(small_source)
-    ae = AugmentedEncoder(small_source, hard_pair(g.node_count), g, s)
+    ae = AugmentedEncoder(hard_pair(g.node_count), g, s)
     assert np.allclose(neighbor_probs(ae), s, atol=1e-12)
-    loss, _ = encoder_loss_and_grads(small_source.params(), g.adjacency_matrix())
+    loss, _ = encoder_loss_and_grads(small_source.params, g.adjacency_matrix())
     assert structural_loss(ae) == pytest.approx(loss, rel=1e-9)
 
 
@@ -75,7 +86,7 @@ def test_zero_attention_predicts_global_mean(small_source):
     g = small_source.graph
     n = g.node_count
     s = source_prob_matrix(small_source)
-    ae = AugmentedEncoder(small_source, AttentionPair(np.zeros((n, n)), np.zeros((n, n))), g, s)
+    ae = AugmentedEncoder(AttentionPair(np.zeros((n, n)), np.zeros((n, n))), g, s)
     assert np.allclose(neighbor_probs(ae), s.mean(), atol=1e-12)
 
 
@@ -84,17 +95,17 @@ def test_zero_encoder_zero_attention_oracle(tiny_cfg):
     # 1/2, so the full structural BCE is |V_T|^2 ln 2 exactly
     g = random_graph(5, 0.5, 3)
     src = train_encoder(g, tiny_cfg)
-    for p in src.params().values():
+    for p in src.params.values():
         p[...] = 0.0
     target = random_graph(4, 0.6, 4)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 4)), np.zeros((4, 5))), target,
+    ae = AugmentedEncoder(AttentionPair(np.zeros((5, 4)), np.zeros((4, 5))), target,
                           source_prob_matrix(src))
     assert structural_loss(ae) == pytest.approx(16 * np.log(2))
 
 
 def gradient_error(problem, pair):
     """Gradient-check error of attention_loss_and_grads on a stack of one."""
-    params = {"forward": pair.forward[None].copy(), "reverse": pair.reverse[None].copy()}
+    params = {name: a[None].copy() for name, a in pair.items()}
 
     def loss_and_grads(p):
         losses, grads = attention_loss_and_grads(problem, p)
@@ -135,12 +146,11 @@ def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
     rng = np.random.default_rng(5)
     pairs = [init_attention(src, g2, rng, scale=s) for s in (1e-2, 0.3, 2.0, 1e-2, 0.5, 1.0)]
     losses, grads = attention_loss_and_grads(
-        problem, {"forward": np.stack([p.forward for p in pairs]),
-                  "reverse": np.stack([p.reverse for p in pairs])})
+        problem, {name: np.stack([p[name] for p in pairs]) for name in ("forward", "reverse")})
     for b, pair in enumerate(pairs):
         one, one_grads = attention_loss_and_grads(
             AlignmentProblem([src], [targets[b // 2]], cfg),
-            {"forward": pair.forward[None], "reverse": pair.reverse[None]})
+            {name: a[None] for name, a in pair.items()})
         assert losses[b:b + 1].tobytes() == one.tobytes()
         for name in ("forward", "reverse"):
             assert grads[name][b:b + 1].tobytes() == one_grads[name].tobytes()
@@ -178,7 +188,7 @@ def test_cross_source_stack_matches_pairs_alone(tiny_cfg, labeled_pair, monkeypa
     assert built == sources
     for (src, target, tid), ae in zip(cells, stacked):
         alone = train_attention(src, target, cfg, target_graph_id=tid, restarts=2)
-        assert ae.source is src and ae.target_graph is target
+        assert ae.target_graph is target
         assert ae.attention.forward.tobytes() == alone.attention.forward.tobytes()
         assert ae.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
         assert np.array(ae.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
@@ -289,9 +299,9 @@ def test_train_requires_trained_source(tiny_cfg, triangle):
 
 
 def test_source_frozen_during_attention(tiny_cfg, small_source):
-    before = {k: v.copy() for k, v in small_source.params().items()}
+    before = {k: v.copy() for k, v in small_source.params.items()}
     train_attention(small_source, random_graph(4, 0.5, 2), tiny_cfg, target_graph_id=1)
-    for k, v in small_source.params().items():
+    for k, v in small_source.params.items():
         assert np.array_equal(v, before[k])
 
 
@@ -303,8 +313,8 @@ def test_zero_epochs_keeps_init(small_source):
         small_source, target,
         np.random.default_rng(__import__("graphdiv.encoder", fromlist=["derive_seed"])
                               .derive_seed("attention", 0, 3, cfg.rng_seed, 0)))
-    assert np.array_equal(ae.attention.forward, expected.forward)
-    assert np.array_equal(ae.attention.reverse, expected.reverse)
+    assert np.array_equal(ae.attention.forward, expected["forward"])
+    assert np.array_equal(ae.attention.reverse, expected["reverse"])
 
 
 def test_training_reduces_loss_and_is_deterministic(tiny_cfg, small_source):
@@ -345,7 +355,7 @@ def test_augmented_probs_are_convex_mixtures(seed):
     target = random_graph(4, 0.5, seed % 11)
     pair = init_attention(src, target, rng, scale=2.0)
     s = source_prob_matrix(src)
-    pred = neighbor_probs(AugmentedEncoder(src, pair, target, s))
+    pred = neighbor_probs(AugmentedEncoder(AttentionPair(**pair), target, s))
     assert np.all(pred >= s.min() - 1e-12)
     assert np.all(pred <= s.max() + 1e-12)
 
@@ -428,8 +438,7 @@ def reference_train_attention(source, target, cfg, target_graph_id, restarts):
         scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
         rng = np.random.default_rng(
             derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-        pair = init_attention(source, target, rng, scale=scale)
-        params = {"forward": pair.forward, "reverse": pair.reverse}
+        params = init_attention(source, target, rng, scale=scale)
         state = {"t": 0, "m": {}, "v": {}}
         trace = []
         for _ in range(cfg.scoring_epochs):
@@ -439,7 +448,7 @@ def reference_train_attention(source, target, cfg, target_graph_id, restarts):
             _reference_adam(params, grads, state, cfg.learning_rate * lr_mult)
         final = trace[-1] if trace else float("inf")
         if best is None or final < best[0]:
-            best = (final, pair.forward, pair.reverse, trace)
+            best = (final, params["forward"], params["reverse"], trace)
     return best[1:]
 
 

@@ -370,6 +370,14 @@ def test_bad_sources_spec(tmp_path, dataset_file):
                  "--sources", "half"] + fast()) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", ["sample:x:1", "sample:0.5:y"])
+def test_malformed_sample_number_names_the_spec(tmp_path, dataset_file, capsys, spec):
+    # a bad number once printed only "could not convert string to float: 'x'"
+    assert main(["embed", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
+                 "--sources", spec] + fast()) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: bad number in --sources spec {spec!r}\n"
+
+
 @pytest.mark.parametrize("flag", ["--lr", "--node-reg", "--edge-reg"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_training_value_is_usage_error(tmp_path, dataset_file, capsys, flag, value):

@@ -25,10 +25,10 @@ def test_untrained_divergence_oracle(tiny_cfg):
     # zero source weights + uniform attention predict 1/2 for every potential
     # edge, so the raw score is 2 * E_T * ln 2 regardless of graph sizes
     src = train_encoder(random_graph(5, 0.5, 1), tiny_cfg)
-    for p in src.params().values():
+    for p in src.params.values():
         p[...] = 0.0
     target = make_ring(7)
-    ae = AugmentedEncoder(src, AttentionPair(np.zeros((5, 7)), np.zeros((7, 5))), target,
+    ae = AugmentedEncoder(AttentionPair(np.zeros((5, 7)), np.zeros((7, 5))), target,
                           source_prob_matrix(src))
     assert raw_divergence([ae])[0] == pytest.approx(2 * 7 * np.log(2))
 
@@ -181,6 +181,17 @@ def test_embed_all_deterministic_across_workers():
 def test_embed_all_validates_inputs():
     with pytest.raises(ValueError):
         embed_all([], [random_graph(4, 0.5, 0)], quick_cfg())
+
+
+def test_embed_all_rejects_encoders_that_do_not_match_sources():
+    # one encoder for two sources once gave an all-NaN column with no error,
+    # and an encoder of another graph was scored under the source's id
+    g0, g1 = random_graph(5, 0.5, 1), random_graph(5, 0.5, 2)
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=5, scoring_epochs=5)
+    enc0, enc1 = train_source_encoders([g0, g1], cfg)
+    for encoders in ([enc0], [enc0, enc1, enc0], [enc1, enc0], [enc0, enc0]):
+        with pytest.raises(ValueError, match="one per source"):
+            embed_all([g0, g1], [g0], cfg, encoders=encoders, restarts=1)
 
 
 def test_repeated_ids_are_rejected(tmp_path):
@@ -645,5 +656,5 @@ def test_self_divergence_zero_without_attention(tiny_cfg):
     src = train_encoder(g, tiny_cfg)
     n = g.node_count
     fwd = np.where(np.eye(n, dtype=bool), 50.0, -50.0)
-    ae = AugmentedEncoder(src, AttentionPair(fwd.copy(), fwd.copy()), g, source_prob_matrix(src))
+    ae = AugmentedEncoder(AttentionPair(fwd.copy(), fwd.copy()), g, source_prob_matrix(src))
     assert raw_divergence([ae])[0] - positive_log_loss(src) == pytest.approx(0.0, abs=1e-9)

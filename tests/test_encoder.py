@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def reference_fit(graph, cfg, graph_id):
     steps each array with its own moments, apart from nn.fit_stack.
     Returns (params, loss trace)."""
     enc = build_encoder(graph, cfg, graph_id=graph_id)
-    params = enc.params()
+    params = enc.params
     adjacency = graph.adjacency_matrix()
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     trace = []
@@ -52,9 +54,9 @@ def reference_fit(graph, cfg, graph_id):
 def assert_same_bits(enc, reference):
     params, trace = reference
     assert enc.trained
-    assert enc.params().keys() == params.keys()
+    assert enc.params.keys() == params.keys()
     for name, p in params.items():
-        assert enc.params()[name].tobytes() == p.tobytes(), name
+        assert enc.params[name].tobytes() == p.tobytes(), name
     assert np.array(enc.loss_trace).tobytes() == np.array(trace).tobytes()
 
 
@@ -96,9 +98,9 @@ def test_derive_seed_deterministic():
 def test_zero_weight_encoder_loss(tiny_cfg, triangle):
     # all-zero parameters: every logit 0, BCE = n*n*ln2 (self column included)
     enc = build_encoder(triangle, tiny_cfg)
-    for p in enc.params().values():
+    for p in enc.params.values():
         p[...] = 0.0
-    loss, _ = encoder_loss_and_grads(enc.params(), triangle.adjacency_matrix())
+    loss, _ = encoder_loss_and_grads(enc.params, triangle.adjacency_matrix())
     assert float(loss) == pytest.approx(9 * np.log(2))
     # positive-edge loss: 2E directed edges at sigma(0)=0.5
     assert positive_log_loss(enc) == pytest.approx(6 * np.log(2))
@@ -180,11 +182,11 @@ def test_training_deterministic(tiny_cfg):
     g = random_graph(8, 0.4, 1)
     e1 = train_encoder(g, tiny_cfg, graph_id=5)
     e2 = train_encoder(g, tiny_cfg, graph_id=5)
-    for a, b in zip(e1.params().values(), e2.params().values()):
+    for a, b in zip(e1.params.values(), e2.params.values()):
         assert np.array_equal(a, b)
     e3 = train_encoder(g, tiny_cfg, graph_id=6)
     assert any(not np.array_equal(a, b)
-               for a, b in zip(e1.params().values(), e3.params().values()))
+               for a, b in zip(e1.params.values(), e3.params.values()))
 
 
 def test_loss_is_permutation_covariant(tiny_cfg):
@@ -196,8 +198,8 @@ def test_loss_is_permutation_covariant(tiny_cfg):
     g2 = Graph(7, [(perm[u], perm[v]) for u, v in g.edges])
     enc = train_encoder(g, tiny_cfg)
     moved = build_encoder(g2, tiny_cfg)
-    for name, p in enc.params().items():
-        q = moved.params()[name]
+    for name, p in enc.params.items():
+        q = moved.params[name]
         if name in ("embedding", "output.weight", "output.bias"):
             q[perm] = p
         else:
@@ -217,7 +219,7 @@ def test_zero_epochs_leaves_init():
     fits = [train_encoder(graphs[1], cfg, graph_id=1)] + fit_encoders(graphs, cfg, [0, 1, 2])
     for enc in fits:
         assert enc.loss_trace == []
-        assert_same_bits(enc, (build_encoder(enc.graph, cfg, enc.graph_id).params(), []))
+        assert_same_bits(enc, (build_encoder(enc.graph, cfg, enc.graph_id).params, []))
 
 
 def test_encode_node_bounds(tiny_cfg, triangle):
@@ -240,11 +242,32 @@ def test_encoder_checkpoint_roundtrip(tmp_path, tiny_cfg, triangle):
     back = load_encoder(path)
     assert back.trained
     assert back.graph == triangle
-    for a, b in zip(back.params().values(), enc.params().values()):
+    for a, b in zip(back.params.values(), enc.params.values()):
         assert np.array_equal(a, b)
     adjacency = triangle.adjacency_matrix()
-    assert (encoder_loss_and_grads(back.params(), adjacency)[0]
-            == encoder_loss_and_grads(enc.params(), adjacency)[0])
+    assert (encoder_loss_and_grads(back.params, adjacency)[0]
+            == encoder_loss_and_grads(enc.params, adjacency)[0])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_parameter_names_and_order(tmp_path, triangle, layers):
+    # a checkpoint stores enc.params in order, so a reorder would change the
+    # bytes of every checkpoint; built, fitted and reloaded encoders agree
+    cfg = TrainConfig(embed_dim=4, encoder_layers=layers, encoding_epochs=3)
+    names = (["embedding"] + [f"hidden{k}.{part}" for k in range(layers)
+                              for part in ("weight", "bias")] + ["output.weight", "output.bias"])
+    fitted = train_encoder(triangle, cfg)
+    path = tmp_path / "enc.json"
+    save_encoder(fitted, cfg, path)
+    with open(path) as f:
+        assert list(json.load(f)["shapes"]) == names
+    for enc in (build_encoder(triangle, cfg), fitted, load_encoder(path)):
+        assert list(enc.params) == names
+
+
+def test_edgeless_graph_self_loss_is_zero(tiny_cfg):
+    # no edge, no positive-edge term: the baseline is exactly 0.0, not positive
+    assert positive_log_loss(train_encoder(Graph(4, []), tiny_cfg)) == 0.0
 
 
 def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
