@@ -138,20 +138,22 @@ def _completed(fn, tasks, workers):
                 future.cancel()
 
 
-# bytes asked of each os.read of a cell file. A cell file is about 90 bytes,
-# so one read takes it whole and a second sees EOF; every read allocates the
-# whole request, so it stays small.
+# bytes asked of each os.read of a cell file. A cell file is about 230 bytes,
+# so one read takes it whole; a shorter read ends the file (one cut short is
+# scored again). Every read allocates the whole request, so it stays small.
 CELL_READ_BYTES = 4096
+# cell record version, the first part of a record's digest
+CELL_FORMAT = 1
 
 
 def _read_cell(path):
-    """The cell record at path, read through one raw descriptor until EOF
-    and decoded as UTF-8 JSON; raises OSError or ValueError."""
+    """The cell record at path, read through one raw descriptor until a read
+    comes back short, decoded as UTF-8 JSON; raises OSError or ValueError."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        chunks = []
-        while chunk := os.read(fd, CELL_READ_BYTES):
-            chunks.append(chunk)
+        chunks = [os.read(fd, CELL_READ_BYTES)]
+        while len(chunks[-1]) == CELL_READ_BYTES:
+            chunks.append(os.read(fd, CELL_READ_BYTES))
     finally:
         os.close(fd)
     return json.loads(b"".join(chunks).decode())
@@ -191,9 +193,9 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     Deterministic given ids and cfg.rng_seed; a failing cell is retried once
     and otherwise recorded in table.errors (value NaN) without aborting the
     rest. With cell_dir set, cells are persisted as each stacked task
-    finishes and reused on the next call. Each cell keeps the best of
-    `restarts` attention fits (non-convex). Given `encoders`, encoders[i]
-    must be an encoder of sources[i]; otherwise ValueError.
+    finishes and reused on a later call whose graphs have the same digests.
+    Each cell keeps the best of `restarts` attention fits (non-convex). Given
+    `encoders`, encoders[i] must be an encoder of sources[i]; else ValueError.
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
@@ -222,10 +224,13 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         # path prefix shared by every cell of this config and restart count;
         # a cell's file is f"{prefix}_t{target id}_s{source id}.json"
         prefix = os.path.join(cell_dir, f"cell_{cfg.hash()}_r{restarts}")
-        for ti, tid in enumerate(target_ids):
+        keys = [f"{CELL_FORMAT}:{encoder.graph.digest}:" for encoder in encoders]
+        for ti, (tid, target) in enumerate(zip(target_ids, targets)):
             for si, sid in enumerate(source_ids):
                 try:
                     cell = _read_cell(f"{prefix}_t{tid}_s{sid}.json")
+                    if cell["digest"] != keys[si] + target.digest:
+                        continue  # other graphs' record: scored below, and the file rewritten
                     values[ti, si] = cell["raw"] - self_losses[si]
                 except (OSError, ValueError, KeyError, TypeError):
                     continue  # absent or unreadable: scored below, and the file (re)written
@@ -253,9 +258,9 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
             if err is not None:
                 errors[(ti, si)] = err
             if cell_dir is not None:
-                atomic_write(f"{prefix}_t{target_ids[ti]}_s{source_ids[si]}.json",
-                             json.dumps({"source_id": source_ids[si], "target_id": target_ids[ti],
-                                         "raw": raw, "error": err}))
+                atomic_write(f"{prefix}_t{target_ids[ti]}_s{source_ids[si]}.json", json.dumps(
+                    {"source_id": source_ids[si], "target_id": target_ids[ti], "raw": raw,
+                     "error": err, "digest": keys[si] + targets[ti].digest}))
 
     return DivergenceTable(list(source_ids), list(target_ids), values, self_losses, errors)
 

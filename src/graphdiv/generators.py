@@ -5,7 +5,7 @@ from importlib import resources
 
 import numpy as np
 
-from .graphs import Graph, GraphError, canonical_edge
+from .graphs import Graph, GraphError
 
 
 def make_barbell(ring_size, labeled=False):
@@ -18,16 +18,13 @@ def make_barbell(ring_size, labeled=False):
     if ring_size < 3:
         raise GraphError(f"ring_size must be >= 3, got {ring_size}")
     r = ring_size
-    edges = []
+    edges = [(0, r)]
     for base in (0, r):
-        edges.extend(canonical_edge(base + i, base + (i + 1) % r) for i in range(r))
-    edges.append((0, r))
-    if not labeled:
-        return Graph(2 * r, edges)
-    ordered = sorted(canonical_edge(u, v) for u, v in edges)
-    return Graph(2 * r, edges,
-                 node_labels=range(2 * r),
-                 edge_labels=[ordered.index(canonical_edge(u, v)) for u, v in edges])
+        edges.extend((base + i, base + (i + 1) % r) for i in range(r))
+    g = Graph(2 * r, edges)
+    if labeled:  # each edge labeled by its rank in the graph's sorted edges
+        g = Graph(2 * r, g.edges, node_labels=range(2 * r), edge_labels=range(g.edge_count))
+    return g
 
 
 def make_ring(n):
@@ -120,6 +117,6 @@ def mutate_family(seed_graph, steps, mutation_count, rng_seed):
         edge_set = set(seed_graph.edges)
         for _ in range(steps):
             _mutate_once(edge_set, rng, pa_weights, n)
-        out.append(Graph(n, sorted(edge_set), node_labels=seed_graph.node_labels,
+        out.append(Graph(n, edge_set, node_labels=seed_graph.node_labels,
                          num_node_labels=seed_graph.num_node_labels))
     return out

@@ -1,8 +1,11 @@
 """Graph data model, JSON serialization, and label-distribution matrices."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
+import hashlib
 import json
+import operator
 import os
 import tempfile
 
@@ -21,67 +24,67 @@ def canonical_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _int(value, what):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+
+
 class Graph:
     """An undirected graph with dense integer node ids and optional categorical labels.
 
-    Edges are stored once as sorted (u, v) tuples; self-loops are rejected.
-    Instances are immutable by convention: nothing mutates them after __init__,
-    so they are safe to share across parallel workers.
+    Edges, given in any order, are stored once as sorted (u, v) tuples, each
+    label kept with its edge; self-loops are rejected. Instances are immutable
+    by convention, so they are safe to share across parallel workers.
     """
 
     def __init__(self, node_count, edges, node_labels=None, edge_labels=None,
                  num_node_labels=None, num_edge_labels=None):
+        self.node_count = node_count = _int(node_count, "node count")
         if node_count < 0:
             raise GraphError("node_count must be non-negative")
-        self.node_count = int(node_count)
-        seen = set()
-        canon = []
+        index = {}  # canonical edge -> its position in the input
         for u, v in edges:
+            u, v = _int(u, "node id"), _int(v, "node id")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphError(f"edge ({u}, {v}) references node outside 0..{node_count - 1}")
             if u == v:
                 raise GraphError(f"self-loop on node {u}")
             e = canonical_edge(u, v)
-            if e in seen:
+            if e in index:
                 raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        order = sorted(range(len(canon)), key=lambda i: canon[i])
-        self.edges = tuple(canon[i] for i in order)
-        if edge_labels is not None:
-            raw = list(edge_labels)
-            if len(raw) != len(self.edges):
-                raise GraphError("edge_labels must cover every edge")
-            edge_labels = [raw[i] for i in order]
+            index[e] = len(index)
+        self.edges = tuple(sorted(index))
 
         if node_labels is not None:
-            node_labels = tuple(int(l) for l in node_labels)
+            node_labels = tuple(_int(l, "node label") for l in node_labels)
             if len(node_labels) != node_count:
                 raise GraphError("node_labels must cover every node")
-            if node_labels and min(node_labels) < 0:
-                raise GraphError("negative node label id")
-        self.node_labels = node_labels
-
         if edge_labels is not None:
-            edge_labels = tuple(int(l) for l in edge_labels)
-            if edge_labels and min(edge_labels) < 0:
-                raise GraphError("negative edge label id")
-        self.edge_labels = edge_labels
-
-        if num_node_labels is None and node_labels is not None:
-            num_node_labels = max(node_labels) + 1 if node_labels else 0
-        if num_edge_labels is None and edge_labels is not None:
-            num_edge_labels = max(edge_labels) + 1 if edge_labels else 0
-        if node_labels and num_node_labels is not None and num_node_labels <= max(node_labels):
-            raise GraphError("num_node_labels must exceed every node label id")
-        if edge_labels and num_edge_labels is not None and num_edge_labels <= max(edge_labels):
-            raise GraphError("num_edge_labels must exceed every edge label id")
-        self.num_node_labels = num_node_labels
-        self.num_edge_labels = num_edge_labels
+            raw = [_int(l, "edge label") for l in edge_labels]
+            if len(raw) != len(self.edges):
+                raise GraphError("edge_labels must cover every edge")
+            edge_labels = tuple(raw[index[e]] for e in self.edges)
+        self.node_labels, self.edge_labels = node_labels, edge_labels
+        for kind, labels, k in (("node", node_labels, num_node_labels),
+                                ("edge", edge_labels, num_edge_labels)):
+            if labels and min(labels) < 0:
+                raise GraphError(f"negative {kind} label id")
+            k = (_int(k, f"num_{kind}_labels") if k is not None
+                 else None if labels is None else max(labels, default=-1) + 1)
+            if labels and k <= max(labels):
+                raise GraphError(f"num_{kind}_labels must exceed every {kind} label id")
+            setattr(self, f"num_{kind}_labels", k)
 
     @property
     def edge_count(self):
         return len(self.edges)
+
+    @cached_property
+    def digest(self):
+        """SHA-256 of the JSON form, vocabulary sizes included; once per instance."""
+        return hashlib.sha256(json.dumps(self.to_json_dict()).encode()).hexdigest()
 
     def adjacency_matrix(self):
         """Dense 0/1 adjacency, float64, zero diagonal."""
@@ -116,23 +119,25 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Inverse of to_json_dict; edge_labels entries are keyed by endpoints."""
         try:
             node_count = d["nodes"]
             edges = [tuple(e) for e in d["edges"]]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"graph JSON missing required field: {exc}") from exc
-        node_labels = d.get("node_labels")
         edge_labels = None
         if "edge_labels" in d:
-            by_edge = {canonical_edge(u, v): l for u, v, l in d["edge_labels"]}
-            ordered = sorted(canonical_edge(u, v) for u, v in edges)
-            missing = [e for e in ordered if e not in by_edge]
-            if missing:
-                raise GraphFormatError(f"edge_labels missing entry for edge {missing[0]}")
-            edge_labels = [by_edge[e] for e in ordered]
+            by_edge = {}
+            for u, v, l in d["edge_labels"]:
+                if by_edge.setdefault(canonical_edge(u, v), l) != l:
+                    raise GraphFormatError(f"conflicting labels for edge ({u}, {v})")
+            try:
+                edge_labels = [by_edge[canonical_edge(u, v)] for u, v in edges]
+            except KeyError as exc:
+                raise GraphFormatError(f"edge_labels missing entry for edge {exc}") from None
         # vocabulary sizes are absent from files written before they were
         # stored; the labels then imply them
-        return cls(node_count, edges, node_labels=node_labels, edge_labels=edge_labels,
+        return cls(node_count, edges, node_labels=d.get("node_labels"), edge_labels=edge_labels,
                    num_node_labels=d.get("num_node_labels"),
                    num_edge_labels=d.get("num_edge_labels"))
 
@@ -208,6 +213,17 @@ def save_dataset_json(dataset, path):
         json.dump(d, f)
 
 
+def _each_graph(path, items, build):
+    """[build(item) for item in items]; a bad graph's error names file and index."""
+    graphs = []
+    for i, item in enumerate(items):
+        try:
+            graphs.append(build(item))
+        except (ValueError, TypeError) as exc:
+            raise GraphFormatError(f"{path}: graph {i}: {exc}") from None
+    return graphs
+
+
 def load_dataset_json(path):
     try:
         with open(path) as f:
@@ -215,7 +231,7 @@ def load_dataset_json(path):
     except ValueError as exc:  # not UTF-8, or not JSON
         raise GraphFormatError(f"{path}: not a JSON dataset: {exc}") from None
     try:
-        graphs = [Graph.from_json_dict(gd) for gd in d["graphs"]]
+        graphs = _each_graph(path, d["graphs"], Graph.from_json_dict)
         classes = list(d["classes"])
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"{path}: dataset JSON missing required field: {exc}") from exc
@@ -229,11 +245,11 @@ def load_dataset_json(path):
                 sizes[kind] = vocabs[kind].size
             else:
                 sizes[kind] = max(getattr(g, f"num_{kind}_labels") or 0 for g in graphs)
-    graphs = [g if all(getattr(g, f"num_{kind}_labels") == k for kind, k in sizes.items())
-              else Graph(g.node_count, g.edges, node_labels=g.node_labels, edge_labels=g.edge_labels,
-                         num_node_labels=sizes.get("node", g.num_node_labels),
-                         num_edge_labels=sizes.get("edge", g.num_edge_labels))
-              for g in graphs]
+    graphs = _each_graph(path, graphs, lambda g: g if all(
+        getattr(g, f"num_{kind}_labels") == k for kind, k in sizes.items())
+        else Graph(g.node_count, g.edges, node_labels=g.node_labels, edge_labels=g.edge_labels,
+                   num_node_labels=sizes.get("node", g.num_node_labels),
+                   num_edge_labels=sizes.get("edge", g.num_edge_labels)))
     return GraphDataset(graphs, classes, node_vocab=vocabs.get("node"), edge_vocab=vocabs.get("edge"))
 
 
@@ -246,14 +262,13 @@ def load_dataset_json(path):
 # integers held in floats, so each row is exactly its counts over their total,
 # as a per-node loop computes it.
 
-def _require_node_labels(g):
-    if g.node_labels is None:
-        raise GraphError("graph has no node labels")
-
-
-def _require_edge_labels(g):
-    if g.edge_labels is None:
-        raise GraphError("graph has no edge labels")
+def _labels(g, kind):
+    """(label ids as an int array, vocabulary size) of g's node or edge
+    labels; GraphError if g carries none."""
+    labels = getattr(g, f"{kind}_labels")
+    if labels is None:
+        raise GraphError(f"graph has no {kind} labels")
+    return np.array(labels, dtype=int), getattr(g, f"num_{kind}_labels")
 
 
 def _edge_arrays(g):
@@ -272,33 +287,30 @@ def edge_pair_sum(g, f, m):
     return float(np.add.accumulate(np.concatenate(([0.0], pairs)))[-1])
 
 
-def _label_rows(rows, labels, node_count, k):
+def _label_rows(g, rows, labels, k):
     """Count each (row, label) occurrence into |V| x k, then scale every row
-    to sum to one; rows with no occurrence are uniform."""
-    counts = np.bincount(rows * k + labels, minlength=node_count * k)
-    counts = counts.reshape(node_count, k).astype(float)
+    to sum to one; rows with no occurrence are uniform (k = 0 gives |V| x 0)."""
+    counts = np.bincount(rows * k + labels, minlength=g.node_count * k)
+    counts = counts.reshape(g.node_count, k).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
-    out = np.full(counts.shape, 1.0 / k)
+    out = np.full(counts.shape, 1.0 / max(k, 1))
     np.divide(counts, totals, out=out, where=totals > 0)
     return out
 
 
 def node_label_onehot(g):
-    """|V| x K one-hot matrix of node labels."""
-    _require_node_labels(g)
-    m = np.zeros((g.node_count, g.num_node_labels))
-    m[np.arange(g.node_count), list(g.node_labels)] = 1.0
-    return m
+    """|V| x K one-hot matrix of node labels: each row counts its own label
+    once, so every entry is exactly 0.0 or 1.0."""
+    labels, k = _labels(g, "node")
+    return _label_rows(g, np.arange(g.node_count), labels, k)
 
 
 def edge_attr_matrix(g):
     """|V| x K matrix; row u holds the label frequencies of the edges incident
     to u."""
-    _require_edge_labels(g)
+    labels, k = _labels(g, "edge")
     a, b = _edge_arrays(g)
-    labels = np.array(g.edge_labels, dtype=int)
-    return _label_rows(np.concatenate([a, b]), np.concatenate([labels, labels]),
-                       g.node_count, g.num_edge_labels)
+    return _label_rows(g, np.concatenate([a, b]), np.concatenate([labels, labels]), k)
 
 
 def neighborhood_attr_matrix(g, kind):
@@ -308,18 +320,14 @@ def neighborhood_attr_matrix(g, kind):
     kind="edge": row u counts the labels of the edges with at least one
     endpoint in N(u), i.e. the edges reachable within two hops of u.
     """
+    if kind not in ("node", "edge"):
+        raise GraphError(f"kind must be 'node' or 'edge', got {kind!r}")
+    labels, k = _labels(g, kind)
     a, b = _edge_arrays(g)
     if kind == "node":
-        _require_node_labels(g)
-        labels = np.array(g.node_labels, dtype=int)
-        return _label_rows(np.concatenate([a, b]), np.concatenate([labels[b], labels[a]]),
-                           g.node_count, g.num_node_labels)
-    if kind == "edge":
-        _require_edge_labels(g)
-        adjacent = np.zeros((g.node_count, g.node_count), dtype=bool)
-        adjacent[a, b] = adjacent[b, a] = True
-        # entry (u, i): edge i has an endpoint in N(u)
-        rows, edge_idx = np.nonzero(adjacent[:, a] | adjacent[:, b])
-        return _label_rows(rows, np.array(g.edge_labels, dtype=int)[edge_idx],
-                           g.node_count, g.num_edge_labels)
-    raise GraphError(f"kind must be 'node' or 'edge', got {kind!r}")
+        return _label_rows(g, np.concatenate([a, b]), np.concatenate([labels[b], labels[a]]), k)
+    adjacent = np.zeros((g.node_count, g.node_count), dtype=bool)
+    adjacent[a, b] = adjacent[b, a] = True
+    # entry (u, i): edge i has an endpoint in N(u)
+    rows, edge_idx = np.nonzero(adjacent[:, a] | adjacent[:, b])
+    return _label_rows(g, rows, labels[edge_idx], k)

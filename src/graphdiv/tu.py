@@ -48,11 +48,10 @@ def _ints(path, lines, low=None):
     return out
 
 
-def _dense_remap(values):
-    """Map arbitrary label values to dense ids, ordered by sorted original value."""
+def _dense_ids(values):
+    """({value: dense id}, names in id order), ids ordered by sorted value."""
     distinct = sorted(set(values))
-    mapping = {v: i for i, v in enumerate(distinct)}
-    return [mapping[v] for v in values], tuple(str(v) for v in distinct)
+    return {v: i for i, v in enumerate(distinct)}, tuple(str(v) for v in distinct)
 
 
 def load_tu_dataset(directory):
@@ -97,7 +96,8 @@ def load_tu_dataset(directory):
                                f"got {len(edge_label_lines)}")
     edge_label_ints = _ints(path("edge_labels"), edge_label_lines or [])
 
-    # collect undirected edges per graph, dropping duplicates and self-loops
+    # collect undirected edges per graph in first-seen order, dropping
+    # duplicates and self-loops; Graph sorts them
     edges_per_graph = [dict() for _ in range(num_graphs + 1)]  # canonical local edge -> raw label
     self_loops = 0
     for lineno, line in enumerate(edge_lines, start=1):
@@ -125,37 +125,29 @@ def load_tu_dataset(directory):
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s) while loading {directory}")
 
-    node_vocab = edge_vocab = None
-    dense_node_labels = None
+    node_vocab = edge_vocab = labels_per_graph = None
     if raw_node_labels is not None:
-        dense_node_labels, names = _dense_remap(raw_node_labels)
+        node_ids, names = _dense_ids(raw_node_labels)
         node_vocab = LabelVocabulary("node", names)
-    if edge_label_lines is not None:
-        all_edge_raw = [lab for g in range(1, num_graphs + 1) for _, lab in sorted(edges_per_graph[g].items())]
-        dense_edge_labels, names = _dense_remap(all_edge_raw)
-        edge_vocab = LabelVocabulary("edge", names)
-        it = iter(dense_edge_labels)
-        for g in range(1, num_graphs + 1):
-            edges_per_graph[g] = {e: next(it) for e, _ in sorted(edges_per_graph[g].items())}
-
-    # node labels per graph in file order, gathered in one pass over the nodes
-    labels_per_graph = None
-    if dense_node_labels is not None:
+        # node labels per graph in file order, gathered in one pass over the nodes
         labels_per_graph = [[] for _ in range(num_graphs + 1)]
-        for gid, label in zip(graph_of_node, dense_node_labels):
-            labels_per_graph[gid].append(label)
+        for gid, label in zip(graph_of_node, raw_node_labels):
+            labels_per_graph[gid].append(node_ids[label])
+    if edge_label_lines is not None:
+        edge_ids, names = _dense_ids(lab for edges in edges_per_graph for lab in edges.values())
+        edge_vocab = LabelVocabulary("edge", names)
 
     graphs = []
     for gid in range(1, num_graphs + 1):
-        n = counts[gid]
-        edges = sorted(edges_per_graph[gid])
-        node_labels = labels_per_graph[gid] if labels_per_graph is not None else None
-        edge_labels = [edges_per_graph[gid][e] for e in edges] if edge_vocab else None
-        graphs.append(Graph(n, edges, node_labels=node_labels, edge_labels=edge_labels,
+        edges = edges_per_graph[gid]
+        graphs.append(Graph(counts[gid], edges,
+                            node_labels=labels_per_graph[gid] if node_vocab else None,
+                            edge_labels=[edge_ids[l] for l in edges.values()] if edge_vocab else None,
                             num_node_labels=node_vocab.size if node_vocab else None,
                             num_edge_labels=edge_vocab.size if edge_vocab else None))
 
-    classes, class_names = _dense_remap(_ints(path("graph_labels"), graph_labels))
+    class_ids, class_names = _dense_ids(raw := _ints(path("graph_labels"), graph_labels))
+    classes = [class_ids[c] for c in raw]
     if len(classes) != num_graphs:
         raise GraphFormatError(f"{path('graph_labels')}: expected {num_graphs} lines, got {len(classes)}")
     return GraphDataset(graphs, classes, node_vocab=node_vocab, edge_vocab=edge_vocab,

@@ -9,7 +9,7 @@ from graphdiv.attention import attention_matrix, train_attention
 from graphdiv.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_config, build_parser, main
 from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
 from graphdiv.encoder import TrainConfig, load_encoder
-from graphdiv.generators import make_barbell, random_graph
+from graphdiv.generators import make_barbell, make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 
 
@@ -437,6 +437,92 @@ def test_encode_retrains_checkpoint_of_changed_graph(tmp_path):
     with open(os.path.join(out, "encode_summary.json")) as f:
         summary = json.load(f)
     assert summary["trained"] == 1 and summary["skipped"] == 2
+
+
+def test_embed_rescores_the_cells_of_a_changed_graph(tmp_path):
+    # after graph 1 changed from ring7 to star7, an embed into the same --out
+    # retrained graph 1's encoder but reused its cells: row 1 read
+    # 7.221, 11.361, -0.905 where a fresh --out gives 3.242, 8.859, -2.628
+    path = tmp_path / "ds.json"
+
+    def embed(graphs, out):
+        save_dataset_json(GraphDataset(graphs, [0, 1, 0]), path)
+        assert main(["embed", "--dataset", str(path), "--out", str(tmp_path / out)]
+                    + fast("--embed-dim", "8")) == EXIT_OK
+        return (tmp_path / out / "embeddings.csv").read_bytes()
+
+    embed([make_ring(6), make_ring(7), make_ring(8)], "shared")
+    changed = [make_ring(6), make_star(7), make_ring(8)]
+    assert embed(changed, "shared") == embed(changed, "fresh")
+
+
+def test_embed_ignores_the_order_of_json_edges(tmp_path):
+    # each graph's edges listed in reverse embed to the same bytes; JSON edge
+    # labels once went to the edge of their sorted rank, so the reversed file
+    # loaded other graphs
+    graphs = [random_graph(6, 0.5, s) for s in range(3)]
+    graphs = [Graph(6, g.edges, node_labels=[u % 2 for u in range(6)],
+                    edge_labels=[(k * k) % 3 for k in range(g.edge_count)])
+              for g in graphs]
+    path = tmp_path / "sorted.json"
+    save_dataset_json(GraphDataset(graphs, [0, 1, 0]), path)
+    d = json.loads(path.read_text())
+    for gd in d["graphs"]:
+        gd["edges"].reverse()
+    (tmp_path / "reversed.json").write_text(json.dumps(d))
+    tables = []
+    for name in ("sorted", "reversed"):
+        out = tmp_path / f"out-{name}"
+        assert main(["embed", "--dataset", str(tmp_path / f"{name}.json"), "--out", str(out)]
+                    + fast()) == EXIT_OK
+        tables.append((out / "embeddings.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def _dataset_with(tmp_path, graph):
+    """A JSON dataset of a clean graph 0 and the given graph 1."""
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"graphs": [{"nodes": 2, "edges": [[0, 1]]}, graph],
+                                "classes": [0, 1]}))
+    return path
+
+
+def _encode_error(tmp_path, capsys, graph):
+    """(exit code, stderr) of an encode run on _dataset_with(graph)."""
+    path = _dataset_with(tmp_path, graph)
+    code = main(["encode", "--dataset", str(path), "--out", str(tmp_path / "out")] + fast())
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", [{"nodes": 2.5, "edges": [[2, 0]]},
+                                   {"nodes": 2, "edges": [[0, 1]], "node_labels": [0, 1.9]}],
+                         ids=["node-count", "node-label"])
+def test_json_non_integer_is_usage_error(tmp_path, capsys, graph):
+    # a node count of 2.5 once built a 2-node graph with an edge to node 2,
+    # and encode died with an IndexError traceback; a label 1.9 became 1
+    code, err = _encode_error(tmp_path, capsys, graph)
+    assert code == EXIT_USAGE and "must be an integer" in err
+
+
+def test_json_edge_with_two_labels_is_usage_error(tmp_path, capsys):
+    # the last label once won, where the TU loader raised
+    code, err = _encode_error(tmp_path, capsys, {"nodes": 3, "edges": [[0, 1], [1, 2]],
+                                                 "edge_labels": [[0, 1, 0], [1, 2, 1], [1, 0, 2]]})
+    assert code == EXIT_USAGE and "conflicting labels for edge (1, 0)" in err
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"nodes": 2, "edges": [[1, 1]]}, "self-loop on node 1"),
+    ({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[0, 1]]},
+     "not enough values to unpack (expected 3, got 2)"),
+    ({"nodes": 2, "edges": [], "node_labels": 5}, "'int' object is not iterable"),
+], ids=["self-loop", "short-label-entry", "labels-not-a-list"])
+def test_json_graph_error_names_file_and_graph(tmp_path, capsys, graph, message):
+    # these once read "error: self-loop on node 1", "error: not enough values
+    # to unpack ..." and "error: ...: dataset JSON missing required field:
+    # 'int' object is not iterable"
+    code, err = _encode_error(tmp_path, capsys, graph)
+    assert (code, err) == (EXIT_USAGE, f"error: {tmp_path / 'ds.json'}: graph 1: {message}\n")
 
 
 def test_encode_ignores_stale_temp_path(tmp_path, dataset_file):

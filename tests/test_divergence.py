@@ -346,6 +346,33 @@ def test_cell_io_leaks_no_descriptor(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cells", "taken"]
 
 
+def test_cell_record_is_not_reused_for_other_graphs(tmp_path):
+    # the cell key names the config, restarts and ids but not the graphs: a
+    # second call with other targets under the same ids once returned the
+    # rings' values [1.487, 4.570] for the stars instead of [-0.382, 1.651]
+    cfg = TrainConfig(encoding_epochs=30, scoring_epochs=30)
+    ring6, ring7, star6, star7 = make_ring(6), make_ring(7), make_star(6), make_star(7)
+    cell_dir = str(tmp_path / "cells")
+    embed_all([ring6], [ring6, ring7], cfg, cell_dir=cell_dir)
+    fresh = embed_all([ring6], [star6, star7], cfg)
+    for _ in range(2):  # rescored, then reused from the rewritten records
+        stars = embed_all([ring6], [star6, star7], cfg, cell_dir=cell_dir)
+        assert stars.values.tobytes() == fresh.values.tobytes()
+    # a changed source under the same id is scored again too
+    assert (embed_all([star6], [star6, star7], cfg, cell_dir=cell_dir).values.tobytes()
+            == embed_all([star6], [star6, star7], cfg).values.tobytes())
+    assert len(os.listdir(cell_dir)) == 2
+
+
+def test_embed_all_on_an_empty_edge_vocabulary():
+    # edgeless graphs that carry edge_labels=[] once raised ZeroDivisionError
+    # in the edge label matrices
+    g = Graph(3, [], node_labels=[0, 1, 0], edge_labels=[])
+    h = Graph(4, [], node_labels=[1, 1, 0, 0], edge_labels=[])
+    table = embed_all([g, h], [g, h], quick_cfg(), restarts=1)
+    assert np.array_equal(table.values, np.zeros((2, 2))) and not table.errors
+
+
 def test_cell_cache_keyed_by_restarts(tmp_path):
     # a rerun with more restarts must not reuse cells fitted with fewer
     graphs = [random_graph(5, 0.5, s) for s in (5, 6)]

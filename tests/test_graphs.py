@@ -75,6 +75,58 @@ def test_graph_json_missing_field():
                               "edge_labels": []})  # label entry missing
 
 
+def test_json_edge_labels_stay_with_their_edges():
+    # edges listed out of sorted order once took the labels of the edges of
+    # their sorted rank: (0, 1) loaded with label 5, the label of (1, 2)
+    g = Graph.from_json_dict({"nodes": 3, "edges": [[1, 2], [0, 1]],
+                              "edge_labels": [[1, 2, 5], [0, 1, 7]]})
+    assert dict(zip(g.edges, g.edge_labels)) == {(0, 1): 7, (1, 2): 5}
+    assert g == Graph(3, [(0, 1), (1, 2)], edge_labels=[7, 5])
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"nodes": 2.5, "edges": [[0, 1]]}, "node count must be an integer, got 2.5"),
+    ({"nodes": 3, "edges": [[0, 1.0]]}, "node id must be an integer, got 1.0"),
+    ({"nodes": 2, "edges": [], "node_labels": [0, 1.9]}, "node label must be an integer"),
+    ({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[0, 1, "a"]]}, "edge label must be"),
+    ({"nodes": 2, "edges": [], "node_labels": [0, 1], "num_node_labels": 2.5},
+     "num_node_labels must be an integer"),
+], ids=["node-count", "node-id", "node-label", "edge-label", "vocabulary"])
+def test_graph_ids_must_be_integers(d, message):
+    # a float node count once built a graph with an edge past its last node,
+    # and a node label 1.9 quietly became 1
+    with pytest.raises(GraphError, match=message):
+        Graph.from_json_dict(d)
+    g = Graph(np.int64(3), [(np.int64(0), np.int32(2))], node_labels=np.array([0, 1, 0]))
+    assert g == Graph(3, [(0, 2)], node_labels=[0, 1, 0])
+    assert json.dumps(g.to_json_dict())  # numpy ints are stored as Python ints
+
+
+def test_json_edge_given_two_labels_is_rejected():
+    with pytest.raises(GraphFormatError, match=r"conflicting labels for edge \(1, 0\)"):
+        Graph.from_json_dict({"nodes": 2, "edges": [[0, 1]],
+                              "edge_labels": [[0, 1, 2], [1, 0, 3]]})
+    # the same label twice is one label
+    g = Graph.from_json_dict({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[0, 1, 2], [1, 0, 2]]})
+    assert g.edge_labels == (2,)
+
+
+def test_digest_follows_content_and_vocabulary():
+    g = Graph(3, [(0, 1)], node_labels=[0, 1, 0])
+    assert g.digest == Graph(3, [(1, 0)], node_labels=[0, 1, 0]).digest
+    assert g.digest != Graph(3, [(0, 2)], node_labels=[0, 1, 0]).digest
+    assert g.digest != Graph(3, [(0, 1)], node_labels=[0, 1, 0], num_node_labels=3).digest
+    assert len(g.digest) == 64 and g.digest is g.digest  # computed once
+
+
+def test_label_matrices_of_an_empty_vocabulary():
+    # a graph with edge_labels=[] and no edges once raised ZeroDivisionError
+    # in edge_attr_matrix and neighborhood_attr_matrix(g, "edge")
+    g = Graph(3, [], node_labels=[0, 1, 0], edge_labels=[])
+    assert edge_attr_matrix(g).shape == neighborhood_attr_matrix(g, "edge").shape == (3, 0)
+    assert node_label_onehot(Graph(0, [], node_labels=[])).shape == (0, 0)
+
+
 def test_graph_json_keeps_vocabulary_and_reads_older_files():
     g = Graph(3, [(0, 1)], node_labels=[0, 1, 0], edge_labels=[1],
               num_node_labels=4, num_edge_labels=3)

@@ -233,3 +233,44 @@ def test_saved_dataset_loads_back(dataset):
         back = load_tu_dataset(d)
     assert back.graphs == graphs
     assert back.graph_classes == dataset.graph_classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_edge_order_never_changes_a_graph(data):
+    # a labeled graph given its edges in any order and orientation, through
+    # Graph, through a JSON dict whose edge_labels list yet another order, or
+    # through a TU directory whose edge lines (with their label lines) are
+    # shuffled, is the same graph with the same digest; JSON once gave each
+    # edge the label of the edge of its sorted rank
+    n = data.draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    node_labels = _dense(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    edge_labels = _dense(data.draw(st.lists(st.integers(0, 3), min_size=len(edges),
+                                            max_size=len(edges))))
+    g = Graph(n, edges, node_labels=node_labels, edge_labels=edge_labels)
+
+    def shuffled(items):
+        return [items[i] for i in data.draw(st.permutations(range(len(items))))]
+
+    flip = lambda e: data.draw(st.sampled_from([tuple(e), tuple(e[::-1])]))
+    given_edges = shuffled([(flip(e), label) for e, label in zip(edges, edge_labels)])
+    by_graph = Graph(n, [e for e, _ in given_edges], node_labels=node_labels,
+                     edge_labels=[label for _, label in given_edges])
+    by_json = Graph.from_json_dict({
+        "nodes": n, "edges": [list(e) for e, _ in given_edges], "node_labels": node_labels,
+        "edge_labels": [[*flip(e), label] for e, label in shuffled(given_edges)]})
+    with tempfile.TemporaryDirectory() as d:
+        save_tu_dataset(GraphDataset([g], [0]), d)
+        paths = [os.path.join(d, f"DS_{kind}.txt") for kind in ("A", "edge_labels")]
+        columns = []
+        for path in paths:
+            with open(path) as f:
+                columns.append(f.read().splitlines())
+        for path, column in zip(paths, zip(*shuffled(list(zip(*columns))))):
+            with open(path, "w") as f:
+                f.write("\n".join(column) + "\n")
+        by_tu = load_tu_dataset(d).graphs[0]
+    for h in (by_graph, by_json, by_tu):
+        assert (h, h.edge_labels, h.digest) == (g, g.edge_labels, g.digest)
