@@ -30,6 +30,8 @@ slice of the problem's frozen source probabilities, so scoring it reads
 them instead of running the source encoder again.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import nn
@@ -128,11 +130,13 @@ class AlignmentProblem:
     Every constant is a (C*R, ., .) stack with one slice per (cell, restart),
     built once per distinct graph or encoder and gathered to its slices: the
     target adjacencies A and 1 - A, the frozen sources' neighbor
-    probabilities S, and the active label penalties as (side, coef, rows,
-    features, observed, -(coef / rows) * observed) tuples in the order their
-    losses are summed. Raises ShapeError when the sources or the targets
-    differ in node count, and GraphError when they differ in which labels
-    they carry or when a label vocabulary is not shared by all of them.
+    probabilities S, and the label penalties, as (side, coef, rows, features,
+    observed, -(coef / rows) * observed) tuples summed in order: per label
+    kind both sides carry at a positive coefficient, node then edge, a
+    forward term (own label matrices) and a reverse one (neighbourhood
+    matrices). Raises ShapeError when the sources or the targets differ in
+    node count, and GraphError when they differ in which labels they carry
+    or when a label vocabulary is not shared by all of them.
     """
 
     def __init__(self, sources, targets, cfg, restarts=1):
@@ -145,7 +149,6 @@ class AlignmentProblem:
             if any(stack_key(g) != stack_key(graphs[0]) for g in graphs):
                 raise GraphError(f"stacked {side} differ in which labels they carry")
         s, t = source_graphs[0], targets[0]
-        both = source_graphs + list(targets)
 
         def stack(items, build):
             # build once per distinct item, then one copy per (cell, restart)
@@ -158,29 +161,20 @@ class AlignmentProblem:
         self.adjacency = stack(targets, lambda g: g.adjacency_matrix())
         self.non_adjacency = 1.0 - self.adjacency
         self.source_probs = stack(sources, source_prob_matrix)
-        terms = []
-        if cfg.node_reg_coef > 0 and s.node_labels is not None and t.node_labels is not None:
-            if len({g.num_node_labels for g in both}) > 1:
-                raise GraphError("node label vocabularies differ between sources and targets")
-            terms.append(("forward", cfg.node_reg_coef, stack(source_graphs, node_label_onehot),
-                          stack(targets, node_label_onehot)))
-            terms.append(("reverse", cfg.node_reg_coef,
-                          stack(targets, lambda g: neighborhood_attr_matrix(g, "node")),
-                          stack(source_graphs, lambda g: neighborhood_attr_matrix(g, "node"))))
-        if cfg.edge_reg_coef > 0 and s.edge_labels is not None and t.edge_labels is not None:
-            if len({g.num_edge_labels for g in both}) > 1:
-                raise GraphError("edge label vocabularies differ between sources and targets")
-            terms.append(("forward", cfg.edge_reg_coef, stack(source_graphs, edge_attr_matrix),
-                          stack(targets, edge_attr_matrix)))
-            terms.append(("reverse", cfg.edge_reg_coef,
-                          stack(targets, lambda g: neighborhood_attr_matrix(g, "edge")),
-                          stack(source_graphs, lambda g: neighborhood_attr_matrix(g, "edge"))))
         self.penalties = []
-        for side, coef, feats, observed in terms:
-            # forward penalties average over target nodes, reverse over source nodes
-            rows = t.node_count if side == "forward" else s.node_count
-            self.penalties.append((side, coef, rows, feats, observed, -(coef / rows) * observed))
-        self.has_reverse_penalty = any(term[0] == "reverse" for term in self.penalties)
+        # the builders are read on each call, not from a module-level table, so patches apply
+        for kind, coef, own in (("node", cfg.node_reg_coef, node_label_onehot),
+                                ("edge", cfg.edge_reg_coef, edge_attr_matrix)):
+            if not coef > 0 or None in (getattr(g, f"{kind}_labels") for g in (s, t)):
+                continue
+            if len({getattr(g, f"num_{kind}_labels") for g in source_graphs + list(targets)}) > 1:
+                raise GraphError(f"{kind} label vocabularies differ between sources and targets")
+            hood = partial(neighborhood_attr_matrix, kind=kind)
+            # forward terms average over target nodes, reverse ones over source nodes
+            for side, rows, feats, observed in (
+                    ("forward", t.node_count, stack(source_graphs, own), stack(targets, own)),
+                    ("reverse", s.node_count, stack(targets, hood), stack(source_graphs, hood))):
+                self.penalties.append((side, coef, rows, feats, observed, -(coef / rows) * observed))
 
 
 def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed):
@@ -209,34 +203,29 @@ def attention_loss_and_grads(problem, params):
 
     # structural path; s is constant because the sources are frozen
     p, w, mixrows, pred = augmented_probs(forward, reverse, s)
-    p_t = p.swapaxes(-1, -2)
     loss, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency)
     g_w = g_pred.swapaxes(-1, -2) @ mixrows
     g_reverse = w * (g_w - (w * g_w).sum(axis=-1, keepdims=True))
     g_p = s @ (g_pred @ w).swapaxes(-1, -2)
 
-    # forward-side penalties act on the softmax alignment p, reverse-side
-    # ones on the column softmax of the reverse logits
-    if problem.has_reverse_penalty:
-        p_rev = nn.softmax(reverse, axis=-2)
-        p_rev_t = p_rev.swapaxes(-1, -2)
-        g_p_rev = np.zeros_like(reverse)
+    # side -> (the column softmax its penalties act on, the gradient wrt it);
+    # each label kind adds a reverse term, so any term needs the reverse one
+    maps = {"forward": (p, g_p)}
+    if problem.penalties:
+        maps["reverse"] = (nn.softmax(reverse, axis=-2), np.zeros_like(reverse))
     for side, coef, rows, feats, observed, scaled in problem.penalties:
-        if side == "forward":
-            term, gq = _ce_loss_and_gq(p_t @ feats, coef, rows, observed, scaled)
-            loss += term
-            g_p += feats @ gq.swapaxes(-1, -2)
-        else:
-            term, gq = _ce_loss_and_gq(p_rev_t @ feats, coef, rows, observed, scaled)
-            loss += term
-            g_p_rev += feats @ gq.swapaxes(-1, -2)
+        q, g_q = maps[side]
+        term, gq = _ce_loss_and_gq(q.swapaxes(-1, -2) @ feats, coef, rows, observed, scaled)
+        loss += term
+        g_q += feats @ gq.swapaxes(-1, -2)
 
-    # softmax (per column) backward for both maps
-    g_forward = p * (g_p - (p * g_p).sum(axis=-2, keepdims=True))
-    if problem.has_reverse_penalty:
-        g_reverse = g_reverse + p_rev * (g_p_rev - (p_rev * g_p_rev).sum(axis=-2, keepdims=True))
-
-    return loss, {"forward": g_forward, "reverse": g_reverse}
+    # softmax (per column) backward of each map; the reverse one adds to the
+    # structural gradient of the reverse logits
+    grads = {"reverse": g_reverse}
+    for side, (q, g_q) in maps.items():
+        g_logits = q * (g_q - (q * g_q).sum(axis=-2, keepdims=True))
+        grads[side] = grads[side] + g_logits if side in grads else g_logits
+    return loss, grads
 
 
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):

@@ -199,6 +199,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if source_ids is None:
         source_ids = list(range(len(sources)))
     if target_ids is None:

@@ -108,20 +108,16 @@ def _layers(params):
 
 
 def encoder_loss_and_grads(params, adjacency, layers=None):
-    """Full-batch BCE against the adjacency matrix, with analytic gradients,
-    for named parameter arrays (see SourceEncoder) and their layers
-    (built from them unless given). The arrays may be a stack (a leading
-    axis G, as fit_encoders trains) against a (G, n, n) adjacency: one loss
-    per slice, each slice's loss and gradients the bits it would get alone."""
+    """Full-batch BCE against the adjacency matrix, with analytic gradients
+    under the params' own names (see SourceEncoder), given the params and
+    their layers (built from them unless given). The arrays may be a stack (a
+    leading axis G, as fit_encoders trains) against a (G, n, n) adjacency: one
+    loss per slice, each slice's loss and gradients the bits it would get alone."""
     layers = layers or _layers(params)
     logits, tape = nn.forward(layers, params["embedding"])
     loss, g_logits = nn.multilabel_bce_loss(logits, adjacency)
     layer_grads, g_input = nn.backward(layers, tape, g_logits)
-    grads = {"embedding": g_input}
-    for k, (g_weight, g_bias) in enumerate(layer_grads):
-        name = f"hidden{k}" if k < len(layers) - 1 else "output"
-        grads[f"{name}.weight"], grads[f"{name}.bias"] = g_weight, g_bias
-    return loss, grads
+    return loss, dict(zip(params, [g_input] + [g for pair in layer_grads for g in pair]))
 
 
 def positive_log_loss(enc):

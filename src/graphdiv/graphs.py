@@ -127,8 +127,10 @@ class Graph:
             raise GraphFormatError(f"graph JSON missing required field: {exc}") from exc
         edge_labels = None
         if "edge_labels" in d:
-            by_edge = {}
+            by_edge, present = {}, {canonical_edge(u, v) for u, v in edges}
             for u, v, l in d["edge_labels"]:
+                if canonical_edge(u, v) not in present:
+                    raise GraphFormatError(f"edge_labels entry [{u}, {v}, {l}] is not an edge")
                 if by_edge.setdefault(canonical_edge(u, v), l) != l:
                     raise GraphFormatError(f"conflicting labels for edge ({u}, {v})")
             try:

@@ -11,7 +11,7 @@ from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPa
                                 source_prob_matrix, train_attention, train_attentions)
 from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
                               build_encoder, derive_seed, encoder_loss_and_grads,
-                              train_encoder)
+                              fit_encoders, train_encoder)
 from graphdiv.generators import make_barbell, random_graph
 from graphdiv.graphs import (Graph, GraphError, edge_attr_matrix,
                              neighborhood_attr_matrix, node_label_onehot)
@@ -344,6 +344,29 @@ def test_labeled_barbell_recovers_identity():
     assert np.sum(align == np.arange(10)) >= 8
 
 
+def test_alignment_recovers_random_permutations():
+    # 24 random 12-node graphs, each aligned against its copy with node u
+    # renamed perm[u], at the default config and 3 restarts; the right answer
+    # for target node perm[u] is source node u. Measured: median exact
+    # recovery 1.0, mean 0.872, mean edges preserved 0.958 (worst pair
+    # 0.737); with 1 restart the means fall to 0.826 and 0.949
+    cfg = TrainConfig(rng_seed=0)
+    sources = [random_graph(12, 0.35, 500 + s) for s in range(24)]
+    perms = [np.random.default_rng(s).permutation(12) for s in range(24)]
+    targets = [Graph(12, [(perm[u], perm[v]) for u, v in g.edges])
+               for g, perm in zip(sources, perms)]
+    encoders = fit_encoders(sources, cfg, list(range(24)))
+    fitted = train_attentions(encoders, targets, cfg, [100 + s for s in range(24)], restarts=3)
+    exact, edges = [], []
+    for g, t, perm, ae in zip(sources, targets, perms, fitted):
+        align = argmax_alignment(ae)
+        exact.append(np.mean(align == np.argsort(perm)))
+        edges.append(np.mean([tuple(sorted((align[a], align[b]))) in g.edges for a, b in t.edges]))
+    assert np.median(exact) == 1.0
+    assert np.mean(edges) >= 0.93
+    assert np.mean(exact) >= 0.85  # a lost best-of-3 reads 0.826
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_augmented_probs_are_convex_mixtures(seed):
@@ -454,15 +477,24 @@ def reference_train_attention(source, target, cfg, target_graph_id, restarts):
 
 @pytest.mark.parametrize("epochs", [0, 1, 25])
 @pytest.mark.parametrize("restarts", [1, 3, 6])
-@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("labeled", [False, True, "node", "edge"])
 def test_stacked_fit_matches_reference(labeled_pair, labeled, restarts, epochs):
-    # restarts=6 wraps past the five-entry restart schedule
+    # restarts=6 wraps past the five-entry restart schedule; "node" and
+    # "edge" keep one label kind, so only that kind's two terms run
     g1, g2 = labeled_pair
     if not labeled:
         g1, g2 = random_graph(7, 0.5, 21), random_graph(5, 0.6, 22)
+    elif labeled in ("node", "edge"):
+        kept = f"{labeled}_labels"
+        g1, g2 = (Graph(g.node_count, g.edges, **{kept: getattr(g, kept)}) for g in (g1, g2))
     cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=epochs,
                       learning_rate=5e-2, node_reg_coef=1.0, edge_reg_coef=1.5, rng_seed=3)
     src = train_encoder(g1, cfg, graph_id=2)
+    # node terms carry coefficient 1.0 and edge terms 1.5, forward before reverse
+    terms = {"node": [("forward", 1.0), ("reverse", 1.0)],
+             "edge": [("forward", 1.5), ("reverse", 1.5)]}
+    terms.update({False: [], True: terms["node"] + terms["edge"]})
+    assert [term[:2] for term in AlignmentProblem([src], [g2], cfg).penalties] == terms[labeled]
     ae = train_attention(src, g2, cfg, target_graph_id=9, restarts=restarts)
     forward, reverse, trace = reference_train_attention(src, g2, cfg, 9, restarts)
     assert ae.attention.forward.tobytes() == forward.tobytes()

@@ -44,6 +44,21 @@ def test_bench_round_is_correct(tmp_path, workload):
 
 def test_traced_round_takes_one_adam_step_per_stacked_epoch(tmp_path):
     # tu-labeled at one worker: 8 encoder stacks (one per node count) x 300
-    # epochs, and 64 cell stacks (one per source and target node count) x 60
-    result = bench_round(tmp_path, "tu-labeled", trace=1)
-    assert result["metrics"]["nn.adam_step_calls"]["value"] == 8 * 300 + 64 * 60 == 6240
+    # epochs, and 64 cell stacks (one per source and target node count) x 60.
+    # Each of the 16 encoder fits builds one adjacency, and each cell stack
+    # builds one per distinct target (2) and each label matrix once per
+    # distinct source and target (2 + 2), the neighbourhood one per label
+    # kind. The tracer sees a builder only when it is called through the
+    # module name it patches.
+    metrics = bench_round(tmp_path, "tu-labeled", trace=1)["metrics"]
+    assert metrics["nn.adam_step_calls"]["value"] == 8 * 300 + 64 * 60 == 6240
+    assert metrics["graphs.adjacency_calls"]["value"] == 16 + 64 * 2 == 144
+    assert metrics["graphs.label_matrix_s"]["value"] > 0
+    with open(tmp_path / "bench" / "out" / "tu-labeled-seed0-trace1.json") as f:
+        aggregates = json.load(f)["aggregates"]
+    calls = {}
+    for _, name, count, *_ in aggregates:
+        calls[name] = calls.get(name, 0) + count
+    assert [calls.get(f"graphs.{name}") for name in
+            ("node_label_onehot", "edge_attr_matrix", "neighborhood_attr_matrix")] == [
+        64 * 4, 64 * 4, 2 * 64 * 4]

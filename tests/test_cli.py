@@ -391,6 +391,20 @@ def test_non_finite_training_value_is_usage_error(tmp_path, dataset_file, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["embed"],
+                                     ["attention", "--source-index", "0", "--target-index", "1"]],
+                         ids=["embed", "attention"])
+def test_restarts_below_one_is_usage_error_before_any_work(tmp_path, dataset_file, capsys,
+                                                             command):
+    # embed once trained and saved every encoder and made cells/ before it
+    # exited 2, and attention trained its source encoder first
+    out = tmp_path / "out"
+    assert main(command[:1] + ["--dataset", dataset_file, "--out", str(out)] + command[1:]
+                + fast("--restarts", "0")) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --restarts must be >= 1\n"
+    assert not out.exists()
+
+
 def test_no_training_flags_give_the_default_config():
     args = build_parser().parse_args(["embed", "--dataset", "ds.json", "--out", "out"])
     assert build_config(args) == TrainConfig()
@@ -516,11 +530,13 @@ def test_json_edge_with_two_labels_is_usage_error(tmp_path, capsys):
     ({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[0, 1]]},
      "not enough values to unpack (expected 3, got 2)"),
     ({"nodes": 2, "edges": [], "node_labels": 5}, "'int' object is not iterable"),
-], ids=["self-loop", "short-label-entry", "labels-not-a-list"])
+    ({"nodes": 3, "edges": [[0, 1]], "edge_labels": [[0, 1, 0], [0, 2, 5], [7, 9, 1]]},
+     "edge_labels entry [0, 2, 5] is not an edge"),
+], ids=["self-loop", "short-label-entry", "labels-not-a-list", "label-of-no-edge"])
 def test_json_graph_error_names_file_and_graph(tmp_path, capsys, graph, message):
     # these once read "error: self-loop on node 1", "error: not enough values
     # to unpack ..." and "error: ...: dataset JSON missing required field:
-    # 'int' object is not iterable"
+    # 'int' object is not iterable"; the stray label entries were dropped
     code, err = _encode_error(tmp_path, capsys, graph)
     assert (code, err) == (EXIT_USAGE, f"error: {tmp_path / 'ds.json'}: graph 1: {message}\n")
 

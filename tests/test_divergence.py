@@ -183,6 +183,17 @@ def test_embed_all_validates_inputs():
         embed_all([], [random_graph(4, 0.5, 0)], quick_cfg())
 
 
+def test_embed_all_checks_restarts_before_training(monkeypatch):
+    # restarts=0 once trained every encoder before its first stack raised
+    import graphdiv.divergence as div
+
+    calls = []
+    monkeypatch.setattr(div, "fit_encoders", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        embed_all([random_graph(4, 0.5, 0)], [random_graph(4, 0.5, 1)], quick_cfg(), restarts=0)
+    assert calls == []
+
+
 def test_embed_all_rejects_encoders_that_do_not_match_sources():
     # one encoder for two sources once gave an all-NaN column with no error,
     # and an encoder of another graph was scored under the source's id

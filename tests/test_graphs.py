@@ -111,6 +111,16 @@ def test_json_edge_given_two_labels_is_rejected():
     assert g.edge_labels == (2,)
 
 
+@pytest.mark.parametrize("entry", [[0, 2, 5], [2, 0, 5], [7, 9, 1]],
+                         ids=["stray-pair", "stray-pair-reversed", "out-of-range"])
+def test_json_label_of_no_edge_is_rejected(entry):
+    # such entries were once dropped: the graph loaded as one edge, label 0
+    u, v, l = entry
+    with pytest.raises(GraphFormatError,
+                       match=rf"^edge_labels entry \[{u}, {v}, {l}\] is not an edge$"):
+        Graph.from_json_dict({"nodes": 3, "edges": [[0, 1]], "edge_labels": [[0, 1, 0], entry]})
+
+
 def test_digest_follows_content_and_vocabulary():
     g = Graph(3, [(0, 1)], node_labels=[0, 1, 0])
     assert g.digest == Graph(3, [(1, 0)], node_labels=[0, 1, 0]).digest
