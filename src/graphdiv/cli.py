@@ -51,6 +51,20 @@ def _write_summary(path, command, cfg, extra):
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _dataset_of(args, table):
+    """The --dataset, whose graphs 0..n-1 the --embeddings table's rows must
+    be in order, as embed writes them: rows are matched to graphs by position."""
+    dataset = load_dataset(args.dataset, args.format)
+    n, ids = len(dataset.graphs), table.target_ids
+    k = next((k for k, tid in enumerate(ids) if tid != str(k)), len(ids))
+    if k < min(len(ids), n):
+        raise CliInputError(f"{args.embeddings}: data row {k + 1} is graph {ids[k]}, not {k}: "
+                            f"rows must be the dataset's graphs 0..{n - 1} in order")
+    if len(ids) != n:
+        raise CliInputError(f"{args.embeddings}: {len(ids)} rows for the dataset's {n} graphs")
+    return dataset
+
+
 def load_dataset(path, fmt):
     if not os.path.exists(path):
         raise CliInputError(f"dataset path does not exist: {path}")
@@ -147,10 +161,8 @@ def cmd_embed(args, cfg):
 
 
 def cmd_classify(args, cfg):
-    dataset = load_dataset(args.dataset, args.format)
     table = _read_csv_table(args.embeddings)
-    if len(table.target_ids) != len(dataset.graphs):
-        raise CliInputError("embeddings rows do not match dataset size")
+    dataset = _dataset_of(args, table)
     plan = make_fold_plan(dataset.graph_classes, fold_count=args.folds, rng_seed=cfg.rng_seed)
     result = classify_cv(table, dataset.graph_classes, plan)
     body = "fold,accuracy,knn_accuracy\n" + "".join(
@@ -164,6 +176,7 @@ def cmd_classify(args, cfg):
 
 def cmd_cluster(args, cfg):
     table = _read_csv_table(args.embeddings)
+    classes = args.clusters and _dataset_of(args, table).graph_classes
     values = table.values if args.raw_rows else unit_rows(table.values)
     dist = distance_matrix(values)
     dendro = hier_cluster(dist)
@@ -172,7 +185,7 @@ def cmd_cluster(args, cfg):
     if args.clusters:
         assignments = cut_clusters(dendro, args.clusters)
         extra["assignments"] = assignments.tolist()
-        extra["purity"] = purity(assignments, load_dataset(args.dataset, args.format).graph_classes)
+        extra["purity"] = purity(assignments, classes)
     return "distances.csv", matrix_csv("graph_id", table.target_ids, table.target_ids, dist), extra
 
 

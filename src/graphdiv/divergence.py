@@ -168,10 +168,16 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1, save=None):
     bits do not depend on its stack or on the order, so the encoders are the
     same at any worker count. save(encoder), if given, is called for each
     encoder whose slice stayed finite as soon as its task finishes; after
-    every task, one nn.TrainingFault names every diverged source id.
+    every task, one nn.TrainingFault names every diverged source id. Ids of
+    the wrong length or an empty source raise ValueError before any fit.
     """
     if source_ids is None:
         source_ids = list(range(len(sources)))
+    if len(source_ids) != len(sources):
+        raise ValueError(f"{len(source_ids)} source ids for {len(sources)} sources")
+    empty = [sid for sid, graph in zip(source_ids, sources) if graph.node_count == 0]
+    if empty:
+        raise ValueError(f"source graph {empty[0]} is empty: an encoder needs a node")
     groups = {}
     for i, graph in enumerate(sources):
         groups.setdefault(graph.node_count, []).append(i)
@@ -205,7 +211,9 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         source_ids = list(range(len(sources)))
     if target_ids is None:
         target_ids = list(range(len(targets)))
-    for side, ids in (("source", source_ids), ("target", target_ids)):
+    for side, ids, graphs in (("source", source_ids, sources), ("target", target_ids, targets)):
+        if len(ids) != len(graphs):
+            raise ValueError(f"{len(ids)} {side} ids for {len(graphs)} {side}s")
         named = [f"{i}" for i in ids]  # as a cell file names them
         if len(set(named)) != len(named):
             repeated = sorted({i for i in named if named.count(i) > 1})

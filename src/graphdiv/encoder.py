@@ -47,13 +47,17 @@ class TrainConfig:
     def hash(self, fields=None):
         """Short digest of the named fields, or of the whole config."""
         config = asdict(self)
-        blob = json.dumps({k: config[k] for k in fields or config}, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return _digest({k: config[k] for k in fields or config})[:12]
 
     def encoder_hash(self):
         """Digest of the fields an encoder fit reads; it keys the checkpoints."""
         return self.hash(("embed_dim", "encoder_layers", "learning_rate", "encoding_epochs",
                           "rng_seed"))
+
+
+def _digest(obj):
+    """SHA-256 hex digest of obj as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def derive_seed(*parts):
@@ -162,26 +166,41 @@ def train_encoder(graph, cfg, graph_id=0):
     return nn.raise_faults(fit_encoders([graph], cfg, [graph_id]))[0]
 
 
-# --- checkpointing -----------------------------------------------------------
+# --- checkpoints -------------------------------------------------------------
 
-def encoder_to_checkpoint(enc, cfg):
-    meta = {"graph_id": str(enc.graph_id), "config_hash": cfg.encoder_hash(),
-            "node_count": enc.node_count, "embed_dim": enc.embedding.shape[1],
-            "hidden_layers": len(enc.hidden), "trained": enc.trained,
-            "graph": enc.graph.to_json_dict()}
-    return nn.params_to_checkpoint(enc.params, meta=meta)
+CHECKPOINT_VERSION = 1
 
 
-def encoder_from_checkpoint(ckpt):
-    meta, params = ckpt["meta"], nn.params_from_checkpoint(ckpt)
-    return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
-                         trained=bool(meta["trained"]))
+class CheckpointError(ValueError):
+    pass
 
 
 def save_encoder(enc, cfg, path):
-    atomic_write(path, json.dumps(encoder_to_checkpoint(enc, cfg)))
+    """Write enc's checkpoint, versioned JSON: its params' shapes, then their
+    values as float.hex strings (exact, so a reload is bit-identical), the
+    values' checksum, and the meta load_encoder rebuilds the encoder from."""
+    values = {name: [float(x).hex() for x in a.reshape(-1)] for name, a in enc.params.items()}
+    atomic_write(path, json.dumps({
+        "version": CHECKPOINT_VERSION,
+        "shapes": {name: list(a.shape) for name, a in enc.params.items()},
+        "values": values, "checksum": _digest(values),
+        "meta": {"graph_id": str(enc.graph_id), "config_hash": cfg.encoder_hash(),
+                 "node_count": enc.node_count, "embed_dim": enc.embedding.shape[1],
+                 "hidden_layers": len(enc.hidden), "trained": enc.trained,
+                 "graph": enc.graph.to_json_dict()}}))
 
 
 def load_encoder(path):
+    """The encoder of a save_encoder checkpoint, bit for bit; CheckpointError
+    for another version or values that fail the checksum."""
     with open(path) as f:
-        return encoder_from_checkpoint(json.load(f))
+        ckpt = json.load(f)
+    if ckpt.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {ckpt.get('version')!r}")
+    if _digest(ckpt["values"]) != ckpt.get("checksum"):
+        raise CheckpointError("checkpoint checksum mismatch (corrupted file)")
+    params = {name: np.array([float.fromhex(h) for h in ckpt["values"][name]]).reshape(shape)
+              for name, shape in ckpt["shapes"].items()}
+    meta = ckpt["meta"]
+    return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
+                         trained=bool(meta["trained"]))

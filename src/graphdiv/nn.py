@@ -3,11 +3,10 @@ on float64 numpy arrays.
 
 Gradients are hand-derived per layer; there is no autodiff. Everything is a
 pure function over caller-owned buffers, so independent trainings can run in
-parallel processes without shared state.
+parallel processes without shared state. No file format lives here: the
+checkpoint is written and read in encoder (save_encoder, load_encoder).
 """
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,41 +179,3 @@ def raise_faults(fitted):
         raise diverged(min(f.epoch for f in faults), [i for f in faults for i in f.ids])
     return fitted
 
-
-# --- checkpoints -------------------------------------------------------------
-#
-# Versioned JSON with hexadecimal float encoding: decimal round-tripping is
-# exact, so a reloaded model is bit-identical to the saved one.
-
-CHECKPOINT_VERSION = 1
-
-
-def _values_checksum(values):
-    blob = json.dumps(values, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def params_to_checkpoint(params, meta=None):
-    shapes = {name: list(a.shape) for name, a in params.items()}
-    values = {name: [float(x).hex() for x in a.reshape(-1)] for name, a in params.items()}
-    ckpt = {"version": CHECKPOINT_VERSION, "shapes": shapes, "values": values,
-            "checksum": _values_checksum(values)}
-    if meta:
-        ckpt["meta"] = meta
-    return ckpt
-
-
-class CheckpointError(ValueError):
-    pass
-
-
-def params_from_checkpoint(ckpt):
-    if ckpt.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {ckpt.get('version')!r}")
-    if _values_checksum(ckpt["values"]) != ckpt.get("checksum"):
-        raise CheckpointError("checkpoint checksum mismatch (corrupted file)")
-    params = {}
-    for name, shape in ckpt["shapes"].items():
-        flat = np.array([float.fromhex(h) for h in ckpt["values"][name]])
-        params[name] = flat.reshape(shape)
-    return params

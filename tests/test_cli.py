@@ -259,6 +259,34 @@ def test_classify_rejects_mismatched_embeddings(tmp_path, dataset_file):
                  "--embeddings", str(emb)] + fast()) == EXIT_USAGE
 
 
+def _permuted_rows_case(tmp_path, order):
+    """An 8-graph JSON dataset, two classes of ring-like and star-like graphs,
+    and an embeddings CSV whose rows carry the graphs' own embeddings under
+    the given row id order."""
+    graphs = [make_ring(6 + i) for i in range(4)] + [make_star(6 + i) for i in range(4)]
+    save_dataset_json(GraphDataset(graphs, [0] * 4 + [1] * 4), tmp_path / "ds.json")
+    emb = tmp_path / "emb.csv"
+    emb.write_text("graph_id,0,1\n" + "".join(
+        f"{i},{float(i >= 4)!r},{0.01 * i!r}\n" for i in order))
+    return str(tmp_path / "ds.json"), str(emb)
+
+
+@pytest.mark.parametrize("command, extra", [("classify", ["--folds", "2"]),
+                                            ("cluster", ["--clusters", "2"])])
+def test_permuted_embedding_rows_are_rejected(tmp_path, capsys, command, extra):
+    # rows in id order 0, 4, 1, 5, ... were matched to graphs by position:
+    # classify exited 0 with accuracy 0.5 (1.0 in order) and cluster with
+    # purity 0.625 (0.875 in order)
+    ds, emb = _permuted_rows_case(tmp_path, [0, 4, 1, 5, 2, 6, 3, 7])
+    out = tmp_path / "out"
+    argv = [command, "--dataset", ds, "--out", str(out), "--embeddings", emb] + fast() + extra
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {emb}: data row 2 is graph 4, not 1")
+    assert not out.exists()
+    _permuted_rows_case(tmp_path, range(8))
+    assert main(argv) == EXIT_OK
+
+
 def test_cluster_pipeline(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     assert main(["embed", "--dataset", dataset_file, "--out", out,
@@ -552,6 +580,21 @@ def test_encode_ignores_stale_temp_path(tmp_path, dataset_file):
     assert main(args) == EXIT_OK
     assert os.path.isfile(out / ckpt)
     assert not [p for p in os.listdir(out) if p.endswith(".tmp") and p != ckpt + ".tmp"]
+
+
+def test_empty_source_graph_is_named_before_any_training(tmp_path, capsys):
+    # graph 1 has no nodes: encode once trained and saved g0, g2 and g3 before
+    # it failed with an error that named no graph
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"graphs": [{"nodes": 3, "edges": [[0, 1], [1, 2]]},
+                                           {"nodes": 0, "edges": []},
+                                           {"nodes": 3, "edges": [[0, 2]]},
+                                           {"nodes": 4, "edges": [[0, 1], [2, 3]]}],
+                                "classes": [0, 1, 0, 1]}))
+    out = tmp_path / "out"
+    assert main(["encode", "--dataset", str(path), "--out", str(out)] + fast()) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: source graph 1 is empty: an encoder needs a node\n"
+    assert not out.exists()
 
 
 def test_symmetric_needs_every_source(tmp_path, dataset_file):

@@ -15,8 +15,7 @@ from graphdiv.attention import (AttentionPair, AugmentedEncoder, source_prob_mat
 from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
-from graphdiv.encoder import (TrainConfig, encoder_to_checkpoint, fit_encoders,
-                              positive_log_loss, train_encoder)
+from graphdiv.encoder import TrainConfig, fit_encoders, positive_log_loss, train_encoder
 from graphdiv.generators import make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, atomic_write
 
@@ -192,6 +191,45 @@ def test_embed_all_checks_restarts_before_training(monkeypatch):
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         embed_all([random_graph(4, 0.5, 0)], [random_graph(4, 0.5, 1)], quick_cfg(), restarts=0)
     assert calls == []
+
+
+@pytest.mark.parametrize("sources, targets, match", [
+    (3, 4, "4 target ids for 3 targets"), (3, 2, "2 target ids for 3 targets"),
+    (4, 3, "4 source ids for 3 sources"), (2, 3, "2 source ids for 3 sources")])
+def test_id_lists_must_match_their_graphs(monkeypatch, sources, targets, match):
+    # 4 target ids for 3 targets once gave a table of 4 ids and 3 rows, 4
+    # source ids a CSV header one column wider than its rows, and 2 target
+    # ids a bare IndexError; each is rejected before any encoder trains
+    import graphdiv.divergence as div
+
+    calls = []
+    monkeypatch.setattr(div, "fit_encoders", lambda *args: calls.append(args))
+    graphs = [random_graph(4, 0.5, s) for s in range(3)]
+    with pytest.raises(ValueError, match=match):
+        embed_all(graphs, graphs, quick_cfg(), source_ids=list("abcd"[:sources]),
+                  target_ids=list("wxyz"[:targets]), restarts=1)
+    if sources != 3:  # train_source_encoders once dropped extra ids without a word
+        with pytest.raises(ValueError, match=match):
+            train_source_encoders(graphs, quick_cfg(), source_ids=list("abcd"[:sources]))
+    assert calls == []
+
+
+def test_empty_source_is_rejected_before_any_fit(monkeypatch):
+    # an empty source was found by build_encoder, after the other stacks had
+    # trained, with an error that named no graph; an empty target stays valid
+    # and scores a raw divergence of 0
+    import graphdiv.divergence as div
+
+    graphs = [random_graph(4, 0.5, 0), Graph(0, []), random_graph(5, 0.5, 1)]
+    calls = []
+    real_fit = div.fit_encoders
+    monkeypatch.setattr(div, "fit_encoders", lambda *args: calls.append(args) or real_fit(*args))
+    with pytest.raises(ValueError, match="source graph b is empty"):
+        train_source_encoders(graphs, quick_cfg(), source_ids=["a", "b", "c"], workers=1)
+    assert calls == []
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=5, scoring_epochs=5)
+    table = embed_all([graphs[0]], graphs, cfg, restarts=1)
+    assert table.values[1, 0] == 0.0 - table.self_losses[0] and not table.errors
 
 
 def test_embed_all_rejects_encoders_that_do_not_match_sources():
@@ -605,13 +643,17 @@ def test_train_source_encoders_parallel_matches_serial():
     ids = ["a", "b", "c", "d", "e", "f"]
     cfg = quick_cfg()
 
-    def record(enc):
-        return enc.graph_id, enc.graph, json.dumps(encoder_to_checkpoint(enc, cfg)), enc.loss_trace
-
-    alone = [record(train_encoder(g, cfg, graph_id=gid)) for g, gid in zip(graphs, ids)]
+    alone = [_fit_record(train_encoder(g, cfg, graph_id=gid)) for g, gid in zip(graphs, ids)]
     for workers in (1, 2):
         fitted = train_source_encoders(graphs, cfg, source_ids=ids, workers=workers)
-        assert [record(enc) for enc in fitted] == alone
+        assert [_fit_record(enc) for enc in fitted] == alone
+
+
+def _fit_record(enc):
+    """What a fitted encoder is: its graph id and graph, its params' names,
+    shapes and bytes, and its loss trace."""
+    return (enc.graph_id, enc.graph, enc.trained,
+            [(name, a.shape, a.tobytes()) for name, a in enc.params.items()], enc.loss_trace)
 
 
 def _recording_completed(monkeypatch):
@@ -637,8 +679,7 @@ def test_train_source_encoders_splits_one_size(monkeypatch):
     runs = {}
     for workers in (1, 2):
         fitted = train_source_encoders(graphs, cfg, workers=workers)
-        runs[workers] = [(json.dumps(encoder_to_checkpoint(enc, cfg)), enc.loss_trace)
-                         for enc in fitted]
+        runs[workers] = [_fit_record(enc) for enc in fitted]
     assert counts[0] == 1 and counts[1] >= 2
     assert runs[2] == runs[1]
 

@@ -1,16 +1,20 @@
+import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (encoder_stack, encoder_stack_gradient_errors, positive_log_loss_loop,
                       same_bits)
 from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
-from graphdiv.encoder import (TrainConfig, TrainingFault, build_encoder, derive_seed,
-                              encoder_loss_and_grads, load_encoder, positive_log_loss,
-                              fit_encoders, save_encoder, train_encoder)
-from graphdiv.generators import make_barbell, random_graph
+from graphdiv.encoder import (CheckpointError, TrainConfig, TrainingFault, build_encoder,
+                              derive_seed, encoder_loss_and_grads, load_encoder,
+                              positive_log_loss, fit_encoders, save_encoder, train_encoder)
+from graphdiv.generators import make_barbell, make_ring, random_graph
 from graphdiv.graphs import Graph
 
 
@@ -279,6 +283,80 @@ def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
     save_encoder(train_encoder(g, tiny_cfg), tiny_cfg, path)
     back = load_encoder(path)
     assert (back.graph.num_node_labels, back.graph.num_edge_labels) == (3, 2)
+
+
+def _saved_text(enc, cfg, path):
+    save_encoder(enc, cfg, path)
+    return path.read_text()
+
+
+def test_checkpoint_roundtrip_bit_identical(tmp_path):
+    cfg = TrainConfig(embed_dim=3, encoder_layers=2)
+    enc = build_encoder(random_graph(5, 0.5, 3), cfg, graph_id="g3")
+    rng = np.random.default_rng(3)
+    for a in enc.params.values():
+        a[...] = rng.normal(size=a.shape)
+    text = _saved_text(enc, cfg, tmp_path / "enc.json")
+    back = load_encoder(tmp_path / "enc.json")
+    assert json.loads(text)["meta"]["graph_id"] == "g3" and back.graph_id == "g3"
+    assert back.graph == enc.graph and not back.trained
+    assert list(back.params) == list(enc.params)
+    for name, a in enc.params.items():
+        assert back.params[name].shape == a.shape
+        assert back.params[name].tobytes() == a.tobytes()
+
+
+def test_checkpoint_checksum_detects_corruption(tmp_path, triangle):
+    cfg = TrainConfig(embed_dim=2)
+    path = tmp_path / "enc.json"
+    text = _saved_text(build_encoder(triangle, cfg), cfg, path)
+    first = json.loads(text)["values"]["embedding"][0]
+    path.write_text(text.replace(f'"{first}"', f'"{float(2.0).hex()}"', 1))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_encoder(path)
+
+
+def test_checkpoint_rejects_unknown_version(tmp_path, triangle):
+    cfg = TrainConfig(embed_dim=2)
+    path = tmp_path / "enc.json"
+    text = _saved_text(build_encoder(triangle, cfg), cfg, path)
+    assert text.startswith('{"version": 1, ')
+    path.write_text(text.replace('"version": 1', '"version": 99', 1))
+    with pytest.raises(CheckpointError, match="version"):
+        load_encoder(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_checkpoint_roundtrip_property(seed):
+    # any magnitude, 1e-8 to 1e8, comes back bit for bit
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(embed_dim=3, encoder_layers=1)
+    enc = build_encoder(make_ring(3), cfg)
+    for a in enc.params.values():
+        a[...] = rng.normal(size=a.shape) * 10.0 ** float(rng.integers(-8, 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "enc.json")
+        save_encoder(enc, cfg, path)
+        back = load_encoder(path)
+    for name, a in enc.params.items():
+        assert back.params[name].tobytes() == a.tobytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the format's bytes: top-level keys, meta fields and their order, float.hex
+    # per element and the checksum's JSON; a reload saves back to the same bytes
+    cfg = TrainConfig(embed_dim=2, encoder_layers=1)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_encoder(build_encoder(make_ring(4), cfg, graph_id=0), cfg, first)
+    ckpt = json.loads(first.read_text())
+    assert list(ckpt) == ["version", "shapes", "values", "checksum", "meta"]
+    assert list(ckpt["meta"]) == ["graph_id", "config_hash", "node_count", "embed_dim",
+                                  "hidden_layers", "trained", "graph"]
+    assert (hashlib.sha256(first.read_bytes()).hexdigest()
+            == "040cb3aa6384a95ecd74f666951cbde5362fc52e8bbb720dd59d6be1e090aa83")
+    save_encoder(load_encoder(first), cfg, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_positive_log_loss_matches_edge_loop(tiny_cfg):

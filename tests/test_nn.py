@@ -1,14 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gradient_check
 from graphdiv import nn
-from graphdiv.nn import (CheckpointError, DenseLayer, ShapeError, adam_step, backward,
-                         fit_stack, forward, init_dense, multilabel_bce_loss,
-                         params_from_checkpoint, params_to_checkpoint)
+from graphdiv.nn import (DenseLayer, ShapeError, adam_step, backward, fit_stack, forward,
+                         init_dense, multilabel_bce_loss)
 
 
 def test_sigmoid_softplus_stable_at_extremes():
@@ -275,37 +272,3 @@ def test_fit_stack_slices_are_lone_fits(rows, cols, group, runs, epochs, seed, p
         assert trace[:, k].tobytes() == lone_trace.tobytes()
         for name, a in lone.items():
             assert params[name][k].tobytes() == a.tobytes()
-
-
-def test_checkpoint_roundtrip_bit_identical():
-    rng = np.random.default_rng(3)
-    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
-    # through JSON text, as a checkpoint file holds it
-    ckpt = json.loads(json.dumps(params_to_checkpoint(params, meta={"note": "x"})))
-    loaded = params_from_checkpoint(ckpt)
-    assert ckpt["meta"] == {"note": "x"}
-    for name in params:
-        assert np.array_equal(loaded[name], params[name])
-
-
-def test_checkpoint_checksum_detects_corruption():
-    ckpt = params_to_checkpoint({"w": np.ones((2, 2))})
-    ckpt["values"]["w"][0] = float(2.0).hex()
-    with pytest.raises(CheckpointError, match="checksum"):
-        params_from_checkpoint(ckpt)
-
-
-def test_checkpoint_rejects_unknown_version():
-    ckpt = params_to_checkpoint({"w": np.ones(2)})
-    ckpt["version"] = 99
-    with pytest.raises(CheckpointError, match="version"):
-        params_from_checkpoint(ckpt)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_checkpoint_roundtrip_property(seed):
-    rng = np.random.default_rng(seed)
-    params = {"a": rng.normal(size=(2, 3)) * 10.0 ** float(rng.integers(-8, 8))}
-    back = params_from_checkpoint(params_to_checkpoint(params))
-    assert np.array_equal(back["a"], params["a"])
