@@ -104,15 +104,17 @@ def augmented_probs(forward, reverse, source_probs):
     return p, w, mixrows, mixrows @ w.swapaxes(-1, -2)
 
 
-def _bce_probs(pred, target, non_target):
+def _bce_probs(pred, target, non_target, loss=True):
     """Full BCE on probabilities with a clip floor, one loss per trailing
-    matrix; the gradient is masked where the clip is active so it stays the
-    exact derivative of the clipped loss. non_target is 1 - target."""
+    matrix (None when loss is False); the gradient is masked where the clip
+    is active so it stays the exact derivative of the clipped loss.
+    non_target is 1 - target."""
     p = np.clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    loss = -(target * np.log(p) + non_target * np.log1p(-p)).sum(axis=(-2, -1))
+    value = (-(target * np.log(p) + non_target * np.log1p(-p)).sum(axis=(-2, -1))
+             if loss else None)
     inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
     grad = np.where(inside, (p - target) / (p * (1.0 - p)), 0.0)
-    return loss, grad
+    return value, grad
 
 
 def stack_key(graph):
@@ -177,22 +179,23 @@ class AlignmentProblem:
                 self.penalties.append((side, coef, rows, feats, observed, -(coef / rows) * observed))
 
 
-def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed):
-    """Per-slice penalty -coef * sum(observed * log q) / rows and its gradient
-    wrt q, for a stack of inferred label matrices q."""
+def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed, loss=True):
+    """Per-slice penalty -coef * sum(observed * log q) / rows (None when loss
+    is False) and its gradient wrt q, for a stack of inferred label matrices q."""
     qc = np.maximum(q, _LOG_FLOOR)
-    loss = -coef * (observed * np.log(qc)).sum(axis=(-2, -1)) / rows
+    value = -coef * (observed * np.log(qc)).sum(axis=(-2, -1)) / rows if loss else None
     gq = np.where(q > _LOG_FLOOR, scaled_observed / qc, 0.0)
-    return loss, gq
+    return value, gq
 
 
-def attention_loss_and_grads(problem, params):
+def attention_loss_and_grads(problem, params, loss=True):
     """Training losses and analytic gradients for a stack of attention pairs.
 
     params["forward"] is (B, |V_S|, |V_T|) and params["reverse"] is
     (B, |V_T|, |V_S|), where B is the problem's cells times restarts; a
-    single pair is a stack of one. Returns the B per-slice losses and
-    {"forward", "reverse"} gradients of the same shapes.
+    single pair is a stack of one. Returns the B per-slice losses (None when
+    loss is False: then no log is taken) and {"forward", "reverse"}
+    gradients of the same shapes, whose bits do not depend on loss.
     Each loss is structural BCE on the target adjacency plus the weighted
     label penalties; slices never mix, so slice r's loss and gradients are
     those of pair r alone. The source encoders are constants here; nothing
@@ -203,7 +206,7 @@ def attention_loss_and_grads(problem, params):
 
     # structural path; s is constant because the sources are frozen
     p, w, mixrows, pred = augmented_probs(forward, reverse, s)
-    loss, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency)
+    losses, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency, loss)
     g_w = g_pred.swapaxes(-1, -2) @ mixrows
     g_reverse = w * (g_w - (w * g_w).sum(axis=-1, keepdims=True))
     g_p = s @ (g_pred @ w).swapaxes(-1, -2)
@@ -215,8 +218,10 @@ def attention_loss_and_grads(problem, params):
         maps["reverse"] = (nn.softmax(reverse, axis=-2), np.zeros_like(reverse))
     for side, coef, rows, feats, observed, scaled in problem.penalties:
         q, g_q = maps[side]
-        term, gq = _ce_loss_and_gq(q.swapaxes(-1, -2) @ feats, coef, rows, observed, scaled)
-        loss += term
+        term, gq = _ce_loss_and_gq(q.swapaxes(-1, -2) @ feats, coef, rows, observed, scaled,
+                                   loss)
+        if loss:
+            losses += term
         g_q += feats @ gq.swapaxes(-1, -2)
 
     # softmax (per column) backward of each map; the reverse one adds to the
@@ -225,7 +230,7 @@ def attention_loss_and_grads(problem, params):
     for side, (q, g_q) in maps.items():
         g_logits = q * (g_q - (q * g_q).sum(axis=-2, keepdims=True))
         grads[side] = grads[side] + g_logits if side in grads else g_logits
-    return loss, grads
+    return losses, grads
 
 
 def train_attention(source, target_graph, cfg, target_graph_id=None, restarts=1):
@@ -248,7 +253,8 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
     the lowest final training loss wins (the first on ties). Each cell's fit
     is deterministic given (its source's graph_id, its target graph id,
     cfg.rng_seed), and bit-identical to fitting it alone. Returns one
-    AugmentedEncoder per cell, in order, whose `fault` is None or, if a
+    AugmentedEncoder per cell, in order, whose loss_trace holds the winning
+    restart's losses at nn.recorded_epochs and whose `fault` is None or, if a
     restart went non-finite, the nn.TrainingFault of the cell's lone fit.
     """
     if not all(source.trained for source in sources):
@@ -264,8 +270,9 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
                 derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
             inits.append(init_attention(source, target, rng, scale=scale))
             lrs.append(cfg.learning_rate * lr_mult)
-    params, trace, faults = nn.fit_stack(inits, lambda p: attention_loss_and_grads(problem, p),
-                                         lrs, cfg.scoring_epochs, target_graph_ids, restarts)
+    params, trace, faults = nn.fit_stack(
+        inits, lambda p, loss: attention_loss_and_grads(problem, p, loss),
+        lrs, cfg.scoring_epochs, target_graph_ids, restarts)
 
     fitted = []
     for c, target in enumerate(targets):

@@ -262,8 +262,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.restarts < 1:  # before anything is loaded, trained or written
+        # before anything is loaded, trained or written
+        if args.restarts < 1:
             raise CliInputError("--restarts must be >= 1")
+        if args.workers < 1:
+            raise CliInputError("--workers must be >= 1")
         csv_name, body, extra = args.func(args, cfg)
         if csv_name:
             _write_csv(os.path.join(args.out, csv_name), cfg, body)

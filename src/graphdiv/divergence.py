@@ -112,7 +112,7 @@ def _tasks(groups, weight, workers):
     may exceed the latter alone). An item's bits do not depend on its stack,
     so the split is exact.
     """
-    cap = -(-sum(len(items) for items in groups) // max(workers, 1))
+    cap = -(-sum(len(items) for items in groups) // workers)
     pieces = []
     for items in groups:
         n, w = len(items), weight(items[0])
@@ -169,8 +169,11 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1, save=None):
     same at any worker count. save(encoder), if given, is called for each
     encoder whose slice stayed finite as soon as its task finishes; after
     every task, one nn.TrainingFault names every diverged source id. Ids of
-    the wrong length or an empty source raise ValueError before any fit.
+    the wrong length, an empty source or workers < 1 raise ValueError before
+    any fit.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if source_ids is None:
         source_ids = list(range(len(sources)))
     if len(source_ids) != len(sources):
@@ -207,6 +210,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         raise ValueError("sources and targets must be nonempty")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if source_ids is None:
         source_ids = list(range(len(sources)))
     if target_ids is None:

@@ -111,15 +111,16 @@ def _layers(params):
     return [DenseLayer(params[f"{name}.weight"], params[f"{name}.bias"]) for name in names]
 
 
-def encoder_loss_and_grads(params, adjacency, layers=None):
+def encoder_loss_and_grads(params, adjacency, layers=None, loss=True):
     """Full-batch BCE against the adjacency matrix, with analytic gradients
     under the params' own names (see SourceEncoder), given the params and
     their layers (built from them unless given). The arrays may be a stack (a
     leading axis G, as fit_encoders trains) against a (G, n, n) adjacency: one
-    loss per slice, each slice's loss and gradients the bits it would get alone."""
+    loss per slice, each slice's loss and gradients the bits it would get alone.
+    With loss False the loss is None and only the gradients are computed."""
     layers = layers or _layers(params)
     logits, tape = nn.forward(layers, params["embedding"])
-    loss, g_logits = nn.multilabel_bce_loss(logits, adjacency)
+    loss, g_logits = nn.multilabel_bce_loss(logits, adjacency, loss)
     layer_grads, g_input = nn.backward(layers, tape, g_logits)
     return loss, dict(zip(params, [g_input] + [g for pair in layer_grads for g in pair]))
 
@@ -136,11 +137,12 @@ def fit_encoders(graphs, cfg, graph_ids):
     """Fit one encoder per graph; the graphs must share a node count.
 
     They train as one stacked problem in nn.fit_stack: encoding_epochs of
-    full-batch Adam, one forward, backward and Adam step per epoch. Each
-    slice starts from build_encoder's init for its graph id, and its params
-    and loss trace are the bits of a fit of that graph alone. Returns the
-    encoders in order, each with `fault` None or, if its slice went
-    non-finite, the nn.TrainingFault of its lone fit.
+    full-batch Adam, one forward, backward and Adam step per epoch, the loss
+    only at nn.recorded_epochs. Each slice starts from build_encoder's init
+    for its graph id, and its params and loss trace (the recorded losses) are
+    the bits of a fit of that graph alone. Returns the encoders in order,
+    each with `fault` None or, if its slice went non-finite, the
+    nn.TrainingFault of its lone fit.
     """
     if len({g.node_count for g in graphs}) != 1:
         raise ValueError("a stack of encoders needs graphs of one node count")
@@ -148,9 +150,9 @@ def fit_encoders(graphs, cfg, graph_ids):
     adjacency = np.stack([g.adjacency_matrix() for g in graphs])
     layers = []
 
-    def loss_and_grads(params):
+    def loss_and_grads(params, loss):
         layers[:] = layers or _layers(params)  # the views stay put: build their layers once
-        return encoder_loss_and_grads(params, adjacency, layers)
+        return encoder_loss_and_grads(params, adjacency, layers, loss)
 
     params, trace, faults = nn.fit_stack(inits, loss_and_grads, [cfg.learning_rate] * len(inits),
                                          cfg.encoding_epochs, graph_ids)

@@ -7,6 +7,7 @@ parallel processes without shared state. No file format lives here: the
 checkpoint is written and read in encoder (save_encoder, load_encoder).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +92,16 @@ def backward(layers, tape, grad_out):
     return grads, g
 
 
-def multilabel_bce_loss(logits, targets):
+def multilabel_bce_loss(logits, targets, loss=True):
     """Binary cross-entropy from logits, summed over the last two axes (one
-    loss per slice of a stack); grad wrt logits is sigma(z) - t."""
+    loss per slice of a stack), or None when loss is False; grad wrt logits
+    is sigma(z) - t either way."""
     z = np.asarray(logits, dtype=float)
     t = np.asarray(targets, dtype=float)
     if z.shape != t.shape:
         raise ShapeError(f"logits {z.shape} vs targets {t.shape}")
-    loss = (softplus(z) - t * z).sum(axis=(-2, -1))
-    return loss, sigmoid(z) - t
+    value = (softplus(z) - t * z).sum(axis=(-2, -1)) if loss else None
+    return value, sigmoid(z) - t
 
 
 ADAM_BETA1 = 0.9
@@ -131,20 +133,29 @@ def adam_step(p, g, m, v, t, lr):
     p -= step
 
 
+def recorded_epochs(epochs):
+    """The epochs whose loss fit_stack computes and keeps, in order: the
+    first, the start of the last tenth and the last (none for no epochs)."""
+    return sorted({0, epochs - math.ceil(epochs / 10), epochs - 1}) if epochs else []
+
+
 def fit_stack(inits, loss_and_grads, lrs, epochs, ids, group=1):
     """The package's training loop: `epochs` full-batch Adam steps on a stack
     of independent problems, slice k starting from the named arrays inits[k]
     (every slice with the same names and shapes) at learning rate lrs[k].
 
     The slices are stacked into (G, ...) views of one flat buffer, so one
-    adam_step moves them all; loss_and_grads(params) takes those views and
-    returns one loss per slice and a gradient per name. As long as it keeps
-    the slices apart, each slice gets the bits of its lone fit, and a slice
-    that goes non-finite runs on alone. Returns (params, the (epochs, G) loss
-    trace, faults): per run of `group` slices, for graph id ids[k], None if
-    clean, else the fault (see diverged) at the first epoch whose loss is
-    non-finite, or at `epochs` if only the fitted arrays are (a last-step
-    gradient fault).
+    adam_step moves them all. loss_and_grads(params, loss) takes those views
+    and returns (one loss per slice, a gradient per name); it is asked for
+    the loss (loss True) only at the recorded_epochs, and may return None
+    for it elsewhere. As long as it keeps the slices apart, each slice gets
+    the bits of its lone fit, and a slice that goes non-finite runs on
+    alone. Returns (params, the (len(recorded_epochs), G) loss trace,
+    faults): per run of `group` slices, for graph id ids[k], None if clean,
+    else the fault (see diverged) at the first epoch whose incoming
+    parameters are non-finite (`epochs` for the fitted arrays) or whose
+    recorded loss is. A loss finite on finite parameters faults at the same
+    epoch as its first non-finite loss.
     """
     stacked = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
     flat = np.concatenate([a.ravel() for a in stacked.values()])
@@ -152,13 +163,26 @@ def fit_stack(inits, loss_and_grads, lrs, epochs, ids, group=1):
     params = {name: view.reshape(a.shape) for (name, a), view in zip(stacked.items(), views)}
     lr = np.concatenate([np.repeat(lrs, a[0].size) for a in stacked.values()])
     m, v = np.zeros_like(flat), np.zeros_like(flat)
-    trace = np.empty((epochs, len(inits)))
+    rows = {epoch: row for row, epoch in enumerate(recorded_epochs(epochs))}
+    trace = np.empty((len(rows), len(inits)))
+    bad = np.zeros((epochs + 1, len(inits)), dtype=bool)
+
+    def non_finite_slices():
+        return ~np.all([np.isfinite(view).reshape(len(inits), -1).all(axis=1)
+                        for view in views], axis=0)
+
     for epoch in range(epochs):
-        trace[epoch], grads = loss_and_grads(params)
+        if not np.isfinite(flat).all():
+            bad[epoch] = non_finite_slices()
+        row = rows.get(epoch)
+        losses, grads = loss_and_grads(params, row is not None)
+        if row is not None:
+            trace[row] = losses
+            bad[epoch] |= ~np.isfinite(losses)
         adam_step(flat, np.concatenate([grads[name].ravel() for name in params]), m, v,
                   epoch + 1, lr)
-    ok = np.all([np.isfinite(view).reshape(len(inits), -1).all(axis=1) for view in views], axis=0)
-    bad = np.vstack([~np.isfinite(trace), ~ok]).reshape(epochs + 1, -1, group).any(axis=2)
+    bad[epochs] = non_finite_slices()
+    bad = bad.reshape(epochs + 1, -1, group).any(axis=2)
     faults = [diverged(int(e), [i]) if b else None
               for e, b, i in zip(bad.argmax(axis=0), bad.any(axis=0), ids)]
     return params, trace, faults

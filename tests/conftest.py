@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,54 @@ def encoder_stack_gradient_errors(encs):
 
     return [gradient_check(stack, lambda _: slice_loss_and_grads(g))
             for g in range(len(encs))]
+
+
+def fit_stack_every_epoch(inits, loss_and_grads, lrs, epochs):
+    """The stacked Adam loop as it ran before the loss was kept only at
+    nn.recorded_epochs: loss_and_grads(params, True) every epoch. The oracle
+    whose params, and whose losses at the recorded epochs, nn.fit_stack must
+    reproduce bit for bit. Returns (params, the (epochs, G) loss trace)."""
+    stacked = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
+    flat = np.concatenate([a.ravel() for a in stacked.values()])
+    views = np.split(flat, np.cumsum([a.size for a in stacked.values()])[:-1])
+    params = {name: view.reshape(a.shape) for (name, a), view in zip(stacked.items(), views)}
+    lr = np.concatenate([np.repeat(lrs, a[0].size) for a in stacked.values()])
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    trace = np.empty((epochs, len(inits)))
+    for epoch in range(epochs):
+        trace[epoch], grads = loss_and_grads(params, True)
+        nn.adam_step(flat, np.concatenate([grads[name].ravel() for name in params]), m, v,
+                     epoch + 1, lr)
+    return params, trace
+
+
+def loss_epochs(epochs):
+    """The epochs at which a fit of `epochs` epochs computes its loss: the
+    first, the start of the last tenth (rounded up) and the last."""
+    return sorted({0, epochs - (epochs + 9) // 10, epochs - 1}) if epochs else []
+
+
+@contextmanager
+def fit_stack_calls():
+    """Within the block, every nn.fit_stack call is recorded as (inits, lrs,
+    the loss flag of each loss_and_grads call), in order."""
+    calls, real = [], nn.fit_stack
+
+    def spy(inits, loss_and_grads, lrs, epochs, ids, group=1):
+        flags = []
+
+        def flagged(params, loss):
+            flags.append(loss)
+            return loss_and_grads(params, loss)
+
+        calls.append((inits, lrs, flags))
+        return real(inits, flagged, lrs, epochs, ids, group)
+
+    nn.fit_stack = spy
+    try:
+        yield calls
+    finally:
+        nn.fit_stack = real
 
 
 def neighbor_probs(ae):

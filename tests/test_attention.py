@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gradient_check, neighbor_probs, structural_loss
-from graphdiv import nn
+from conftest import (fit_stack_calls, fit_stack_every_epoch, gradient_check, loss_epochs,
+                      neighbor_probs, structural_loss)
+from graphdiv import attention, encoder, nn
 from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
                                 AugmentedEncoder, argmax_alignment,
                                 attention_loss_and_grads, attention_matrix,
@@ -499,7 +500,8 @@ def test_stacked_fit_matches_reference(labeled_pair, labeled, restarts, epochs):
     forward, reverse, trace = reference_train_attention(src, g2, cfg, 9, restarts)
     assert ae.attention.forward.tobytes() == forward.tobytes()
     assert ae.attention.reverse.tobytes() == reverse.tobytes()
-    assert np.array(ae.loss_trace).tobytes() == np.array(trace).tobytes()
+    recorded = np.array(trace, dtype=float)[nn.recorded_epochs(epochs)]
+    assert np.array(ae.loss_trace).tobytes() == recorded.tobytes()
 
 
 def test_diverging_restart_raises_training_fault(small_source, monkeypatch):
@@ -507,9 +509,10 @@ def test_diverging_restart_raises_training_fault(small_source, monkeypatch):
 
     real = att.attention_loss_and_grads
 
-    def poisoned(problem, params):
-        losses, grads = real(problem, params)
-        losses[-1] = np.nan
+    def poisoned(problem, params, loss):
+        losses, grads = real(problem, params, loss)
+        if loss:  # every recorded epoch, the first of them 0
+            losses[-1] = np.nan
         return losses, grads
 
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
@@ -524,9 +527,10 @@ def test_stacked_fault_names_only_diverged_targets(small_source, monkeypatch):
 
     real = att.attention_loss_and_grads
 
-    def poisoned(problem, params):
-        losses, grads = real(problem, params)
-        losses[[2, 3, 5]] = np.nan  # both restarts of target 6, one of target 7
+    def poisoned(problem, params, loss):
+        losses, grads = real(problem, params, loss)
+        if loss:  # both restarts of target 6, one of target 7, at every recorded epoch
+            losses[[2, 3, 5]] = np.nan
         return losses, grads
 
     monkeypatch.setattr(att, "attention_loss_and_grads", poisoned)
@@ -550,8 +554,8 @@ def test_gradient_fault_stays_in_its_cell(small_source, monkeypatch, poison_epoc
     real = att.attention_loss_and_grads
     calls = []
 
-    def poisoned(problem, params):
-        losses, grads = real(problem, params)
+    def poisoned(problem, params, loss):
+        losses, grads = real(problem, params, loss)
         if len(calls) == poison_epoch:
             grads["reverse"][3, 0, 0] = np.nan  # cell 1 (target 6), restart 1
         calls.append(None)
@@ -569,3 +573,84 @@ def test_gradient_fault_stays_in_its_cell(small_source, monkeypatch, poison_epoc
         assert fitted[c].attention.forward.tobytes() == clean[c].attention.forward.tobytes()
         assert fitted[c].attention.reverse.tobytes() == clean[c].attention.reverse.tobytes()
         assert np.array(fitted[c].loss_trace).tobytes() == np.array(clean[c].loss_trace).tobytes()
+
+
+def _labeled(graph, seed):
+    """graph with seeded node and edge labels from two-label vocabularies."""
+    rng = np.random.default_rng(seed)
+    return Graph(graph.node_count, graph.edges,
+                 node_labels=rng.integers(0, 2, graph.node_count).tolist(),
+                 edge_labels=rng.integers(0, 2, len(graph.edges)).tolist(),
+                 num_node_labels=2, num_edge_labels=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 40),
+       st.sampled_from([(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 3), (1, 4)]),
+       st.booleans(), st.integers(0, 10_000))
+def test_train_attentions_keep_every_epoch_loop_bits(epochs, shape, labeled, seed):
+    # stacks of 1-4 slices (cells x restarts): the loss is asked for at the
+    # recorded epochs alone, and each cell's winning restart has the params
+    # and recorded losses of that restart in the loop that computes the loss
+    # every epoch, whose final losses choose the same restart
+    cells, restarts = shape
+    cfg = TrainConfig(embed_dim=3, encoder_layers=1, encoding_epochs=5, scoring_epochs=epochs,
+                      learning_rate=5e-2, rng_seed=seed)
+    graphs = [random_graph(5, 0.6, seed + k) for k in range(cells + 1)]
+    if labeled:
+        graphs = [_labeled(g, seed + k) for k, g in enumerate(graphs)]
+    source = train_encoder(graphs[0], cfg, graph_id=0)
+    sources, targets = [source] * cells, graphs[1:]
+    with fit_stack_calls() as calls:
+        fitted = train_attentions(sources, targets, cfg, list(range(1, cells + 1)), restarts)
+    [(inits, lrs, flags)] = calls
+    recorded = loss_epochs(epochs)
+    assert len(flags) == epochs
+    assert [e for e, loss in enumerate(flags) if loss] == recorded
+    problem = AlignmentProblem(sources, targets, cfg, restarts)
+    assert bool(problem.penalties) == labeled
+    params, trace = fit_stack_every_epoch(
+        inits, lambda p, loss: attention_loss_and_grads(problem, p, loss), lrs, epochs)
+    for c, ae in enumerate(fitted):
+        first = c * restarts
+        best = first + (int(np.argmin(trace[-1, first:first + restarts])) if epochs else 0)
+        assert ae.fault is None
+        assert ae.attention.forward.tobytes() == params["forward"][best].tobytes()
+        assert ae.attention.reverse.tobytes() == params["reverse"][best].tobytes()
+        assert np.array(ae.loss_trace).tobytes() == trace[recorded, best].tobytes()
+
+
+def _counted(monkeypatch, owner, name, counts):
+    """Replace owner.name by a wrapper that counts its calls in counts[name]."""
+    real = getattr(owner, name)
+    counts[name] = 0
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("epochs", [60, 300])
+def test_loss_work_runs_only_at_recorded_epochs(monkeypatch, labeled_pair, epochs):
+    # per fit, the gradient path runs every epoch and the loss math (the
+    # encoder's softplus; the attention BCE's log1p and, per label penalty, a
+    # log) only at the 3 recorded epochs, whatever the epoch count
+    recorded = len(loss_epochs(epochs))
+    assert recorded == 3
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=epochs, scoring_epochs=epochs, rng_seed=1)
+    g1, g2 = labeled_pair
+    counts = {}
+    for owner, name in ((encoder, "encoder_loss_and_grads"), (nn, "softplus")):
+        _counted(monkeypatch, owner, name, counts)
+    [source] = fit_encoders([g1], cfg, [0])
+    assert counts == {"encoder_loss_and_grads": epochs, "softplus": recorded}
+
+    problem = AlignmentProblem([source], [g2], cfg)
+    assert len(problem.penalties) == 4
+    counts = {}
+    for owner, name in ((attention, "attention_loss_and_grads"), (np, "log"), (np, "log1p")):
+        _counted(monkeypatch, owner, name, counts)
+    train_attentions([source], [g2], cfg, [1], restarts=2)
+    assert counts == {"attention_loss_and_grads": epochs, "log": recorded * 5, "log1p": recorded}

@@ -118,9 +118,9 @@ def test_attention_exits_runtime_on_diverged_fit(tmp_path, dataset_file, monkeyp
 
     real = att.attention_loss_and_grads
 
-    def diverged(problem, params):
-        losses, grads = real(problem, params)
-        return np.full_like(losses, np.nan), grads
+    def diverged(problem, params, loss):
+        losses, grads = real(problem, params, loss)
+        return np.full_like(losses, np.nan) if loss else None, grads
 
     monkeypatch.setattr(att, "attention_loss_and_grads", diverged)
     out = str(tmp_path / "out")
@@ -430,6 +430,17 @@ def test_restarts_below_one_is_usage_error_before_any_work(tmp_path, dataset_fil
     assert main(command[:1] + ["--dataset", dataset_file, "--out", str(out)] + command[1:]
                 + fast("--restarts", "0")) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --restarts must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error_before_any_work(tmp_path, dataset_file, capsys,
+                                                          workers):
+    # embed once exited 0 and ran serially
+    out = tmp_path / "out"
+    assert main(["embed", "--dataset", dataset_file, "--out", str(out)]
+                + fast("--workers", workers)) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
     assert not out.exists()
 
 

@@ -92,12 +92,12 @@ def test_stack_of_first_fits_and_a_retry_scores_each_alone(monkeypatch):
     src = train_encoder(graphs[0], cfg, graph_id=0)
     real, fits, scored = att.attention_loss_and_grads, [], []
 
-    def first_fit_poisoned(problem, params):
+    def first_fit_poisoned(problem, params, loss):
         if not any(p is problem for p in fits):
             fits.append(problem)  # kept alive, so no two fits share an id
-        losses, grads = real(problem, params)
-        if problem is fits[0]:
-            losses[2:4] = np.nan  # both restarts of cell 1
+        losses, grads = real(problem, params, loss)
+        if problem is fits[0] and loss:
+            losses[2:4] = np.nan  # both restarts of cell 1, at every recorded epoch
         return losses, grads
 
     monkeypatch.setattr(att, "attention_loss_and_grads", first_fit_poisoned)
@@ -190,6 +190,21 @@ def test_embed_all_checks_restarts_before_training(monkeypatch):
     monkeypatch.setattr(div, "fit_encoders", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         embed_all([random_graph(4, 0.5, 0)], [random_graph(4, 0.5, 1)], quick_cfg(), restarts=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_raise_before_training(monkeypatch, workers):
+    # both once ran serially without a word
+    import graphdiv.divergence as div
+
+    calls = []
+    monkeypatch.setattr(div, "fit_encoders", lambda *args: calls.append(args))
+    graphs = [random_graph(4, 0.5, 0), random_graph(4, 0.5, 1)]
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        embed_all(graphs, graphs, quick_cfg(), workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        train_source_encoders(graphs, quick_cfg(), workers=workers)
     assert calls == []
 
 
@@ -462,16 +477,18 @@ def test_embed_all_mixes_labeled_and_unlabeled_targets():
 
 def _poison_target(att, graph):
     """attention_loss_and_grads with every slice whose target is `graph` set
-    to NaN loss, and a list that keeps each fitted problem (each fit)."""
+    to NaN loss at every recorded epoch, and a list that keeps each fitted
+    problem (each fit)."""
     real = att.attention_loss_and_grads
     bad = graph.adjacency_matrix()
     problems = []
 
-    def poisoned(problem, params):
-        losses, grads = real(problem, params)
+    def poisoned(problem, params, loss):
+        losses, grads = real(problem, params, loss)
         if not any(p is problem for p in problems):
             problems.append(problem)
-        losses[(problem.adjacency == bad).all(axis=(1, 2))] = np.nan
+        if loss:
+            losses[(problem.adjacency == bad).all(axis=(1, 2))] = np.nan
         return losses, grads
 
     return poisoned, problems
@@ -536,10 +553,10 @@ def test_faulting_cell_fits_twice(monkeypatch):
     real = att.attention_loss_and_grads
     problems = []  # kept alive, so no two fits share an id
 
-    def diverged(problem, params):
+    def diverged(problem, params, loss):
         problems.append(problem)
-        losses, grads = real(problem, params)
-        return np.full_like(losses, np.nan), grads
+        losses, grads = real(problem, params, loss)
+        return np.full_like(losses, np.nan) if loss else None, grads
 
     graphs = [random_graph(5, 0.5, s) for s in (7, 8)]
     cfg = quick_cfg()

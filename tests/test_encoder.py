@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (encoder_stack, encoder_stack_gradient_errors, positive_log_loss_loop,
-                      same_bits)
+from conftest import (encoder_stack, encoder_stack_gradient_errors, fit_stack_calls,
+                      fit_stack_every_epoch, loss_epochs, positive_log_loss_loop, same_bits)
 from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
 from graphdiv.encoder import (CheckpointError, TrainConfig, TrainingFault, build_encoder,
@@ -56,12 +56,14 @@ def reference_fit(graph, cfg, graph_id):
 
 
 def assert_same_bits(enc, reference):
+    """enc has the reference's params, and its losses at the recorded epochs."""
     params, trace = reference
     assert enc.trained
     assert enc.params.keys() == params.keys()
     for name, p in params.items():
         assert enc.params[name].tobytes() == p.tobytes(), name
-    assert np.array(enc.loss_trace).tobytes() == np.array(trace).tobytes()
+    recorded = np.array(trace, dtype=float)[nn.recorded_epochs(len(trace))]
+    assert np.array(enc.loss_trace).tobytes() == recorded.tobytes()
 
 
 def test_config_validation():
@@ -134,6 +136,30 @@ def test_stacked_fit_matches_reference(layers):
     for fits in (alone, group, reverse):
         for enc, ref in zip(fits, refs):
             assert_same_bits(enc, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 10_000))
+def test_fit_encoders_keep_every_epoch_loop_bits(epochs, slices, seed):
+    # the loss is asked for at the recorded epochs alone, and the params and
+    # recorded losses are those of the loop that computes it every epoch
+    cfg = TrainConfig(embed_dim=3, encoder_layers=1, encoding_epochs=epochs,
+                      learning_rate=5e-2, rng_seed=seed)
+    graphs = [random_graph(5, 0.5, seed + k) for k in range(slices)]
+    with fit_stack_calls() as calls:
+        encs = fit_encoders(graphs, cfg, list(range(slices)))
+    [(inits, lrs, flags)] = calls
+    recorded = loss_epochs(epochs)
+    assert len(flags) == epochs
+    assert [e for e, loss in enumerate(flags) if loss] == recorded
+    adjacency = np.stack([g.adjacency_matrix() for g in graphs])
+    params, trace = fit_stack_every_epoch(
+        inits, lambda p, loss: encoder_loss_and_grads(p, adjacency, loss=loss), lrs, epochs)
+    for g, enc in enumerate(encs):
+        assert enc.fault is None
+        for name, a in params.items():
+            assert enc.params[name].tobytes() == a[g].tobytes(), name
+        assert np.array(enc.loss_trace).tobytes() == trace[recorded, g].tobytes()
 
 
 def test_stack_needs_one_node_count(tiny_cfg):

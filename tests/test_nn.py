@@ -148,18 +148,18 @@ def test_adam_first_step_is_signed_lr():
 
 
 def _quadratic_stack_fit(epochs, poison_epoch=None, poison_slice=1, poison=np.nan):
-    """Three stacked problems min |p - c|^2; at poison_epoch the gradient of
-    poison_slice turns to `poison` while every loss stays finite."""
+    """Three stacked problems min |p - c|^2, the loss computed only when asked
+    for; at poison_epoch the gradient of poison_slice turns to `poison`."""
     centers = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
     calls = []
 
-    def loss_and_grads(p):
+    def loss_and_grads(p, loss):
         d = p["p"] - centers
         grads = {"p": 2.0 * d}
         if len(calls) == poison_epoch:
             grads["p"][poison_slice, 0] = poison
         calls.append(None)
-        return (d * d).sum(axis=1), grads
+        return (d * d).sum(axis=1) if loss else None, grads
 
     params, trace, faults = fit_stack([{"p": np.zeros(2)} for _ in range(3)], loss_and_grads,
                                       [0.1] * 3, epochs, ["g0", "g1", "g2"])
@@ -168,13 +168,15 @@ def _quadratic_stack_fit(epochs, poison_epoch=None, poison_slice=1, poison=np.na
 
 @pytest.mark.parametrize("poison_epoch", [0, 3, 5])
 def test_non_finite_gradient_stays_in_its_slice(poison_epoch):
-    # a NaN gradient with a finite loss faults its slice only: the first bad
-    # epoch is the next one, or `epochs` (read off the fitted arrays) when the
-    # fault comes at the last step, and the other slices keep their bits
+    # a NaN gradient faults its slice only: the first bad epoch is the next
+    # one, whose incoming params are NaN, or `epochs` (read off the fitted
+    # arrays) when the fault comes at the last step; the losses recorded up
+    # to the poisoned epoch stay finite, and the other slices keep their bits
     epochs = 6
     clean_trace, clean_p, _ = _quadratic_stack_fit(epochs)
     trace, p, faults = _quadratic_stack_fit(epochs, poison_epoch)
-    assert np.isfinite(trace[:poison_epoch + 1]).all()
+    up_to_poison = [e <= poison_epoch for e in nn.recorded_epochs(epochs)]
+    assert np.isfinite(trace[up_to_poison]).all()
     assert bad_epochs(faults) == [-1, poison_epoch + 1, -1]
     for k in (0, 2):
         assert trace[:, k].tobytes() == clean_trace[:, k].tobytes()
@@ -200,17 +202,27 @@ def bad_epochs(faults):
 
 
 def scripted_faults(epochs, group=1):
-    """fit_stack faults of six slices whose losses are scripted: non-finite
-    at (epoch 2, slice 1) and (epoch 1, slice 4), while slice 3 starts from a
-    NaN no loss reads, so only its fitted array shows it."""
-    trace = np.zeros((4, 6))
-    trace[2, 1] = np.nan
-    trace[1, 4] = np.inf
+    """fit_stack faults of six slices with finite losses and scripted
+    poisons: the gradient of slice 1 turns NaN at epoch 1 and that of slice 4
+    at epoch 0, so their params are NaN from the next epoch on; the gradient
+    of slice 3 turns NaN at the last epoch, so only its fitted array shows
+    it, and with no epoch at all slice 3 starts from a NaN instead."""
+    poisons = {(1, 1), (0, 4), (epochs - 1, 3)}
     inits = [{"p": np.zeros(2)} for _ in range(6)]
-    inits[3]["p"][1] = np.nan
-    steps = iter(trace)
-    _, _, faults = fit_stack(inits, lambda p: (next(steps), {"p": np.zeros_like(p["p"])}),
-                             [0.1] * 6, epochs, [f"g{k}" for k in range(6 // group)], group)
+    if not epochs:
+        inits[3]["p"][1] = np.nan
+    calls = []
+
+    def loss_and_grads(p, loss):
+        grads = {"p": np.zeros_like(p["p"])}
+        for k in range(6):
+            if (len(calls), k) in poisons:
+                grads["p"][k, 0] = np.nan
+        calls.append(None)
+        return np.zeros(6) if loss else None, grads
+
+    _, _, faults = fit_stack(inits, loss_and_grads, [0.1] * 6, epochs,
+                             [f"g{k}" for k in range(6 // group)], group)
     return bad_epochs(faults)
 
 
@@ -222,18 +234,41 @@ def test_stack_faults_per_group():
     assert scripted_faults(0, group=3) == [-1, 0]
 
 
+@pytest.mark.parametrize("epochs", [1, 2, 11, 30])
+def test_non_finite_recorded_loss_faults_with_finite_params(epochs):
+    # the params stay finite (every gradient is zero), but slice 1's loss is
+    # NaN, and slice 2's inf, at one recorded epoch: each faults there, the
+    # stack's other slice never
+    for at in nn.recorded_epochs(epochs):
+        calls = []
+
+        def loss_and_grads(p, loss):
+            losses = np.zeros(3)
+            if len(calls) == at:
+                losses[1:] = np.nan, np.inf
+            calls.append(loss)
+            return losses if loss else None, {"p": np.zeros_like(p["p"])}
+
+        params, _, faults = fit_stack([{"p": np.ones(2)} for _ in range(3)], loss_and_grads,
+                                      [0.1] * 3, epochs, ["g0", "g1", "g2"])
+        assert np.isfinite(params["p"]).all()
+        assert bad_epochs(faults) == [-1, at, at]
+
+
 def _coupled_loss(targets):
     """Slices min sum((a * b - t)^2) over a (r, c) and b (c,), for a stack
-    (one target per slice) or one slice."""
-    def loss_and_grads(params):
+    (one target per slice) or one slice; the loss is None unless asked for."""
+    def loss_and_grads(params, loss=True):
         a, b = params["a"], params["b"][..., None, :]
         d = a * b - targets
-        return (d * d).sum(axis=(-2, -1)), {"a": 2.0 * d * b, "b": (2.0 * d * a).sum(axis=-2)}
+        return ((d * d).sum(axis=(-2, -1)) if loss else None,
+                {"a": 2.0 * d * b, "b": (2.0 * d * a).sum(axis=-2)})
     return loss_and_grads
 
 
 def _lone_fit(init, targets, lr, epochs):
-    """One slice's fit with its own Adam moments per array, apart from fit_stack."""
+    """One slice's fit with its own Adam moments per array, apart from
+    fit_stack, with its loss at every epoch."""
     params = {name: a.copy() for name, a in init.items()}
     moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in params.items()}
     loss_and_grads, trace = _coupled_loss(targets), []
@@ -249,8 +284,9 @@ def _lone_fit(init, targets, lr, epochs):
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 8), st.integers(0, 10_000), st.booleans())
 def test_fit_stack_slices_are_lone_fits(rows, cols, group, runs, epochs, seed, poisoned):
-    # every clean slice gets the bits of its lone fit at its own lr, and a
-    # slice poisoned with a NaN faults its own run and no other
+    # every clean slice gets the params of its lone fit at its own lr, and
+    # its losses at the recorded epochs, and a slice poisoned with a NaN
+    # faults its own run and no other
     rng = np.random.default_rng(seed)
     slices = group * runs
     inits = [{"a": rng.normal(size=(rows, cols)), "b": rng.normal(size=cols)}
@@ -262,13 +298,44 @@ def test_fit_stack_slices_are_lone_fits(rows, cols, group, runs, epochs, seed, p
         inits[bad]["a"][0, 0] = np.nan
     params, trace, faults = fit_stack(inits, _coupled_loss(targets), lrs, epochs,
                                       [f"g{k}" for k in range(runs)], group)
-    assert trace.shape == (epochs, slices)
+    recorded = nn.recorded_epochs(epochs)
+    assert trace.shape == (len(recorded), slices)
     assert bad_epochs(faults) == [0 if poisoned and k == bad // group else -1
                                   for k in range(runs)]
     for k in range(slices):
         if k == bad:
             continue
         lone, lone_trace = _lone_fit(inits[k], targets[k], lrs[k], epochs)
-        assert trace[:, k].tobytes() == lone_trace.tobytes()
+        assert trace[:, k].tobytes() == lone_trace[recorded].tobytes()
+        for name, a in lone.items():
+            assert params[name][k].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("poison_epoch", [0, 28, 29])
+def test_poisoned_gradient_faults_at_next_epoch(poison_epoch):
+    # 30 epochs record the loss at 0, 27 and 29 only, so a NaN gradient at
+    # epoch 0 shows first in the params of epoch 1, whose loss nothing asks
+    # for: the poisoned slice's run faults at poison_epoch + 1 (30, read off
+    # the fitted arrays, for the last step), and every other slice keeps the
+    # params and recorded losses of its lone fit
+    epochs, rng = 30, np.random.default_rng(poison_epoch)
+    inits = [{"a": rng.normal(size=(2, 3)), "b": rng.normal(size=3)} for _ in range(4)]
+    targets = rng.normal(size=(4, 2, 3))
+    lrs = [0.05, 0.1, 0.2, 0.3]
+    real, asked = _coupled_loss(targets), []
+
+    def poisoned(params, loss):
+        losses, grads = real(params, loss)
+        if len(asked) == poison_epoch:
+            grads["b"][2, 1] = np.nan
+        asked.append(loss)
+        return losses, grads
+
+    params, trace, faults = fit_stack(inits, poisoned, lrs, epochs, [f"g{k}" for k in range(4)])
+    assert [e for e, loss in enumerate(asked) if loss] == [0, 27, 29]
+    assert bad_epochs(faults) == [-1, -1, poison_epoch + 1, -1]
+    for k in (0, 1, 3):
+        lone, lone_trace = _lone_fit(inits[k], targets[k], lrs[k], epochs)
+        assert trace[:, k].tobytes() == lone_trace[[0, 27, 29]].tobytes()
         for name, a in lone.items():
             assert params[name][k].tobytes() == a.tobytes()
