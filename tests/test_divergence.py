@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import neighbor_probs, raw_divergence_loop, same_bits
-from graphdiv import nn
+from graphdiv import divergence, nn
 from graphdiv.attention import (AttentionPair, AugmentedEncoder, source_prob_matrix,
                                 train_attention, train_attentions)
 from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matrix, matrix_csv,
@@ -426,6 +426,39 @@ def test_cell_record_is_not_reused_for_other_graphs(tmp_path):
     assert (embed_all([star6], [star6, star7], cfg, cell_dir=cell_dir).values.tobytes()
             == embed_all([star6], [star6, star7], cfg).values.tobytes())
     assert len(os.listdir(cell_dir)) == 2
+
+
+# The cell format and the float.hex bits of the raw divergence every cell
+# record of cell_bits_corpus stores, in (target, source) order. Cells are
+# keyed by CELL_FORMAT, not by the code that fits them, so a change that moves
+# these bits must bump CELL_FORMAT (a warm run would serve the old cells
+# otherwise) and pin the new bits here.
+CELL_PIN = (1, ["0x1.4433762d78fdep+3", "0x1.421c5e99f268dp+3", "0x1.5338e61f3e64ap+3",
+                "0x1.24ce4bd941cbdp+3", "0x1.2e384ac390d87p+3", "0x1.2a94b66add3e0p+3",
+                "0x1.45587285f397cp+3", "0x1.2f9a1d5822447p+3", "0x1.0628b8d67e071p+3"])
+
+
+def cell_bits_corpus():
+    """Two labeled 6-node graphs and an unlabeled 5-node one: label penalties
+    on and off, two stack shapes."""
+    labels = dict(num_node_labels=2, num_edge_labels=3)
+    return [Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)],
+                  node_labels=[0, 1, 0, 1, 0, 1], edge_labels=[0, 1, 2, 0, 1, 2, 0], **labels),
+            Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)],
+                  node_labels=[1, 0, 1, 0, 1, 0], edge_labels=[2, 1, 0, 2, 1, 0], **labels),
+            random_graph(5, 0.5, 3)]
+
+
+def test_cell_bits_are_pinned_to_the_cell_format(tmp_path):
+    # swapping the first two restart slots moved every cell, yet a warm run
+    # into the same cell_dir served the old ones: nothing in a cell's key
+    # named the fit's numerics
+    graphs = cell_bits_corpus()
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=30, rng_seed=0)
+    embed_all(graphs, graphs, cfg, cell_dir=str(tmp_path), restarts=2)
+    records = sorted((json.loads(p.read_text()) for p in tmp_path.iterdir()),
+                     key=lambda r: (r["target_id"], r["source_id"]))
+    assert (divergence.CELL_FORMAT, [float.hex(r["raw"]) for r in records]) == CELL_PIN
 
 
 def test_embed_all_on_an_empty_edge_vocabulary():
