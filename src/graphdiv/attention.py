@@ -28,6 +28,15 @@ whichever cells share its stack, and each cell keeps its own seeds,
 learning rates and best restart. The fitted AugmentedEncoder keeps its
 slice of the problem's frozen source probabilities, so scoring it reads
 them instead of running the source encoder again.
+
+Two dtypes. A fit runs at the dtype of its inits and problem: train_attentions
+casts its inits to FIT_DTYPE (float32) and builds its problem in it, which
+halves the bytes of every elementwise pass of the gradient path and Adam.
+Everything else is float64: the source encoders, S as the AugmentedEncoder
+keeps it (not an upcast of the fit's float32 copy), and scoring, which reads
+the winning logits copied out as float64 (each value exactly a float32).
+Float64 inits on a problem built in float64, as the gradient checks use,
+run in float64.
 """
 
 from functools import partial
@@ -39,8 +48,17 @@ from .encoder import ContractViolation, derive_seed
 from .graphs import (GraphError, edge_attr_matrix, neighborhood_attr_matrix,
                      node_label_onehot)
 
+FIT_DTYPE = np.float32
+# Both floors hold in float32 as in float64. The label penalties take
+# log(max(q, _LOG_FLOOR)): 1e-12 is a normal float32 (the smallest is
+# 1.2e-38), and the gradient it bounds, coef * observed / (rows * q), stays
+# below 1e12 * coef. The BCE clips probabilities to [_PROB_FLOOR,
+# 1 - _PROB_FLOOR], which keeps log1p(-p) and the gradient 1 / (p (1 - p))
+# finite only if 1 - _PROB_FLOOR rounds below 1. In float32 1 - 1e-9 rounds
+# to 1.0; 1 - 1e-6 rounds to 1 - 9.5e-7, 16 float32 steps below 1, so the
+# upper clip sits within 5% of the lower one and the gradient stays near 1e6.
 _LOG_FLOOR = 1e-12
-_PROB_FLOOR = 1e-9
+_PROB_FLOOR = 1e-6
 
 
 class AttentionPair:
@@ -130,18 +148,20 @@ class AlignmentProblem:
     they carry, and so must the targets.
 
     Every constant is a (C*R, ., .) stack with one slice per (cell, restart),
-    built once per distinct graph or encoder and gathered to its slices: the
-    target adjacencies A and 1 - A, the frozen sources' neighbor
-    probabilities S, and the label penalties, as (side, coef, rows, features,
-    observed, -(coef / rows) * observed) tuples summed in order: per label
-    kind both sides carry at a positive coefficient, node then edge, a
-    forward term (own label matrices) and a reverse one (neighbourhood
-    matrices). Raises ShapeError when the sources or the targets differ in
-    node count, and GraphError when they differ in which labels they carry
-    or when a label vocabulary is not shared by all of them.
+    built in float64 once per distinct graph or encoder, gathered to its
+    slices and cast once to `dtype`, the dtype of the fit: the target
+    adjacencies A and 1 - A, fit_source_probs (the frozen sources' neighbor
+    probabilities S; source_probs keeps them in float64 for scoring), and
+    the label penalties, as (side, coef, rows, features, observed,
+    -(coef / rows) * observed) tuples summed in order: per label kind both
+    sides carry at a positive coefficient, node then edge, a forward term
+    (own label matrices) and a reverse one (neighbourhood matrices). Raises
+    ShapeError when the sources or the targets differ in node count, and
+    GraphError when they differ in which labels they carry or when a label
+    vocabulary is not shared by all of them.
     """
 
-    def __init__(self, sources, targets, cfg, restarts=1):
+    def __init__(self, sources, targets, cfg, restarts=1, dtype=np.float64):
         if len(sources) != len(targets):
             raise ValueError("a stack needs one source encoder per target")
         source_graphs = [enc.graph for enc in sources]
@@ -160,9 +180,10 @@ class AlignmentProblem:
             built = np.stack([build(item) for _, item in slot.values()])
             return built[np.repeat([slot[id(item)][0] for item in items], restarts)]
 
-        self.adjacency = stack(targets, lambda g: g.adjacency_matrix())
+        self.adjacency = stack(targets, lambda g: g.adjacency_matrix()).astype(dtype, copy=False)
         self.non_adjacency = 1.0 - self.adjacency
         self.source_probs = stack(sources, source_prob_matrix)
+        self.fit_source_probs = self.source_probs.astype(dtype, copy=False)
         self.penalties = []
         # the builders are read on each call, not from a module-level table, so patches apply
         for kind, coef, own in (("node", cfg.node_reg_coef, node_label_onehot),
@@ -176,7 +197,9 @@ class AlignmentProblem:
             for side, rows, feats, observed in (
                     ("forward", t.node_count, stack(source_graphs, own), stack(targets, own)),
                     ("reverse", s.node_count, stack(targets, hood), stack(source_graphs, hood))):
-                self.penalties.append((side, coef, rows, feats, observed, -(coef / rows) * observed))
+                scaled = -(coef / rows) * observed
+                self.penalties.append((side, coef, rows) + tuple(
+                    a.astype(dtype, copy=False) for a in (feats, observed, scaled)))
 
 
 def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed, loss=True):
@@ -202,7 +225,7 @@ def attention_loss_and_grads(problem, params, loss=True):
     propagates into them.
     """
     forward, reverse = params["forward"], params["reverse"]
-    s = problem.source_probs
+    s = problem.fit_source_probs
 
     # structural path; s is constant because the sources are frozen
     p, w, mixrows, pred = augmented_probs(forward, reverse, s)
@@ -247,28 +270,30 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
     The sources must share a node count and label kinds, and so must the
     targets; the cells train side by side as one stacked problem of
     len(targets) * restarts slices. Runs scoring_epochs of full-batch Adam on
-    the attention matrices only. The alignment objective is non-convex; with
-    restarts > 1 several seeded inits per cell, each with its own init scale
-    and learning rate from _RESTART_SCHEDULE, train at once, and the one with
-    the lowest final training loss wins (the first on ties). Each cell's fit
-    is deterministic given (its source's graph_id, its target graph id,
-    cfg.rng_seed), and bit-identical to fitting it alone. Returns one
-    AugmentedEncoder per cell, in order, whose loss_trace holds the winning
-    restart's losses at nn.recorded_epochs and whose `fault` is None or, if a
+    the attention matrices only, in FIT_DTYPE. The alignment objective is
+    non-convex; with restarts > 1 several seeded inits per cell, each with
+    its own init scale and learning rate from _RESTART_SCHEDULE, train at
+    once, and the one with the lowest final training loss wins (the first on
+    ties). Each cell's fit is deterministic given (its source's graph_id, its
+    target graph id, cfg.rng_seed), and bit-identical to fitting it alone.
+    Returns one AugmentedEncoder per cell, in order: the winning restart's
+    logits as float64 with the float64 S, a loss_trace of that restart's
+    losses at nn.recorded_epochs, and a `fault` that is None or, if a
     restart went non-finite, the nn.TrainingFault of the cell's lone fit.
     """
     if not all(source.trained for source in sources):
         raise ContractViolation("source encoder must be trained and frozen before alignment")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    problem = AlignmentProblem(sources, targets, cfg, restarts)
+    problem = AlignmentProblem(sources, targets, cfg, restarts, FIT_DTYPE)
     inits, lrs = [], []
     for source, target, target_graph_id in zip(sources, targets, target_graph_ids):
         for restart in range(restarts):
             scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
             rng = np.random.default_rng(
                 derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-            inits.append(init_attention(source, target, rng, scale=scale))
+            init = init_attention(source, target, rng, scale=scale)
+            inits.append({name: a.astype(FIT_DTYPE) for name, a in init.items()})
             lrs.append(cfg.learning_rate * lr_mult)
     params, trace, faults = nn.fit_stack(
         inits, lambda p, loss: attention_loss_and_grads(problem, p, loss),
@@ -279,7 +304,8 @@ def train_attentions(sources, targets, cfg, target_graph_ids, restarts=1):
         first = c * restarts
         best = first + (int(np.argmin(trace[-1, first:first + restarts]))
                         if cfg.scoring_epochs else 0)
-        pair = AttentionPair(params["forward"][best].copy(), params["reverse"][best].copy())
+        pair = AttentionPair(params["forward"][best].astype(float),
+                             params["reverse"][best].astype(float))
         ae = AugmentedEncoder(pair, target, problem.source_probs[first])
         ae.loss_trace = trace[:, best].tolist()
         ae.fault = faults[c]

@@ -142,8 +142,10 @@ def _completed(fn, tasks, workers):
 # so one read takes it whole; a shorter read ends the file (one cut short is
 # scored again). Every read allocates the whole request, so it stays small.
 CELL_READ_BYTES = 4096
-# cell record version, the first part of a record's digest
-CELL_FORMAT = 1
+# cell record version, the first part of a record's digest; bumped by every
+# change that moves a cell's bits (test_divergence pins them), so no run
+# serves cells of other numerics. 2: the attention fits run in float32
+CELL_FORMAT = 2
 
 
 def _read_cell(path):
@@ -159,6 +161,23 @@ def _read_cell(path):
     return json.loads(b"".join(chunks).decode())
 
 
+def _checked_ids(workers, restarts, *sides):
+    """The ids of each (side, ids, graphs) of sides, 0..len(graphs) - 1 where
+    ids is None, once workers and restarts are at least 1 and there is one id
+    per graph; raises ValueError otherwise, before any work."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    checked = []
+    for side, ids, graphs in sides:
+        ids = list(range(len(graphs))) if ids is None else ids
+        if len(ids) != len(graphs):
+            raise ValueError(f"{len(ids)} {side} ids for {len(graphs)} {side}s")
+        checked.append(ids)
+    return checked
+
+
 def train_source_encoders(sources, cfg, source_ids=None, workers=1, save=None):
     """Stage 1: one encoder per source graph, returned in input order.
 
@@ -172,12 +191,7 @@ def train_source_encoders(sources, cfg, source_ids=None, workers=1, save=None):
     the wrong length, an empty source or workers < 1 raise ValueError before
     any fit.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if source_ids is None:
-        source_ids = list(range(len(sources)))
-    if len(source_ids) != len(sources):
-        raise ValueError(f"{len(source_ids)} source ids for {len(sources)} sources")
+    [source_ids] = _checked_ids(workers, 1, ("source", source_ids, sources))
     empty = [sid for sid, graph in zip(source_ids, sources) if graph.node_count == 0]
     if empty:
         raise ValueError(f"source graph {empty[0]} is empty: an encoder needs a node")
@@ -208,17 +222,9 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if source_ids is None:
-        source_ids = list(range(len(sources)))
-    if target_ids is None:
-        target_ids = list(range(len(targets)))
-    for side, ids, graphs in (("source", source_ids, sources), ("target", target_ids, targets)):
-        if len(ids) != len(graphs):
-            raise ValueError(f"{len(ids)} {side} ids for {len(graphs)} {side}s")
+    source_ids, target_ids = _checked_ids(
+        workers, restarts, ("source", source_ids, sources), ("target", target_ids, targets))
+    for side, ids in (("source", source_ids), ("target", target_ids)):
         named = [f"{i}" for i in ids]  # as a cell file names them
         if len(set(named)) != len(named):
             repeated = sorted({i for i in named if named.count(i) > 1})

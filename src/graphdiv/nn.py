@@ -1,5 +1,11 @@
 """Dense layer stacks (relu after every layer but the last), losses and Adam
-on float64 numpy arrays.
+on numpy arrays.
+
+A fit runs at the dtype of its inits: fit_stack keeps its buffers, moments
+and learning rates in that dtype, so the stacked attention fits run in
+float32 (attention.train_attentions casts their inits) and the encoders, their
+checkpoints and all scoring in float64. The losses fit_stack records are
+float64 either way, which holds a float32 loss exactly.
 
 Gradients are hand-derived per layer; there is no autodiff. Everything is a
 pure function over caller-owned buffers, so independent trainings can run in
@@ -106,6 +112,7 @@ def multilabel_bce_loss(logits, targets, loss=True):
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+# a normal number in float32 too; it only counts where sqrt(v_hat) is near 0
 ADAM_EPSILON = 1e-8
 
 
@@ -161,7 +168,9 @@ def fit_stack(inits, loss_and_grads, lrs, epochs, ids, group=1):
     flat = np.concatenate([a.ravel() for a in stacked.values()])
     views = np.split(flat, np.cumsum([a.size for a in stacked.values()])[:-1])
     params = {name: view.reshape(a.shape) for (name, a), view in zip(stacked.items(), views)}
-    lr = np.concatenate([np.repeat(lrs, a[0].size) for a in stacked.values()])
+    # in the buffer's dtype, so step *= lr does not compute in float64
+    lr = np.concatenate([np.repeat(np.asarray(lrs, flat.dtype), a[0].size)
+                         for a in stacked.values()])
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     rows = {epoch: row for row, epoch in enumerate(recorded_epochs(epochs))}
     trace = np.empty((len(rows), len(inits)))

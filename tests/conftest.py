@@ -96,7 +96,8 @@ def fit_stack_every_epoch(inits, loss_and_grads, lrs, epochs):
     flat = np.concatenate([a.ravel() for a in stacked.values()])
     views = np.split(flat, np.cumsum([a.size for a in stacked.values()])[:-1])
     params = {name: view.reshape(a.shape) for (name, a), view in zip(stacked.items(), views)}
-    lr = np.concatenate([np.repeat(lrs, a[0].size) for a in stacked.values()])
+    lr = np.concatenate([np.repeat(np.asarray(lrs, flat.dtype), a[0].size)
+                         for a in stacked.values()])
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     trace = np.empty((epochs, len(inits)))
     for epoch in range(epochs):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (fit_stack_calls, fit_stack_every_epoch, gradient_check, loss_epochs,
                       neighbor_probs, structural_loss)
 from graphdiv import attention, encoder, nn
-from graphdiv.attention import (_RESTART_SCHEDULE, AlignmentProblem, AttentionPair,
-                                AugmentedEncoder, argmax_alignment,
+from graphdiv.attention import (_LOG_FLOOR, _PROB_FLOOR, _RESTART_SCHEDULE, AlignmentProblem,
+                                AttentionPair, AugmentedEncoder, argmax_alignment,
                                 attention_loss_and_grads, attention_matrix,
                                 init_attention,
                                 source_prob_matrix, train_attention, train_attentions)
@@ -80,6 +80,50 @@ def test_fit_scores_with_its_own_source_probs(small_source):
     # the fitted encoder carries the fit's S, equal to a fresh forward pass
     ae = train_attention(small_source, random_graph(4, 0.5, 2), TrainConfig(embed_dim=4))
     assert ae.source_probs.tobytes() == source_prob_matrix(small_source).tobytes()
+
+
+def fit_constants(problem):
+    """The arrays attention_loss_and_grads reads from the problem."""
+    return ([problem.adjacency, problem.non_adjacency, problem.fit_source_probs]
+            + [a for term in problem.penalties for a in term[3:]])
+
+
+def test_fit_runs_in_float32_and_scoring_reads_float64(labeled_pair):
+    # the fit's inits and constants are float32, S excepted; each cell hands
+    # scoring its winning logits as float64 (exact float32 values) and the
+    # float64 S of its source, not an upcast of the fit's copy
+    g1, g2 = labeled_pair
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=20, scoring_epochs=20, rng_seed=1)
+    src = train_encoder(g1, cfg, graph_id=0)
+    with fit_stack_calls() as calls:
+        fitted = train_attentions([src, src], [g1, g2], cfg, [0, 1], restarts=2)
+    [(inits, _, _)] = calls
+    assert {a.dtype for init in inits for a in init.values()} == {np.dtype(np.float32)}
+    problem = AlignmentProblem([src, src], [g1, g2], cfg, 2, np.float32)
+    constants = fit_constants(problem)
+    assert len(constants) == 15 and {a.dtype for a in constants} == {np.dtype(np.float32)}
+    stacked = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
+    losses, grads = attention_loss_and_grads(problem, stacked)
+    assert {a.dtype for a in [losses, *grads.values()]} == {np.dtype(np.float32)}
+    for ae in fitted:
+        for logits in (ae.attention.forward, ae.attention.reverse):
+            assert logits.dtype == np.float64
+            assert logits.astype(np.float32).astype(np.float64).tobytes() == logits.tobytes()
+        assert ae.source_probs.dtype == np.float64
+        assert ae.source_probs.tobytes() == source_prob_matrix(src).tobytes()
+
+
+def test_gradient_checks_run_in_float64(tiny_cfg, labeled_pair):
+    # criterion 1 and the gradient checks here build their problem at the
+    # default dtype and pass float64 inits, so they check the float64 math
+    g1, g2 = labeled_pair
+    src = train_encoder(g1, tiny_cfg, graph_id=1)
+    problem = AlignmentProblem([src], [g2], TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.0))
+    constants = fit_constants(problem)
+    assert {a.dtype for a in constants} == {np.dtype(np.float64)}
+    pair = init_attention(src, g2, np.random.default_rng(3), scale=0.5)
+    losses, grads = attention_loss_and_grads(problem, {n: a[None] for n, a in pair.items()})
+    assert {a.dtype for a in [losses, *grads.values()]} == {np.dtype(np.float64)}
 
 
 def test_zero_attention_predicts_global_mean(small_source):
@@ -307,15 +351,16 @@ def test_source_frozen_during_attention(tiny_cfg, small_source):
 
 
 def test_zero_epochs_keeps_init(small_source):
+    # the init as the float32 fit holds it, handed out as float64
     cfg = TrainConfig(embed_dim=4, scoring_epochs=0)
     target = random_graph(4, 0.5, 2)
     ae = train_attention(small_source, target, cfg, target_graph_id=3)
     expected = init_attention(
         small_source, target,
-        np.random.default_rng(__import__("graphdiv.encoder", fromlist=["derive_seed"])
-                              .derive_seed("attention", 0, 3, cfg.rng_seed, 0)))
-    assert np.array_equal(ae.attention.forward, expected["forward"])
-    assert np.array_equal(ae.attention.reverse, expected["reverse"])
+        np.random.default_rng(derive_seed("attention", 0, 3, cfg.rng_seed, 0)))
+    for name in ("forward", "reverse"):
+        kept = expected[name].astype(np.float32).astype(np.float64)
+        assert getattr(ae.attention, name).tobytes() == kept.tobytes()
 
 
 def test_training_reduces_loss_and_is_deterministic(tiny_cfg, small_source):
@@ -386,12 +431,15 @@ def test_augmented_probs_are_convex_mixtures(seed):
 
 # --- reference oracle: one restart at a time, as the fit ran before stacking --
 #
-# A plain per-restart loop over 2-D matrices with a dict-loop Adam. The
-# stacked fit must reproduce its bits exactly: every restart slice runs the
-# same elementwise operations in the same order, with per-slice reductions.
+# A plain per-restart loop over 2-D matrices with a dict-loop Adam, in
+# float32: the inits are cast to it, and each constant is built in float64
+# and cast once. The stacked fit must reproduce its bits exactly: every
+# restart slice runs the same elementwise operations in the same order, with
+# per-slice reductions.
 
 def _reference_loss_and_grads(source, target, cfg, forward, reverse):
     s_graph, n_t, n_s = source.graph, target.node_count, source.node_count
+    fit = lambda a: a.astype(forward.dtype)
     terms = []
     if cfg.node_reg_coef > 0 and s_graph.node_labels is not None and target.node_labels is not None:
         terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s_graph),
@@ -405,19 +453,19 @@ def _reference_loss_and_grads(source, target, cfg, forward, reverse):
                       neighborhood_attr_matrix(s_graph, "edge")))
 
     def ce(observed, q, coef, rows):
-        qc = np.maximum(q, 1e-12)
-        loss = -coef * np.sum(observed * np.log(qc)) / rows
-        return loss, np.where(q > 1e-12, -(coef / rows) * observed / qc, 0.0)
+        qc = np.maximum(q, _LOG_FLOOR)
+        loss = -coef * np.sum(fit(observed) * np.log(qc)) / rows
+        return loss, np.where(q > _LOG_FLOOR, fit(-(coef / rows) * observed) / qc, 0.0)
 
-    a = target.adjacency_matrix()
+    a = fit(target.adjacency_matrix())
     p = nn.softmax(forward, axis=0)
-    s = source_prob_matrix(source)
+    s = fit(source_prob_matrix(source))
     w = nn.softmax(reverse, axis=1)
     mixrows = p.T @ s
     pred = mixrows @ w.T
-    pc = np.clip(pred, 1e-9, 1.0 - 1e-9)
-    loss = float(-np.sum(a * np.log(pc) + (1.0 - a) * np.log1p(-pc)))
-    inside = (pred > 1e-9) & (pred < 1.0 - 1e-9)
+    pc = np.clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    loss = -np.sum(a * np.log(pc) + (1.0 - a) * np.log1p(-pc))
+    inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
     g_pred = np.where(inside, (pc - a) / (pc * (1.0 - pc)), 0.0)
     g_w = g_pred.T @ mixrows
     g_reverse = w * (g_w - np.sum(w * g_w, axis=1, keepdims=True))
@@ -425,6 +473,7 @@ def _reference_loss_and_grads(source, target, cfg, forward, reverse):
     p_rev = None
     g_p_rev = np.zeros_like(reverse)
     for side, coef, feats, observed in terms:
+        feats = fit(feats)
         if side == "forward":
             term, gq = ce(observed, p.T @ feats, coef, n_t)
             loss += term
@@ -456,13 +505,15 @@ def _reference_adam(params, grads, state, lr):
 
 
 def reference_train_attention(source, target, cfg, target_graph_id, restarts):
-    """(forward, reverse, loss trace) of the winning restart, fitted one by one."""
+    """(forward, reverse, loss trace) of the winning restart, fitted one by one
+    in float32; the logits come out as float64."""
     best = None
     for restart in range(restarts):
         scale, lr_mult = _RESTART_SCHEDULE[restart % len(_RESTART_SCHEDULE)]
         rng = np.random.default_rng(
             derive_seed("attention", source.graph_id, target_graph_id, cfg.rng_seed, restart))
-        params = init_attention(source, target, rng, scale=scale)
+        params = {name: a.astype(np.float32)
+                  for name, a in init_attention(source, target, rng, scale=scale).items()}
         state = {"t": 0, "m": {}, "v": {}}
         trace = []
         for _ in range(cfg.scoring_epochs):
@@ -472,7 +523,7 @@ def reference_train_attention(source, target, cfg, target_graph_id, restarts):
             _reference_adam(params, grads, state, cfg.learning_rate * lr_mult)
         final = trace[-1] if trace else float("inf")
         if best is None or final < best[0]:
-            best = (final, params["forward"], params["reverse"], trace)
+            best = (final, params["forward"].astype(float), params["reverse"].astype(float), trace)
     return best[1:]
 
 
@@ -607,7 +658,8 @@ def test_train_attentions_keep_every_epoch_loop_bits(epochs, shape, labeled, see
     recorded = loss_epochs(epochs)
     assert len(flags) == epochs
     assert [e for e, loss in enumerate(flags) if loss] == recorded
-    problem = AlignmentProblem(sources, targets, cfg, restarts)
+    assert {a.dtype for init in inits for a in init.values()} == {np.dtype(np.float32)}
+    problem = AlignmentProblem(sources, targets, cfg, restarts, np.float32)
     assert bool(problem.penalties) == labeled
     params, trace = fit_stack_every_epoch(
         inits, lambda p, loss: attention_loss_and_grads(problem, p, loss), lrs, epochs)
@@ -615,8 +667,8 @@ def test_train_attentions_keep_every_epoch_loop_bits(epochs, shape, labeled, see
         first = c * restarts
         best = first + (int(np.argmin(trace[-1, first:first + restarts])) if epochs else 0)
         assert ae.fault is None
-        assert ae.attention.forward.tobytes() == params["forward"][best].tobytes()
-        assert ae.attention.reverse.tobytes() == params["reverse"][best].tobytes()
+        assert ae.attention.forward.tobytes() == params["forward"][best].astype(float).tobytes()
+        assert ae.attention.reverse.tobytes() == params["reverse"][best].astype(float).tobytes()
         assert np.array(ae.loss_trace).tobytes() == trace[recorded, best].tobytes()
 
 

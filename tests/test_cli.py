@@ -509,6 +509,24 @@ def test_embed_rescores_the_cells_of_a_changed_graph(tmp_path):
     assert embed(changed, "shared") == embed(changed, "fresh")
 
 
+def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):
+    # cell records of format 1 (float64 attention fits) under the keys this
+    # run reads: each is scored again and rewritten, none of their values
+    # reaches the table
+    out = tmp_path / "out"
+    args = ["embed", "--dataset", dataset_file, "--out", str(out)] + fast()
+    assert main(args) == EXIT_OK
+    fresh = (out / "embeddings.csv").read_bytes()
+    cells = sorted((out / "cells").iterdir())
+    records = {p: json.loads(p.read_text()) for p in cells}
+    assert len(cells) == 36 and all(r["digest"].startswith("2:") for r in records.values())
+    for p, r in records.items():
+        p.write_text(json.dumps(dict(r, raw=r["raw"] + 1.0, digest="1" + r["digest"][1:])))
+    assert main(args) == EXIT_OK
+    assert (out / "embeddings.csv").read_bytes() == fresh
+    assert {p: json.loads(p.read_text()) for p in cells} == records
+
+
 def test_embed_ignores_the_order_of_json_edges(tmp_path):
     # each graph's edges listed in reverse embed to the same bytes; JSON edge
     # labels once went to the edge of their sorted rank, so the reversed file

@@ -429,31 +429,22 @@ def test_cell_record_is_not_reused_for_other_graphs(tmp_path):
 
 
 # The cell format and the float.hex bits of the raw divergence every cell
-# record of cell_bits_corpus stores, in (target, source) order. Cells are
+# record of the pinned corpus stores, in (target, source) order. Cells are
 # keyed by CELL_FORMAT, not by the code that fits them, so a change that moves
 # these bits must bump CELL_FORMAT (a warm run would serve the old cells
-# otherwise) and pin the new bits here.
-CELL_PIN = (1, ["0x1.4433762d78fdep+3", "0x1.421c5e99f268dp+3", "0x1.5338e61f3e64ap+3",
-                "0x1.24ce4bd941cbdp+3", "0x1.2e384ac390d87p+3", "0x1.2a94b66add3e0p+3",
-                "0x1.45587285f397cp+3", "0x1.2f9a1d5822447p+3", "0x1.0628b8d67e071p+3"])
+# otherwise) and pin the new bits here. Format 1 fitted the attention in
+# float64; format 2 fits it in float32.
+CELL_PIN = (2, ["0x1.4433766f2c2fep+3", "0x1.421c5e9f750ecp+3", "0x1.5338e5fae8bd1p+3",
+                "0x1.24ce4c5360b5ap+3", "0x1.2e3849c567db2p+3", "0x1.2a94b75f46d58p+3",
+                "0x1.4558730295c3ep+3", "0x1.2f9a1e3b0825bp+3", "0x1.0628b9224b87ep+3"])
 
 
-def cell_bits_corpus():
-    """Two labeled 6-node graphs and an unlabeled 5-node one: label penalties
-    on and off, two stack shapes."""
-    labels = dict(num_node_labels=2, num_edge_labels=3)
-    return [Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)],
-                  node_labels=[0, 1, 0, 1, 0, 1], edge_labels=[0, 1, 2, 0, 1, 2, 0], **labels),
-            Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)],
-                  node_labels=[1, 0, 1, 0, 1, 0], edge_labels=[2, 1, 0, 2, 1, 0], **labels),
-            random_graph(5, 0.5, 3)]
-
-
-def test_cell_bits_are_pinned_to_the_cell_format(tmp_path):
+def test_cell_bits_are_pinned_to_the_cell_format(tmp_path, labeled_pair):
     # swapping the first two restart slots moved every cell, yet a warm run
     # into the same cell_dir served the old ones: nothing in a cell's key
-    # named the fit's numerics
-    graphs = cell_bits_corpus()
+    # named the fit's numerics. Two labeled 6-node graphs and an unlabeled
+    # 5-node one: label penalties on and off, two stack shapes
+    graphs = [*labeled_pair, random_graph(5, 0.5, 3)]
     cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=30, rng_seed=0)
     embed_all(graphs, graphs, cfg, cell_dir=str(tmp_path), restarts=2)
     records = sorted((json.loads(p.read_text()) for p in tmp_path.iterdir()),

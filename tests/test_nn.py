@@ -201,14 +201,15 @@ def bad_epochs(faults):
     return [-1 if fault is None else fault.epoch for fault in faults]
 
 
-def scripted_faults(epochs, group=1):
+def scripted_faults(epochs, group=1, dtype=np.float64):
     """fit_stack faults of six slices with finite losses and scripted
-    poisons: the gradient of slice 1 turns NaN at epoch 1 and that of slice 4
-    at epoch 0, so their params are NaN from the next epoch on; the gradient
-    of slice 3 turns NaN at the last epoch, so only its fitted array shows
-    it, and with no epoch at all slice 3 starts from a NaN instead."""
+    poisons, fitted in dtype: the gradient of slice 1 turns NaN at epoch 1
+    and that of slice 4 at epoch 0, so their params are NaN from the next
+    epoch on; the gradient of slice 3 turns NaN at the last epoch, so only
+    its fitted array shows it, and with no epoch at all slice 3 starts from a
+    NaN instead."""
     poisons = {(1, 1), (0, 4), (epochs - 1, 3)}
-    inits = [{"p": np.zeros(2)} for _ in range(6)]
+    inits = [{"p": np.zeros(2, dtype)} for _ in range(6)]
     if not epochs:
         inits[3]["p"][1] = np.nan
     calls = []
@@ -219,10 +220,11 @@ def scripted_faults(epochs, group=1):
             if (len(calls), k) in poisons:
                 grads["p"][k, 0] = np.nan
         calls.append(None)
-        return np.zeros(6) if loss else None, grads
+        return np.zeros(6, dtype) if loss else None, grads
 
-    _, _, faults = fit_stack(inits, loss_and_grads, [0.1] * 6, epochs,
-                             [f"g{k}" for k in range(6 // group)], group)
+    params, _, faults = fit_stack(inits, loss_and_grads, [0.1] * 6, epochs,
+                                  [f"g{k}" for k in range(6 // group)], group)
+    assert params["p"].dtype == dtype
     return bad_epochs(faults)
 
 
@@ -232,6 +234,32 @@ def test_stack_faults_per_group():
     assert scripted_faults(4) == [-1, 2, -1, 4, 1, -1]
     assert scripted_faults(4, group=2) == [2, 4, 1]
     assert scripted_faults(0, group=3) == [-1, 0]
+
+
+def test_stack_faults_per_group_in_float32():
+    # a float32 fit faults the same slices alone, at the same epochs
+    assert scripted_faults(4, dtype=np.float32) == [-1, 2, -1, 4, 1, -1]
+    assert scripted_faults(4, group=2, dtype=np.float32) == [2, 4, 1]
+    assert scripted_faults(0, group=3, dtype=np.float32) == [-1, 0]
+
+
+def test_float32_stack_slices_are_float32_lone_fits():
+    # fit_stack runs at its inits' dtype, learning rates included: each slice
+    # of a float32 stack gets the bits of its float32 lone fit, which takes
+    # its rate as a float32 scalar, and its recorded losses exactly
+    rng = np.random.default_rng(4)
+    inits = [{"a": rng.normal(size=(2, 3)).astype(np.float32),
+              "b": rng.normal(size=3).astype(np.float32)} for _ in range(3)]
+    targets = rng.normal(size=(3, 2, 3)).astype(np.float32)
+    lrs = [0.05, 0.1, 0.3]
+    params, trace, _ = fit_stack(inits, _coupled_loss(targets), lrs, 30, ["g0", "g1", "g2"])
+    assert trace.dtype == np.float64
+    for k in range(3):
+        lone, lone_trace = _lone_fit(inits[k], targets[k], lrs[k], 30)
+        assert trace[:, k].tobytes() == lone_trace[nn.recorded_epochs(30)].tobytes()
+        for name, a in lone.items():
+            assert a.dtype == np.float32
+            assert params[name][k].tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize("epochs", [1, 2, 11, 30])
