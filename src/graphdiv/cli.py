@@ -1,8 +1,11 @@
 """Command-line pipeline: encode, embed, classify, cluster, attention.
 
-Every run writes a JSON summary embedding the full configuration, its hash,
-and the seed, so any output can be traced back to the exact invocation. All
-file writes go through write-temp-then-rename.
+Each command takes only the options it reads. --dataset is read as a TU
+dataset when it names a directory and as a JSON dataset otherwise. Every run
+writes a JSON summary embedding its configuration (the command's training
+options, defaults for the fields it does not take), its hash, and the seed,
+so any output can be traced back to the exact invocation. All file writes go
+through write-temp-then-rename.
 """
 
 import argparse
@@ -14,7 +17,7 @@ from dataclasses import asdict
 from .attention import argmax_alignment, attention_matrix, train_attention
 from .divergence import (distance_matrix, embed_all, matrix_csv, symmetrize,
                          table_from_csv, table_to_csv, train_source_encoders, unit_rows)
-from .encoder import TrainConfig, load_encoder, save_encoder
+from .encoder import ENCODER_FIELDS, TrainConfig, load_encoder, save_encoder
 from .evaluation import (classify_cv, cut_clusters, hier_cluster,
                          make_fold_plan, purity, sample_sources)
 from .graphs import atomic_write, load_dataset_json
@@ -54,7 +57,7 @@ def _write_summary(path, command, cfg, extra):
 def _dataset_of(args, table):
     """The --dataset, whose graphs 0..n-1 the --embeddings table's rows must
     be in order, as embed writes them: rows are matched to graphs by position."""
-    dataset = load_dataset(args.dataset, args.format)
+    dataset = load_dataset(args.dataset)
     n, ids = len(dataset.graphs), table.target_ids
     k = next((k for k, tid in enumerate(ids) if tid != str(k)), len(ids))
     if k < min(len(ids), n):
@@ -65,12 +68,10 @@ def _dataset_of(args, table):
     return dataset
 
 
-def load_dataset(path, fmt):
+def load_dataset(path):
     if not os.path.exists(path):
         raise CliInputError(f"dataset path does not exist: {path}")
-    if fmt == "tu":
-        return load_tu_dataset(path)
-    return load_dataset_json(path)
+    return load_tu_dataset(path) if os.path.isdir(path) else load_dataset_json(path)
 
 
 # training flag -> the TrainConfig field it sets, which gives its type and default
@@ -81,7 +82,8 @@ _TRAIN_FLAGS = {"--seed": "rng_seed", "--embed-dim": "embed_dim",
 
 
 def build_config(args):
-    return TrainConfig(**{field: getattr(args, field) for field in _TRAIN_FLAGS.values()})
+    """The command's training options over TrainConfig's defaults."""
+    return TrainConfig(**{f: v for f, v in vars(args).items() if f in _TRAIN_FLAGS.values()})
 
 
 def _encoder_path(out, cfg, idx):
@@ -135,7 +137,7 @@ def _parse_sources(spec, num_graphs):
 # main writes both files.
 
 def cmd_encode(args, cfg):
-    dataset = load_dataset(args.dataset, args.format)
+    dataset = load_dataset(args.dataset)
     _, trained = _ensure_encoders(dataset.graphs, range(len(dataset.graphs)), cfg, args.out,
                                   force=args.force, workers=args.workers)
     return None, None, {"graphs": len(dataset.graphs), "trained": trained,
@@ -143,7 +145,7 @@ def cmd_encode(args, cfg):
 
 
 def cmd_embed(args, cfg):
-    dataset = load_dataset(args.dataset, args.format)
+    dataset = load_dataset(args.dataset)
     src_idx = _parse_sources(args.sources, len(dataset.graphs))
     if args.symmetric and len(src_idx) != len(dataset.graphs):
         raise CliInputError("--symmetric needs every graph as a source (--sources all)")
@@ -190,7 +192,7 @@ def cmd_cluster(args, cfg):
 
 
 def cmd_attention(args, cfg):
-    dataset = load_dataset(args.dataset, args.format)
+    dataset = load_dataset(args.dataset)
     n = len(dataset.graphs)
     if not (0 <= args.source_index < n and 0 <= args.target_index < n):
         raise CliInputError(f"graph indices must be in 0..{n - 1}")
@@ -206,54 +208,59 @@ def cmd_attention(args, cfg):
         "argmax_alignment": [int(v) for v in argmax_alignment(ae)]}
 
 
-def _add_common(p):
-    p.add_argument("--dataset", required=True, help="dataset directory (tu) or file (json)")
-    p.add_argument("--format", choices=("tu", "json"), default="tu")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    defaults = TrainConfig()
-    for flag, field in _TRAIN_FLAGS.items():
-        default = getattr(defaults, field)
-        p.add_argument(flag, dest=field, type=type(default), default=default)
-    p.add_argument("--restarts", type=int, default=3,
-                   help="attention fits per pair; best training loss wins")
-    p.add_argument("--force", action="store_true", help="retrain even if checkpoints exist")
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="graphdiv",
                                      description="Pairwise-divergence graph embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {"--workers": dict(type=int, default=_usable_cpus()),
+              "--restarts": dict(type=int, default=3,
+                                 help="attention fits per pair; best training loss wins"),
+              "--force": dict(action="store_true", help="retrain even if checkpoints exist"),
+              "--embeddings": dict(required=True, help="embeddings.csv from embed")}
 
-    p = sub.add_parser("encode", help="train one encoder checkpoint per graph")
-    _add_common(p)
-    p.set_defaults(func=cmd_encode)
+    def command(name, func, summary, fields, *flags):
+        """A subcommand taking --dataset, --out, the training flags of fields and flags."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--dataset", required=True, help="TU dataset directory or JSON file")
+        p.add_argument("--out", required=True, help="output directory")
+        for flag, field in _TRAIN_FLAGS.items():
+            if field in fields:
+                default = getattr(TrainConfig(), field)
+                p.add_argument(flag, dest=field, type=type(default), default=default)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("embed", help="build the divergence embedding table")
-    _add_common(p)
+    command("encode", cmd_encode, "train one encoder checkpoint per graph", ENCODER_FIELDS,
+            "--workers", "--force")
+
+    p = command("embed", cmd_embed, "build the divergence embedding table",
+                _TRAIN_FLAGS.values(), "--workers", "--restarts", "--force")
     p.add_argument("--sources", default="all", help="all or sample:<fraction>:<seed>")
     p.add_argument("--symmetric", action="store_true")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("classify", help="cross-validated accuracy on embeddings")
-    _add_common(p)
-    p.add_argument("--embeddings", required=True, help="embeddings.csv from embed")
+    p = command("classify", cmd_classify, "cross-validated accuracy on embeddings",
+                ("rng_seed",), "--embeddings")
     p.add_argument("--folds", type=int, default=10)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("cluster", help="hierarchical clustering of embeddings")
-    _add_common(p)
-    p.add_argument("--embeddings", required=True)
+    p = command("cluster", cmd_cluster, "hierarchical clustering of embeddings", (),
+                "--embeddings")
     p.add_argument("--clusters", type=int, default=0, help="cut height in cluster count")
     p.add_argument("--raw-rows", action="store_true",
                    help="cluster raw divergence rows instead of unit-normalized ones")
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("attention", help="dump the alignment for one graph pair")
-    _add_common(p)
+    p = command("attention", cmd_attention, "dump the alignment for one graph pair",
+                _TRAIN_FLAGS.values(), "--restarts", "--force")
     p.add_argument("--source-index", type=int, required=True)
     p.add_argument("--target-index", type=int, required=True)
-    p.set_defaults(func=cmd_attention)
 
     return parser
 
@@ -262,11 +269,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        # before anything is loaded, trained or written
-        if args.restarts < 1:
-            raise CliInputError("--restarts must be >= 1")
-        if args.workers < 1:
-            raise CliInputError("--workers must be >= 1")
+        # for the commands that take them, before anything is loaded, trained or written
+        for name in ("restarts", "workers"):
+            if getattr(args, name, 1) < 1:
+                raise CliInputError(f"--{name} must be >= 1")
         csv_name, body, extra = args.func(args, cfg)
         if csv_name:
             _write_csv(os.path.join(args.out, csv_name), cfg, body)

@@ -22,6 +22,10 @@ class ContractViolation(RuntimeError):
     pass
 
 
+# the TrainConfig fields an encoder fit reads; their digest keys the checkpoints
+ENCODER_FIELDS = ("embed_dim", "encoder_layers", "learning_rate", "encoding_epochs", "rng_seed")
+
+
 @dataclass
 class TrainConfig:
     embed_dim: int = 8
@@ -51,8 +55,7 @@ class TrainConfig:
 
     def encoder_hash(self):
         """Digest of the fields an encoder fit reads; it keys the checkpoints."""
-        return self.hash(("embed_dim", "encoder_layers", "learning_rate", "encoding_epochs",
-                          "rng_seed"))
+        return self.hash(ENCODER_FIELDS)
 
 
 def _digest(obj):

@@ -343,9 +343,10 @@ def sampling_study(dataset, fractions, cfg, *, fold_count=10, sample_seed=0,
                    workers=1, cell_dir=None):
     """Accuracy as a function of the share of graphs used as sources.
 
-    Source subsets are nested draws keyed by the same seed and per-cell seeds
-    depend on global graph ids, so fraction 1.0 reproduces the full-source
-    run exactly.
+    Each fraction draws its sources afresh from sample_seed, so the subsets
+    are not nested: a source of a smaller fraction may be missing from a
+    larger one. Per-cell seeds depend on global graph ids, so fraction 1.0
+    reproduces the full-source run exactly.
     """
     results = []
     plan = make_fold_plan(dataset.graph_classes, fold_count=fold_count,

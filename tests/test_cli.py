@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
 from graphdiv.encoder import TrainConfig, load_encoder
 from graphdiv.generators import make_barbell, make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
+from graphdiv.tu import save_tu_dataset
 
 
 @pytest.fixture
@@ -23,14 +25,30 @@ def dataset_file(tmp_path):
     return str(path)
 
 
-def fast(*extra):
-    return ["--format", "json", "--embed-dim", "4", "--encoding-epochs", "30",
-            "--scoring-epochs", "30", "--workers", "1", "--restarts", "1"] + list(extra)
+FAST = {"--embed-dim": "4", "--encoding-epochs": "30", "--scoring-epochs": "30",
+        "--workers": "1", "--restarts": "1"}
+
+
+def subparsers():
+    """graphdiv's command parsers by command name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def options(command):
+    """The option strings a graphdiv command takes, --help aside."""
+    return {s for a in subparsers()[command]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def fast(command, *extra):
+    """The quick settings among the options command takes, then extra."""
+    taken = options(command)
+    return [s for flag, value in FAST.items() if flag in taken for s in (flag, value)] + list(extra)
 
 
 def test_encode_caches_checkpoints(tmp_path, dataset_file):
     out = str(tmp_path / "out")
-    args = ["encode", "--dataset", dataset_file, "--out", out] + fast()
+    args = ["encode", "--dataset", dataset_file, "--out", out] + fast("encode")
     assert main(args) == EXIT_OK
     with open(os.path.join(out, "encode_summary.json")) as f:
         first = json.load(f)
@@ -45,17 +63,19 @@ def test_encode_caches_checkpoints(tmp_path, dataset_file):
 
 
 def test_encoder_checkpoints_ignore_scoring_fields(tmp_path, dataset_file):
-    # scoring epochs and label penalties do not enter an encoder fit, so a
-    # change to them reuses the checkpoints instead of training a second set
-    out = str(tmp_path / "out")
-    args = ["encode", "--dataset", dataset_file, "--out", out] + fast()
-    assert main(args) == EXIT_OK
-    names = sorted(os.listdir(out))
-    assert main(args + ["--scoring-epochs", "5", "--node-reg", "0", "--edge-reg", "2"]) == EXIT_OK
-    with open(os.path.join(out, "encode_summary.json")) as f:
-        assert json.load(f)["trained"] == 0
-    assert sorted(os.listdir(out)) == names
-    assert main(args + ["--encoding-epochs", "5"]) == EXIT_OK
+    # scoring epochs and label penalties do not enter an encoder fit, so an
+    # embed with other values of them reuses encode's checkpoints instead of
+    # training a second set
+    out = tmp_path / "out"
+    args = ["--dataset", dataset_file, "--out", str(out)]
+    assert main(["encode"] + args + fast("encode")) == EXIT_OK
+    checkpoints = lambda: {p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name.startswith("encoder_")}
+    encoded = checkpoints()
+    assert main(["embed"] + args + fast("embed", "--scoring-epochs", "5", "--node-reg", "0",
+                                        "--edge-reg", "2")) == EXIT_OK
+    assert checkpoints() == encoded
+    assert main(["encode"] + args + fast("encode", "--encoding-epochs", "5")) == EXIT_OK
     with open(os.path.join(out, "encode_summary.json")) as f:
         assert json.load(f)["trained"] == 6
 
@@ -73,7 +93,8 @@ def test_encode_exits_runtime_on_diverged_encoder(tmp_path, dataset_file, monkey
 
     monkeypatch.setattr(encoder, "build_encoder", poisoned)
     out = str(tmp_path / "out")
-    assert main(["encode", "--dataset", dataset_file, "--out", out] + fast()) == EXIT_RUNTIME
+    assert main(["encode", "--dataset", dataset_file, "--out", out]
+                + fast("encode")) == EXIT_RUNTIME
     assert capsys.readouterr().err == (
         "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [1, 4]\n")
 
@@ -87,7 +108,7 @@ def test_diverged_encoder_keeps_the_clean_checkpoints(tmp_path, monkeypatch, cap
     graphs = [random_graph(n, 0.5, s) for s, n in enumerate((5, 6, 5, 6, 5, 6))]
     dataset_file = str(tmp_path / "ds.json")
     save_dataset_json(GraphDataset(graphs, [0, 1, 0, 1, 0, 1]), dataset_file)
-    args = lambda out: ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+    args = lambda out: ["encode", "--dataset", dataset_file, "--out", str(out)] + fast("encode")
     checkpoints = lambda out: {p.name: p.read_bytes() for p in out.iterdir()
                                if p.name.startswith("encoder_")}
     assert main(args(tmp_path / "clean")) == EXIT_OK
@@ -125,14 +146,14 @@ def test_attention_exits_runtime_on_diverged_fit(tmp_path, dataset_file, monkeyp
     monkeypatch.setattr(att, "attention_loss_and_grads", diverged)
     out = str(tmp_path / "out")
     assert main(["attention", "--dataset", dataset_file, "--out", out,
-                 "--source-index", "0", "--target-index", "2"] + fast()) == EXIT_RUNTIME
+                 "--source-index", "0", "--target-index", "2"] + fast("attention")) == EXIT_RUNTIME
     assert capsys.readouterr().err == (
         "runtime fault: loss diverged (non-finite) at epoch 0 for graph id(s) [2]\n")
 
 
 def test_encode_retrains_corrupted_checkpoint(tmp_path, dataset_file):
     out = str(tmp_path / "out")
-    args = ["encode", "--dataset", dataset_file, "--out", out] + fast()
+    args = ["encode", "--dataset", dataset_file, "--out", out] + fast("encode")
     assert main(args) == EXIT_OK
     ckpt = next(p for p in sorted(os.listdir(out)) if p.startswith("encoder_"))
     with open(os.path.join(out, ckpt), "w") as f:
@@ -154,12 +175,12 @@ def test_embed_retrains_unusable_checkpoint(tmp_path, dataset_file, corrupt):
     # a checkpoint that is unreadable or not a trained encoder counts as
     # absent: it is retrained and overwritten with the bytes of a clean run
     out = tmp_path / "out"
-    args = ["--dataset", dataset_file, "--out", str(out)] + fast()
-    assert main(["encode"] + args) == EXIT_OK
+    args = ["--dataset", dataset_file, "--out", str(out)]
+    assert main(["encode"] + args + fast("encode")) == EXIT_OK
     ckpt = out / next(p for p in sorted(os.listdir(out)) if p.startswith("encoder_"))
     clean = ckpt.read_bytes()
     ckpt.write_bytes(corrupt(clean.decode()))
-    assert main(["embed"] + args) == EXIT_OK
+    assert main(["embed"] + args + fast("embed")) == EXIT_OK
     assert ckpt.read_bytes() == clean
 
 
@@ -172,7 +193,7 @@ def test_encode_workers_write_identical_checkpoints(tmp_path):
     runs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}"
-        args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+        args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast("encode")
         args[args.index("--workers") + 1] = workers
         assert main(args) == EXIT_OK
         # keep one checkpoint, so the rerun counts a mix of reused and trained
@@ -190,7 +211,7 @@ def test_encode_workers_write_identical_checkpoints(tmp_path):
 
 def test_embed_output_and_idempotence(tmp_path, dataset_file):
     out = str(tmp_path / "out")
-    args = ["embed", "--dataset", dataset_file, "--out", out] + fast()
+    args = ["embed", "--dataset", dataset_file, "--out", out] + fast("embed")
     assert main(args) == EXIT_OK
     path = os.path.join(out, "embeddings.csv")
     with open(path) as f:
@@ -208,7 +229,7 @@ def test_embed_output_and_idempotence(tmp_path, dataset_file):
 def test_embed_sampled_sources(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     args = ["embed", "--dataset", dataset_file, "--out", out,
-            "--sources", "sample:0.5:7"] + fast()
+            "--sources", "sample:0.5:7"] + fast("embed")
     assert main(args) == EXIT_OK
     with open(os.path.join(out, "embed_summary.json")) as f:
         summary = json.load(f)
@@ -220,10 +241,10 @@ def test_embed_sampled_sources(tmp_path, dataset_file):
 
 def test_classify_pipeline(tmp_path, dataset_file):
     out = str(tmp_path / "out")
-    assert main(["embed", "--dataset", dataset_file, "--out", out] + fast()) == EXIT_OK
+    assert main(["embed", "--dataset", dataset_file, "--out", out] + fast("embed")) == EXIT_OK
     emb = os.path.join(out, "embeddings.csv")
     assert main(["classify", "--dataset", dataset_file, "--out", out,
-                 "--embeddings", emb, "--folds", "3"] + fast()) == EXIT_OK
+                 "--embeddings", emb, "--folds", "3"]) == EXIT_OK
     with open(os.path.join(out, "classify_summary.json")) as f:
         summary = json.load(f)
     assert 0.0 <= summary["mean_accuracy"] <= 1.0
@@ -243,7 +264,7 @@ def test_classify_writes_fold_ids(tmp_path):
     emb.write_text("graph_id,0,1\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(values)))
     out = str(tmp_path / "out")
     assert main(["classify", "--dataset", str(tmp_path / "ds.json"), "--out", out,
-                 "--embeddings", str(emb), "--folds", "5"] + fast()) == EXIT_OK
+                 "--embeddings", str(emb), "--folds", "5"]) == EXIT_OK
     with open(os.path.join(out, "classify_summary.json")) as f:
         assert json.load(f)["skipped_folds"] == [0]
     with open(os.path.join(out, "accuracy.csv")) as f:
@@ -256,7 +277,7 @@ def test_classify_rejects_mismatched_embeddings(tmp_path, dataset_file):
     emb = tmp_path / "bad.csv"
     emb.write_text("graph_id,0\n0,1.0\n")
     assert main(["classify", "--dataset", dataset_file, "--out", out,
-                 "--embeddings", str(emb)] + fast()) == EXIT_USAGE
+                 "--embeddings", str(emb)]) == EXIT_USAGE
 
 
 def _permuted_rows_case(tmp_path, order):
@@ -279,7 +300,7 @@ def test_permuted_embedding_rows_are_rejected(tmp_path, capsys, command, extra):
     # purity 0.625 (0.875 in order)
     ds, emb = _permuted_rows_case(tmp_path, [0, 4, 1, 5, 2, 6, 3, 7])
     out = tmp_path / "out"
-    argv = [command, "--dataset", ds, "--out", str(out), "--embeddings", emb] + fast() + extra
+    argv = [command, "--dataset", ds, "--out", str(out), "--embeddings", emb] + extra
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {emb}: data row 2 is graph 4, not 1")
     assert not out.exists()
@@ -290,10 +311,10 @@ def test_permuted_embedding_rows_are_rejected(tmp_path, capsys, command, extra):
 def test_cluster_pipeline(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     assert main(["embed", "--dataset", dataset_file, "--out", out,
-                 "--symmetric"] + fast()) == EXIT_OK
+                 "--symmetric"] + fast("embed")) == EXIT_OK
     emb = os.path.join(out, "embeddings.csv")
     assert main(["cluster", "--dataset", dataset_file, "--out", out,
-                 "--embeddings", emb, "--clusters", "2"] + fast()) == EXIT_OK
+                 "--embeddings", emb, "--clusters", "2"]) == EXIT_OK
     with open(os.path.join(out, "cluster_summary.json")) as f:
         summary = json.load(f)
     assert len(summary["merges"]) == 5
@@ -309,7 +330,7 @@ def test_attention_identity_on_labeled_barbell(tmp_path):
     out = str(tmp_path / "out")
     code = main(["attention", "--dataset", str(path), "--out", out,
                  "--source-index", "0", "--target-index", "0",
-                 "--format", "json", "--embed-dim", "8", "--lr", "5e-2",
+                 "--embed-dim", "8", "--lr", "5e-2",
                  "--encoding-epochs", "300", "--scoring-epochs", "800",
                  "--restarts", "3"])
     assert code == EXIT_OK
@@ -333,7 +354,7 @@ def test_attention_csv_format(tmp_path):
     save_dataset_json(ds, path)
     out = str(tmp_path / "out")
     argv = ["attention", "--dataset", path, "--out", out,
-            "--source-index", "0", "--target-index", "1"] + fast()
+            "--source-index", "0", "--target-index", "1"] + fast("attention")
     assert main(argv) == EXIT_OK
     args = build_parser().parse_args(argv)
     cfg = build_config(args)
@@ -352,23 +373,23 @@ def test_attention_csv_format(tmp_path):
 def test_attention_index_bounds(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     assert main(["attention", "--dataset", dataset_file, "--out", out,
-                 "--source-index", "0", "--target-index", "9"] + fast()) == EXIT_USAGE
+                 "--source-index", "0", "--target-index", "9"] + fast("attention")) == EXIT_USAGE
 
 
 def test_missing_dataset_is_usage_error(tmp_path):
     out = str(tmp_path / "out")
     assert main(["encode", "--dataset", str(tmp_path / "nope.json"),
-                 "--out", out] + fast()) == EXIT_USAGE
+                 "--out", out] + fast("encode")) == EXIT_USAGE
 
 
 def test_directory_for_a_file_is_usage_error(tmp_path, dataset_file, capsys):
-    # a directory where a file belongs (a json dataset, --embeddings) exits 2
-    # naming the path, as a file where a TU directory belongs already did
+    # a directory that holds no TU dataset, and a directory where the
+    # --embeddings file belongs, exit 2 naming the path
     assert main(["encode", "--dataset", str(tmp_path), "--out", str(tmp_path / "out")]
-                + fast()) == EXIT_USAGE
+                + fast("encode")) == EXIT_USAGE
     assert str(tmp_path) in capsys.readouterr().err
     assert main(["cluster", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
-                 "--embeddings", str(tmp_path)] + fast()) == EXIT_USAGE
+                 "--embeddings", str(tmp_path)]) == EXIT_USAGE
     assert str(tmp_path) in capsys.readouterr().err
 
 
@@ -376,7 +397,7 @@ def test_malformed_json_dataset_names_its_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"graphs": [{')
     assert main(["encode", "--dataset", str(path), "--out", str(tmp_path / "out")]
-                + fast()) == EXIT_USAGE
+                + fast("encode")) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
@@ -388,21 +409,21 @@ def test_malformed_embeddings_name_their_file(tmp_path, dataset_file, capsys, te
     emb = tmp_path / "emb.csv"
     emb.write_text(text)
     assert main(["cluster", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
-                 "--embeddings", str(emb)] + fast()) == EXIT_USAGE
+                 "--embeddings", str(emb)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {emb}: ")
 
 
 def test_bad_sources_spec(tmp_path, dataset_file):
     out = str(tmp_path / "out")
     assert main(["embed", "--dataset", dataset_file, "--out", out,
-                 "--sources", "half"] + fast()) == EXIT_USAGE
+                 "--sources", "half"] + fast("embed")) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("spec", ["sample:x:1", "sample:0.5:y"])
 def test_malformed_sample_number_names_the_spec(tmp_path, dataset_file, capsys, spec):
     # a bad number once printed only "could not convert string to float: 'x'"
     assert main(["embed", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
-                 "--sources", spec] + fast()) == EXIT_USAGE
+                 "--sources", spec] + fast("embed")) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: bad number in --sources spec {spec!r}\n"
 
 
@@ -414,7 +435,7 @@ def test_non_finite_training_value_is_usage_error(tmp_path, dataset_file, capsys
     # exited 1 as a runtime fault
     out = tmp_path / "out"
     assert main(["embed", "--dataset", dataset_file, "--out", str(out)]
-                + fast(flag, value)) == EXIT_USAGE
+                + fast("embed", flag, value)) == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -428,7 +449,7 @@ def test_restarts_below_one_is_usage_error_before_any_work(tmp_path, dataset_fil
     # exited 2, and attention trained its source encoder first
     out = tmp_path / "out"
     assert main(command[:1] + ["--dataset", dataset_file, "--out", str(out)] + command[1:]
-                + fast("--restarts", "0")) == EXIT_USAGE
+                + fast(command[0], "--restarts", "0")) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --restarts must be >= 1\n"
     assert not out.exists()
 
@@ -438,15 +459,91 @@ def test_workers_below_one_is_usage_error_before_any_work(tmp_path, dataset_file
                                                           workers):
     # embed once exited 0 and ran serially
     out = tmp_path / "out"
-    assert main(["embed", "--dataset", dataset_file, "--out", str(out)]
-                + fast("--workers", workers)) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
-    assert not out.exists()
+    for command in ("encode", "embed"):
+        assert main([command, "--dataset", dataset_file, "--out", str(out)]
+                    + fast(command, "--workers", workers)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+        assert not out.exists()
 
 
 def test_no_training_flags_give_the_default_config():
-    args = build_parser().parse_args(["embed", "--dataset", "ds.json", "--out", "out"])
-    assert build_config(args) == TrainConfig()
+    for argv in (["encode"], ["embed"], ["classify", "--embeddings", "e.csv"],
+                 ["cluster", "--embeddings", "e.csv"],
+                 ["attention", "--source-index", "0", "--target-index", "1"]):
+        args = build_parser().parse_args(argv + ["--dataset", "ds.json", "--out", "out"])
+        assert build_config(args) == TrainConfig()
+
+
+def test_workers_default_is_the_cpus_this_process_may_run_on(monkeypatch):
+    # the default was os.cpu_count(), which ignores the affinity mask: under
+    # taskset -c 0 on a 2-CPU host, embed started 2 workers on 1 CPU
+    parse = lambda command: build_parser().parse_args([command, "--dataset", "d", "--out", "o"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parse("encode").workers == parse("embed").workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parse("embed").workers == (os.cpu_count() or 1)
+
+
+TRAIN_OPTIONS = {"--seed", "--embed-dim", "--encoder-layers", "--lr", "--encoding-epochs",
+                 "--scoring-epochs", "--node-reg", "--edge-reg"}
+# each command takes --dataset, --out and only the other options it reads
+OPTION_SETS = {
+    "encode": {"--dataset", "--out", "--workers", "--force", "--seed", "--embed-dim",
+               "--encoder-layers", "--lr", "--encoding-epochs"},
+    "embed": {"--dataset", "--out", "--workers", "--restarts", "--force", "--sources",
+              "--symmetric"} | TRAIN_OPTIONS,
+    "classify": {"--dataset", "--out", "--seed", "--embeddings", "--folds"},
+    "cluster": {"--dataset", "--out", "--embeddings", "--clusters", "--raw-rows"},
+    "attention": {"--dataset", "--out", "--restarts", "--force", "--source-index",
+                  "--target-index"} | TRAIN_OPTIONS,
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, dataset_file, capsys):
+    # every command once took the same 14 shared options, 79 in all: classify
+    # --lr 0.5 exited 0 and wrote a config hash of its own into accuracy.csv
+    assert set(subparsers()) == set(OPTION_SETS)
+    assert {command: options(command) for command in OPTION_SETS} == OPTION_SETS
+    assert sum(map(len, OPTION_SETS.values())) == 48
+    out = tmp_path / "out"
+    emb = tmp_path / "emb.csv"
+    emb.write_text("graph_id,0\n" + "".join(f"{i},{float(i)!r}\n" for i in range(6)))
+    argv = ["classify", "--dataset", dataset_file, "--out", str(out), "--embeddings", str(emb),
+            "--folds", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--lr", "0.5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --lr 0.5" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == EXIT_OK
+
+
+def test_every_command_reads_a_tu_directory(tmp_path):
+    # a directory is read as a TU dataset and a file as JSON: one labeled
+    # corpus saved both ways gives the same bytes in every file that encode,
+    # embed, classify, cluster and attention write, embeddings.csv among them
+    graphs = [random_graph(6, 0.5, s) for s in range(6)]
+    graphs = [Graph(6, g.edges, node_labels=[(u + s) % 3 for u in range(6)],
+                    edge_labels=[(k + s) % 2 for k in range(g.edge_count)])
+              for s, g in enumerate(graphs)]
+    ds = GraphDataset(graphs, [0, 1] * 3)
+    save_tu_dataset(ds, tmp_path / "tu")
+    save_dataset_json(ds, tmp_path / "ds.json")
+    written = []
+    for path in (tmp_path / "tu", tmp_path / "ds.json"):
+        out = tmp_path / f"out-{path.name}"
+        base = ["--dataset", str(path), "--out", str(out)]
+        emb = ["--embeddings", str(out / "embeddings.csv")]
+        for argv in (["encode"] + base + fast("encode"), ["embed"] + base + fast("embed"),
+                     ["classify"] + base + emb + ["--folds", "3"],
+                     ["cluster"] + base + emb + ["--clusters", "2"],
+                     ["attention"] + base + fast("attention", "--source-index", "0",
+                                                 "--target-index", "3")):
+            assert main(argv) == EXIT_OK
+        written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                        if p.is_file()})
+    assert len(written[0]) == 6 + 36 + 9  # encoders, cells, 5 summaries, 4 CSVs
+    assert written[0] == written[1]
 
 
 def test_unknown_command_exits_two(capsys):
@@ -471,10 +568,11 @@ def test_encode_then_embed_keeps_dataset_vocabulary(tmp_path):
     path = tmp_path / "labeled.json"
     _labeled_dataset(path, [0, 1, 0, 1])
     out = str(tmp_path / "out")
-    base = ["--dataset", str(path), "--out", out] + fast()
-    assert main(["encode"] + base) == EXIT_OK
-    assert main(["embed"] + base) == EXIT_OK
-    assert main(["attention", "--source-index", "0", "--target-index", "1"] + base) == EXIT_OK
+    base = ["--dataset", str(path), "--out", out]
+    assert main(["encode"] + base + fast("encode")) == EXIT_OK
+    assert main(["embed"] + base + fast("embed")) == EXIT_OK
+    assert main(["attention", "--source-index", "0", "--target-index", "1"] + base
+                + fast("attention")) == EXIT_OK
     with open(os.path.join(out, "embed_summary.json")) as f:
         assert json.load(f)["cell_errors"] == {}
 
@@ -482,7 +580,7 @@ def test_encode_then_embed_keeps_dataset_vocabulary(tmp_path):
 def test_encode_retrains_checkpoint_of_changed_graph(tmp_path):
     path = tmp_path / "labeled.json"
     out = str(tmp_path / "out")
-    args = ["encode", "--dataset", str(path), "--out", out] + fast()
+    args = ["encode", "--dataset", str(path), "--out", out] + fast("encode")
     _labeled_dataset(path, [0, 1, 0, 1])
     assert main(args) == EXIT_OK
     _labeled_dataset(path, [1, 1, 0, 0])  # graph 0 changes, graphs 1-2 do not
@@ -501,7 +599,7 @@ def test_embed_rescores_the_cells_of_a_changed_graph(tmp_path):
     def embed(graphs, out):
         save_dataset_json(GraphDataset(graphs, [0, 1, 0]), path)
         assert main(["embed", "--dataset", str(path), "--out", str(tmp_path / out)]
-                    + fast("--embed-dim", "8")) == EXIT_OK
+                    + fast("embed", "--embed-dim", "8")) == EXIT_OK
         return (tmp_path / out / "embeddings.csv").read_bytes()
 
     embed([make_ring(6), make_ring(7), make_ring(8)], "shared")
@@ -514,7 +612,7 @@ def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):
     # run reads: each is scored again and rewritten, none of their values
     # reaches the table
     out = tmp_path / "out"
-    args = ["embed", "--dataset", dataset_file, "--out", str(out)] + fast()
+    args = ["embed", "--dataset", dataset_file, "--out", str(out)] + fast("embed")
     assert main(args) == EXIT_OK
     fresh = (out / "embeddings.csv").read_bytes()
     cells = sorted((out / "cells").iterdir())
@@ -545,7 +643,7 @@ def test_embed_ignores_the_order_of_json_edges(tmp_path):
     for name in ("sorted", "reversed"):
         out = tmp_path / f"out-{name}"
         assert main(["embed", "--dataset", str(tmp_path / f"{name}.json"), "--out", str(out)]
-                    + fast()) == EXIT_OK
+                    + fast("embed")) == EXIT_OK
         tables.append((out / "embeddings.csv").read_bytes())
     assert tables[0] == tables[1]
 
@@ -561,7 +659,7 @@ def _dataset_with(tmp_path, graph):
 def _encode_error(tmp_path, capsys, graph):
     """(exit code, stderr) of an encode run on _dataset_with(graph)."""
     path = _dataset_with(tmp_path, graph)
-    code = main(["encode", "--dataset", str(path), "--out", str(tmp_path / "out")] + fast())
+    code = main(["encode", "--dataset", str(path), "--out", str(tmp_path / "out")] + fast("encode"))
     return code, capsys.readouterr().err
 
 
@@ -601,7 +699,7 @@ def test_json_graph_error_names_file_and_graph(tmp_path, capsys, graph, message)
 def test_encode_ignores_stale_temp_path(tmp_path, dataset_file):
     # a leftover at the checkpoint's old fixed temp name must not block a write
     out = tmp_path / "out"
-    args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast()
+    args = ["encode", "--dataset", dataset_file, "--out", str(out)] + fast("encode")
     assert main(args) == EXIT_OK
     ckpt = next(p for p in sorted(os.listdir(out)) if p.startswith("encoder_"))
     os.remove(out / ckpt)
@@ -621,7 +719,8 @@ def test_empty_source_graph_is_named_before_any_training(tmp_path, capsys):
                                            {"nodes": 4, "edges": [[0, 1], [2, 3]]}],
                                 "classes": [0, 1, 0, 1]}))
     out = tmp_path / "out"
-    assert main(["encode", "--dataset", str(path), "--out", str(out)] + fast()) == EXIT_USAGE
+    assert main(["encode", "--dataset", str(path), "--out", str(out)]
+                + fast("encode")) == EXIT_USAGE
     assert capsys.readouterr().err == "error: source graph 1 is empty: an encoder needs a node\n"
     assert not out.exists()
 
@@ -630,16 +729,16 @@ def test_symmetric_needs_every_source(tmp_path, dataset_file):
     # rejected before any encoder is trained or any cell is written
     out = tmp_path / "out"
     assert main(["embed", "--dataset", dataset_file, "--out", str(out),
-                 "--sources", "sample:0.5:7", "--symmetric"] + fast()) == EXIT_USAGE
+                 "--sources", "sample:0.5:7", "--symmetric"] + fast("embed")) == EXIT_USAGE
     assert not out.exists()
 
 
 def test_cluster_raw_rows(tmp_path, dataset_file):
     out = tmp_path / "out"
-    assert main(["embed", "--dataset", dataset_file, "--out", str(out)] + fast()) == EXIT_OK
+    assert main(["embed", "--dataset", dataset_file, "--out", str(out)] + fast("embed")) == EXIT_OK
     emb = str(out / "embeddings.csv")
     assert main(["cluster", "--dataset", dataset_file, "--out", str(out),
-                 "--embeddings", emb, "--raw-rows"] + fast()) == EXIT_OK
+                 "--embeddings", emb, "--raw-rows"]) == EXIT_OK
     with open(emb) as f:
         table = table_from_csv("".join(l for l in f if not l.startswith("#")))
     with open(out / "distances.csv") as f:
@@ -677,7 +776,8 @@ def test_command_outputs_contract(tmp_path, dataset_file, command):
         f"{i},{float(i % 3)!r},{float(i // 3)!r}\n" for i in range(6)))
     out = tmp_path / "out"
     args = [str(emb) if a == "EMB" else a for a in extra]
-    assert main([command, "--dataset", dataset_file, "--out", str(out)] + fast() + args) == EXIT_OK
+    assert main([command, "--dataset", dataset_file, "--out", str(out)]
+                + fast(command) + args) == EXIT_OK
     written = {re.sub(r"_[0-9a-f]{12}_", "_H_", os.path.relpath(os.path.join(root, name), out))
                for root, _, names in os.walk(out) for name in names}
     assert written == files
