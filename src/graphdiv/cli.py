@@ -36,14 +36,19 @@ class CliInputError(ValueError):
     pass
 
 
-def _write_csv(path, cfg, body):
-    atomic_write(path, f"# config_hash={cfg.hash()} seed={cfg.rng_seed}\n{body}")
+def _config_line(cfg):
+    """The `#` line heading the CSV of a command that trains: its config."""
+    return f"# config_hash={cfg.hash()} seed={cfg.rng_seed}\n"
 
 
 def _read_csv_table(path):
+    """The embeddings table at path, and its `#` lines, which name the run
+    that wrote it; classify and cluster head their CSVs with them."""
     try:
         with open(path) as f:
-            return table_from_csv("".join(line for line in f if not line.startswith("#")))
+            lines = f.readlines()
+        return (table_from_csv("".join(line for line in lines if not line.startswith("#"))),
+                "".join(line.rstrip("\n") + "\n" for line in lines if line.startswith("#")))
     except ValueError as exc:  # not UTF-8, or not an embeddings table
         raise CliInputError(f"{path}: {exc}") from None
 
@@ -90,27 +95,20 @@ def _encoder_path(out, cfg, idx):
     return os.path.join(out, f"encoder_{cfg.encoder_hash()}_g{idx}.json")
 
 
-def _ensure_encoders(graphs, idxs, cfg, out, force=False, workers=1):
-    """Encoders for the dataset graphs at idxs. A cached checkpoint is loaded
-    unless --force is set or it is not a trained encoder of the same graph
-    (unreadable, untrained, or trained on a different graph); the rest are
-    trained, one stack per node count in parallel, and each is saved over
-    its old file as its stack finishes, so a diverged encoder (which raises
-    once every stack is done) costs no other its checkpoint.
-    Returns (encoders in idxs order, number trained)."""
+def _ensure_encoders(graphs, idxs, cfg, out, workers=1):
+    """Encoders for the dataset graphs at idxs. A checkpoint is reused when it
+    loads at this CHECKPOINT_VERSION, is trained and its graph has the digest
+    of the dataset's graph; the rest are trained, one stack per node count in
+    parallel, each saved over its old file as its stack finishes, so a
+    diverged encoder (which raises once every stack is done) costs no other
+    its checkpoint. Returns (encoders in idxs order, number trained)."""
     encoders = {}
     for idx in idxs:
-        path = _encoder_path(out, cfg, idx)
-        if force or not os.path.isfile(path):
-            continue
         try:
-            enc = load_encoder(path)
+            enc = load_encoder(_encoder_path(out, cfg, idx))
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            continue  # unreadable: retrained below, and the file overwritten
-        if enc.trained and enc.graph == graphs[idx]:
-            # equality ignores vocabulary sizes, which older checkpoints did
-            # not store; the dataset's graph carries this dataset's sizes
-            enc.graph = graphs[idx]
+            continue  # absent or unreadable: trained below, and the file (re)written
+        if enc.trained and enc.graph.digest == graphs[idx].digest:
             encoders[idx] = enc
     missing = [idx for idx in idxs if idx not in encoders]
     trained = train_source_encoders(
@@ -133,13 +131,13 @@ def _parse_sources(spec, num_graphs):
     raise CliInputError(f"bad --sources spec {spec!r}; use all or sample:<fraction>:<seed>")
 
 
-# Each command returns (CSV file name or None, CSV body, summary fields);
+# Each command returns (CSV file name or None, CSV text, summary fields);
 # main writes both files.
 
 def cmd_encode(args, cfg):
     dataset = load_dataset(args.dataset)
     _, trained = _ensure_encoders(dataset.graphs, range(len(dataset.graphs)), cfg, args.out,
-                                  force=args.force, workers=args.workers)
+                                  workers=args.workers)
     return None, None, {"graphs": len(dataset.graphs), "trained": trained,
                         "skipped": len(dataset.graphs) - trained}
 
@@ -149,25 +147,24 @@ def cmd_embed(args, cfg):
     src_idx = _parse_sources(args.sources, len(dataset.graphs))
     if args.symmetric and len(src_idx) != len(dataset.graphs):
         raise CliInputError("--symmetric needs every graph as a source (--sources all)")
-    encoders, _ = _ensure_encoders(dataset.graphs, src_idx, cfg, args.out,
-                                   force=args.force, workers=args.workers)
+    encoders, _ = _ensure_encoders(dataset.graphs, src_idx, cfg, args.out, workers=args.workers)
     table = embed_all([dataset.graphs[i] for i in src_idx], dataset.graphs, cfg,
                       source_ids=src_idx, target_ids=list(range(len(dataset.graphs))),
                       workers=args.workers, encoders=encoders, restarts=args.restarts,
                       cell_dir=os.path.join(args.out, "cells"))
     if args.symmetric:
         table = symmetrize(table)
-    return "embeddings.csv", table_to_csv(table), {
+    return "embeddings.csv", _config_line(cfg) + table_to_csv(table), {
         "sources": src_idx, "targets": len(dataset.graphs), "symmetric": bool(args.symmetric),
         "cell_errors": {f"{t},{s}": msg for (t, s), msg in table.errors.items()}}
 
 
 def cmd_classify(args, cfg):
-    table = _read_csv_table(args.embeddings)
+    table, comments = _read_csv_table(args.embeddings)
     dataset = _dataset_of(args, table)
     plan = make_fold_plan(dataset.graph_classes, fold_count=args.folds, rng_seed=cfg.rng_seed)
     result = classify_cv(table, dataset.graph_classes, plan)
-    body = "fold,accuracy,knn_accuracy\n" + "".join(
+    body = comments + "fold,accuracy,knn_accuracy\n" + "".join(
         f"{i},{a!r},{k!r}\n" for i, a, k in
         zip(result.fold_ids, result.fold_accuracies, result.knn_fold_accuracies))
     return "accuracy.csv", body, {
@@ -177,8 +174,8 @@ def cmd_classify(args, cfg):
 
 
 def cmd_cluster(args, cfg):
-    table = _read_csv_table(args.embeddings)
-    classes = args.clusters and _dataset_of(args, table).graph_classes
+    table, comments = _read_csv_table(args.embeddings)
+    classes = _dataset_of(args, table).graph_classes
     values = table.values if args.raw_rows else unit_rows(table.values)
     dist = distance_matrix(values)
     dendro = hier_cluster(dist)
@@ -188,7 +185,8 @@ def cmd_cluster(args, cfg):
         assignments = cut_clusters(dendro, args.clusters)
         extra["assignments"] = assignments.tolist()
         extra["purity"] = purity(assignments, classes)
-    return "distances.csv", matrix_csv("graph_id", table.target_ids, table.target_ids, dist), extra
+    body = matrix_csv("graph_id", table.target_ids, table.target_ids, dist)
+    return "distances.csv", comments + body, extra
 
 
 def cmd_attention(args, cfg):
@@ -196,14 +194,13 @@ def cmd_attention(args, cfg):
     n = len(dataset.graphs)
     if not (0 <= args.source_index < n and 0 <= args.target_index < n):
         raise CliInputError(f"graph indices must be in 0..{n - 1}")
-    (source,), _ = _ensure_encoders(dataset.graphs, [args.source_index], cfg, args.out,
-                                    force=args.force)
+    (source,), _ = _ensure_encoders(dataset.graphs, [args.source_index], cfg, args.out)
     ae = train_attention(source, dataset.graphs[args.target_index], cfg,
                          target_graph_id=args.target_index, restarts=args.restarts)
     m = attention_matrix(ae.attention)  # rows = source nodes, cols = target nodes
     body = matrix_csv("source_node", [f"t{j}" for j in range(m.shape[1])],
                       [f"s{i}" for i in range(m.shape[0])], m)
-    return "attention.csv", body, {
+    return "attention.csv", _config_line(cfg) + body, {
         "source_index": args.source_index, "target_index": args.target_index,
         "argmax_alignment": [int(v) for v in argmax_alignment(ae)]}
 
@@ -222,7 +219,6 @@ def build_parser():
     shared = {"--workers": dict(type=int, default=_usable_cpus()),
               "--restarts": dict(type=int, default=3,
                                  help="attention fits per pair; best training loss wins"),
-              "--force": dict(action="store_true", help="retrain even if checkpoints exist"),
               "--embeddings": dict(required=True, help="embeddings.csv from embed")}
 
     def command(name, func, summary, fields, *flags):
@@ -240,10 +236,10 @@ def build_parser():
         return p
 
     command("encode", cmd_encode, "train one encoder checkpoint per graph", ENCODER_FIELDS,
-            "--workers", "--force")
+            "--workers")
 
     p = command("embed", cmd_embed, "build the divergence embedding table",
-                _TRAIN_FLAGS.values(), "--workers", "--restarts", "--force")
+                _TRAIN_FLAGS.values(), "--workers", "--restarts")
     p.add_argument("--sources", default="all", help="all or sample:<fraction>:<seed>")
     p.add_argument("--symmetric", action="store_true")
 
@@ -258,7 +254,7 @@ def build_parser():
                    help="cluster raw divergence rows instead of unit-normalized ones")
 
     p = command("attention", cmd_attention, "dump the alignment for one graph pair",
-                _TRAIN_FLAGS.values(), "--restarts", "--force")
+                _TRAIN_FLAGS.values(), "--restarts")
     p.add_argument("--source-index", type=int, required=True)
     p.add_argument("--target-index", type=int, required=True)
 
@@ -273,9 +269,9 @@ def main(argv=None):
         for name in ("restarts", "workers"):
             if getattr(args, name, 1) < 1:
                 raise CliInputError(f"--{name} must be >= 1")
-        csv_name, body, extra = args.func(args, cfg)
+        csv_name, text, extra = args.func(args, cfg)
         if csv_name:
-            _write_csv(os.path.join(args.out, csv_name), cfg, body)
+            atomic_write(os.path.join(args.out, csv_name), text)
         _write_summary(os.path.join(args.out, f"{args.command}_summary.json"), args.command,
                        cfg, extra)
         return EXIT_OK

@@ -8,8 +8,8 @@ labels carried, and each group is fitted as stacked problems, one pool task
 per stack. One task builder (_tasks) shapes the pool work for both stages:
 it cuts a group into near-equal stacks of at most ceil(items / workers)
 items and MAX_STACK_ELEMENTS elements, and submits the heaviest first. A
-cell's bits do not depend on its stack, so results are identical regardless
-of worker count or resume point, and the table is resumable cell by cell.
+cell's bits do not depend on its stack, so results are the same at any worker
+count or resume point; cells resume from records keyed by encoder and target digest.
 """
 
 import json
@@ -144,7 +144,8 @@ def _completed(fn, tasks, workers):
 CELL_READ_BYTES = 4096
 # cell record version, the first part of a record's digest; bumped by every
 # change that moves a cell's bits (test_divergence pins them), so no run
-# serves cells of other numerics. 2: the attention fits run in float32
+# serves cells of other numerics. That pin trains its encoders, so a change to
+# encoder training bumps CHECKPOINT_VERSION too. 2: attention fits in float32
 CELL_FORMAT = 2
 
 
@@ -215,8 +216,8 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     Deterministic given ids and cfg.rng_seed; a failing cell is retried once
     and otherwise recorded in table.errors (value NaN) without aborting the
-    rest. With cell_dir set, cells are persisted as each stacked task
-    finishes and reused on a later call whose graphs have the same digests.
+    rest. With cell_dir set, cells are persisted as each stacked task finishes
+    and reused under the same CELL_FORMAT, source encoder and target digests.
     Each cell keeps the best of `restarts` attention fits (non-convex). Given
     `encoders`, encoders[i] must be an encoder of sources[i]; else ValueError.
     """
@@ -245,13 +246,13 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         # path prefix shared by every cell of this config and restart count;
         # a cell's file is f"{prefix}_t{target id}_s{source id}.json"
         prefix = os.path.join(cell_dir, f"cell_{cfg.hash()}_r{restarts}")
-        keys = [f"{CELL_FORMAT}:{encoder.graph.digest}:" for encoder in encoders]
+        keys = [f"{CELL_FORMAT}:{encoder.digest}:" for encoder in encoders]
         for ti, (tid, target) in enumerate(zip(target_ids, targets)):
             for si, sid in enumerate(source_ids):
                 try:
                     cell = _read_cell(f"{prefix}_t{tid}_s{sid}.json")
                     if cell["digest"] != keys[si] + target.digest:
-                        continue  # other graphs' record: scored below, and the file rewritten
+                        continue  # another encoder's or graph's record: rescored below
                     values[ti, si] = cell["raw"] - self_losses[si]
                 except (OSError, ValueError, KeyError, TypeError):
                     continue  # absent or unreadable: scored below, and the file (re)written

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,13 @@ class SourceEncoder:
     @property
     def node_count(self):
         return self.graph.node_count
+
+    @cached_property
+    def digest(self):
+        """SHA-256 of the graph's digest and each param's name, shape and bytes;
+        it keys the cells scored with this encoder, which is frozen once fitted."""
+        parts = [f"{name}{a.shape}".encode() + a.tobytes() for name, a in self.params.items()]
+        return hashlib.sha256(self.graph.digest.encode() + b"".join(parts)).hexdigest()
 
 
 def build_encoder(graph, cfg, graph_id=0):

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from graphdiv.attention import attention_matrix, train_attention
 from graphdiv.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_config, build_parser, main
 from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
-from graphdiv.encoder import TrainConfig, load_encoder
+from graphdiv.encoder import TrainConfig, load_encoder, save_encoder
 from graphdiv.generators import make_barbell, make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
 from graphdiv.tu import save_tu_dataset
@@ -57,9 +58,17 @@ def test_encode_caches_checkpoints(tmp_path, dataset_file):
     with open(os.path.join(out, "encode_summary.json")) as f:
         second = json.load(f)
     assert second["trained"] == 0 and second["skipped"] == 6
-    assert main(args + ["--force"]) == EXIT_OK
+    # a deleted checkpoint is trained again, alone, to the same bytes
+    ckpt = os.path.join(out, sorted(p for p in os.listdir(out) if p.startswith("encoder_"))[3])
+    with open(ckpt, "rb") as f:
+        saved = f.read()
+    os.remove(ckpt)
+    assert main(args) == EXIT_OK
     with open(os.path.join(out, "encode_summary.json")) as f:
-        assert json.load(f)["trained"] == 6
+        third = json.load(f)
+    assert third["trained"] == 1 and third["skipped"] == 5
+    with open(ckpt, "rb") as f:
+        assert f.read() == saved
 
 
 def test_encoder_checkpoints_ignore_scoring_fields(tmp_path, dataset_file):
@@ -268,7 +277,8 @@ def test_classify_writes_fold_ids(tmp_path):
     with open(os.path.join(out, "classify_summary.json")) as f:
         assert json.load(f)["skipped_folds"] == [0]
     with open(os.path.join(out, "accuracy.csv")) as f:
-        rows = f.read().splitlines()[2:]
+        lines = f.read().splitlines()
+    rows = lines[lines.index("fold,accuracy,knn_accuracy") + 1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
 
 
@@ -293,11 +303,12 @@ def _permuted_rows_case(tmp_path, order):
 
 
 @pytest.mark.parametrize("command, extra", [("classify", ["--folds", "2"]),
-                                            ("cluster", ["--clusters", "2"])])
+                                            ("cluster", ["--clusters", "2"]), ("cluster", [])])
 def test_permuted_embedding_rows_are_rejected(tmp_path, capsys, command, extra):
     # rows in id order 0, 4, 1, 5, ... were matched to graphs by position:
     # classify exited 0 with accuracy 0.5 (1.0 in order) and cluster with
-    # purity 0.625 (0.875 in order)
+    # purity 0.625 (0.875 in order); without --clusters, cluster did not
+    # check its rows at all
     ds, emb = _permuted_rows_case(tmp_path, [0, 4, 1, 5, 2, 6, 3, 7])
     out = tmp_path / "out"
     argv = [command, "--dataset", ds, "--out", str(out), "--embeddings", emb] + extra
@@ -321,6 +332,22 @@ def test_cluster_pipeline(tmp_path, dataset_file):
     assert len(summary["assignments"]) == 6
     assert 0.0 <= summary["purity"] <= 1.0
     assert os.path.isfile(os.path.join(out, "distances.csv"))
+
+
+def test_classify_and_cluster_csvs_name_their_embeddings(tmp_path, dataset_file):
+    # both once wrote a config line of their own options (accuracy.csv and
+    # distances.csv read "# config_hash=4171e6d48ded seed=0" whatever the
+    # embeddings were), so neither output named the embeddings it read
+    out = tmp_path / "out"
+    base = ["--dataset", dataset_file, "--out", str(out)]
+    emb = ["--embeddings", str(out / "embeddings.csv")]
+    assert main(["embed"] + base + fast("embed", "--seed", "3")) == EXIT_OK
+    assert main(["classify"] + base + emb + ["--folds", "3"]) == EXIT_OK
+    assert main(["cluster"] + base + emb) == EXIT_OK
+    first = {name: (out / name).read_text().splitlines()[0]
+             for name in ("embeddings.csv", "accuracy.csv", "distances.csv")}
+    assert first["embeddings.csv"].endswith(" seed=3")
+    assert set(first.values()) == {first["embeddings.csv"]}
 
 
 def test_attention_identity_on_labeled_barbell(tmp_path):
@@ -376,10 +403,16 @@ def test_attention_index_bounds(tmp_path, dataset_file):
                  "--source-index", "0", "--target-index", "9"] + fast("attention")) == EXIT_USAGE
 
 
-def test_missing_dataset_is_usage_error(tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["encode", "--dataset", str(tmp_path / "nope.json"),
-                 "--out", out] + fast("encode")) == EXIT_USAGE
+def test_missing_dataset_is_usage_error(tmp_path, capsys):
+    # cluster once read --dataset only with --clusters: without it, a missing
+    # dataset exited 0 and wrote distances.csv
+    out, missing = tmp_path / "out", str(tmp_path / "nope.json")
+    emb = tmp_path / "emb.csv"
+    emb.write_text("graph_id,0\n0,1.0\n")
+    for argv in (["encode"] + fast("encode"), ["cluster", "--embeddings", str(emb)]):
+        assert main(argv + ["--dataset", missing, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: dataset path does not exist: {missing}\n"
+        assert not out.exists()
 
 
 def test_directory_for_a_file_is_usage_error(tmp_path, dataset_file, capsys):
@@ -488,24 +521,30 @@ TRAIN_OPTIONS = {"--seed", "--embed-dim", "--encoder-layers", "--lr", "--encodin
                  "--scoring-epochs", "--node-reg", "--edge-reg"}
 # each command takes --dataset, --out and only the other options it reads
 OPTION_SETS = {
-    "encode": {"--dataset", "--out", "--workers", "--force", "--seed", "--embed-dim",
+    "encode": {"--dataset", "--out", "--workers", "--seed", "--embed-dim",
                "--encoder-layers", "--lr", "--encoding-epochs"},
-    "embed": {"--dataset", "--out", "--workers", "--restarts", "--force", "--sources",
+    "embed": {"--dataset", "--out", "--workers", "--restarts", "--sources",
               "--symmetric"} | TRAIN_OPTIONS,
     "classify": {"--dataset", "--out", "--seed", "--embeddings", "--folds"},
     "cluster": {"--dataset", "--out", "--embeddings", "--clusters", "--raw-rows"},
-    "attention": {"--dataset", "--out", "--restarts", "--force", "--source-index",
+    "attention": {"--dataset", "--out", "--restarts", "--source-index",
                   "--target-index"} | TRAIN_OPTIONS,
 }
 
 
 def test_each_command_takes_only_the_options_it_reads(tmp_path, dataset_file, capsys):
     # every command once took the same 14 shared options, 79 in all: classify
-    # --lr 0.5 exited 0 and wrote a config hash of its own into accuracy.csv
+    # --lr 0.5 exited 0 and wrote a config hash of its own into accuracy.csv.
+    # --force is gone too: the caches' keys decide what is fresh
     assert set(subparsers()) == set(OPTION_SETS)
     assert {command: options(command) for command in OPTION_SETS} == OPTION_SETS
-    assert sum(map(len, OPTION_SETS.values())) == 48
+    assert sum(map(len, OPTION_SETS.values())) == 45
     out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--dataset", dataset_file, "--out", str(out), "--force"] + fast("embed"))
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    assert not out.exists()
     emb = tmp_path / "emb.csv"
     emb.write_text("graph_id,0\n" + "".join(f"{i},{float(i)!r}\n" for i in range(6)))
     argv = ["classify", "--dataset", dataset_file, "--out", str(out), "--embeddings", str(emb),
@@ -605,6 +644,32 @@ def test_embed_rescores_the_cells_of_a_changed_graph(tmp_path):
     embed([make_ring(6), make_ring(7), make_ring(8)], "shared")
     changed = [make_ring(6), make_star(7), make_ring(8)]
     assert embed(changed, "shared") == embed(changed, "fresh")
+
+
+def test_embed_rescores_the_column_of_a_rewritten_checkpoint(tmp_path, dataset_file):
+    # a checkpoint rewritten with one param changed (and a valid checksum)
+    # loads as another encoder of the same graph; its cells were keyed by the
+    # graph, so a warm embed kept the column scored with the old encoder
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    argv = lambda o: ["embed", "--dataset", dataset_file, "--out", str(o)] + fast("embed")
+    assert main(argv(out)) == EXIT_OK
+    cfg = build_config(build_parser().parse_args(argv(out)))
+    ckpt = out / f"encoder_{cfg.encoder_hash()}_g2.json"
+    enc = load_encoder(ckpt)
+    enc.params["output.bias"] += 0.5
+    save_encoder(enc, cfg, ckpt)
+    fresh.mkdir()
+    shutil.copy(ckpt, fresh / ckpt.name)
+    stat = lambda: {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in (out / "cells").iterdir()}
+    before = stat()
+    assert main(argv(out)) == EXIT_OK
+    after = stat()
+    assert {name for name in before if after[name] != before[name]} == {
+        name for name in before if name.endswith("_s2.json")}
+    assert main(argv(fresh)) == EXIT_OK
+    files = lambda o: {p.relative_to(o): p.read_bytes() for p in o.rglob("*") if p.is_file()}
+    assert len(files(out)) == 6 + 36 + 2
+    assert files(out) == files(fresh)
 
 
 def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):

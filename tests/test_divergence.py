@@ -15,7 +15,8 @@ from graphdiv.attention import (AttentionPair, AugmentedEncoder, source_prob_mat
 from graphdiv.divergence import (CELL_READ_BYTES, DivergenceTable, distance_matrix, matrix_csv,
                                  embed_all, raw_divergence, symmetrize,
                                  table_from_csv, table_to_csv, train_source_encoders)
-from graphdiv.encoder import TrainConfig, fit_encoders, positive_log_loss, train_encoder
+from graphdiv.encoder import (SourceEncoder, TrainConfig, fit_encoders, positive_log_loss,
+                              train_encoder)
 from graphdiv.generators import make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, atomic_write
 
@@ -426,6 +427,30 @@ def test_cell_record_is_not_reused_for_other_graphs(tmp_path):
     assert (embed_all([star6], [star6, star7], cfg, cell_dir=cell_dir).values.tobytes()
             == embed_all([star6], [star6, star7], cfg).values.tobytes())
     assert len(os.listdir(cell_dir)) == 2
+
+
+def test_cell_record_is_not_reused_for_another_encoder(tmp_path):
+    # cells were keyed by the source graph's digest, not by its encoder: with
+    # source 1's output bias raised by 0.5 (same graph, same id), a warm run
+    # returned column 1 as -1.377, 6.207, 2.992, 6.136 where a fresh run with
+    # the new encoder gives -3.346, 2.712, -0.137, 2.705
+    graphs = [random_graph(6 + i % 2, 0.5, i) for i in range(4)]
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=30)
+    first = train_source_encoders(graphs, cfg)
+    params = {name: a.copy() for name, a in first[1].params.items()}
+    params["output.bias"] += 0.5
+    second = list(first)
+    second[1] = SourceEncoder(graphs[1], 1, params, trained=True)
+    embed = lambda encoders, cell_dir=None: embed_all(graphs, graphs, cfg, encoders=encoders,
+                                                      cell_dir=cell_dir, restarts=1)
+    embed(first, str(tmp_path))
+    stat = lambda: {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+    before = stat()
+    assert embed(second, str(tmp_path)).values.tobytes() == embed(second).values.tobytes()
+    after = stat()
+    assert sorted(name for name in before if after[name] != before[name]) == sorted(
+        name for name in before if name.endswith("_s1.json"))
+    assert len(before) == 16
 
 
 # The cell format and the float.hex bits of the raw divergence every cell

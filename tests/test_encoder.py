@@ -385,6 +385,26 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+# The checkpoint version and the digest (SourceEncoder.digest: graph, param
+# names, shapes and bytes) of one trained encoder. The CLI reuses a checkpoint
+# by its version, config and graph, not by the code that trained it, so a
+# change that moves these bits must bump CHECKPOINT_VERSION (a warm run would
+# reuse the old encoders otherwise) and pin the new digest here. The cell pin
+# in test_divergence trains its encoders, so CELL_FORMAT is bumped with it.
+TRAINED_PIN = (1, "3cf874362670457ce5aa91be5fbcf3926813a2688867560e5a1162825245ef00")
+
+
+def test_trained_encoder_is_pinned_to_the_checkpoint_version(tmp_path):
+    # test_checkpoint_bytes_are_pinned saves an untrained encoder, so a change
+    # to encoder training alone could not fail it; a reload keeps the digest
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], node_labels=[0, 1, 0, 1, 2])
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=30)
+    enc = train_encoder(g, cfg, graph_id=0)
+    assert (encoder.CHECKPOINT_VERSION, enc.digest) == TRAINED_PIN
+    save_encoder(enc, cfg, tmp_path / "enc.json")
+    assert load_encoder(tmp_path / "enc.json").digest == enc.digest
+
+
 def test_positive_log_loss_matches_edge_loop(tiny_cfg):
     for s in range(4):
         enc = train_encoder(random_graph(4 + 3 * s, 0.5, 30 + s), tiny_cfg)
