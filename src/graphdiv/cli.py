@@ -3,8 +3,10 @@
 Each command takes only the options it reads. --dataset is read as a TU
 dataset when it names a directory and as a JSON dataset otherwise. Every run
 writes a JSON summary embedding its configuration (the command's training
-options, defaults for the fields it does not take), its hash, and the seed,
-so any output can be traced back to the exact invocation. All file writes go
+options, defaults for the fields it does not take), its hash, and the seed;
+classify and cluster add the `#` lines of the embeddings they read
+("embeddings_comments"), so any output can be traced back to the exact
+invocation and the run that made its inputs. All file writes go
 through write-temp-then-rename.
 """
 
@@ -170,7 +172,8 @@ def cmd_classify(args, cfg):
     return "accuracy.csv", body, {
         "mean_accuracy": result.mean, "std_accuracy": result.std,
         "knn_mean_accuracy": result.knn_mean, "knn_std_accuracy": result.knn_std,
-        "skipped_folds": result.skipped_folds, "folds": args.folds}
+        "skipped_folds": result.skipped_folds, "folds": args.folds,
+        "embeddings_comments": comments}
 
 
 def cmd_cluster(args, cfg):
@@ -180,7 +183,7 @@ def cmd_cluster(args, cfg):
     dist = distance_matrix(values)
     dendro = hier_cluster(dist)
     extra = {"merges": [[int(a), int(b), float(h)] for a, b, h in dendro.merges],
-             "leaf_ids": list(table.target_ids)}
+             "leaf_ids": list(table.target_ids), "embeddings_comments": comments}
     if args.clusters:
         assignments = cut_clusters(dendro, args.clusters)
         extra["assignments"] = assignments.tolist()

@@ -235,7 +235,7 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
         encoders = train_source_encoders(sources, cfg, source_ids=source_ids, workers=workers)
     elif len(encoders) != len(sources) or any(e.graph != g for e, g in zip(encoders, sources)):
         raise ValueError("encoders must be one per source, each of its source's graph")
-    self_losses = np.array([positive_log_loss(enc) for enc in encoders])
+    self_losses = np.array(positive_log_loss(encoders))
 
     values = np.full((len(targets), len(sources)), np.nan)
     errors = {}

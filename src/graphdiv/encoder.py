@@ -136,12 +136,24 @@ def encoder_loss_and_grads(params, adjacency, layers=None, loss=True):
     return loss, dict(zip(params, [g_input] + [g for pair in layer_grads for g in pair]))
 
 
-def positive_log_loss(enc):
-    """-sum log sigma(logit) over both orientations of every edge of the
-    encoder's own graph: the self-divergence baseline. For finite parameters
-    it is positive when the graph has an edge, and 0.0 when it has none."""
-    logits, _ = nn.forward(enc.layers, enc.embedding)
-    return edge_pair_sum(enc.graph, nn.softplus, -logits)
+def positive_log_loss(encoders):
+    """-sum log sigma(logit) over both orientations of every edge of each
+    encoder's own graph: the self-divergence baseline, one per encoder. The
+    encoders of one node count and parameter shapes run one stacked forward,
+    and each loss has the bits of its lone forward, its edge sum in edge
+    order. For finite parameters a loss is positive when the graph has an
+    edge, and 0.0 when it has none."""
+    groups = {}
+    for i, enc in enumerate(encoders):
+        groups.setdefault(tuple((name, a.shape) for name, a in enc.params.items()), []).append(i)
+    losses = [None] * len(encoders)
+    for idx in groups.values():
+        params = {name: np.array([encoders[i].params[name] for i in idx])
+                  for name in encoders[idx[0]].params}
+        logits, _ = nn.forward(_layers(params), params["embedding"])
+        for i, z in zip(idx, logits):
+            losses[i] = edge_pair_sum(encoders[i].graph, nn.softplus, -z)
+    return losses
 
 
 def fit_encoders(graphs, cfg, graph_ids):

@@ -2,18 +2,20 @@
 embeddings, agglomerative clustering of the embedding space, and the
 source-sampling sweep.
 
-Cross-validation fits the hinge classifiers of all folds whose training
-splits share a size and a class set as one (F, n, d) problem. No row is
-padded or masked and every matmul, reduction and update runs per slice, so
-each fold's weights are the bits of its lone fit; a stratified plan gives
-one or two such groups.
+Cross-validation standardizes the table once and fits the hinge classifiers
+of all folds with one class set as one problem over that table: each fold
+keeps its own training-split statistics and its iterate lives in the
+table's coordinates (HingeClassifier), so every epoch is eight numpy calls
+for all folds together, and a fold's bits do not depend on the others.
+The k-NN baseline ranks each fold's test rows on the test x train block of
+its fold-standardized distances.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import DivergenceTable, distance_matrix, embed_all
+from .divergence import DivergenceTable, embed_all
 
 
 class EvalError(ValueError):
@@ -81,38 +83,59 @@ class HingeClassifier:
     """Linear max-margin classifier, one-vs-rest per class.
 
     L2-regularized hinge loss by deterministic full-batch subgradient descent;
-    the per-class problems train together as the columns of one weight matrix.
-    fit also takes F same-size training splits, x (F, n, d) with y (F, n) or
-    one (n,) vector; each slice gets the bits of its lone fit, and clf[k] is
-    slice k's classifier.
+    the per-class problems train as the columns of one weight matrix.
+    fit(x, y) trains on the rows of x as they are; fit(x, y, folds) trains one
+    classifier per fold of one table x, fold k = (rows, mean, std) solving the
+    fit on (x[rows] - mean) / std, and clf[k] takes rows of x. A fold fitted
+    alone gets the bits it gets among others; a lone fit is the fold of all
+    rows at mean 0 and std 1.
+
+    With A = [x, 1] and Q = [[diag(1/std), 0], [-(mean/std)^T, 1]], a fold's
+    standardized iterate u = [w; b] is kept as V = Q u, so A @ V are its
+    margins, and its subgradient step is V -= lr (-Q Q^T G / n + 2 l2 [W;
+    -mean^T W]) over its n training rows, with G = A^T active. G's last row
+    sums -1, 0 and +1: exact in any order. Each matmul runs per fold, batched
+    over one table with no standardized copies; one matmul over all folds'
+    columns would be faster at scale, but BLAS may round a column differently
+    beside more columns, tying a fold's bits to the fold count.
     """
 
-    def fit(self, x, y):
-        x = np.asarray(x, dtype=float)
-        xs = x[None] if x.ndim == 2 else x
-        ys = np.broadcast_to(np.asarray(y), xs.shape[:2])
-        self.classes_ = np.unique(ys)
+    def fit(self, x, y, folds=None):
+        x, y = np.asarray(x, dtype=float), np.asarray(y)
+        n, d = x.shape
+        lone = folds is None
+        if lone:
+            folds = [(np.arange(n), np.zeros(d), np.ones(d))]
+        rows, mean, std = zip(*folds)
+        self.classes_ = np.unique(y[np.concatenate(rows)])
         if len(self.classes_) < 2:
             raise EvalError("training split contains a single class")
-        if any(len(np.unique(row)) != len(self.classes_) for row in ys):
-            raise EvalError("stacked training splits must hold the same classes")
-        f, n, d = xs.shape
-        targets = np.where(ys[..., None] == self.classes_, 1.0, -1.0)
-        xt = xs.swapaxes(-1, -2)
-        w = np.zeros((f, d, len(self.classes_)))
-        b = np.zeros((f, 1, len(self.classes_)))
-        # active holds only -1, 0 and +1, so its column sums are exact
-        # integers (+0.0 when zero) in any order; a matmul with ones is a
-        # faster column sum than a reduction over the row axis
-        ones = np.ones((1, n))
+        if any(len(np.unique(y[r])) != len(self.classes_) for r in rows):
+            raise EvalError("every fold's training split must hold the same classes")
+        f, mean, std = len(folds), np.stack(mean), np.stack(std)
+        train = np.zeros((f, n, 1), dtype=bool)
+        for k, r in enumerate(rows):
+            train[k, r] = True
+        # each fold's +-1 targets on its training rows, +0.0 on the others
+        targets = np.where(train, np.where(y[:, None] == self.classes_, 1.0, -1.0), 0.0)
+        q = np.zeros((f, d + 1, d + 1))
+        q[:, range(d), range(d)] = 1.0 / std
+        q[:, d, :d] = -mean / std
+        q[:, d, d] = 1.0
+        # a fold's step is step_matrix @ [G; V]
+        step_matrix = np.zeros((f, d + 1, 2 * d + 2))
+        step_matrix[:, :, :d + 1] = -(q @ q.swapaxes(1, 2)) / train.sum(axis=1)[:, :, None]
+        step_matrix[:, range(d), range(d + 1, 2 * d + 1)] = 2.0 * HINGE_L2
+        step_matrix[:, d, d + 1:-1] = -2.0 * HINGE_L2 * mean
+        a = np.hstack([x, np.ones((n, 1))])
+        gv = np.zeros((f, 2 * d + 2, len(self.classes_)))
+        g, v = gv[:, :d + 1], gv[:, d + 1:]
         for t in range(HINGE_EPOCHS):
             lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
-            active = np.where(targets * (xs @ w + b) < 1.0, targets, 0.0)
-            gw = -(xt @ active) / n + 2.0 * HINGE_L2 * w
-            gb = -(ones @ active) / n
-            w -= lr * gw
-            b -= lr * gb
-        self.weights_, self.bias_ = (w[0], b[0, 0]) if x.ndim == 2 else (w, b[:, 0])
+            active = np.where(targets * (a @ v) < 1.0, targets, 0.0)
+            np.matmul(a.T, active, out=g)
+            v -= lr * (step_matrix @ gv)
+        self.weights_, self.bias_ = (v[0, :d], v[0, d]) if lone else (v[:, :d], v[:, d])
         return self
 
     def __getitem__(self, k):
@@ -128,9 +151,11 @@ class HingeClassifier:
 
 
 def _knn_predict(train_x, train_y, test_x, k):
-    """Majority vote of the k nearest training rows; equal distances rank the
-    lower training index first and equal votes go to the smallest label."""
-    d = distance_matrix(np.vstack([train_x, test_x]))[len(train_x):, :len(train_x)]
+    """Majority vote of the k nearest training rows by squared Euclidean
+    distance, computed on the test x train block alone; equal distances rank
+    the lower training index first and equal votes go to the smallest label."""
+    d = np.maximum((test_x * test_x).sum(axis=1)[:, None] + (train_x * train_x).sum(axis=1)
+                   - 2.0 * (test_x @ train_x.T), 0.0)
     nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
     labels, codes = np.unique(train_y, return_inverse=True)
     votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
@@ -155,7 +180,10 @@ def classify_cv(table, classes, plan=None):
     Standardization is fit per fold on the training split only. Reports the
     linear hinge classifier as the headline number plus a k-NN baseline, per
     evaluated fold in fold order. A fold with no test rows is left out and
-    one whose training split holds a single class is skipped.
+    one whose training split holds a single class is skipped. The hinge
+    classifiers of the folds with one class set train in one fit over the
+    table standardized once, each fold with its own statistics mapped into
+    the table's coordinates (see HingeClassifier).
     """
     features = table.values if isinstance(table, DivergenceTable) else np.asarray(table, dtype=float)
     classes = np.asarray(classes)
@@ -179,24 +207,29 @@ def classify_cv(table, classes, plan=None):
         if len(labels) < 2:
             skipped.append(fold)
             continue
-        scaler = Standardizer().fit(features[tr])
-        groups.setdefault((len(tr), tuple(labels.tolist())), []).append(len(folds))
-        folds.append((fold, tr, te, scaler.transform(features[tr]), scaler.transform(features[te])))
+        groups.setdefault(tuple(labels.tolist()), []).append(len(folds))
+        folds.append((fold, tr, te, Standardizer().fit(features[tr])))
     if not folds:
         raise EvalError("no usable folds")
 
-    # the folds of one training-split size and class set fit as one stack
+    # each fold's training statistics, mapped into the coordinates of the
+    # table standardized once: its problem is still its own split's, and the
+    # table is well scaled whatever the raw offsets
+    whole = Standardizer().fit(features)
+    standardized = whole.transform(features)
     clfs = [None] * len(folds)
     for members in groups.values():
-        stacked = HingeClassifier().fit(np.stack([folds[i][3] for i in members]),
-                                        np.stack([classes[folds[i][1]] for i in members]))
+        fit = HingeClassifier().fit(standardized, classes, [
+            (tr, (scaler.mean - whole.mean) / whole.std, scaler.std / whole.std)
+            for _, tr, _, scaler in (folds[i] for i in members)])
         for k, i in enumerate(members):
-            clfs[i] = stacked[k]
+            clfs[i] = fit[k]
 
     accs, knn_accs = [], []
-    for (fold, tr, te, xtr, xte), clf in zip(folds, clfs):
-        accs.append(float(np.mean(clf.predict(xte) == classes[te])))
-        knn = _knn_predict(xtr, classes[tr], xte, KNN_K)
+    for (fold, tr, te, scaler), clf in zip(folds, clfs):
+        accs.append(float(np.mean(clf.predict(standardized[te]) == classes[te])))
+        knn = _knn_predict(scaler.transform(features[tr]), classes[tr],
+                           scaler.transform(features[te]), KNN_K)
         knn_accs.append(float(np.mean(knn == classes[te])))
     return CVResult(float(np.mean(accs)), float(np.std(accs)), accs,
                     float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs,

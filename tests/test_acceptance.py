@@ -82,7 +82,7 @@ def test_criterion_2_self_divergence():
     ratios = []
     for i, g in enumerate(graphs):
         src = train_encoder(g, enc_cfg, graph_id=i)
-        self_loss = positive_log_loss(src)
+        self_loss = positive_log_loss([src])[0]
         # no-attention path: the raw score of a source on its own graph is its
         # own positive log-loss, so normalization cancels it exactly
         assert self_loss - self_loss == 0.0

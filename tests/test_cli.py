@@ -350,6 +350,22 @@ def test_classify_and_cluster_csvs_name_their_embeddings(tmp_path, dataset_file)
     assert set(first.values()) == {first["embeddings.csv"]}
 
 
+def test_classify_and_cluster_summaries_name_their_embeddings(tmp_path, dataset_file):
+    # both summaries once held only their own command's config (cluster's
+    # config_hash read 4171e6d48ded, the defaults, for any embeddings)
+    out = tmp_path / "out"
+    base = ["--dataset", dataset_file, "--out", str(out)]
+    emb = ["--embeddings", str(out / "embeddings.csv")]
+    assert main(["embed"] + base + fast("embed", "--seed", "3")) == EXIT_OK
+    assert main(["classify"] + base + emb + ["--folds", "3"]) == EXIT_OK
+    assert main(["cluster"] + base + emb) == EXIT_OK
+    line = (out / "embeddings.csv").read_text().splitlines()[0]
+    assert line.startswith("# config_hash=")
+    for command in ("classify", "cluster"):
+        with open(out / f"{command}_summary.json") as f:
+            assert json.load(f)["embeddings_comments"] == line + "\n", command
+
+
 def test_attention_identity_on_labeled_barbell(tmp_path):
     ds = GraphDataset([make_barbell(5, labeled=True)], [0])
     path = tmp_path / "bar.json"
@@ -824,9 +840,9 @@ CONTRACT = {
               {"sources", "targets", "symmetric", "cell_errors"}),
     "classify": (["--embeddings", "EMB", "--folds", "3"], {"accuracy.csv", "classify_summary.json"},
                  {"mean_accuracy", "std_accuracy", "knn_mean_accuracy", "knn_std_accuracy",
-                  "skipped_folds", "folds"}),
+                  "skipped_folds", "folds", "embeddings_comments"}),
     "cluster": (["--embeddings", "EMB", "--clusters", "2"], {"distances.csv", "cluster_summary.json"},
-                {"merges", "leaf_ids", "assignments", "purity"}),
+                {"merges", "leaf_ids", "assignments", "purity", "embeddings_comments"}),
     "attention": (["--source-index", "1", "--target-index", "4"],
                   {"encoder_H_g1.json", "attention.csv", "attention_summary.json"},
                   {"source_index", "target_index", "argmax_alignment"}),

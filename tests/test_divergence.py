@@ -121,8 +121,8 @@ def test_normalized_and_symmetric_are_trivial_arithmetic():
     table = embed_all(graphs, graphs, cfg, restarts=1)
     src = train_encoder(graphs[1], cfg, graph_id=1)
     ae = train_attention(src, graphs[0], cfg, target_graph_id=0)
-    assert table.values[0, 1] == raw_divergence([ae])[0] - positive_log_loss(src)
-    assert table.self_losses[1] == positive_log_loss(src)
+    assert table.values[0, 1] == raw_divergence([ae])[0] - positive_log_loss([src])[0]
+    assert table.self_losses[1] == positive_log_loss([src])[0]
     assert symmetrize(table).values[0, 1] == table.values[0, 1] + table.values[1, 0]
 
 
@@ -521,7 +521,7 @@ def test_embed_all_mixes_labeled_and_unlabeled_targets():
     src = train_encoder(source, cfg, graph_id=0)
     for ti, target in enumerate([plain, labeled]):
         ae = train_attention(src, target, cfg, target_graph_id=ti)
-        assert table.values[ti, 0] == raw_divergence([ae])[0] - positive_log_loss(src)
+        assert table.values[ti, 0] == raw_divergence([ae])[0] - positive_log_loss([src])[0]
 
 
 def _poison_target(att, graph):
@@ -636,7 +636,7 @@ def test_cell_bytes_do_not_depend_on_batch(tmp_path):
     assert grouped.attention.reverse.tobytes() == alone.attention.reverse.tobytes()
     assert np.array(grouped.loss_trace).tobytes() == np.array(alone.loss_trace).tobytes()
 
-    expected = raw_divergence([alone])[0] - positive_log_loss(src)
+    expected = raw_divergence([alone])[0] - positive_log_loss([src])[0]
     for workers in (1, 2):
         cell_dir = tmp_path / f"cells{workers}"
         # a first pass over 2 targets leaves the rest of each group pending
@@ -768,7 +768,7 @@ def test_uniform_size_corpus_same_at_any_workers(monkeypatch):
     for ti, target in enumerate(graphs):
         for si, enc in enumerate(encoders):
             ae = train_attention(enc, target, cfg, target_graph_id=ti, restarts=2)
-            assert tables[0].values[ti, si] == raw_divergence([ae])[0] - positive_log_loss(enc)
+            assert tables[0].values[ti, si] == raw_divergence([ae])[0] - positive_log_loss([enc])[0]
 
 
 def test_stack_element_budget_splits_tasks(monkeypatch):
@@ -802,4 +802,4 @@ def test_self_divergence_zero_without_attention(tiny_cfg):
     n = g.node_count
     fwd = np.where(np.eye(n, dtype=bool), 50.0, -50.0)
     ae = AugmentedEncoder(AttentionPair(fwd.copy(), fwd.copy()), g, source_prob_matrix(src))
-    assert raw_divergence([ae])[0] - positive_log_loss(src) == pytest.approx(0.0, abs=1e-9)
+    assert raw_divergence([ae])[0] - positive_log_loss([src])[0] == pytest.approx(0.0, abs=1e-9)

@@ -109,7 +109,7 @@ def test_zero_weight_encoder_loss(tiny_cfg, triangle):
     loss, _ = encoder_loss_and_grads(enc.params, triangle.adjacency_matrix())
     assert float(loss) == pytest.approx(9 * np.log(2))
     # positive-edge loss: 2E directed edges at sigma(0)=0.5
-    assert positive_log_loss(enc) == pytest.approx(6 * np.log(2))
+    assert positive_log_loss([enc])[0] == pytest.approx(6 * np.log(2))
 
 
 def test_encoder_gradient_check():
@@ -297,7 +297,7 @@ def test_parameter_names_and_order(tmp_path, triangle, layers):
 
 def test_edgeless_graph_self_loss_is_zero(tiny_cfg):
     # no edge, no positive-edge term: the baseline is exactly 0.0, not positive
-    assert positive_log_loss(train_encoder(Graph(4, []), tiny_cfg)) == 0.0
+    assert positive_log_loss([train_encoder(Graph(4, []), tiny_cfg)])[0] == 0.0
 
 
 def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
@@ -409,10 +409,24 @@ def test_positive_log_loss_matches_edge_loop(tiny_cfg):
     for s in range(4):
         enc = train_encoder(random_graph(4 + 3 * s, 0.5, 30 + s), tiny_cfg)
         logits, _ = nn.forward(enc.layers, enc.embedding)
-        assert same_bits(positive_log_loss(enc), positive_log_loss_loop(logits, enc.graph.edges))
+        assert same_bits(positive_log_loss([enc])[0], positive_log_loss_loop(logits, enc.graph.edges))
+
+
+def test_batched_self_losses_match_lone_forwards(tiny_cfg):
+    # one stacked forward per node count and parameter shapes, and each loss
+    # keeps the bits of its own encoder's lone 2-D forward, in input order
+    graphs = [random_graph(n, 0.5, 40 + i) for i, n in enumerate([5, 7, 5, 9, 7, 5])]
+    encs = [train_encoder(g, tiny_cfg, graph_id=i) for i, g in enumerate(graphs)]
+    encs += [train_encoder(Graph(5, []), tiny_cfg, graph_id=6),
+             build_encoder(graphs[0], TrainConfig(embed_dim=3), graph_id=7)]
+    losses = positive_log_loss(encs)
+    assert len(losses) == len(encs)
+    for enc, loss in zip(encs, losses):
+        logits, _ = nn.forward(enc.layers, enc.embedding)
+        assert same_bits(loss, positive_log_loss_loop(logits, enc.graph.edges))
 
 
 def test_positive_log_loss_strictly_positive(tiny_cfg):
     g = random_graph(6, 0.5, 4)
     enc = train_encoder(g, tiny_cfg)
-    assert positive_log_loss(enc) > 0.0
+    assert positive_log_loss([enc])[0] > 0.0

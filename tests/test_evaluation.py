@@ -68,29 +68,62 @@ def hinge_decision_reference(train_x, train_y, test_x):
 
 
 def classify_cv_reference(features, classes, plan):
-    """classify_cv as a loop of lone fits, one fold at a time: the oracle of
-    its stacked fits. Returns the CVResult and each evaluated fold's
-    classifier."""
+    """classify_cv as a loop over the folds, each standardized on its own
+    training split and fitted alone by the per-class loop, with k-NN on
+    the full distance matrix: the oracle of its fits over one table. Returns
+    the CVResult and each evaluated fold's test decisions by fold id."""
     classes = np.asarray(classes)
-    accs, knn_accs, ids, skipped, clfs = [], [], [], [], []
+    accs, knn_accs, ids, skipped, decisions = [], [], [], [], {}
     for fold in range(plan.fold_count):
         tr, te = plan.train_indices(fold), plan.test_indices(fold)
         if len(te) == 0:
             continue
-        if len(np.unique(classes[tr])) < 2:
+        labels = np.unique(classes[tr])
+        if len(labels) < 2:
             skipped.append(fold)
             continue
         scaler = Standardizer().fit(features[tr])
         xtr, xte = scaler.transform(features[tr]), scaler.transform(features[te])
-        clf = HingeClassifier().fit(xtr, classes[tr])
-        accs.append(float(np.mean(clf.predict(xte) == classes[te])))
-        knn = _knn_predict(xtr, classes[tr], xte, KNN_K)
+        decisions[fold] = hinge_decision_reference(xtr, classes[tr], xte)
+        accs.append(float(np.mean(labels[decisions[fold].argmax(axis=1)] == classes[te])))
+        knn = knn_reference(xtr, classes[tr], xte, KNN_K)
         knn_accs.append(float(np.mean(knn == classes[te])))
         ids.append(fold)
-        clfs.append(clf)
     return CVResult(float(np.mean(accs)), float(np.std(accs)), accs,
                     float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs,
-                    ids, skipped), clfs
+                    ids, skipped), decisions
+
+
+def hinge_fit_row_sum_reference(x, y, folds):
+    """HingeClassifier.fit one fold at a time, written out with 2-D arrays,
+    with the last row of G (the bias gradient) as a reduction over the row
+    axis: the oracle of the fit's exact column sum and of its folds' lone
+    bits. Returns (weights (F, d, C), bias (F, C))."""
+    classes = np.unique(y[np.concatenate([rows for rows, _, _ in folds])])
+    n, d = x.shape
+    a = np.hstack([x, np.ones((n, 1))])
+    fitted = []
+    for rows, mean, std in folds:
+        targets = np.zeros((n, len(classes)))
+        targets[rows] = np.where(y[rows, None] == classes, 1.0, -1.0)
+        q = np.zeros((d + 1, d + 1))
+        q[range(d), range(d)] = 1.0 / std
+        q[d, :d] = -mean / std
+        q[d, d] = 1.0
+        step_matrix = np.zeros((d + 1, 2 * d + 2))
+        step_matrix[:, :d + 1] = -(q @ q.T) / len(rows)
+        step_matrix[range(d), range(d + 1, 2 * d + 1)] = 2.0 * HINGE_L2
+        step_matrix[d, d + 1:-1] = -2.0 * HINGE_L2 * mean
+        v = np.zeros((d + 1, len(classes)))
+        for t in range(HINGE_EPOCHS):
+            lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
+            active = np.where(targets * (a @ v) < 1.0, targets, 0.0)
+            g = a.T @ active
+            g[-1] = active.sum(axis=0)
+            v = v - lr * (step_matrix @ np.vstack([g, v]))
+        fitted.append(v)
+    v = np.stack(fitted)
+    return v[:, :d], v[:, d]
 
 
 def knn_reference(train_x, train_y, test_x, k):
@@ -257,118 +290,160 @@ def assert_same_classifier(a, b, test_x):
     assert a.predict(test_x).tobytes() == b.predict(test_x).tobytes()
 
 
+def random_folds(x, sizes, rng):
+    """One (training rows, mean, std) fold per size: random rows of x with
+    their Standardizer statistics."""
+    folds = []
+    for size in sizes:
+        rows = np.sort(rng.choice(len(x), size=size, replace=False))
+        scaler = Standardizer().fit(x[rows])
+        folds.append((rows, scaler.mean, scaler.std))
+    return folds
+
+
 @pytest.mark.parametrize("stack,n,d,classes", [(1, 20, 3, [0, 1]), (4, 33, 5, [2, 5, 9]),
                                                (3, 17, 1, [0, 1, 2, 3]), (6, 40, 8, [1, 4])])
 def test_stacked_hinge_fit_matches_lone_fits(stack, n, d, classes):
-    # every slice of a stacked fit has the bits of its lone fit
+    # every fold of a fit over one table has the bits of its lone fit; the
+    # folds' training splits hold n, n + 1 and n + 2 rows
     rng = np.random.default_rng(stack * n)
-    x = rng.normal(size=(stack, n, d)) + rng.normal(size=(stack, 1, d))
-    y = np.stack([rng.permutation(np.resize(classes, n)) for _ in range(stack)])
+    x = rng.normal(size=(n + 9, d)) + rng.normal(size=d)
+    y = rng.permutation(np.resize(classes, n + 9))
+    folds = random_folds(x, [n + k % 3 for k in range(stack)], rng)
     test_x = rng.normal(size=(7, d))
-    stacked = HingeClassifier().fit(x, y)
-    assert stacked.weights_.shape == (stack, d, len(classes))
-    assert stacked.bias_.shape == (stack, len(classes))
+    together = HingeClassifier().fit(x, y, folds)
+    assert together.weights_.shape == (stack, d, len(classes))
+    assert together.bias_.shape == (stack, len(classes))
     for k in range(stack):
-        assert_same_classifier(stacked[k], HingeClassifier().fit(x[k], y[k]), test_x)
-    # one label vector shared by every slice
-    shared = HingeClassifier().fit(x, y[0])
-    for k in range(stack):
-        assert_same_classifier(shared[k], HingeClassifier().fit(x[k], y[0]), test_x)
-
-
-def hinge_fit_row_sum_reference(x, y):
-    """HingeClassifier.fit on x (F, n, d), y (F, n) with the bias gradient
-    as a reduction over the row axis: the oracle of the fit's exact column
-    sum. Returns (weights (F, d, C), bias (F, C))."""
-    classes = np.unique(y)
-    f, n, d = x.shape
-    targets = np.where(y[..., None] == classes, 1.0, -1.0)
-    xt = x.swapaxes(-1, -2)
-    w = np.zeros((f, d, len(classes)))
-    b = np.zeros((f, 1, len(classes)))
-    for t in range(HINGE_EPOCHS):
-        lr = HINGE_LEARNING_RATE / (1.0 + 0.01 * t)
-        active = np.where(targets * (x @ w + b) < 1.0, targets, 0.0)
-        gw = -(xt @ active) / n + 2.0 * HINGE_L2 * w
-        gb = -active.sum(axis=-2, keepdims=True) / n
-        w -= lr * gw
-        b -= lr * gb
-    return w, b[:, 0]
+        assert_same_classifier(together[k], HingeClassifier().fit(x, y, [folds[k]])[0], test_x)
+    # a lone fit is the one fold of every row at mean 0 and std 1
+    lone = HingeClassifier().fit(x, y)
+    assert_same_classifier(lone, HingeClassifier().fit(x, y, [(np.arange(len(x)), np.zeros(d),
+                                                               np.ones(d))])[0], test_x)
 
 
 @settings(max_examples=30, deadline=None)
 @given(stack=st.integers(1, 6), n=st.integers(2, 200), d=st.integers(1, 6),
        num_classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_hinge_bias_gradient_matches_row_sum(stack, n, d, num_classes, seed):
-    # the bias gradient's column sums of -1, 0 and +1 are exact in any
-    # order, so the fit keeps the row-axis reduction's bits, zeros included
+    # the bias row of G, a column sum of -1, 0 and +1, is exact in any
+    # order, so the fit keeps the row-axis reduction's bits, zeros included;
+    # the reference fits each fold alone
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(stack, n, d)) + rng.normal(size=(stack, 1, d))
-    y = np.resize(np.arange(num_classes), n)
-    y = np.stack([rng.permutation(y) for _ in range(stack)])
-    clf = HingeClassifier().fit(x, y)
-    w, b = hinge_fit_row_sum_reference(x, y)
+    x = rng.normal(size=(n + num_classes, d)) + rng.normal(size=d)
+    y = rng.permutation(np.resize(np.arange(num_classes), n + num_classes))
+    folds = random_folds(x, rng.integers(num_classes, n + num_classes, size=stack, endpoint=True),
+                         rng)
+    # every fold must hold every class: give it the first row of each
+    folds = [(np.union1d(rows, [np.flatnonzero(y == c)[0] for c in range(num_classes)]),
+              mean, std) for rows, mean, std in folds]
+    clf = HingeClassifier().fit(x, y, folds)
+    w, b = hinge_fit_row_sum_reference(x, y, folds)
     assert clf.weights_.tobytes() == w.tobytes()
     assert clf.bias_.tobytes() == b.tobytes()
 
 
 def test_stacked_hinge_fit_needs_one_class_set():
-    x = np.random.default_rng(0).normal(size=(2, 6, 2))
+    x = np.random.default_rng(0).normal(size=(6, 2))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    unit = (np.zeros(2), np.ones(2))
     with pytest.raises(EvalError, match="same classes"):
-        HingeClassifier().fit(x, np.array([[0, 1, 0, 1, 0, 1], [0, 1, 2, 0, 1, 2]]))
+        HingeClassifier().fit(x, y, [(np.array([0, 1, 3, 4]), *unit), (np.arange(6), *unit)])
     with pytest.raises(EvalError, match="single class"):
-        HingeClassifier().fit(x, np.zeros((2, 6), dtype=int))
+        HingeClassifier().fit(x, np.zeros(6, dtype=int))
 
 
 def _cv_case(case):
-    """(classes, fold plan, evaluated fold ids, stacked fits) of each plan."""
+    """(features, classes, fold plan, evaluated fold ids, class sets) of each
+    plan."""
+    rng = np.random.default_rng(len(case))
     if case == "three-sizes":
         # three classes with different remainders: training splits of 17,
         # 18 and 19 rows
         classes = np.repeat([0, 1, 2], [7, 8, 9])
-        return classes, make_fold_plan(classes, fold_count=4, rng_seed=3), [0, 1, 2, 3], 3
-    if case == "skipped-fold":
+        plan, fold_ids, class_sets = make_fold_plan(classes, fold_count=4, rng_seed=3), [0, 1, 2, 3], 1
+    elif case == "skipped-fold":
         # the single-member class sits in fold 0, whose training split then
         # holds one class
         classes = np.array([0] * 9 + [1])
-        return classes, make_fold_plan(classes, fold_count=5, rng_seed=0), [1, 2, 3, 4], 2
-    if case == "empty-fold":
+        plan, fold_ids, class_sets = make_fold_plan(classes, fold_count=5, rng_seed=0), [1, 2, 3, 4], 1
+    elif case == "empty-fold":
         # fold 3 of 4 holds no item
-        plan = FoldPlan(4, np.arange(16) % 3, False, 0)
-        return np.array([0, 1] * 8), plan, [0, 1, 2], 2
-    # four folds of distinct sizes: every fit is a stack of one
-    plan = FoldPlan(4, np.repeat([0, 1, 2, 3], [4, 6, 7, 9]), False, 0)
-    return np.array([0, 1] * 13), plan, [0, 1, 2, 3], 4
-
-
-@pytest.mark.parametrize("case", ["three-sizes", "skipped-fold", "empty-fold", "stacks-of-one"])
-def test_classify_cv_matches_per_fold_loop(case, monkeypatch):
-    classes, plan, fold_ids, fit_count = _cv_case(case)
-    rng = np.random.default_rng(len(classes))
+        classes = np.array([0, 1] * 8)
+        plan, fold_ids, class_sets = FoldPlan(4, np.arange(16) % 3, False, 0), [0, 1, 2], 1
+    elif case == "two-class-sets":
+        # the single member of class 2 sits in fold 0, whose training split
+        # then lacks class 2
+        classes = np.array([0] * 8 + [1] * 8 + [2])
+        plan, fold_ids, class_sets = make_fold_plan(classes, fold_count=4, rng_seed=1), [0, 1, 2, 3], 2
+    else:
+        # four folds of distinct sizes
+        classes = np.array([0, 1] * 13)
+        plan = FoldPlan(4, np.repeat([0, 1, 2, 3], [4, 6, 7, 9]), False, 0)
+        fold_ids, class_sets = [0, 1, 2, 3], 1
     features = rng.normal(size=(len(classes), 4)) + 1.5 * classes[:, None]
+    if case == "conditioning":
+        # a column offset by 1e6 with spread 1e-3, and one constant to 1e-14
+        # (under the Standardizer's guard): a fit in raw coordinates, with no
+        # standardization of the whole table, misses by thousands here
+        features[:, 1] = 1e6 + 1e-3 * features[:, 1]
+        features[:, 2] = 3.0 + 1e-14 * rng.normal(size=len(classes))
+    return features, classes, plan, fold_ids, class_sets
+
+
+def fits_of(monkeypatch, run):
+    """run() and the (table, folds, fitted classifier) of every
+    HingeClassifier.fit call it made."""
     fits = []
     fit = HingeClassifier.fit
 
-    def spy(self, x, y):
-        fits.append((x, fit(self, x, y)))
+    def spy(self, x, y, folds=None):
+        fits.append((x, folds, fit(self, x, y, folds)))
         return self
 
     monkeypatch.setattr(HingeClassifier, "fit", spy)
-    result = classify_cv(features, classes, plan)
+    result = run()
     monkeypatch.undo()
-    expected, lone_clfs = classify_cv_reference(features, classes, plan)
+    return result, fits
+
+
+@pytest.mark.parametrize("case", ["three-sizes", "skipped-fold", "empty-fold", "stacks-of-one",
+                                  "two-class-sets", "conditioning"])
+def test_classify_cv_matches_per_fold_loop(case, monkeypatch):
+    # the fits over one table solve each fold's standardized problem: the
+    # decisions agree with a per-fold loop to rounding and the predictions,
+    # accuracies and k-NN votes exactly
+    features, classes, plan, fold_ids, class_sets = _cv_case(case)
+    result, fits = fits_of(monkeypatch, lambda: classify_cv(features, classes, plan))
+    expected, decisions = classify_cv_reference(features, classes, plan)
     assert result == expected
     assert result.fold_ids == fold_ids
-    # one stacked fit per (training-split size, class set)
-    assert len(fits) == fit_count
-    # every slice is the lone fit of its fold, bit for bit
-    slices = {x[k].tobytes(): clf[k] for x, clf in fits for k in range(len(x))}
-    assert len(slices) == len(lone_clfs)
-    for fold, clf in zip(fold_ids, lone_clfs):
-        tr, te = plan.train_indices(fold), plan.test_indices(fold)
-        scaler = Standardizer().fit(features[tr])
-        assert_same_classifier(slices[scaler.transform(features[tr]).tobytes()], clf,
-                               scaler.transform(features[te]))
+    assert len(fits) == class_sets
+    evaluated = []
+    for x, folds, clf in fits:
+        for k, (rows, _, _) in enumerate(folds):
+            # the fold whose test rows are the rows this one leaves out
+            fold = int(plan.assignments[np.setdiff1d(np.arange(len(classes)), rows)[0]])
+            got = clf[k].decision(x[plan.test_indices(fold)])
+            assert np.abs(got - decisions[fold]).max() <= 1e-9, fold
+            assert np.array_equal(got.argmax(axis=1), decisions[fold].argmax(axis=1))
+            evaluated.append(fold)
+    assert sorted(evaluated) == fold_ids
+
+
+def test_classify_cv_fits_once_per_class_set(monkeypatch):
+    # the bench's traced hinge span wraps HingeClassifier.fit: classify_cv
+    # must reach it, once per class set. 25 + 25 rows in 10 folds give
+    # training splits of two sizes and one fit.
+    classes = np.array([0] * 25 + [1] * 25)
+    plan = make_fold_plan(classes, fold_count=10)
+    assert len({len(plan.train_indices(f)) for f in range(10)}) == 2
+    features = np.random.default_rng(0).normal(size=(50, 3)) + classes[:, None]
+    _, fits = fits_of(monkeypatch, lambda: classify_cv(features, classes, plan))
+    assert [len(folds) for _, folds, _ in fits] == [10]
+    features, classes, plan, _, _ = _cv_case("two-class-sets")
+    _, fits = fits_of(monkeypatch, lambda: classify_cv(features, classes, plan))
+    assert sorted(len(folds) for _, folds, _ in fits) == [1, 3]
 
 
 def test_classify_cv_rejects_plan_of_other_length():
