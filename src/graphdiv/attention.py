@@ -36,7 +36,10 @@ Everything else is float64: the source encoders, S as the AugmentedEncoder
 keeps it (not an upcast of the fit's float32 copy), and scoring, which reads
 the winning logits copied out as float64 (each value exactly a float32).
 Float64 inits on a problem built in float64, as the gradient checks use,
-run in float64.
+run in float64. At either dtype the fit's copy of S holds no subnormal (each
+entry below the smallest normal is 0), because trained sources push many
+non-edge logits below -87, where the sigmoid falls under float32's smallest
+normal, and a float32 matmul over subnormals runs tens of times slower.
 """
 
 from functools import partial
@@ -57,6 +60,8 @@ FIT_DTYPE = np.float32
 # finite only if 1 - _PROB_FLOOR rounds below 1. In float32 1 - 1e-9 rounds
 # to 1.0; 1 - 1e-6 rounds to 1 - 9.5e-7, 16 float32 steps below 1, so the
 # upper clip sits within 5% of the lower one and the gradient stays near 1e6.
+# The fit's S has a floor too: its entries below np.finfo(dtype).tiny become
+# 0, so no subnormal operand slows the two matmuls that read S.
 _LOG_FLOOR = 1e-12
 _PROB_FLOOR = 1e-6
 
@@ -151,7 +156,8 @@ class AlignmentProblem:
     built in float64 once per distinct graph or encoder, gathered to its
     slices and cast once to `dtype`, the dtype of the fit: the target
     adjacencies A and 1 - A, fit_source_probs (the frozen sources' neighbor
-    probabilities S; source_probs keeps them in float64 for scoring), and
+    probabilities S with every entry below the dtype's smallest normal set
+    to 0; source_probs keeps them unflushed in float64 for scoring), and
     the label penalties, as (side, coef, rows, features, observed,
     -(coef / rows) * observed) tuples summed in order: per label kind both
     sides carry at a positive coefficient, node then edge, a forward term
@@ -183,7 +189,11 @@ class AlignmentProblem:
         self.adjacency = stack(targets, lambda g: g.adjacency_matrix()).astype(dtype, copy=False)
         self.non_adjacency = 1.0 - self.adjacency
         self.source_probs = stack(sources, source_prob_matrix)
-        self.fit_source_probs = self.source_probs.astype(dtype, copy=False)
+        fit_s = self.source_probs.astype(dtype)
+        # S is a sigmoid, so never negative: flushing what lies below the
+        # smallest normal leaves every entry 0 or normal
+        fit_s[fit_s < np.finfo(dtype).tiny] = 0.0
+        self.fit_source_probs = fit_s
         self.penalties = []
         # the builders are read on each call, not from a module-level table, so patches apply
         for kind, coef, own in (("node", cfg.node_reg_coef, node_label_onehot),

@@ -145,8 +145,9 @@ CELL_READ_BYTES = 4096
 # cell record version, the first part of a record's digest; bumped by every
 # change that moves a cell's bits (test_divergence pins them), so no run
 # serves cells of other numerics. That pin trains its encoders, so a change to
-# encoder training bumps CHECKPOINT_VERSION too. 2: attention fits in float32
-CELL_FORMAT = 2
+# encoder training bumps CHECKPOINT_VERSION too. 2: attention fits in float32.
+# 3: the fit's S holds no subnormal
+CELL_FORMAT = 3
 
 
 def _read_cell(path):

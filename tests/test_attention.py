@@ -10,7 +10,7 @@ from graphdiv.attention import (_LOG_FLOOR, _PROB_FLOOR, _RESTART_SCHEDULE, Alig
                                 attention_loss_and_grads, attention_matrix,
                                 init_attention,
                                 source_prob_matrix, train_attention, train_attentions)
-from graphdiv.encoder import (ContractViolation, TrainConfig, TrainingFault,
+from graphdiv.encoder import (ContractViolation, SourceEncoder, TrainConfig, TrainingFault,
                               build_encoder, derive_seed, encoder_loss_and_grads,
                               fit_encoders, train_encoder)
 from graphdiv.generators import make_barbell, random_graph
@@ -111,6 +111,41 @@ def test_fit_runs_in_float32_and_scoring_reads_float64(labeled_pair):
             assert logits.astype(np.float32).astype(np.float64).tobytes() == logits.tobytes()
         assert ae.source_probs.dtype == np.float64
         assert ae.source_probs.tobytes() == source_prob_matrix(src).tobytes()
+
+
+def with_tiny_probs(source):
+    """A trained copy of source whose output bias is lowered by 95 at the odd
+    columns and by 720 at column 0. Trained logits spread over tens, so S
+    gets entries near e^-95, many of them float32 subnormals, and near
+    e^-720, some of them float64 subnormals, as the benchmark's encoders do."""
+    params = dict(source.params)
+    bias = params["output.bias"].copy()
+    bias[1::2] -= 95.0
+    bias[0] -= 720.0
+    params["output.bias"] = bias
+    return SourceEncoder(source.graph, source.graph_id, params, trained=True)
+
+
+def test_fit_source_probs_hold_no_subnormal(labeled_pair):
+    # a matmul over float32 subnormals runs tens of times slower, so the
+    # fit's S sets every entry below the dtype's smallest normal to 0 and
+    # keeps the rest; the AugmentedEncoder keeps the unflushed float64 S
+    g1, g2 = labeled_pair
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=20, scoring_epochs=5, rng_seed=1)
+    src = with_tiny_probs(train_encoder(g1, cfg, graph_id=0))
+    s = source_prob_matrix(src)
+    for dtype in (attention.FIT_DTYPE, np.float64):
+        cast, tiny = s.astype(dtype), np.finfo(dtype).tiny
+        assert ((cast > 0) & (cast < tiny)).any()
+        problem = AlignmentProblem([src, src], [g1, g2], cfg, 2, dtype)
+        fit_s = problem.fit_source_probs
+        assert fit_s.dtype == dtype and fit_s.shape == (4, 6, 6)
+        assert ((fit_s == 0) | (fit_s >= tiny)).all()
+        flushed = np.where(cast < tiny, 0, cast).astype(dtype)
+        assert all(sl.tobytes() == flushed.tobytes() for sl in fit_s)
+        assert all(sl.tobytes() == s.tobytes() for sl in problem.source_probs)
+    fitted = train_attentions([src, src], [g1, g2], cfg, [0, 1], restarts=2)
+    assert all(ae.source_probs.tobytes() == s.tobytes() for ae in fitted)
 
 
 def test_gradient_checks_run_in_float64(tiny_cfg, labeled_pair):
@@ -433,9 +468,9 @@ def test_augmented_probs_are_convex_mixtures(seed):
 #
 # A plain per-restart loop over 2-D matrices with a dict-loop Adam, in
 # float32: the inits are cast to it, and each constant is built in float64
-# and cast once. The stacked fit must reproduce its bits exactly: every
-# restart slice runs the same elementwise operations in the same order, with
-# per-slice reductions.
+# and cast once, S with its subnormals then set to 0. The stacked fit must
+# reproduce its bits exactly: every restart slice runs the same elementwise
+# operations in the same order, with per-slice reductions.
 
 def _reference_loss_and_grads(source, target, cfg, forward, reverse):
     s_graph, n_t, n_s = source.graph, target.node_count, source.node_count
@@ -460,6 +495,7 @@ def _reference_loss_and_grads(source, target, cfg, forward, reverse):
     a = fit(target.adjacency_matrix())
     p = nn.softmax(forward, axis=0)
     s = fit(source_prob_matrix(source))
+    s[s < np.finfo(s.dtype).tiny] = 0.0
     w = nn.softmax(reverse, axis=1)
     mixrows = p.T @ s
     pred = mixrows @ w.T
@@ -547,12 +583,34 @@ def test_stacked_fit_matches_reference(labeled_pair, labeled, restarts, epochs):
              "edge": [("forward", 1.5), ("reverse", 1.5)]}
     terms.update({False: [], True: terms["node"] + terms["edge"]})
     assert [term[:2] for term in AlignmentProblem([src], [g2], cfg).penalties] == terms[labeled]
-    ae = train_attention(src, g2, cfg, target_graph_id=9, restarts=restarts)
-    forward, reverse, trace = reference_train_attention(src, g2, cfg, 9, restarts)
+    assert_matches_reference(src, g2, cfg, restarts)
+
+
+def assert_matches_reference(src, target, cfg, restarts):
+    ae = train_attention(src, target, cfg, target_graph_id=9, restarts=restarts)
+    forward, reverse, trace = reference_train_attention(src, target, cfg, 9, restarts)
     assert ae.attention.forward.tobytes() == forward.tobytes()
     assert ae.attention.reverse.tobytes() == reverse.tobytes()
-    recorded = np.array(trace, dtype=float)[nn.recorded_epochs(epochs)]
+    recorded = np.array(trace, dtype=float)[nn.recorded_epochs(cfg.scoring_epochs)]
     assert np.array(ae.loss_trace).tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_stacked_fit_matches_reference_on_subnormal_source_probs(labeled_pair, labeled,
+                                                                 restarts):
+    # the cases above never put a float32 subnormal in S; here some of S is
+    # float32 subnormal and some exactly 0 when cast, and the reference
+    # flushes its own S to 0 below the smallest normal
+    g1, g2 = labeled_pair
+    if not labeled:
+        g1, g2 = random_graph(7, 0.5, 21), random_graph(5, 0.6, 22)
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=25,
+                      learning_rate=5e-2, node_reg_coef=1.0, edge_reg_coef=1.5, rng_seed=3)
+    src = with_tiny_probs(train_encoder(g1, cfg, graph_id=2))
+    s = source_prob_matrix(src).astype(np.float32)
+    assert ((s > 0) & (s < np.finfo(np.float32).tiny)).any()
+    assert_matches_reference(src, g2, cfg, restarts)
 
 
 def test_diverging_restart_raises_training_fault(small_source, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from graphdiv.attention import attention_matrix, train_attention
 from graphdiv.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_config, build_parser, main
-from graphdiv.divergence import distance_matrix, matrix_csv, table_from_csv
+from graphdiv.divergence import CELL_FORMAT, distance_matrix, matrix_csv, table_from_csv
 from graphdiv.encoder import TrainConfig, load_encoder, save_encoder
 from graphdiv.generators import make_barbell, make_ring, make_star, random_graph
 from graphdiv.graphs import Graph, GraphDataset, save_dataset_json
@@ -698,7 +698,8 @@ def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):
     fresh = (out / "embeddings.csv").read_bytes()
     cells = sorted((out / "cells").iterdir())
     records = {p: json.loads(p.read_text()) for p in cells}
-    assert len(cells) == 36 and all(r["digest"].startswith("2:") for r in records.values())
+    assert len(cells) == 36
+    assert all(r["digest"].startswith(f"{CELL_FORMAT}:") for r in records.values())
     for p, r in records.items():
         p.write_text(json.dumps(dict(r, raw=r["raw"] + 1.0, digest="1" + r["digest"][1:])))
     assert main(args) == EXIT_OK
