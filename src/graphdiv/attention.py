@@ -40,8 +40,17 @@ run in float64. At either dtype the fit's copy of S holds no subnormal (each
 entry below the smallest normal is 0), because trained sources push many
 non-edge logits below -87, where the sigmoid falls under float32's smallest
 normal, and a float32 matmul over subnormals runs tens of times slower.
+
+The fit's arithmetic is its own, tuned for numpy's per-call cost on these
+small stacks; scoring keeps nn.softmax and numpy's sums, whose bits the
+benchmark's reference reproduces. AlignmentProblem.softmax shifts each slice
+once, by its maximum, while the slice's spread keeps every entry a normal
+number, and normalises with a matmul against a ones vector; the softmax
+backward passes sum the same way (AlignmentProblem.axis_sum). The label
+penalties are one term per side, the kinds' columns side by side.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -115,28 +124,32 @@ def source_prob_matrix(source):
     return nn.sigmoid(scores)
 
 
-def augmented_probs(forward, reverse, source_probs):
+def augmented_probs(forward, reverse, source_probs, softmax=nn.softmax):
     """The augmented encoder's forward map, for one pair or a stack of pairs:
     (p, w, p^T S, probs = p^T S w^T), with p the column softmax of the forward
     logits and w the row softmax of the reverse ones. Row u of probs holds
     target node u's neighbor probabilities, each a convex combination of
-    frozen source probabilities, so it is never sharper than the source."""
-    p = nn.softmax(forward, axis=-2)
-    w = nn.softmax(reverse, axis=-1)
+    frozen source probabilities, so it is never sharper than the source.
+    Scoring takes nn.softmax; the fit passes AlignmentProblem.softmax."""
+    p = softmax(forward, axis=-2)
+    w = softmax(reverse, axis=-1)
     mixrows = p.swapaxes(-1, -2) @ source_probs
     return p, w, mixrows, mixrows @ w.swapaxes(-1, -2)
 
 
 def _bce_probs(pred, target, non_target, loss=True):
     """Full BCE on probabilities with a clip floor, one loss per trailing
-    matrix (None when loss is False); the gradient is masked where the clip
-    is active so it stays the exact derivative of the clipped loss.
-    non_target is 1 - target."""
+    matrix (None when loss is False); the gradient (p - t) / ((1 - p) p) is
+    0 where the clip moved pred (a NaN pred included), so it stays a
+    derivative of the clipped loss. non_target is 1 - target."""
     p = np.clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     value = (-(target * np.log(p) + non_target * np.log1p(-p)).sum(axis=(-2, -1))
              if loss else None)
-    inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
-    grad = np.where(inside, (p - target) / (p * (1.0 - p)), 0.0)
+    den = 1.0 - p
+    den *= p
+    grad = p - target
+    grad /= den
+    grad[p != pred] = 0.0
     return value, grad
 
 
@@ -157,14 +170,18 @@ class AlignmentProblem:
     slices and cast once to `dtype`, the dtype of the fit: the target
     adjacencies A and 1 - A, fit_source_probs (the frozen sources' neighbor
     probabilities S with every entry below the dtype's smallest normal set
-    to 0; source_probs keeps them unflushed in float64 for scoring), and
-    the label penalties, as (side, coef, rows, features, observed,
-    -(coef / rows) * observed) tuples summed in order: per label kind both
-    sides carry at a positive coefficient, node then edge, a forward term
-    (own label matrices) and a reverse one (neighbourhood matrices). Raises
-    ShapeError when the sources or the targets differ in node count, and
-    GraphError when they differ in which labels they carry or when a label
-    vocabulary is not shared by all of them.
+    to 0; source_probs keeps them unflushed in float64 for scoring) and its
+    contiguous transpose fit_source_probs_t, and the label penalties, as
+    (side, features, weights) tuples: none, or a forward term (own label
+    matrices) and a reverse term (neighbourhood matrices). Each label kind
+    both sides carry at a positive coefficient adds its columns to both
+    terms, node then edge, with weights -(coef / rows) * observed, rows the
+    node count the side averages over. The problem also holds what
+    softmax and axis_sum use: a (1, n) ones vector per node count and the
+    widest slice spread the one-shift softmax takes. Raises ShapeError when
+    the sources or the targets differ in node count, and GraphError when
+    they differ in which labels they carry or when a label vocabulary is
+    not shared by all of them.
     """
 
     def __init__(self, sources, targets, cfg, restarts=1, dtype=np.float64):
@@ -194,7 +211,13 @@ class AlignmentProblem:
         # smallest normal leaves every entry 0 or normal
         fit_s[fit_s < np.finfo(dtype).tiny] = 0.0
         self.fit_source_probs = fit_s
-        self.penalties = []
+        self.fit_source_probs_t = np.ascontiguousarray(fit_s.swapaxes(-1, -2))
+        self.ones = {n: np.ones((1, n), dtype) for n in (s.node_count, t.node_count)}
+        # see softmax: every softmax axis here has at most n entries, and one
+        # e-fold of headroom covers the few ulps exp and the division round by
+        n = max(s.node_count, t.node_count)
+        self.max_spread = math.log(1.0 / (n * np.finfo(dtype).tiny)) - 1.0
+        terms = {"forward": [], "reverse": []}
         # the builders are read on each call, not from a module-level table, so patches apply
         for kind, coef, own in (("node", cfg.node_reg_coef, node_label_onehot),
                                 ("edge", cfg.edge_reg_coef, edge_attr_matrix)):
@@ -207,17 +230,50 @@ class AlignmentProblem:
             for side, rows, feats, observed in (
                     ("forward", t.node_count, stack(source_graphs, own), stack(targets, own)),
                     ("reverse", s.node_count, stack(targets, hood), stack(source_graphs, hood))):
-                scaled = -(coef / rows) * observed
-                self.penalties.append((side, coef, rows) + tuple(
-                    a.astype(dtype, copy=False) for a in (feats, observed, scaled)))
+                terms[side].append((feats, -(coef / rows) * observed))
+        self.penalties = [(side,) + tuple(np.concatenate(m, axis=-1).astype(dtype)
+                                          for m in zip(*columns))
+                          for side, columns in terms.items() if columns]
+
+    def axis_sum(self, x, axis):
+        """x (B, ., .) summed over axis -2 or -1, kept with length 1, as a
+        matmul with a ones vector: several times faster than x.sum(axis) on
+        these small stacks, with the additions in BLAS's order."""
+        if axis == -2:
+            return self.ones[x.shape[-2]] @ x
+        return x @ self.ones[x.shape[-1]].T
+
+    def softmax(self, z, axis):
+        """The fit's softmax of a (B, ., .) stack of logits over axis -2 (per
+        column) or -1 (per row), normalised by axis_sum.
+
+        Each slice is shifted by its own maximum: one reduction over the
+        slice, where nn.softmax takes one per column or row. Over a slice of
+        spread d (max - min), every exp(z - max) is at least e^-d, and an
+        entry normalised by a sum of at most n terms, each at most 1, is at
+        least e^-d / n. Both stay at or above the dtype's smallest normal
+        tiny while d <= ln(1 / (n tiny)) - 1 (max_spread, with n the larger
+        node count): in float32 about 86.3 - ln n, so 82.4 at n = 49. A
+        slice wider than that is shifted by the maximum of each column or
+        row instead, as nn.softmax does, which leaves a 1 in each and so a
+        sum of at least 1. The choice reads the slice alone, so a cell gets
+        the bits of its lone fit in any stack.
+        """
+        shift = z.max(axis=(-2, -1), keepdims=True, initial=-np.inf)
+        wide = shift - z.min(axis=(-2, -1), keepdims=True, initial=np.inf) > self.max_spread
+        if wide.any():
+            shift = np.where(wide, z.max(axis=axis, keepdims=True), shift)
+        e = np.exp(z - shift)
+        e /= self.axis_sum(e, axis)
+        return e
 
 
-def _ce_loss_and_gq(q, coef, rows, observed, scaled_observed, loss=True):
-    """Per-slice penalty -coef * sum(observed * log q) / rows (None when loss
-    is False) and its gradient wrt q, for a stack of inferred label matrices q."""
+def _ce_loss_and_gq(q, weights, loss=True):
+    """Per-slice penalty sum(weights * log q) (None when loss is False) and
+    its gradient wrt q, for a stack of inferred label matrices q."""
     qc = np.maximum(q, _LOG_FLOOR)
-    value = -coef * (observed * np.log(qc)).sum(axis=(-2, -1)) / rows if loss else None
-    gq = np.where(q > _LOG_FLOOR, scaled_observed / qc, 0.0)
+    value = (weights * np.log(qc)).sum(axis=(-2, -1)) if loss else None
+    gq = np.where(q > _LOG_FLOOR, weights / qc, 0.0)
     return value, gq
 
 
@@ -235,24 +291,26 @@ def attention_loss_and_grads(problem, params, loss=True):
     propagates into them.
     """
     forward, reverse = params["forward"], params["reverse"]
-    s = problem.fit_source_probs
 
-    # structural path; s is constant because the sources are frozen
-    p, w, mixrows, pred = augmented_probs(forward, reverse, s)
+    # structural path; S is constant because the sources are frozen
+    p, w, mixrows, pred = augmented_probs(forward, reverse, problem.fit_source_probs,
+                                          problem.softmax)
     losses, g_pred = _bce_probs(pred, problem.adjacency, problem.non_adjacency, loss)
     g_w = g_pred.swapaxes(-1, -2) @ mixrows
-    g_reverse = w * (g_w - (w * g_w).sum(axis=-1, keepdims=True))
-    g_p = s @ (g_pred @ w).swapaxes(-1, -2)
+    g_reverse = w * (g_w - problem.axis_sum(w * g_w, -1))
+    # S (g_pred w)^T, as ((g_pred w) S^T)^T: numpy's batched matmul runs a
+    # transposed right operand about half as fast, and one transposing copy
+    # costs less than the elementwise backward over mixed layouts
+    g_p = np.ascontiguousarray(((g_pred @ w) @ problem.fit_source_probs_t).swapaxes(-1, -2))
 
-    # side -> (the column softmax its penalties act on, the gradient wrt it);
-    # each label kind adds a reverse term, so any term needs the reverse one
+    # side -> (the column softmax its penalty acts on, the gradient wrt it);
+    # each label kind adds to both terms, so any term needs the reverse map
     maps = {"forward": (p, g_p)}
     if problem.penalties:
-        maps["reverse"] = (nn.softmax(reverse, axis=-2), np.zeros_like(reverse))
-    for side, coef, rows, feats, observed, scaled in problem.penalties:
+        maps["reverse"] = (problem.softmax(reverse, axis=-2), np.zeros_like(reverse))
+    for side, feats, weights in problem.penalties:
         q, g_q = maps[side]
-        term, gq = _ce_loss_and_gq(q.swapaxes(-1, -2) @ feats, coef, rows, observed, scaled,
-                                   loss)
+        term, gq = _ce_loss_and_gq(q.swapaxes(-1, -2) @ feats, weights, loss)
         if loss:
             losses += term
         g_q += feats @ gq.swapaxes(-1, -2)
@@ -261,7 +319,7 @@ def attention_loss_and_grads(problem, params, loss=True):
     # structural gradient of the reverse logits
     grads = {"reverse": g_reverse}
     for side, (q, g_q) in maps.items():
-        g_logits = q * (g_q - (q * g_q).sum(axis=-2, keepdims=True))
+        g_logits = q * (g_q - problem.axis_sum(q * g_q, -2))
         grads[side] = grads[side] + g_logits if side in grads else g_logits
     return losses, grads
 

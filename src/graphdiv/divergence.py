@@ -146,8 +146,9 @@ CELL_READ_BYTES = 4096
 # change that moves a cell's bits (test_divergence pins them), so no run
 # serves cells of other numerics. That pin trains its encoders, so a change to
 # encoder training bumps CHECKPOINT_VERSION too. 2: attention fits in float32.
-# 3: the fit's S holds no subnormal
-CELL_FORMAT = 3
+# 3: the fit's S holds no subnormal. 4: the fit's softmax shifts each slice
+# once and sums by matmul, and the label penalties are one term per side
+CELL_FORMAT = 4
 
 
 def _read_cell(path):

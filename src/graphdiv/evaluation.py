@@ -156,9 +156,21 @@ def _knn_predict(train_x, train_y, test_x, k):
     the lower training index first and equal votes go to the smallest label."""
     d = np.maximum((test_x * test_x).sum(axis=1)[:, None] + (train_x * train_x).sum(axis=1)
                    - 2.0 * (test_x @ train_x.T), 0.0)
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    # the k nearest are the rows within each test row's k-th distance, found
+    # by a partition (linear per row, where a sort is not); rows tied at it
+    # beyond k keep those of lowest index, as a stable sort would
+    k = min(k, d.shape[1])
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    nearest = d <= kth
+    # each row holds at least k of them, and more only when tied at the k-th
+    if np.count_nonzero(nearest) > k * len(nearest):
+        tied = nearest.sum(axis=1) > k
+        rows, edge = d[tied], kth[tied]
+        below, at = rows < edge, rows == edge
+        room = k - below.sum(axis=1, keepdims=True)
+        nearest[tied] = below | (at & (np.cumsum(at, axis=1) <= room))
     labels, codes = np.unique(train_y, return_inverse=True)
-    votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
+    votes = nearest @ (codes[:, None] == np.arange(len(labels))).astype(float)
     return labels[np.argmax(votes, axis=1)]
 
 

@@ -84,8 +84,9 @@ def test_fit_scores_with_its_own_source_probs(small_source):
 
 def fit_constants(problem):
     """The arrays attention_loss_and_grads reads from the problem."""
-    return ([problem.adjacency, problem.non_adjacency, problem.fit_source_probs]
-            + [a for term in problem.penalties for a in term[3:]])
+    return ([problem.adjacency, problem.non_adjacency, problem.fit_source_probs,
+             problem.fit_source_probs_t, *problem.ones.values()]
+            + [a for term in problem.penalties for a in term[1:]])
 
 
 def test_fit_runs_in_float32_and_scoring_reads_float64(labeled_pair):
@@ -101,7 +102,9 @@ def test_fit_runs_in_float32_and_scoring_reads_float64(labeled_pair):
     assert {a.dtype for init in inits for a in init.values()} == {np.dtype(np.float32)}
     problem = AlignmentProblem([src, src], [g1, g2], cfg, 2, np.float32)
     constants = fit_constants(problem)
-    assert len(constants) == 15 and {a.dtype for a in constants} == {np.dtype(np.float32)}
+    # A, 1 - A, S, S^T, one ones vector (both graphs have 6 nodes) and the
+    # features and weights of the forward and the reverse penalty
+    assert len(constants) == 9 and {a.dtype for a in constants} == {np.dtype(np.float32)}
     stacked = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
     losses, grads = attention_loss_and_grads(problem, stacked)
     assert {a.dtype for a in [losses, *grads.values()]} == {np.dtype(np.float32)}
@@ -146,6 +149,52 @@ def test_fit_source_probs_hold_no_subnormal(labeled_pair):
         assert all(sl.tobytes() == s.tobytes() for sl in problem.source_probs)
     fitted = train_attentions([src, src], [g1, g2], cfg, [0, 1], restarts=2)
     assert all(ae.source_probs.tobytes() == s.tobytes() for ae in fitted)
+
+
+def test_no_float32_subnormal_reaches_an_epoch(monkeypatch):
+    # a matmul or elementwise pass over float32 subnormals runs many times
+    # slower. In a small fit at the benchmark's settings (encoders trained at
+    # lr 5e-2, 60 scoring epochs, 2 restarts) over mutated family graphs and
+    # labeled graphs of 10 to 34 nodes, no epoch's p, w, reverse column
+    # softmax or logit gradients hold one
+    import graphdiv.attention as att
+    from graphdiv.divergence import embed_all
+    from graphdiv.generators import karate_club, make_ring, mutate_family
+
+    tiny = np.finfo(np.float32).tiny
+    graphs = (mutate_family(karate_club(), steps=50, mutation_count=2, rng_seed=1000)
+              + mutate_family(make_ring(20), steps=50, mutation_count=1, rng_seed=1001)
+              + [_labeled(random_graph(n, 0.25, n), n) for n in (10, 12, 12, 17)])
+    counts = dict.fromkeys(("p", "w", "reverse column softmax", "epochs"), 0)
+    current = {}
+    real_softmax, real_loss = AlignmentProblem.softmax, att.attention_loss_and_grads
+
+    def check(name, a):
+        assert a.dtype == np.float32 and not ((a != 0) & (np.abs(a) < tiny)).any(), name
+
+    def softmax(problem, z, axis):
+        q = real_softmax(problem, z, axis)
+        name = "p" if z is current["forward"] else "w" if axis == -1 else "reverse column softmax"
+        check(name, q)
+        counts[name] += 1
+        return q
+
+    def loss_and_grads(problem, params, loss):
+        current.update(params)
+        losses, grads = real_loss(problem, params, loss)
+        for name, g in grads.items():
+            check(f"{name} logit gradient", g)
+        counts["epochs"] += 1
+        return losses, grads
+
+    monkeypatch.setattr(AlignmentProblem, "softmax", softmax)
+    monkeypatch.setattr(att, "attention_loss_and_grads", loss_and_grads)
+    cfg = TrainConfig(rng_seed=0, learning_rate=5e-2, scoring_epochs=60)
+    table = embed_all(graphs, graphs, cfg, workers=1, restarts=2)
+    assert not table.errors
+    # every stacked epoch ran p and w; the labeled pairs ran the reverse map
+    assert counts["p"] == counts["w"] == counts["epochs"] > 0
+    assert 0 < counts["reverse column softmax"] < counts["epochs"]
 
 
 def test_gradient_checks_run_in_float64(tiny_cfg, labeled_pair):
@@ -231,6 +280,42 @@ def test_stacked_loss_matches_stacks_of_one(tiny_cfg, labeled_pair):
         one, one_grads = attention_loss_and_grads(
             AlignmentProblem([src], [targets[b // 2]], cfg),
             {name: a[None] for name, a in pair.items()})
+        assert losses[b:b + 1].tobytes() == one.tobytes()
+        for name in ("forward", "reverse"):
+            assert grads[name][b:b + 1].tobytes() == one_grads[name].tobytes()
+
+
+def test_a_wide_slice_shifts_per_axis_and_keeps_its_lone_bits(tiny_cfg, labeled_pair):
+    # the fit's softmax shifts a slice by its maximum only while the slice
+    # spreads at most max_spread; slice 1's forward column 0 and reverse row
+    # 0 sit 100 below the rest, where exp(z - slice max) is a float32
+    # subnormal, so it is shifted per column or row. Stacked beside a narrow
+    # slice it keeps the losses and gradients of its lone fit
+    g1, g2 = labeled_pair
+    src = train_encoder(g1, tiny_cfg, graph_id=1)
+    cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
+    rng = np.random.default_rng(4)
+    pairs = [init_attention(src, g2, rng, scale=0.5) for _ in range(2)]
+    pairs[1]["forward"][:, 0] -= 100.0
+    pairs[1]["reverse"][0, :] -= 100.0
+    params = {name: np.stack([pair[name] for pair in pairs]).astype(np.float32)
+              for name in ("forward", "reverse")}
+    problem = AlignmentProblem([src, src], [g2, g2], cfg, dtype=np.float32)
+    for z in params.values():
+        spread = z.max(axis=(1, 2)) - z.min(axis=(1, 2))
+        assert spread[0] < 2 < 80 < problem.max_spread < 87 < 100 < spread[1]
+        assert (np.exp(z[1] - z[1].max()) < np.finfo(np.float32).tiny).any()
+    for name, axis in (("forward", -2), ("reverse", -1), ("reverse", -2)):
+        z = params[name]
+        q = problem.softmax(z, axis)
+        assert np.isfinite(q).all() and np.allclose(q.sum(axis=axis), 1.0, atol=1e-6)
+        for b, shift in ((0, z[0].max()), (1, z[1].max(axis=axis, keepdims=True))):
+            e = np.exp(z[b] - shift)[None]
+            assert q[b:b + 1].tobytes() == (e / problem.axis_sum(e, axis)).tobytes()
+    losses, grads = attention_loss_and_grads(problem, params)
+    alone = AlignmentProblem([src], [g2], cfg, dtype=np.float32)
+    for b in range(2):
+        one, one_grads = attention_loss_and_grads(alone, {n: a[b:b + 1] for n, a in params.items()})
         assert losses[b:b + 1].tobytes() == one.tobytes()
         for name in ("forward", "reverse"):
             assert grads[name][b:b + 1].tobytes() == one_grads[name].tobytes()
@@ -357,6 +442,43 @@ def test_reg_loss_hand_computed_three_nodes(tiny_cfg):
     assert label_penalty(src, target, pair) == pytest.approx(forward + reverse, rel=1e-9)
 
 
+def test_one_penalty_term_per_side_equals_the_four_kind_terms(tiny_cfg, labeled_pair):
+    # in float64 the merged penalties (one term per side, both kinds' columns
+    # side by side, coefficients folded into the weights) add the loss and
+    # logit gradients of the four per-kind terms (node forward, node reverse,
+    # edge forward, edge reverse) as they were computed one by one, to 1e-12:
+    # the objective is the same, only the rounding moves
+    g1, g2 = labeled_pair
+    src = train_encoder(g1, tiny_cfg, graph_id=1)
+    cfg = TrainConfig(node_reg_coef=1.0, edge_reg_coef=1.5)
+    problem = AlignmentProblem([src], [g2], cfg)
+    bare = AlignmentProblem([src], [g2], TrainConfig(node_reg_coef=0.0, edge_reg_coef=0.0))
+    assert len(problem.penalties) == 2 and bare.penalties == []
+    for seed in range(5):
+        pair = init_attention(src, g2, np.random.default_rng(seed), scale=2.0)
+        params = {name: a[None] for name, a in pair.items()}
+        losses, grads = attention_loss_and_grads(problem, params)
+        structural, expected = attention_loss_and_grads(bare, params)
+        maps = {"forward": nn.softmax(pair["forward"], axis=0),
+                "reverse": nn.softmax(pair["reverse"], axis=0)}
+        g_maps = {side: np.zeros_like(q) for side, q in maps.items()}
+        loss = float(structural[0])
+        for coef, own, kind in ((1.0, node_label_onehot, "node"), (1.5, edge_attr_matrix, "edge")):
+            for side, rows, feats, observed in (
+                    ("forward", 6, own(g1), own(g2)),
+                    ("reverse", 6, neighborhood_attr_matrix(g2, kind),
+                     neighborhood_attr_matrix(g1, kind))):
+                inferred = maps[side].T @ feats
+                qc = np.maximum(inferred, _LOG_FLOOR)
+                loss -= coef * np.sum(observed * np.log(qc)) / rows
+                g_maps[side] += feats @ np.where(inferred > _LOG_FLOOR,
+                                                 -(coef / rows) * observed / qc, 0.0).T
+        assert abs(losses[0] - loss) <= 1e-12 * max(1.0, abs(loss))
+        for side, q in maps.items():
+            g = expected[side][0] + q * (g_maps[side] - (q * g_maps[side]).sum(axis=0))
+            assert np.abs(grads[side][0] - g).max() <= 1e-12 * max(1.0, np.abs(g).max())
+
+
 def test_node_attr_inferred_requires_shared_vocab(tiny_cfg):
     g = Graph(3, [(0, 1), (1, 2)], node_labels=[0, 1, 0], edge_labels=[0, 1])
     src = train_encoder(g, tiny_cfg)
@@ -468,61 +590,67 @@ def test_augmented_probs_are_convex_mixtures(seed):
 #
 # A plain per-restart loop over 2-D matrices with a dict-loop Adam, in
 # float32: the inits are cast to it, and each constant is built in float64
-# and cast once, S with its subnormals then set to 0. The stacked fit must
-# reproduce its bits exactly: every restart slice runs the same elementwise
-# operations in the same order, with per-slice reductions.
+# and cast once, S with its subnormals then set to 0. Its softmax shifts the
+# matrix by its maximum unless the matrix spreads wider than the bound
+# AlignmentProblem.softmax states, and sums over an axis as a product with a
+# ones vector; the label penalties are one term per side, the node columns
+# then the edge ones. The stacked fit must reproduce its bits exactly: every
+# restart slice runs the same elementwise operations in the same order,
+# with per-slice reductions and matrix products.
 
 def _reference_loss_and_grads(source, target, cfg, forward, reverse):
     s_graph, n_t, n_s = source.graph, target.node_count, source.node_count
-    fit = lambda a: a.astype(forward.dtype)
-    terms = []
-    if cfg.node_reg_coef > 0 and s_graph.node_labels is not None and target.node_labels is not None:
-        terms.append(("forward", cfg.node_reg_coef, node_label_onehot(s_graph),
-                      node_label_onehot(target)))
-        terms.append(("reverse", cfg.node_reg_coef, neighborhood_attr_matrix(target, "node"),
-                      neighborhood_attr_matrix(s_graph, "node")))
-    if cfg.edge_reg_coef > 0 and s_graph.edge_labels is not None and target.edge_labels is not None:
-        terms.append(("forward", cfg.edge_reg_coef, edge_attr_matrix(s_graph),
-                      edge_attr_matrix(target)))
-        terms.append(("reverse", cfg.edge_reg_coef, neighborhood_attr_matrix(target, "edge"),
-                      neighborhood_attr_matrix(s_graph, "edge")))
+    dtype = forward.dtype
+    fit = lambda a: a.astype(dtype)
+    ones = {0: np.ones((1, n_s), dtype), 1: np.ones((1, n_t), dtype)}
+    max_spread = np.log(1.0 / (max(n_s, n_t) * np.finfo(dtype).tiny)) - 1.0
 
-    def ce(observed, q, coef, rows):
-        qc = np.maximum(q, _LOG_FLOOR)
-        loss = -coef * np.sum(fit(observed) * np.log(qc)) / rows
-        return loss, np.where(q > _LOG_FLOOR, fit(-(coef / rows) * observed) / qc, 0.0)
+    def softmax(z, axis, n_key):
+        # axis 0 normalises each column, axis 1 each row; ones[n_key] spans that axis
+        wide = z.max() - z.min() > max_spread
+        e = np.exp(z - (z.max(axis=axis, keepdims=True) if wide else z.max()))
+        return e / (ones[n_key] @ e if axis == 0 else e @ ones[n_key].T)
+
+    terms = {"forward": [], "reverse": []}
+    for kind, coef, own in (("node", cfg.node_reg_coef, node_label_onehot),
+                            ("edge", cfg.edge_reg_coef, edge_attr_matrix)):
+        if coef > 0 and None not in (getattr(g, f"{kind}_labels") for g in (s_graph, target)):
+            terms["forward"].append((own(s_graph), -(coef / n_t) * own(target)))
+            terms["reverse"].append((neighborhood_attr_matrix(target, kind),
+                                     -(coef / n_s) * neighborhood_attr_matrix(s_graph, kind)))
 
     a = fit(target.adjacency_matrix())
-    p = nn.softmax(forward, axis=0)
+    p = softmax(forward, 0, 0)
     s = fit(source_prob_matrix(source))
     s[s < np.finfo(s.dtype).tiny] = 0.0
-    w = nn.softmax(reverse, axis=1)
+    w = softmax(reverse, 1, 0)
     mixrows = p.T @ s
     pred = mixrows @ w.T
     pc = np.clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     loss = -np.sum(a * np.log(pc) + (1.0 - a) * np.log1p(-pc))
-    inside = (pred > _PROB_FLOOR) & (pred < 1.0 - _PROB_FLOOR)
-    g_pred = np.where(inside, (pc - a) / (pc * (1.0 - pc)), 0.0)
+    g_pred = (pc - a) / ((1.0 - pc) * pc)
+    g_pred[pc != pred] = 0.0
     g_w = g_pred.T @ mixrows
-    g_reverse = w * (g_w - np.sum(w * g_w, axis=1, keepdims=True))
-    g_p = s @ (g_pred @ w).T
+    g_reverse = w * (g_w - (w * g_w) @ ones[0].T)
+    g_p = ((g_pred @ w) @ np.ascontiguousarray(s.T)).T
     p_rev = None
     g_p_rev = np.zeros_like(reverse)
-    for side, coef, feats, observed in terms:
-        feats = fit(feats)
+    for side, columns in terms.items():
+        if not columns:
+            continue
+        feats, weights = (fit(np.concatenate(m, axis=1)) for m in zip(*columns))
         if side == "forward":
-            term, gq = ce(observed, p.T @ feats, coef, n_t)
-            loss += term
-            g_p += feats @ gq.T
+            q, g_q = p, g_p
         else:
-            if p_rev is None:
-                p_rev = nn.softmax(reverse, axis=0)
-            term, gq = ce(observed, p_rev.T @ feats, coef, n_s)
-            loss += term
-            g_p_rev += feats @ gq.T
-    g_forward = p * (g_p - np.sum(p * g_p, axis=0, keepdims=True))
+            p_rev = softmax(reverse, 0, 1)
+            q, g_q = p_rev, g_p_rev
+        inferred = q.T @ feats
+        qc = np.maximum(inferred, _LOG_FLOOR)
+        loss += np.sum(weights * np.log(qc))
+        g_q += feats @ np.where(inferred > _LOG_FLOOR, weights / qc, 0.0).T
+    g_forward = p * (g_p - ones[0] @ (p * g_p))
     if p_rev is not None:
-        g_reverse = g_reverse + p_rev * (g_p_rev - np.sum(p_rev * g_p_rev, axis=0, keepdims=True))
+        g_reverse = g_reverse + p_rev * (g_p_rev - ones[1] @ (p_rev * g_p_rev))
     return float(loss), {"forward": g_forward, "reverse": g_reverse}
 
 
@@ -578,11 +706,18 @@ def test_stacked_fit_matches_reference(labeled_pair, labeled, restarts, epochs):
     cfg = TrainConfig(embed_dim=4, encoding_epochs=30, scoring_epochs=epochs,
                       learning_rate=5e-2, node_reg_coef=1.0, edge_reg_coef=1.5, rng_seed=3)
     src = train_encoder(g1, cfg, graph_id=2)
-    # node terms carry coefficient 1.0 and edge terms 1.5, forward before reverse
-    terms = {"node": [("forward", 1.0), ("reverse", 1.0)],
-             "edge": [("forward", 1.5), ("reverse", 1.5)]}
-    terms.update({False: [], True: terms["node"] + terms["edge"]})
-    assert [term[:2] for term in AlignmentProblem([src], [g2], cfg).penalties] == terms[labeled]
+    # one forward and one reverse term, each kind's columns side by side,
+    # node then edge, with weights -(coef / rows) * observed
+    kinds = {False: [], "node": ["node"], "edge": ["edge"], True: ["node", "edge"]}[labeled]
+    problem = AlignmentProblem([src], [g2], cfg)
+    assert [term[0] for term in problem.penalties] == ["forward", "reverse"][:2 * len(kinds)]
+    own = {"node": (node_label_onehot, 1.0), "edge": (edge_attr_matrix, 1.5)}
+    for side, feats, weights in problem.penalties:
+        pieces = [(own[k][0](g1), -(own[k][1] / 6) * own[k][0](g2)) if side == "forward" else
+                  (neighborhood_attr_matrix(g2, k),
+                   -(own[k][1] / 6) * neighborhood_attr_matrix(g1, k)) for k in kinds]
+        assert feats[0].tobytes() == np.hstack([f for f, _ in pieces]).tobytes()
+        assert weights[0].tobytes() == np.hstack([w for _, w in pieces]).tobytes()
     assert_matches_reference(src, g2, cfg, restarts)
 
 
@@ -745,7 +880,7 @@ def _counted(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("epochs", [60, 300])
 def test_loss_work_runs_only_at_recorded_epochs(monkeypatch, labeled_pair, epochs):
     # per fit, the gradient path runs every epoch and the loss math (the
-    # encoder's softplus; the attention BCE's log1p and, per label penalty, a
+    # encoder's softplus; the attention BCE's log1p and, per penalty side, a
     # log) only at the 3 recorded epochs, whatever the epoch count
     recorded = len(loss_epochs(epochs))
     assert recorded == 3
@@ -758,9 +893,9 @@ def test_loss_work_runs_only_at_recorded_epochs(monkeypatch, labeled_pair, epoch
     assert counts == {"encoder_loss_and_grads": epochs, "softplus": recorded}
 
     problem = AlignmentProblem([source], [g2], cfg)
-    assert len(problem.penalties) == 4
+    assert len(problem.penalties) == 2
     counts = {}
     for owner, name in ((attention, "attention_loss_and_grads"), (np, "log"), (np, "log1p")):
         _counted(monkeypatch, owner, name, counts)
     train_attentions([source], [g2], cfg, [1], restarts=2)
-    assert counts == {"attention_loss_and_grads": epochs, "log": recorded * 5, "log1p": recorded}
+    assert counts == {"attention_loss_and_grads": epochs, "log": recorded * 3, "log1p": recorded}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphdiv.divergence import distance_matrix
 from graphdiv.encoder import TrainConfig
@@ -478,6 +479,33 @@ def test_knn_matches_loop_reference():
         k = int(rng.integers(1, 8))
         assert np.array_equal(_knn_predict(train_x, train_y, test_x, k),
                               knn_reference(train_x, train_y, test_x, k)), trial
+
+
+def knn_by_argsort(train_x, train_y, test_x, k):
+    """The k-NN vote as it ran before the partition: a stable sort of each
+    row of the test x train block, whose first k columns vote."""
+    d = np.maximum((test_x * test_x).sum(axis=1)[:, None] + (train_x * train_x).sum(axis=1)
+                   - 2.0 * (test_x @ train_x.T), 0.0)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    labels, codes = np.unique(train_y, return_inverse=True)
+    votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
+    return labels[np.argmax(votes, axis=1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_partition_matches_the_argsort_path(data):
+    # features on a 3-value grid tie many distances at the k-th, and k may
+    # exceed the training rows; the partition must pick the rows a stable
+    # sort picks, so the votes and their tie rule agree
+    n_train, n_test = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12))
+    dims, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 9))
+    grid = st.integers(0, 2)
+    train_x = data.draw(hnp.arrays(np.int64, (n_train, dims), elements=grid)).astype(float)
+    test_x = data.draw(hnp.arrays(np.int64, (n_test, dims), elements=grid)).astype(float)
+    train_y = data.draw(hnp.arrays(np.int64, n_train, elements=st.sampled_from([2, 5, 8])))
+    assert np.array_equal(_knn_predict(train_x, train_y, test_x, k),
+                          knn_by_argsort(train_x, train_y, test_x, k))
 
 
 def test_classify_cv_separable_blobs():
