@@ -17,17 +17,15 @@ forward logits (C*R, |V_S|, |V_T|), reverse logits (C*R, |V_T|, |V_S|), one
 loss/gradient call and one Adam step per epoch, with a per-slice learning
 rate. Slices are cell-major: slices c*R to c*R + R - 1 are the restarts of
 cell c. Everything that does not change during a fit lives in one
-AlignmentProblem built once per stack: each source-side constant (the frozen
-source probabilities S, the node one-hots, the edge-attribute and
-neighbourhood matrices) and each target-side one (adjacency, 1 - A, target
-label penalties) is built once per distinct source or target and gathered
-to a per-slice stack. Nothing is padded or masked. Each slice runs the same
+AlignmentProblem built once per stack, each constant once per distinct
+source or target. Nothing is padded or masked. Each slice runs the same
 elementwise operations in the same order, with its reductions and matrix
 products taken over that slice alone, so a cell trains to the same bits
 whichever cells share its stack, and each cell keeps its own seeds,
-learning rates and best restart. The fitted AugmentedEncoder keeps its
-slice of the problem's frozen source probabilities, so scoring it reads
-them instead of running the source encoder again.
+learning rates and best restart. A fitted cell (AugmentedEncoder) is its
+arrays: the winning logits as an AttentionPair named tuple and its slice of
+the problem's frozen source probabilities, which scoring reads instead of
+running the source encoder again.
 
 Two dtypes. A fit runs at the dtype of its inits and problem: train_attentions
 casts its inits to FIT_DTYPE (float32) and builds its problem in it, which
@@ -36,21 +34,19 @@ Everything else is float64: the source encoders, S as the AugmentedEncoder
 keeps it (not an upcast of the fit's float32 copy), and scoring, which reads
 the winning logits copied out as float64 (each value exactly a float32).
 Float64 inits on a problem built in float64, as the gradient checks use,
-run in float64. At either dtype the fit's copy of S holds no subnormal (each
-entry below the smallest normal is 0), because trained sources push many
-non-edge logits below -87, where the sigmoid falls under float32's smallest
-normal, and a float32 matmul over subnormals runs tens of times slower.
+run in float64. At either dtype the fit's copy of S holds no subnormal:
+trained sources push many non-edge logits below -87, where the sigmoid falls
+under float32's smallest normal, and a float32 matmul over subnormals runs
+tens of times slower.
 
 The fit's arithmetic is its own, tuned for numpy's per-call cost on these
-small stacks; scoring keeps nn.softmax and numpy's sums, whose bits the
-benchmark's reference reproduces. AlignmentProblem.softmax shifts each slice
-once, by its maximum, while the slice's spread keeps every entry a normal
-number, and normalises with a matmul against a ones vector; the softmax
-backward passes sum the same way (AlignmentProblem.axis_sum). The label
-penalties are one term per side, the kinds' columns side by side.
+small stacks (AlignmentProblem.softmax and axis_sum, one label penalty term
+per side); scoring keeps nn.softmax and numpy's sums, whose bits the
+benchmark's reference reproduces.
 """
 
 import math
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -69,31 +65,26 @@ FIT_DTYPE = np.float32
 # finite only if 1 - _PROB_FLOOR rounds below 1. In float32 1 - 1e-9 rounds
 # to 1.0; 1 - 1e-6 rounds to 1 - 9.5e-7, 16 float32 steps below 1, so the
 # upper clip sits within 5% of the lower one and the gradient stays near 1e6.
-# The fit's S has a floor too: its entries below np.finfo(dtype).tiny become
-# 0, so no subnormal operand slows the two matmuls that read S.
 _LOG_FLOOR = 1e-12
 _PROB_FLOOR = 1e-6
 
 
-class AttentionPair:
-    """Logit matrices of the two alignment maps for one (target, source) pair."""
-
-    def __init__(self, forward, reverse):
-        # forward: |V_S| x |V_T|; column u is the logit vector of target node u
-        # reverse: |V_T| x |V_S|; row j holds the mixture logits of target node j
-        if forward.shape != reverse.shape[::-1]:
-            raise nn.ShapeError(f"forward {forward.shape} incompatible with reverse {reverse.shape}")
-        self.forward = forward
-        self.reverse = reverse
+# The logits of the two alignment maps of one (target, source) pair: forward
+# (|V_S|, |V_T|), whose column u is the logit vector of target node u, and
+# reverse (|V_T|, |V_S|), whose row j holds the mixture logits of target node j
+AttentionPair = namedtuple("AttentionPair", "forward reverse")
 
 
 class AugmentedEncoder:
     """A fitted attention pair over the frozen source probabilities it was
-    fitted against (source_probs, |V_S| x |V_S|), for one target graph."""
+    fitted against (source_probs, |V_S| x |V_S|), for one target graph; raises
+    nn.ShapeError unless both maps fit S and the target (see AttentionPair)."""
 
     def __init__(self, attention, target_graph, source_probs):
-        if attention.forward.shape != (len(source_probs), target_graph.node_count):
-            raise nn.ShapeError("attention does not match the source or target node count")
+        n_s, n_t = len(source_probs), target_graph.node_count
+        got = tuple(np.shape(a) for a in (source_probs, *attention))
+        if got != ((n_s, n_s), (n_s, n_t), (n_t, n_s)):
+            raise nn.ShapeError(f"S, forward and reverse are {got}; the target has {n_t} nodes")
         self.source_probs = source_probs
         self.attention = attention
         self.target_graph = target_graph

@@ -123,12 +123,12 @@ def _tasks(groups, weight, workers):
 
 def _completed(fn, tasks, workers):
     """Yield (index, fn(*task)) for each task as soon as it finishes, on a
-    process pool when workers > 1 and there is more than one task; on an
-    error, tasks that have not started are cancelled."""
+    pool of min(workers, tasks) processes (a fork pool starts them all at
+    once) when both exceed 1; on an error, unstarted tasks are cancelled."""
     if workers <= 1 or len(tasks) <= 1:
         yield from enumerate(fn(*task) for task in tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
         futures = {ex.submit(fn, *task): i for i, task in enumerate(tasks)}
         try:
             for future in as_completed(futures):
@@ -221,7 +221,7 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
     rest. With cell_dir set, cells are persisted as each stacked task finishes
     and reused under the same CELL_FORMAT, source encoder and target digests.
     Each cell keeps the best of `restarts` attention fits (non-convex). Given
-    `encoders`, encoders[i] must be an encoder of sources[i]; else ValueError.
+    `encoders`, encoders[i] must encode a graph of sources[i]'s digest; else ValueError.
     """
     if not sources or not targets:
         raise ValueError("sources and targets must be nonempty")
@@ -235,8 +235,12 @@ def embed_all(sources, targets, cfg, *, source_ids=None, target_ids=None,
 
     if encoders is None:
         encoders = train_source_encoders(sources, cfg, source_ids=source_ids, workers=workers)
-    elif len(encoders) != len(sources) or any(e.graph != g for e, g in zip(encoders, sources)):
-        raise ValueError("encoders must be one per source, each of its source's graph")
+    else:
+        wrong = [sid for sid, e, g in zip(source_ids, encoders, sources)
+                 if e.graph.digest != g.digest]
+        if len(encoders) != len(sources) or wrong:
+            raise ValueError(f"{len(encoders)} encoders for {len(sources)} sources, of another "
+                             f"graph for sources {wrong}: need one per source, of its graph")
     self_losses = np.array(positive_log_loss(encoders))
 
     values = np.full((len(targets), len(sources)), np.nan)

@@ -1,4 +1,5 @@
-"""Per-graph structure encoder: one-hot node in, neighbor scores out.
+"""Per-graph structure encoder: one-hot node in, neighbor scores out. An
+encoder is its named arrays, checked against its graph where they enter.
 
 Training minimizes full binary cross-entropy against the adjacency matrix
 (non-neighbors count as negative targets, including the self column).
@@ -9,14 +10,16 @@ depend on its group. Scoring uses only the positive edge terms (positive_log_los
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
 from . import nn
 from .graphs import Graph, atomic_write, edge_pair_sum
-from .nn import DenseLayer, TrainingFault  # noqa: F401 (TrainingFault is re-exported)
+from .nn import TrainingFault  # noqa: F401 (re-exported)
 
 
 class ContractViolation(RuntimeError):
@@ -70,14 +73,28 @@ def derive_seed(*parts):
     return int.from_bytes(h.digest(), "big")
 
 
+Layer = namedtuple("Layer", "weight bias")
+
+
 class SourceEncoder:
     """One graph's encoder: embedding table + relu hidden stack + linear output
     over |V| logits. `params` is its one store: the named arrays nn.fit_stack
-    returns and a checkpoint carries, in order "embedding" (|V| x d),
-    "hidden{k}.weight" and ".bias" per hidden layer, "output.weight" and
-    ".bias". embedding, layers, hidden and output are views of them."""
+    returns and a checkpoint carries, in order "embedding" (|V|, d),
+    "hidden{k}.weight" (d, d) and ".bias" (d,) per hidden layer,
+    "output.weight" (|V|, d) and ".bias" (|V|,); any other names, order or
+    shapes raise nn.ShapeError. embedding and the Layers in layers (hidden,
+    then output) are views of them."""
 
     def __init__(self, graph, graph_id, params, trained=False):
+        n, d = graph.node_count, np.shape(params.get("embedding"))[-1:]
+        layout = ([("embedding", (n, *d))]
+                  + [(f"hidden{k}.{part}", shape) for k in range((len(params) - 3) // 2)
+                     for part, shape in (("weight", d + d), ("bias", d))]
+                  + [("output.weight", (n, *d)), ("output.bias", (n,))])
+        for k, (got, want) in enumerate(zip_longest(
+                [(name, np.shape(a)) for name, a in params.items()], layout)):
+            if got != want:
+                raise nn.ShapeError(f"param {k} is {got} where a {n}-node encoder has {want}")
         self.graph = graph
         self.graph_id = graph_id
         self.params = params
@@ -116,20 +133,20 @@ def build_encoder(graph, cfg, graph_id=0):
 
 
 def _layers(params):
-    """The DenseLayers over named parameter arrays (see SourceEncoder),
-    hidden first: the one path from the arrays to layers."""
+    """The Layers over named parameter arrays (see SourceEncoder), hidden
+    first: the one path from the arrays to layers."""
     names = [f"hidden{k}" for k in range((len(params) - 3) // 2)] + ["output"]
-    return [DenseLayer(params[f"{name}.weight"], params[f"{name}.bias"]) for name in names]
+    return [Layer(params[f"{name}.weight"], params[f"{name}.bias"]) for name in names]
 
 
-def encoder_loss_and_grads(params, adjacency, layers=None, loss=True):
+def encoder_loss_and_grads(params, adjacency, loss=True):
     """Full-batch BCE against the adjacency matrix, with analytic gradients
-    under the params' own names (see SourceEncoder), given the params and
-    their layers (built from them unless given). The arrays may be a stack (a
-    leading axis G, as fit_encoders trains) against a (G, n, n) adjacency: one
-    loss per slice, each slice's loss and gradients the bits it would get alone.
-    With loss False the loss is None and only the gradients are computed."""
-    layers = layers or _layers(params)
+    under the params' own names (see SourceEncoder). The arrays may be a
+    stack (a leading axis G, as fit_encoders trains) against a (G, n, n)
+    adjacency: one loss per slice, each slice's loss and gradients the bits
+    it would get alone. With loss False the loss is None and only the
+    gradients are computed."""
+    layers = _layers(params)
     logits, tape = nn.forward(layers, params["embedding"])
     loss, g_logits = nn.multilabel_bce_loss(logits, adjacency, loss)
     layer_grads, g_input = nn.backward(layers, tape, g_logits)
@@ -171,14 +188,9 @@ def fit_encoders(graphs, cfg, graph_ids):
         raise ValueError("a stack of encoders needs graphs of one node count")
     inits = [build_encoder(g, cfg, graph_id=gid).params for g, gid in zip(graphs, graph_ids)]
     adjacency = np.stack([g.adjacency_matrix() for g in graphs])
-    layers = []
-
-    def loss_and_grads(params, loss):
-        layers[:] = layers or _layers(params)  # the views stay put: build their layers once
-        return encoder_loss_and_grads(params, adjacency, layers, loss)
-
-    params, trace, faults = nn.fit_stack(inits, loss_and_grads, [cfg.learning_rate] * len(inits),
-                                         cfg.encoding_epochs, graph_ids)
+    params, trace, faults = nn.fit_stack(
+        inits, lambda params, loss: encoder_loss_and_grads(params, adjacency, loss),
+        [cfg.learning_rate] * len(inits), cfg.encoding_epochs, graph_ids)
     encs = [SourceEncoder(graph, gid, {name: a[g] for name, a in params.items()}, trained=True)
             for g, (graph, gid) in enumerate(zip(graphs, graph_ids))]
     for g, enc in enumerate(encs):
@@ -217,7 +229,8 @@ def save_encoder(enc, cfg, path):
 
 def load_encoder(path):
     """The encoder of a save_encoder checkpoint, bit for bit; CheckpointError
-    for another version or values that fail the checksum."""
+    for another version, values that fail the checksum or params that do not
+    fit the layout of its graph (see SourceEncoder)."""
     with open(path) as f:
         ckpt = json.load(f)
     if ckpt.get("version") != CHECKPOINT_VERSION:
@@ -227,5 +240,8 @@ def load_encoder(path):
     params = {name: np.array([float.fromhex(h) for h in ckpt["values"][name]]).reshape(shape)
               for name, shape in ckpt["shapes"].items()}
     meta = ckpt["meta"]
-    return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
-                         trained=bool(meta["trained"]))
+    try:
+        return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
+                             trained=bool(meta["trained"]))
+    except nn.ShapeError as exc:
+        raise CheckpointError(f"checkpoint params do not fit its graph: {exc}") from None

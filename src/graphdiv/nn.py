@@ -1,5 +1,6 @@
 """Dense layer stacks (relu after every layer but the last), losses and Adam
-on numpy arrays.
+on numpy arrays. A layer is a (weight, bias) pair, weight (out, in); the
+layout of a model's arrays is the model's to check (encoder.SourceEncoder).
 
 A fit runs at the dtype of its inits: fit_stack keeps its buffers, moments
 and learning rates in that dtype, so the stacked attention fits run in
@@ -9,12 +10,10 @@ float64 either way, which holds a float32 loss exactly.
 
 Gradients are hand-derived per layer; there is no autodiff. Everything is a
 pure function over caller-owned buffers, so independent trainings can run in
-parallel processes without shared state. No file format lives here: the
-checkpoint is written and read in encoder (save_encoder, load_encoder).
+parallel processes without shared state.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +44,6 @@ def softmax(z, axis=-1):
     return e
 
 
-@dataclass
-class DenseLayer:
-    """y = x W^T + b; weight is (out, in), inputs are batched row-wise. A stack
-    of G layers has weight (G, out, in) and bias (G, out). forward applies
-    relu after every layer but the last."""
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.ndim not in (2, 3) or self.bias.shape != self.weight.shape[:-1]:
-            raise ShapeError("weight must be (out, in) or (G, out, in) with bias (out,) or (G, out)")
-
-    @property
-    def in_dim(self):
-        return self.weight.shape[-1]
-
-
 def init_dense(out_dim, in_dim, rng):
     """(weight, bias): weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
     bound = 1.0 / np.sqrt(in_dim)
@@ -69,15 +51,16 @@ def init_dense(out_dim, in_dim, rng):
 
 
 def forward(layers, x):
-    """Run a layer stack (relu after all but the last layer) over a batch, or
-    G stacked layer stacks over G batches; returns (output, tape for
-    backward). Each slice gets the bits it would get alone."""
+    """Run a layer stack, (weight, bias) pairs with relu after all but the
+    last, over a batch, or G stacked stacks (weight (G, out, in), bias
+    (G, out)) over G batches; returns (output, tape for backward). Each slice
+    gets the bits it would get alone. A wrong input width raises ShapeError."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
     tape = []
-    for k, layer in enumerate(layers):
-        if h.shape[-1] != layer.in_dim:
-            raise ShapeError(f"layer {k}: input width {h.shape[-1]} != expected {layer.in_dim}")
-        z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+    for k, (w, b) in enumerate(layers):
+        if h.shape[-1] != w.shape[-1]:
+            raise ShapeError(f"layer {k}: input width {h.shape[-1]} != expected {w.shape[-1]}")
+        z = h @ w.swapaxes(-1, -2) + b[..., None, :]
         tape.append((h, z))
         h = np.maximum(z, 0.0) if k < len(layers) - 1 else z
     return h, tape
@@ -94,7 +77,7 @@ def backward(layers, tape, grad_out):
         h, z = tape[k]
         gz = g * (z > 0) if k < len(layers) - 1 else g
         grads[k] = (gz.swapaxes(-1, -2) @ h, gz.sum(axis=-2))
-        g = gz @ layers[k].weight
+        g = gz @ layers[k][0]
     return grads, g
 
 

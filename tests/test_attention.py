@@ -37,21 +37,26 @@ def small_source(tiny_cfg):
 
 
 def test_pair_shape_validation():
+    # a pair is a named tuple of its arrays with no check of its own; the
+    # cell it is fitted for refuses a reverse map that is not transposed
+    target = random_graph(4, 0.5, 1)
     with pytest.raises(nn.ShapeError):
-        AttentionPair(np.zeros((3, 4)), np.zeros((3, 4)))
+        AugmentedEncoder(AttentionPair(np.zeros((3, 4)), np.zeros((3, 4))), target, np.zeros((3, 3)))
     pair = AttentionPair(np.zeros((3, 4)), np.zeros((4, 3)))
+    assert isinstance(pair, tuple) and pair._fields == ("forward", "reverse")
     assert pair.forward.shape == (3, 4) and pair.reverse.shape == (4, 3)
+    assert AugmentedEncoder(pair, target, np.zeros((3, 3))).attention is pair
 
 
 def test_augmented_encoder_shape_check(triangle):
-    # forward logits map the source_probs' nodes onto the target's
+    # forward logits map the nodes of S (square) onto the target's
     pair = AttentionPair(np.zeros((3, 4)), np.zeros((4, 3)))
     target = random_graph(4, 0.5, 1)
     assert AugmentedEncoder(pair, target, np.zeros((3, 3))).attention is pair
-    with pytest.raises(nn.ShapeError):
-        AugmentedEncoder(pair, target, np.zeros((4, 4)))
-    with pytest.raises(nn.ShapeError):
-        AugmentedEncoder(pair, triangle, np.zeros((3, 3)))
+    for bad, graph, s in ((pair, target, np.zeros((4, 4))), (pair, triangle, np.zeros((3, 3))),
+                          (pair, target, np.zeros((3, 4)))):
+        with pytest.raises(nn.ShapeError):
+            AugmentedEncoder(bad, graph, s)
 
 
 def test_zero_logits_give_uniform_dist():

@@ -1,7 +1,8 @@
 """The benchmark reaches into graphdiv by name: its tracer wraps functions
-listed in WRAPPED, and its scripts import names and read module attributes.
-Every such name must exist, or a benchmark run fails; these tests say which
-name is gone without running the benchmark."""
+listed in WRAPPED, its scripts import names and read module attributes, and
+its correctness check reads attributes of a fitted encoder and cell. Every
+such name must exist, or a benchmark run fails; these tests say which name
+is gone without running the benchmark."""
 
 import ast
 import glob
@@ -11,18 +12,24 @@ import os
 
 import pytest
 
+from graphdiv.attention import train_attention
+from graphdiv.divergence import raw_divergence
+from graphdiv.encoder import TrainConfig, positive_log_loss, train_encoder
+from graphdiv.generators import random_graph
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-SPANS = os.path.join(BENCH, "spans.py")
 
 
-def _wrapped():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.WRAPPED
+def _bench_module(name):
+    """bench/<name>.py, imported under the name bench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("module_name, attr, _record", _wrapped())
+@pytest.mark.parametrize("module_name, attr, _record", _bench_module("spans").WRAPPED)
 def test_traced_function_exists(module_name, attr, _record):
     owner = importlib.import_module(f"graphdiv.{module_name}")
     for part in attr.split("."):
@@ -71,3 +78,19 @@ def test_bench_reads_graphdiv_names():
 def test_bench_name_exists(script, module, name):
     assert hasattr(importlib.import_module(module), name), \
         f"bench/{script} reads {module}.{name}, which is gone"
+
+
+def test_check_round_reads_a_fitted_encoder_and_cell():
+    # bench/run.py check_round refits a cell alone and recomputes its table
+    # value with bench/refs.py from exactly these attributes
+    refs = _bench_module("refs")
+    cfg = TrainConfig(embed_dim=3, encoding_epochs=20, scoring_epochs=20, rng_seed=1)
+    enc = train_encoder(random_graph(5, 0.5, 1), cfg, graph_id=0)
+    target = random_graph(6, 0.5, 2)
+    ae = train_attention(enc, target, cfg, target_graph_id=1, restarts=2)
+    logits = refs.encoder_logits(enc.embedding, [(l.weight, l.bias) for l in enc.hidden],
+                                 (enc.output.weight, enc.output.bias))
+    own = refs.self_log_loss(logits, enc.graph.edges)
+    value = refs.augmented_log_loss(ae.attention.forward, ae.attention.reverse,
+                                    logits, target.edges) - own
+    assert value == raw_divergence([ae])[0] - positive_log_loss([enc])[0]

@@ -688,6 +688,25 @@ def test_embed_rescores_the_column_of_a_rewritten_checkpoint(tmp_path, dataset_f
     assert files(out) == files(fresh)
 
 
+def test_embed_retrains_a_checkpoint_with_a_transposed_shape(tmp_path, dataset_file):
+    # the checksum covers the values, not the shapes: a checkpoint whose
+    # embedding shape was transposed, values and checksum untouched, loaded,
+    # and embed exited 2 at the encoder's first forward
+    out = tmp_path / "out"
+    argv = ["embed", "--dataset", dataset_file, "--out", str(out)] + fast("embed")
+    assert main(argv) == EXIT_OK
+    cfg = build_config(build_parser().parse_args(argv))
+    ckpt = out / f"encoder_{cfg.encoder_hash()}_g1.json"
+    clean, table = ckpt.read_bytes(), (out / "embeddings.csv").read_bytes()
+    damaged = json.loads(clean)
+    assert damaged["shapes"]["embedding"] == [5, 4]
+    damaged["shapes"]["embedding"] = [4, 5]
+    ckpt.write_text(json.dumps(damaged))
+    assert main(argv) == EXIT_OK
+    assert ckpt.read_bytes() == clean
+    assert (out / "embeddings.csv").read_bytes() == table
+
+
 def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):
     # cell records of format 1 (float64 attention fits) under the keys this
     # run reads: each is scored again and rewritten, none of their values

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import tempfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -257,6 +258,54 @@ def test_embed_all_rejects_encoders_that_do_not_match_sources():
     for encoders in ([enc0], [enc0, enc1, enc0], [enc1, enc0], [enc0, enc0]):
         with pytest.raises(ValueError, match="one per source"):
             embed_all([g0, g1], [g0], cfg, encoders=encoders, restarts=1)
+
+
+def test_given_encoders_match_their_sources_by_digest():
+    # Graph equality ignores vocabulary sizes, which the label penalties read:
+    # an encoder of the 3-label graph given for the 2-label one failed inside
+    # a task ("vocabularies differ"), and the reverse case ran silently with
+    # the encoder's graph
+    edges = [(0, 1), (1, 2), (2, 3)]
+    two, three = (Graph(4, edges, node_labels=[0, 1, 0, 1], num_node_labels=k) for k in (2, 3))
+    assert two == three and two.digest != three.digest
+    cfg = TrainConfig(embed_dim=4, encoding_epochs=5, scoring_epochs=5)
+    by_vocab = dict(zip((2, 3), train_source_encoders([two, three], cfg)))
+    for graph, wrong in ((two, 3), (three, 2)):
+        with pytest.raises(ValueError, match=r"another graph for sources \[7\]: need one per"):
+            embed_all([graph], [graph], cfg, source_ids=[7], encoders=[by_vocab[wrong]],
+                      restarts=1)
+
+
+def test_pool_opens_at_most_one_worker_per_task(monkeypatch):
+    # a fork pool starts all max_workers at the first submit: 32 workers for
+    # 3 tasks once forked 32 processes. A stand-in pool records its size and
+    # runs each task inline, so no process starts
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(divergence, "ProcessPoolExecutor", InlinePool)
+    tasks = [(k,) for k in range(3)]
+    for workers, size in ((32, 3), (3, 3), (2, 2)):
+        assert sorted(divergence._completed(lambda k: k * k, tasks, workers)) == [
+            (0, 0), (1, 1), (2, 4)]
+        assert opened.pop() == size
+    graphs = [random_graph(n, 0.5, n) for n in (4, 5, 6)]
+    train_source_encoders(graphs, TrainConfig(embed_dim=2, encoding_epochs=2), workers=32)
+    assert opened == [3]
 
 
 def test_repeated_ids_are_rejected(tmp_path):

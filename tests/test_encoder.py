@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,8 +12,8 @@ from conftest import (encoder_stack, encoder_stack_gradient_errors, fit_stack_ca
                       fit_stack_every_epoch, loss_epochs, positive_log_loss_loop, same_bits)
 from graphdiv import encoder, nn
 from graphdiv.attention import source_prob_matrix
-from graphdiv.encoder import (CheckpointError, TrainConfig, TrainingFault, build_encoder,
-                              derive_seed, encoder_loss_and_grads, load_encoder,
+from graphdiv.encoder import (CheckpointError, SourceEncoder, TrainConfig, TrainingFault,
+                              build_encoder, derive_seed, encoder_loss_and_grads, load_encoder,
                               positive_log_loss, fit_encoders, save_encoder, train_encoder)
 from graphdiv.generators import make_barbell, make_ring, random_graph
 from graphdiv.graphs import Graph
@@ -293,6 +294,45 @@ def test_parameter_names_and_order(tmp_path, triangle, layers):
         assert list(json.load(f)["shapes"]) == names
     for enc in (build_encoder(triangle, cfg), fitted, load_encoder(path)):
         assert list(enc.params) == names
+
+
+@pytest.mark.parametrize("name", ["embedding", "hidden0.weight", "hidden0.bias", "hidden1.weight",
+                                  "hidden1.bias", "output.weight", "output.bias"])
+def test_source_encoder_checks_each_shape(triangle, name):
+    # each array has the shape build_encoder gives it for the graph; one more
+    # row in any of them raises, naming that array
+    params = build_encoder(triangle, TrainConfig(embed_dim=4)).params
+    params[name] = np.zeros((params[name].shape[0] + 1,) + params[name].shape[1:])
+    with pytest.raises(nn.ShapeError, match=re.escape(f"('{name}', ")):
+        SourceEncoder(triangle, 0, params)
+
+
+def test_source_encoder_checks_names_and_order(triangle):
+    # the names, their order and one 2-D (1-D for biases) array each, as a
+    # checkpoint stores them; nn.forward checks only input widths
+    params = build_encoder(triangle, TrainConfig(embed_dim=4)).params
+    names = list(params)
+    for bad in ({name: params[name] for name in names[::-1]},
+                {name: a for name, a in params.items() if name != "hidden1.bias"},
+                dict(params, extra=params["output.bias"]),
+                {name.replace("hidden", "layer"): a for name, a in params.items()},
+                {name: a[None] for name, a in params.items()},
+                dict(params, embedding=params["embedding"].T)):
+        with pytest.raises(nn.ShapeError):
+            SourceEncoder(triangle, 0, bad)
+    assert SourceEncoder(triangle, 0, params).params is params
+
+
+def test_checkpoint_with_a_transposed_shape_fails_to_load(tmp_path, triangle):
+    # the checksum covers the values, not the shapes: a transposed embedding
+    # shape once loaded, and its encoder failed only in its first forward
+    cfg = TrainConfig(embed_dim=4)
+    path = tmp_path / "enc.json"
+    ckpt = json.loads(_saved_text(build_encoder(triangle, cfg), cfg, path))
+    ckpt["shapes"]["embedding"] = [4, 3]
+    path.write_text(json.dumps(ckpt))
+    with pytest.raises(CheckpointError, match="embedding"):
+        load_encoder(path)
 
 
 def test_edgeless_graph_self_loss_is_zero(tiny_cfg):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gradient_check
 from graphdiv import nn
-from graphdiv.nn import (DenseLayer, ShapeError, adam_step, backward, fit_stack, forward,
-                         init_dense, multilabel_bce_loss)
+from graphdiv.nn import (ShapeError, adam_step, backward, fit_stack, forward, init_dense,
+                         multilabel_bce_loss)
 
 
 def test_sigmoid_softplus_stable_at_extremes():
@@ -43,43 +43,31 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_identity_layer_passthrough():
-    layer = DenseLayer(np.eye(3), np.zeros(3))
     x = np.array([[1.0, -2.0, 0.5]])
-    out, _ = forward([layer], x)
+    out, _ = forward([(np.eye(3), np.zeros(3))], x)
     assert np.array_equal(out, x)
 
 
-def test_layer_shape_validation():
-    with pytest.raises(ShapeError):
-        DenseLayer(np.eye(3), np.zeros(2))
-    layer = DenseLayer(np.eye(3), np.zeros(3))
-    with pytest.raises(ShapeError):
-        forward([layer], np.ones((1, 4)))
-
-
-def test_stacked_layer_shapes():
-    DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        DenseLayer(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)))
-    layer = DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
-    assert layer.in_dim == 4
-    with pytest.raises(ShapeError):
-        forward([layer], np.ones((2, 5, 3)))
+def test_forward_checks_input_width():
+    # a layer's input width is its weight's last axis, alone or stacked; the
+    # layout of a model's arrays is the model's check (test_encoder)
+    with pytest.raises(ShapeError, match="layer 0: input width 4 != expected 3"):
+        forward([(np.eye(3), np.zeros(3))], np.ones((1, 4)))
+    stacked = (np.zeros((2, 3, 4)), np.zeros((2, 3)))
+    assert forward([stacked], np.ones((2, 5, 4)))[0].shape == (2, 5, 3)
+    with pytest.raises(ShapeError, match="layer 1: input width 3 != expected 4"):
+        forward([stacked, stacked], np.ones((2, 5, 4)))
 
 
 def test_stacked_layers_match_slices():
     # a stack of 3 two-layer nets: forward, loss and backward of each slice
     # are the bits of that net run alone
     rng = np.random.default_rng(4)
-    nets = [[DenseLayer(*init_dense(4, 3, rng)), DenseLayer(*init_dense(2, 4, rng))]
-            for _ in range(3)]
+    nets = [[init_dense(4, 3, rng), init_dense(2, 4, rng)] for _ in range(3)]
     for net in nets:
-        for layer in net:
-            layer.bias[...] = rng.normal(size=layer.bias.shape)
-    stack = [DenseLayer(np.stack([net[k].weight for net in nets]),
-                        np.stack([net[k].bias for net in nets]))
+        for _, bias in net:
+            bias[...] = rng.normal(size=bias.shape)
+    stack = [tuple(np.stack([net[k][part] for net in nets]) for part in (0, 1))
              for k in range(len(nets[0]))]
     x = rng.normal(size=(3, 5, 3))
     t = (rng.random((3, 5, 2)) < 0.5).astype(float)
@@ -122,11 +110,11 @@ def test_bce_matches_finite_differences():
 
 def test_stack_gradient_check():
     rng = np.random.default_rng(2)
-    layers = [DenseLayer(*init_dense(4, 3, rng)), DenseLayer(*init_dense(2, 4, rng))]
+    layers = [init_dense(4, 3, rng), init_dense(2, 4, rng)]
     x = rng.normal(size=(5, 3))
     t = (rng.random((5, 2)) < 0.5).astype(float)
-    params = {"w0": layers[0].weight, "b0": layers[0].bias,
-              "w1": layers[1].weight, "b1": layers[1].bias}
+    (w0, b0), (w1, b1) = layers
+    params = {"w0": w0, "b0": b0, "w1": w1, "b1": b1}
 
     def loss_and_grads(_):
         out, tape = forward(layers, x)
