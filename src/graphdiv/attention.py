@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .encoder import ContractViolation, derive_seed
+from .encoder import ContractViolation, _layers, derive_seed
 from .graphs import (GraphError, edge_attr_matrix, neighborhood_attr_matrix,
                      node_label_onehot)
 
@@ -111,7 +111,7 @@ def attention_matrix(pair):
 
 def source_prob_matrix(source):
     """The frozen source's own neighbor probabilities, |V_S| x |V_S|."""
-    scores, _ = nn.forward(source.layers, source.embedding)
+    scores, _ = nn.forward(_layers(source.params), source.embedding)
     return nn.sigmoid(scores)
 
 

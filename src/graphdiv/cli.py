@@ -99,15 +99,16 @@ def _encoder_path(out, cfg, idx):
 
 def _ensure_encoders(graphs, idxs, cfg, out, workers=1):
     """Encoders for the dataset graphs at idxs. A checkpoint is reused when it
-    loads at this CHECKPOINT_VERSION, is trained and its graph has the digest
-    of the dataset's graph; the rest are trained, one stack per node count in
-    parallel, each saved over its old file as its stack finishes, so a
-    diverged encoder (which raises once every stack is done) costs no other
-    its checkpoint. Returns (encoders in idxs order, number trained)."""
+    loads at this CHECKPOINT_VERSION, was written for this encoder config, is
+    trained and its graph has the digest of the dataset's graph; the rest
+    are trained, one stack per node count in parallel, each saved over its
+    old file as its stack finishes, so a diverged encoder (which raises once
+    every stack is done) costs no other its checkpoint. Returns (encoders in
+    idxs order, number trained)."""
     encoders = {}
     for idx in idxs:
         try:
-            enc = load_encoder(_encoder_path(out, cfg, idx))
+            enc = load_encoder(_encoder_path(out, cfg, idx), cfg)
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             continue  # absent or unreadable: trained below, and the file (re)written
         if enc.trained and enc.graph.digest == graphs[idx].digest:

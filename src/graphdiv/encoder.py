@@ -82,8 +82,8 @@ class SourceEncoder:
     returns and a checkpoint carries, in order "embedding" (|V|, d),
     "hidden{k}.weight" (d, d) and ".bias" (d,) per hidden layer,
     "output.weight" (|V|, d) and ".bias" (|V|,); any other names, order or
-    shapes raise nn.ShapeError. embedding and the Layers in layers (hidden,
-    then output) are views of them."""
+    shapes raise nn.ShapeError. embedding and the Layers in hidden and
+    output are views of them."""
 
     def __init__(self, graph, graph_id, params, trained=False):
         n, d = graph.node_count, np.shape(params.get("embedding"))[-1:]
@@ -100,8 +100,7 @@ class SourceEncoder:
         self.params = params
         self.trained = trained
         self.embedding = params["embedding"]
-        self.layers = _layers(params)
-        *self.hidden, self.output = self.layers
+        *self.hidden, self.output = _layers(params)
         self.loss_trace = []
         self.fault = None               # set by fit_encoders
 
@@ -227,19 +226,23 @@ def save_encoder(enc, cfg, path):
                  "graph": enc.graph.to_json_dict()}}))
 
 
-def load_encoder(path):
-    """The encoder of a save_encoder checkpoint, bit for bit; CheckpointError
-    for another version, values that fail the checksum or params that do not
-    fit the layout of its graph (see SourceEncoder)."""
+def load_encoder(path, cfg):
+    """The encoder of a save_encoder(enc, cfg, path) checkpoint, bit for bit;
+    CheckpointError for another version, values that fail the checksum, a
+    checkpoint written for another encoder config than cfg's, or params that
+    do not fit the layout of its graph (see SourceEncoder)."""
     with open(path) as f:
         ckpt = json.load(f)
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {ckpt.get('version')!r}")
     if _digest(ckpt["values"]) != ckpt.get("checksum"):
         raise CheckpointError("checkpoint checksum mismatch (corrupted file)")
+    meta = ckpt["meta"]
+    if meta["config_hash"] != cfg.encoder_hash():
+        raise CheckpointError(f"checkpoint written for encoder config {meta['config_hash']!r}, "
+                              f"not {cfg.encoder_hash()!r}")
     params = {name: np.array([float.fromhex(h) for h in ckpt["values"][name]]).reshape(shape)
               for name, shape in ckpt["shapes"].items()}
-    meta = ckpt["meta"]
     try:
         return SourceEncoder(Graph.from_json_dict(meta["graph"]), meta["graph_id"], params,
                              trained=bool(meta["trained"]))

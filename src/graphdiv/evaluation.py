@@ -6,9 +6,10 @@ Cross-validation standardizes the table once and fits the hinge classifiers
 of all folds with one class set as one problem over that table: each fold
 keeps its own training-split statistics and its iterate lives in the
 table's coordinates (HingeClassifier), so every epoch is eight numpy calls
-for all folds together, and a fold's bits do not depend on the others.
-The k-NN baseline ranks each fold's test rows on the test x train block of
-its fold-standardized distances.
+for all folds together, and a fold's bits do not depend on the others. A
+fit is its arrays, each fold's weights and bias. The k-NN baseline ranks
+each fold's test rows on the test x train block of its fold-standardized
+distances.
 """
 
 from dataclasses import dataclass, field
@@ -66,29 +67,24 @@ HINGE_L2 = 1e-3
 KNN_K = 5
 
 
-class Standardizer:
-    """Per-feature zero mean / unit variance, fit on the training split only."""
-
-    def fit(self, x):
-        self.mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        self.std = np.where(std > 1e-12, std, 1.0)
-        return self
-
-    def transform(self, x):
-        return (x - self.mean) / self.std
+def _moments(x):
+    """Per-feature mean and std of x's rows, a std at most 1e-12 read as 1:
+    (x - mean) / std standardizes x, a constant feature to 0."""
+    std = x.std(axis=0)
+    return x.mean(axis=0), np.where(std > 1e-12, std, 1.0)
 
 
 class HingeClassifier:
-    """Linear max-margin classifier, one-vs-rest per class.
+    """Linear max-margin classifiers, one-vs-rest per class, one per fold.
 
     L2-regularized hinge loss by deterministic full-batch subgradient descent;
     the per-class problems train as the columns of one weight matrix.
-    fit(x, y) trains on the rows of x as they are; fit(x, y, folds) trains one
-    classifier per fold of one table x, fold k = (rows, mean, std) solving the
-    fit on (x[rows] - mean) / std, and clf[k] takes rows of x. A fold fitted
-    alone gets the bits it gets among others; a lone fit is the fold of all
-    rows at mean 0 and std 1.
+    fit(x, y, folds) trains one classifier per fold of x, fold k = (rows,
+    mean, std) solving the fit on (x[rows] - mean) / std, and keeps classes_,
+    weights_ (F, d, C) and bias_ (F, C): fold k's decisions on rows z of x
+    are z @ weights_[k] + bias_[k]. A fold fitted alone gets the bits it gets
+    among others. It stays a class with fit alone because the bench's
+    traced span wraps HingeClassifier.fit by name.
 
     With A = [x, 1] and Q = [[diag(1/std), 0], [-(mean/std)^T, 1]], a fold's
     standardized iterate u = [w; b] is kept as V = Q u, so A @ V are its
@@ -100,12 +96,9 @@ class HingeClassifier:
     beside more columns, tying a fold's bits to the fold count.
     """
 
-    def fit(self, x, y, folds=None):
+    def fit(self, x, y, folds):
         x, y = np.asarray(x, dtype=float), np.asarray(y)
         n, d = x.shape
-        lone = folds is None
-        if lone:
-            folds = [(np.arange(n), np.zeros(d), np.ones(d))]
         rows, mean, std = zip(*folds)
         self.classes_ = np.unique(y[np.concatenate(rows)])
         if len(self.classes_) < 2:
@@ -135,19 +128,8 @@ class HingeClassifier:
             active = np.where(targets * (a @ v) < 1.0, targets, 0.0)
             np.matmul(a.T, active, out=g)
             v -= lr * (step_matrix @ gv)
-        self.weights_, self.bias_ = (v[0, :d], v[0, d]) if lone else (v[:, :d], v[:, d])
+        self.weights_, self.bias_ = v[:, :d], v[:, d]
         return self
-
-    def __getitem__(self, k):
-        lone = HingeClassifier()
-        lone.classes_, lone.weights_, lone.bias_ = self.classes_, self.weights_[k], self.bias_[k]
-        return lone
-
-    def decision(self, x):
-        return x @ self.weights_ + self.bias_
-
-    def predict(self, x):
-        return self.classes_[np.argmax(self.decision(x), axis=1)]
 
 
 def _knn_predict(train_x, train_y, test_x, k):
@@ -195,7 +177,8 @@ def classify_cv(table, classes, plan=None):
     one whose training split holds a single class is skipped. The hinge
     classifiers of the folds with one class set train in one fit over the
     table standardized once, each fold with its own statistics mapped into
-    the table's coordinates (see HingeClassifier).
+    the table's coordinates (see HingeClassifier), and predict the class of
+    each standardized test row's largest decision.
     """
     features = table.values if isinstance(table, DivergenceTable) else np.asarray(table, dtype=float)
     classes = np.asarray(classes)
@@ -220,28 +203,29 @@ def classify_cv(table, classes, plan=None):
             skipped.append(fold)
             continue
         groups.setdefault(tuple(labels.tolist()), []).append(len(folds))
-        folds.append((fold, tr, te, Standardizer().fit(features[tr])))
+        folds.append((fold, tr, te, *_moments(features[tr])))
     if not folds:
         raise EvalError("no usable folds")
 
     # each fold's training statistics, mapped into the coordinates of the
     # table standardized once: its problem is still its own split's, and the
     # table is well scaled whatever the raw offsets
-    whole = Standardizer().fit(features)
-    standardized = whole.transform(features)
-    clfs = [None] * len(folds)
+    mean, std = _moments(features)
+    standardized = (features - mean) / std
+    fits = [None] * len(folds)
     for members in groups.values():
-        fit = HingeClassifier().fit(standardized, classes, [
-            (tr, (scaler.mean - whole.mean) / whole.std, scaler.std / whole.std)
-            for _, tr, _, scaler in (folds[i] for i in members)])
+        clf = HingeClassifier().fit(standardized, classes, [
+            (tr, (mu - mean) / std, sigma / std)
+            for _, tr, _, mu, sigma in (folds[i] for i in members)])
         for k, i in enumerate(members):
-            clfs[i] = fit[k]
+            fits[i] = clf.classes_, clf.weights_[k], clf.bias_[k]
 
     accs, knn_accs = [], []
-    for (fold, tr, te, scaler), clf in zip(folds, clfs):
-        accs.append(float(np.mean(clf.predict(standardized[te]) == classes[te])))
-        knn = _knn_predict(scaler.transform(features[tr]), classes[tr],
-                           scaler.transform(features[te]), KNN_K)
+    for (fold, tr, te, mu, sigma), (labels, weights, bias) in zip(folds, fits):
+        decisions = standardized[te] @ weights + bias
+        accs.append(float(np.mean(labels[np.argmax(decisions, axis=1)] == classes[te])))
+        knn = _knn_predict((features[tr] - mu) / sigma, classes[tr],
+                           (features[te] - mu) / sigma, KNN_K)
         knn_accs.append(float(np.mean(knn == classes[te])))
     return CVResult(float(np.mean(accs)), float(np.std(accs)), accs,
                     float(np.mean(knn_accs)), float(np.std(knn_accs)), knn_accs,

@@ -25,10 +25,13 @@ def canonical_edge(u, v):
 
 
 def _int(value, what):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int; a bool (JSON's true and false) is not one."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
 class Graph:
@@ -95,14 +98,13 @@ class Graph:
         return a
 
     def __eq__(self, other):
+        """Equal digests: the same nodes, edges, labels and vocabulary sizes."""
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.node_count == other.node_count and self.edges == other.edges
-                and self.node_labels == other.node_labels
-                and self.edge_labels == other.edge_labels)
+        return self.digest == other.digest
 
     def __hash__(self):
-        return hash((self.node_count, self.edges, self.node_labels, self.edge_labels))
+        return hash(self.digest)
 
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -129,6 +131,7 @@ class Graph:
         if "edge_labels" in d:
             by_edge, present = {}, {canonical_edge(u, v) for u, v in edges}
             for u, v, l in d["edge_labels"]:
+                u, v = _int(u, "node id"), _int(v, "node id")
                 if canonical_edge(u, v) not in present:
                     raise GraphFormatError(f"edge_labels entry [{u}, {v}, {l}] is not an edge")
                 if by_edge.setdefault(canonical_edge(u, v), l) != l:

@@ -401,7 +401,7 @@ def test_attention_csv_format(tmp_path):
     assert main(argv) == EXIT_OK
     args = build_parser().parse_args(argv)
     cfg = build_config(args)
-    source = load_encoder(os.path.join(out, f"encoder_{cfg.encoder_hash()}_g0.json"))
+    source = load_encoder(os.path.join(out, f"encoder_{cfg.encoder_hash()}_g0.json"), cfg)
     ae = train_attention(source, ds.graphs[1], cfg, target_graph_id=1, restarts=args.restarts)
     with open(os.path.join(out, "attention.csv")) as f:
         lines = f.read().splitlines()
@@ -671,7 +671,7 @@ def test_embed_rescores_the_column_of_a_rewritten_checkpoint(tmp_path, dataset_f
     assert main(argv(out)) == EXIT_OK
     cfg = build_config(build_parser().parse_args(argv(out)))
     ckpt = out / f"encoder_{cfg.encoder_hash()}_g2.json"
-    enc = load_encoder(ckpt)
+    enc = load_encoder(ckpt, cfg)
     enc.params["output.bias"] += 0.5
     save_encoder(enc, cfg, ckpt)
     fresh.mkdir()
@@ -705,6 +705,25 @@ def test_embed_retrains_a_checkpoint_with_a_transposed_shape(tmp_path, dataset_f
     assert main(argv) == EXIT_OK
     assert ckpt.read_bytes() == clean
     assert (out / "embeddings.csv").read_bytes() == table
+
+
+def test_encode_retrains_a_checkpoint_of_another_encoder_config(tmp_path, dataset_file):
+    # the --embed-dim 4 checkpoints, copied to their --embed-dim 6 file names,
+    # were reused by encode --embed-dim 6 (trained 0, skipped 6), and its
+    # encoders kept (5, 4) embeddings
+    out = tmp_path / "out"
+    argv = lambda dim: (["encode", "--dataset", dataset_file, "--out", str(out)]
+                        + fast("encode", "--embed-dim", dim))
+    small, large = (build_config(build_parser().parse_args(argv(dim))) for dim in ("4", "6"))
+    path = lambda cfg, idx: out / f"encoder_{cfg.encoder_hash()}_g{idx}.json"
+    assert main(argv("4")) == EXIT_OK
+    for idx in range(6):
+        shutil.copy(path(small, idx), path(large, idx))
+    assert main(argv("6")) == EXIT_OK
+    summary = json.loads((out / "encode_summary.json").read_text())
+    assert summary["trained"] == 6 and summary["skipped"] == 0
+    assert all(load_encoder(path(large, idx), large).embedding.shape == (5, 6)
+               for idx in range(6))
 
 
 def test_embed_rescores_cells_of_an_older_cell_format(tmp_path, dataset_file):

@@ -261,13 +261,12 @@ def test_embed_all_rejects_encoders_that_do_not_match_sources():
 
 
 def test_given_encoders_match_their_sources_by_digest():
-    # Graph equality ignores vocabulary sizes, which the label penalties read:
-    # an encoder of the 3-label graph given for the 2-label one failed inside
-    # a task ("vocabularies differ"), and the reverse case ran silently with
-    # the encoder's graph
+    # the label penalties read vocabulary sizes: an encoder of the 3-label
+    # graph given for the 2-label one failed inside a task ("vocabularies
+    # differ"), and the reverse case ran silently with the encoder's graph
     edges = [(0, 1), (1, 2), (2, 3)]
     two, three = (Graph(4, edges, node_labels=[0, 1, 0, 1], num_node_labels=k) for k in (2, 3))
-    assert two == three and two.digest != three.digest
+    assert two != three and two.digest != three.digest
     cfg = TrainConfig(embed_dim=4, encoding_epochs=5, scoring_epochs=5)
     by_vocab = dict(zip((2, 3), train_source_encoders([two, three], cfg)))
     for graph, wrong in ((two, 3), (three, 2)):

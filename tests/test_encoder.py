@@ -31,7 +31,7 @@ def reference_fit(graph, cfg, graph_id):
     trace = []
     for epoch in range(cfg.encoding_epochs):
         h, tape = enc.embedding, []
-        for layer in enc.layers:
+        for layer in [*enc.hidden, enc.output]:
             z = h @ layer.weight.T + layer.bias
             tape.append((h, z))
             h = np.maximum(z, 0.0) if layer is not enc.output else z
@@ -43,7 +43,7 @@ def reference_fit(graph, cfg, graph_id):
         g[~pos] = np.exp(h[~pos]) / (1.0 + np.exp(h[~pos]))
         g -= adjacency
         layer_grads = []
-        for layer, (h_in, z) in zip(enc.layers[::-1], tape[::-1]):
+        for layer, (h_in, z) in zip([enc.output, *enc.hidden[::-1]], tape[::-1]):
             gz = g * (z > 0) if layer is not enc.output else g
             layer_grads.insert(0, (gz.T @ h_in, gz.sum(axis=0)))
             g = gz @ layer.weight
@@ -270,7 +270,7 @@ def test_encoder_checkpoint_roundtrip(tmp_path, tiny_cfg, triangle):
     enc = train_encoder(triangle, tiny_cfg, graph_id=9)
     path = tmp_path / "enc.json"
     save_encoder(enc, tiny_cfg, path)
-    back = load_encoder(path)
+    back = load_encoder(path, tiny_cfg)
     assert back.trained
     assert back.graph == triangle
     for a, b in zip(back.params.values(), enc.params.values()):
@@ -292,7 +292,7 @@ def test_parameter_names_and_order(tmp_path, triangle, layers):
     save_encoder(fitted, cfg, path)
     with open(path) as f:
         assert list(json.load(f)["shapes"]) == names
-    for enc in (build_encoder(triangle, cfg), fitted, load_encoder(path)):
+    for enc in (build_encoder(triangle, cfg), fitted, load_encoder(path, cfg)):
         assert list(enc.params) == names
 
 
@@ -332,7 +332,7 @@ def test_checkpoint_with_a_transposed_shape_fails_to_load(tmp_path, triangle):
     ckpt["shapes"]["embedding"] = [4, 3]
     path.write_text(json.dumps(ckpt))
     with pytest.raises(CheckpointError, match="embedding"):
-        load_encoder(path)
+        load_encoder(path, cfg)
 
 
 def test_edgeless_graph_self_loss_is_zero(tiny_cfg):
@@ -347,7 +347,7 @@ def test_checkpoint_keeps_label_vocabulary(tmp_path, tiny_cfg):
               num_node_labels=3, num_edge_labels=2)
     path = tmp_path / "enc.json"
     save_encoder(train_encoder(g, tiny_cfg), tiny_cfg, path)
-    back = load_encoder(path)
+    back = load_encoder(path, tiny_cfg)
     assert (back.graph.num_node_labels, back.graph.num_edge_labels) == (3, 2)
 
 
@@ -363,7 +363,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     for a in enc.params.values():
         a[...] = rng.normal(size=a.shape)
     text = _saved_text(enc, cfg, tmp_path / "enc.json")
-    back = load_encoder(tmp_path / "enc.json")
+    back = load_encoder(tmp_path / "enc.json", cfg)
     assert json.loads(text)["meta"]["graph_id"] == "g3" and back.graph_id == "g3"
     assert back.graph == enc.graph and not back.trained
     assert list(back.params) == list(enc.params)
@@ -379,7 +379,7 @@ def test_checkpoint_checksum_detects_corruption(tmp_path, triangle):
     first = json.loads(text)["values"]["embedding"][0]
     path.write_text(text.replace(f'"{first}"', f'"{float(2.0).hex()}"', 1))
     with pytest.raises(CheckpointError, match="checksum"):
-        load_encoder(path)
+        load_encoder(path, cfg)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path, triangle):
@@ -389,7 +389,21 @@ def test_checkpoint_rejects_unknown_version(tmp_path, triangle):
     assert text.startswith('{"version": 1, ')
     path.write_text(text.replace('"version": 1', '"version": 99', 1))
     with pytest.raises(CheckpointError, match="version"):
-        load_encoder(path)
+        load_encoder(path, cfg)
+
+
+def test_checkpoint_loads_only_under_its_encoder_config(tmp_path, triangle):
+    # a checkpoint is the encoder of the config it was written for: another
+    # embed_dim, layer count or seed is another encoder, whatever the file name
+    cfg = TrainConfig(embed_dim=2)
+    path = tmp_path / "enc.json"
+    _saved_text(build_encoder(triangle, cfg), cfg, path)
+    back = load_encoder(path, TrainConfig(embed_dim=2, scoring_epochs=7))
+    assert back.embedding.shape == (3, 2)
+    for other in (TrainConfig(embed_dim=3), TrainConfig(embed_dim=2, encoder_layers=1),
+                  TrainConfig(embed_dim=2, rng_seed=1)):
+        with pytest.raises(CheckpointError, match="encoder config"):
+            load_encoder(path, other)
 
 
 @settings(max_examples=25, deadline=None)
@@ -404,7 +418,7 @@ def test_checkpoint_roundtrip_property(seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "enc.json")
         save_encoder(enc, cfg, path)
-        back = load_encoder(path)
+        back = load_encoder(path, cfg)
     for name, a in enc.params.items():
         assert back.params[name].tobytes() == a.tobytes()
 
@@ -421,7 +435,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
                                   "hidden_layers", "trained", "graph"]
     assert (hashlib.sha256(first.read_bytes()).hexdigest()
             == "040cb3aa6384a95ecd74f666951cbde5362fc52e8bbb720dd59d6be1e090aa83")
-    save_encoder(load_encoder(first), cfg, second)
+    save_encoder(load_encoder(first, cfg), cfg, second)
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -442,13 +456,13 @@ def test_trained_encoder_is_pinned_to_the_checkpoint_version(tmp_path):
     enc = train_encoder(g, cfg, graph_id=0)
     assert (encoder.CHECKPOINT_VERSION, enc.digest) == TRAINED_PIN
     save_encoder(enc, cfg, tmp_path / "enc.json")
-    assert load_encoder(tmp_path / "enc.json").digest == enc.digest
+    assert load_encoder(tmp_path / "enc.json", cfg).digest == enc.digest
 
 
 def test_positive_log_loss_matches_edge_loop(tiny_cfg):
     for s in range(4):
         enc = train_encoder(random_graph(4 + 3 * s, 0.5, 30 + s), tiny_cfg)
-        logits, _ = nn.forward(enc.layers, enc.embedding)
+        logits, _ = nn.forward([*enc.hidden, enc.output], enc.embedding)
         assert same_bits(positive_log_loss([enc])[0], positive_log_loss_loop(logits, enc.graph.edges))
 
 
@@ -462,7 +476,7 @@ def test_batched_self_losses_match_lone_forwards(tiny_cfg):
     losses = positive_log_loss(encs)
     assert len(losses) == len(encs)
     for enc, loss in zip(encs, losses):
-        logits, _ = nn.forward(enc.layers, enc.embedding)
+        logits, _ = nn.forward([*enc.hidden, enc.output], enc.embedding)
         assert same_bits(loss, positive_log_loss_loop(logits, enc.graph.edges))
 
 

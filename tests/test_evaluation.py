@@ -7,7 +7,7 @@ from graphdiv.divergence import distance_matrix
 from graphdiv.encoder import TrainConfig
 from graphdiv.evaluation import (HINGE_EPOCHS, HINGE_L2, HINGE_LEARNING_RATE, KNN_K,
                                  CVResult, Dendrogram, EvalError, FoldPlan, HingeClassifier,
-                                 Standardizer, _knn_predict, classify_cv, cut_clusters, hier_cluster,
+                                 _knn_predict, _moments, classify_cv, cut_clusters, hier_cluster,
                                  make_fold_plan, purity, sample_sources,
                                  sampling_study)
 from graphdiv.generators import random_graph
@@ -83,8 +83,8 @@ def classify_cv_reference(features, classes, plan):
         if len(labels) < 2:
             skipped.append(fold)
             continue
-        scaler = Standardizer().fit(features[tr])
-        xtr, xte = scaler.transform(features[tr]), scaler.transform(features[te])
+        mean, std = _moments(features[tr])
+        xtr, xte = (features[tr] - mean) / std, (features[te] - mean) / std
         decisions[fold] = hinge_decision_reference(xtr, classes[tr], xte)
         accs.append(float(np.mean(labels[decisions[fold].argmax(axis=1)] == classes[te])))
         knn = knn_reference(xtr, classes[tr], xte, KNN_K)
@@ -255,19 +255,32 @@ def test_fold_plan_matches_loop_reference():
 
 def test_standardizer_train_only_stats():
     x = np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0]])
-    s = Standardizer().fit(x)
-    out = s.transform(x)
+    mean, std = _moments(x)
+    out = (x - mean) / std
     assert np.allclose(out.mean(axis=0), 0.0)
     # constant feature keeps std 1 guard instead of dividing by zero
+    assert std[1] == 1.0
     assert np.allclose(out[:, 1], 0.0)
+
+
+def all_rows(x):
+    """The one fold of every row of x at mean 0 and std 1: a fit on x's rows
+    as they are."""
+    d = np.shape(x)[1]
+    return [(np.arange(len(x)), np.zeros(d), np.ones(d))]
+
+
+def decisions_of(clf, x, k=0):
+    """Fold k's decisions on the rows x."""
+    return x @ clf.weights_[k] + clf.bias_[k]
 
 
 def test_hinge_classifier_separable():
     x, y = blobs(20, seed=1)
-    clf = HingeClassifier().fit(x, y)
-    assert np.mean(clf.predict(x) == y) == 1.0
+    clf = HingeClassifier().fit(x, y, all_rows(x))
+    assert np.mean(clf.classes_[np.argmax(decisions_of(clf, x), axis=1)] == y) == 1.0
     with pytest.raises(EvalError):
-        HingeClassifier().fit(x, np.zeros(len(x)))
+        HingeClassifier().fit(x, np.zeros(len(x)), all_rows(x))
 
 
 @pytest.mark.parametrize("classes", [[0, 1], [2, 5, 9], [0, 1, 2, 3, 4, 5]])
@@ -277,28 +290,27 @@ def test_hinge_fit_matches_per_class_reference(classes):
     # rounding and predictions exactly
     x, y = class_blobs(np.array(classes), seed=len(classes))
     xtr, ytr, xte = x[::2], y[::2], x[1::2]
-    clf = HingeClassifier().fit(xtr, ytr)
+    clf = HingeClassifier().fit(xtr, ytr, all_rows(xtr))
     expected = hinge_decision_reference(xtr, ytr, xte)
-    assert np.allclose(clf.decision(xte), expected, rtol=0, atol=1e-9)
-    assert np.array_equal(clf.predict(xte), clf.classes_[np.argmax(expected, axis=1)])
+    assert np.allclose(decisions_of(clf, xte), expected, rtol=0, atol=1e-9)
+    assert np.array_equal(np.argmax(decisions_of(clf, xte), axis=1), np.argmax(expected, axis=1))
 
 
-def assert_same_classifier(a, b, test_x):
+def assert_same_classifier(a, k, b):
+    """a's fold k has the arrays of b, a fit of one fold: the same classes,
+    weights and bias, so the same decisions."""
     assert np.array_equal(a.classes_, b.classes_)
-    assert a.weights_.tobytes() == b.weights_.tobytes()
-    assert a.bias_.tobytes() == b.bias_.tobytes()
-    assert a.decision(test_x).tobytes() == b.decision(test_x).tobytes()
-    assert a.predict(test_x).tobytes() == b.predict(test_x).tobytes()
+    assert a.weights_[k].tobytes() == b.weights_[0].tobytes()
+    assert a.bias_[k].tobytes() == b.bias_[0].tobytes()
 
 
 def random_folds(x, sizes, rng):
     """One (training rows, mean, std) fold per size: random rows of x with
-    their Standardizer statistics."""
+    their standardization statistics."""
     folds = []
     for size in sizes:
         rows = np.sort(rng.choice(len(x), size=size, replace=False))
-        scaler = Standardizer().fit(x[rows])
-        folds.append((rows, scaler.mean, scaler.std))
+        folds.append((rows, *_moments(x[rows])))
     return folds
 
 
@@ -311,16 +323,11 @@ def test_stacked_hinge_fit_matches_lone_fits(stack, n, d, classes):
     x = rng.normal(size=(n + 9, d)) + rng.normal(size=d)
     y = rng.permutation(np.resize(classes, n + 9))
     folds = random_folds(x, [n + k % 3 for k in range(stack)], rng)
-    test_x = rng.normal(size=(7, d))
     together = HingeClassifier().fit(x, y, folds)
     assert together.weights_.shape == (stack, d, len(classes))
     assert together.bias_.shape == (stack, len(classes))
     for k in range(stack):
-        assert_same_classifier(together[k], HingeClassifier().fit(x, y, [folds[k]])[0], test_x)
-    # a lone fit is the one fold of every row at mean 0 and std 1
-    lone = HingeClassifier().fit(x, y)
-    assert_same_classifier(lone, HingeClassifier().fit(x, y, [(np.arange(len(x)), np.zeros(d),
-                                                               np.ones(d))])[0], test_x)
+        assert_same_classifier(together, k, HingeClassifier().fit(x, y, [folds[k]]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +358,7 @@ def test_stacked_hinge_fit_needs_one_class_set():
     with pytest.raises(EvalError, match="same classes"):
         HingeClassifier().fit(x, y, [(np.array([0, 1, 3, 4]), *unit), (np.arange(6), *unit)])
     with pytest.raises(EvalError, match="single class"):
-        HingeClassifier().fit(x, np.zeros(6, dtype=int))
+        HingeClassifier().fit(x, np.zeros(6, dtype=int), all_rows(x))
 
 
 def _cv_case(case):
@@ -385,7 +392,7 @@ def _cv_case(case):
     features = rng.normal(size=(len(classes), 4)) + 1.5 * classes[:, None]
     if case == "conditioning":
         # a column offset by 1e6 with spread 1e-3, and one constant to 1e-14
-        # (under the Standardizer's guard): a fit in raw coordinates, with no
+        # (under the standardization's guard): a fit in raw coordinates, with no
         # standardization of the whole table, misses by thousands here
         features[:, 1] = 1e6 + 1e-3 * features[:, 1]
         features[:, 2] = 3.0 + 1e-14 * rng.normal(size=len(classes))
@@ -398,7 +405,7 @@ def fits_of(monkeypatch, run):
     fits = []
     fit = HingeClassifier.fit
 
-    def spy(self, x, y, folds=None):
+    def spy(self, x, y, folds):
         fits.append((x, folds, fit(self, x, y, folds)))
         return self
 
@@ -425,7 +432,7 @@ def test_classify_cv_matches_per_fold_loop(case, monkeypatch):
         for k, (rows, _, _) in enumerate(folds):
             # the fold whose test rows are the rows this one leaves out
             fold = int(plan.assignments[np.setdiff1d(np.arange(len(classes)), rows)[0]])
-            got = clf[k].decision(x[plan.test_indices(fold)])
+            got = decisions_of(clf, x[plan.test_indices(fold)], k)
             assert np.abs(got - decisions[fold]).max() <= 1e-9, fold
             assert np.array_equal(got.argmax(axis=1), decisions[fold].argmax(axis=1))
             evaluated.append(fold)

@@ -165,6 +165,35 @@ def test_dataset_roundtrip_aligns_vocab(tmp_path):
     assert loaded.graph_classes == [0, 1]
 
 
+@pytest.mark.parametrize("graph, what", [
+    ({"nodes": 2, "edges": [[True, False]], "node_labels": [1, 0]}, "node id"),
+    ({"nodes": True, "edges": []}, "node count"),
+    ({"nodes": 2, "edges": [[0, 1]], "node_labels": [True, 0]}, "node label"),
+    ({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[0, 1, False]]}, "edge label"),
+    ({"nodes": 2, "edges": [[0, 1]], "edge_labels": [[True, 0, 0]]}, "node id"),
+    ({"nodes": 2, "edges": [], "node_labels": [0, 0], "num_node_labels": True},
+     "num_node_labels"),
+], ids=["edge", "nodes", "node-label", "edge-label", "edge-label-endpoint", "vocabulary"])
+def test_json_booleans_are_not_integers(tmp_path, graph, what):
+    # JSON's true and false loaded as 1 and 0: edge [true, false] as (0, 1)
+    # and "nodes": true as one node
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"graphs": [{"nodes": 1, "edges": []}, graph], "classes": [0, 1]}))
+    with pytest.raises(GraphFormatError,
+                       match=rf"ds\.json: graph 1: {what} must be an integer, got (True|False)"):
+        load_dataset_json(path)
+
+
+def test_graph_identity_is_its_digest():
+    # equality once ignored the vocabulary sizes, which the digest and the
+    # label penalties read: these two compared equal, with equal hashes
+    edges = [(0, 1), (1, 2), (2, 3)]
+    two, three = (Graph(4, edges, node_labels=[0, 1, 0, 1], num_node_labels=k) for k in (2, 3))
+    assert two != three and len({two, three}) == 2
+    again = Graph(4, edges[::-1], node_labels=[0, 1, 0, 1])
+    assert again == two and hash(again) == hash(two) and again.digest == two.digest
+
+
 def test_dataset_validation():
     g = Graph(2, [(0, 1)])
     with pytest.raises(GraphError):
